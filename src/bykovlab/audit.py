@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import circlemap as cm
+from .circlemap import abundance_accepts_lambda0  # noqa: F401  (re-exported)
 from .model import (TWO_PI, CylinderPoint, EscapeError, ModelParams,
-                    Perturbation, det_jac_return, jac_return, return_map,
-                    wrap_angle)
+                    Perturbation, det_jac_return, return_map, wrap_angle)
 from .orbits import Budget, classify_cell
 
 DEFAULT_THRESHOLDS = {
@@ -33,9 +33,6 @@ DEFAULT_THRESHOLDS = {
     "h6_floor": 1e-6,
     "h7_primitive_cap": 64,
 }
-
-LN2_3 = 3.0 * math.log(2.0)        # exp(lambda0/3) > 2  <=>  lambda0 > 3 ln 2
-LN_LN10 = math.log(math.log(10.0))  # exp(lambda0) > ln 10 <=> lambda0 > ln ln 10
 
 
 @dataclass
@@ -197,7 +194,7 @@ def audit_H4(family: cm.CircleMapFamily, a_window=(0.0, TWO_PI),
              seed: int = 0) -> HypothesisVerdict:
     """Scan the window for parameters passing the Misiurewicz check."""
     t = _thresholds(thresholds)
-    crit = cm.critical_points(family)
+    crit = family.critical_set
     if crit.q == 0:
         return HypothesisVerdict(
             "H4", "FAIL",
@@ -247,7 +244,7 @@ def audit_H5_proxy(family: cm.CircleMapFamily, a_star: float,
     critical set (continuation ambiguous).
     """
     t = _thresholds(thresholds)
-    crit = cm.critical_points(family)
+    crit = family.critical_set
     if crit.q == 0:
         return HypothesisVerdict("H5", "FAIL",
                                  {"reason": "no critical points"},
@@ -265,14 +262,12 @@ def audit_H5_proxy(family: cm.CircleMapFamily, a_star: float,
                 proxy=True)
         x = family.val(a_star, x)
     itinerary = _continuation_orbit(family, a_star, v_star, horizon)
+    starts = np.append(crit.points, crit.points[0] + TWO_PI)
 
     def p_of_a(a: float) -> float:
         """Backward-nested continuation of v_star with the same itinerary."""
-        part = cm.monotonicity_partition(family)
-        starts = np.append(part.starts, part.starts[0] + TWO_PI)
         # forward endpoint: follow the orbit of the continued critical value;
         # solve backwards so each preimage stays on the recorded branch
-        target = None
         xs = [family.val(a, float(crit.points[0]))]
         for _ in range(horizon - 1):
             xs.append(family.val(a, xs[-1]))
@@ -283,7 +278,6 @@ def audit_H5_proxy(family: cm.CircleMapFamily, a_star: float,
             goal = wrap_angle(target)
             # monotone branch: bisection on g(x) = wrap(lift(x)) - goal
             glo = wrap_angle(family.lift(a, lo)) - goal
-            ghi = wrap_angle(family.lift(a, hi - 1e-12)) - goal
             llo, lhi = lo, hi - 1e-12
             for _ in range(60):
                 mid = 0.5 * (llo + lhi)
@@ -291,7 +285,7 @@ def audit_H5_proxy(family: cm.CircleMapFamily, a_star: float,
                 if (glo <= 0.0) == (gm <= 0.0):
                     llo, glo = mid, gm
                 else:
-                    lhi, ghi = mid, gm
+                    lhi = mid
             target = 0.5 * (llo + lhi)
         return target
 
@@ -334,7 +328,7 @@ def audit_H7(family: cm.CircleMapFamily, a_star: float, lambda0: float,
              thresholds: dict | None = None) -> HypothesisVerdict:
     """Expansion threshold exp(lambda0/3) > 2 plus transition primitivity."""
     t = _thresholds(thresholds)
-    part_a = math.exp(lambda0 / 3.0) > 2.0
+    part_a = h7_accepts_lambda0(lambda0)
     try:
         part = cm.monotonicity_partition(family)
         tm = cm.transition_matrix(family, a_star, part,
@@ -354,11 +348,6 @@ def audit_H7(family: cm.CircleMapFamily, a_star: float, lambda0: float,
 def h7_accepts_lambda0(lambda0: float) -> bool:
     """Expansion-threshold arithmetic for the mixing hypothesis."""
     return math.exp(lambda0 / 3.0) > 2.0
-
-
-def abundance_accepts_lambda0(lambda0: float) -> bool:
-    """Expansion-threshold arithmetic for the surjectivity proposition."""
-    return math.exp(lambda0) > math.log(10.0)
 
 
 def strange_attractor_fraction(params: ModelParams, pert: Perturbation,
@@ -419,11 +408,7 @@ def run_audit(params: ModelParams, pert: Perturbation,
                                proxy=True)
         v7 = HypothesisVerdict("H7", "FAIL",
                                {"reason": "no expanding parameter found"})
-    try:
-        crit = cm.critical_points(family)
-    except cm.NonMorseError:
-        crit = cm.CriticalSet(points=np.array([]), second_derivs=np.array([]))
-    v6 = audit_H6(params, pert, crit, thresholds=t)
+    v6 = audit_H6(params, pert, family.critical_set, thresholds=t)
     return HypothesisAudit(
         verdicts=[v1, v23, v4, v5, v6, v7],
         thresholds=t,

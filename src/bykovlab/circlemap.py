@@ -11,13 +11,13 @@ All certificates here are finite-horizon numerical evidence, not proofs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (TWO_PI, CylinderPoint, ModelParams, Perturbation, TrigPoly,
-                    angle_dist, rescaled_return_map, wrap_angle)
+from .model import TWO_PI, ModelParams, Perturbation, TrigPoly, wrap_angle
 
 DEFAULT_GRID = 1 << 14
 ROOT_TOL = 1e-12
@@ -37,15 +37,18 @@ class CircleMapFamily:
     """Family h_a(x) = x + xi + a - k_omega * ln(phi2_section(x)).
 
     The parameter a acts as a rigid rotation, so the critical set does not
-    depend on a.
+    depend on a: `critical_set` is computed once per family and shared by
+    every check.
     """
 
     xi: float
     k_omega: float
     phi2_section: TrigPoly
 
-    def _twist(self, x):
-        return self.k_omega * np.log(self.phi2_section(x))
+    @functools.cached_property
+    def critical_set(self) -> "CriticalSet":
+        """critical_points(self) on the default grid, computed on first use."""
+        return critical_points(self)
 
     def lift(self, a: float, xhat):
         """Continuous degree-one lift (no mod reduction)."""
@@ -69,10 +72,6 @@ class CircleMapFamily:
         p = self.phi2_section
         v, d1, d2 = p(x), p.d1(x), p.d2(x)
         return -self.k_omega * (d2 * v - d1 * d1) / (v * v)
-
-    def section_max(self, grid: int = 4096) -> float:
-        xs = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-        return float(np.max(self.phi2_section(xs)))
 
 
 def family_from_model(params: ModelParams, pert: Perturbation) -> CircleMapFamily:
@@ -187,33 +186,9 @@ class MisiurewiczCertificate:
         }
 
 
-def _orbit_log_growth(family: CircleMapFamily, a: float, crit: CriticalSet,
-                      x0: float, horizon: int, delta: float):
-    """(length, cumulative log |(h^n)'|) samples along expansion segments.
-
-    A segment restarts whenever the orbit enters the delta-neighbourhood of
-    the critical set, matching the avoidance clause of the growth conditions.
-    """
-    samples = []
-    x, cum, seg = x0, 0.0, 0
-    for _ in range(horizon):
-        if crit.distance(x) < delta:
-            cum, seg = 0.0, 0
-        else:
-            d = abs(family.deriv(x))
-            if d == 0.0:
-                cum, seg = 0.0, 0
-            else:
-                cum += math.log(d)
-                seg += 1
-                samples.append((seg, cum))
-        x = family.val(a, x)
-    return samples
-
-
 def misiurewicz_check(family: CircleMapFamily, a: float, delta0: float = 0.05,
                       horizon: int = 50, n_seeds: int = 32,
-                      grid: int = DEFAULT_GRID, seed: int = 0) -> MisiurewiczCertificate:
+                      seed: int = 0) -> MisiurewiczCertificate:
     """Finite-horizon Misiurewicz-type certificate at parameter a.
 
     Checks (1a) nondegeneracy of h'' near the critical set, (1b) critical
@@ -226,11 +201,11 @@ def misiurewicz_check(family: CircleMapFamily, a: float, delta0: float = 0.05,
     """
     if horizon < 1 or delta0 <= 0.0:
         raise ValueError("need horizon >= 1 and delta0 > 0")
-    crit = critical_points(family, grid)
-    prov = {"grid": grid, "seeds": n_seeds,
+    crit = family.critical_set
+    prov = {"grid": DEFAULT_GRID, "seeds": n_seeds,
             "tolerances": {"delta0": delta0, "root_tol": ROOT_TOL,
                            "morse_tol": MORSE_TOL}, "rng_seed": seed}
-    xs = np.linspace(0.0, TWO_PI, grid, endpoint=False)
+    xs = np.linspace(0.0, TWO_PI, DEFAULT_GRID, endpoint=False)
 
     if crit.q == 0:
         lam0 = float(np.min(np.log(np.abs(family.deriv(xs)))))
@@ -354,7 +329,7 @@ def collet_eckmann_check(family: CircleMapFamily, a: float,
         lambda_ce = cert.lambda0 / 10.0
     if not lambda_ce < cert.lambda0 / 5.0:
         raise ValueError(f"need lambda_ce < lambda0/5 = {cert.lambda0 / 5.0}")
-    crit = critical_points(family)
+    crit = family.critical_set
     verdicts = []
     prov = {"grid": DEFAULT_GRID, "seeds": 0,
             "tolerances": {"delta0": cert.delta0, "b0": cert.b0}}
@@ -453,10 +428,8 @@ class TransitionMatrix:
         return self.primitive_n is not None
 
 
-def monotonicity_partition(family: CircleMapFamily,
-                           crit: CriticalSet | None = None) -> MonotonicityPartition:
-    if crit is None:
-        crit = critical_points(family)
+def monotonicity_partition(family: CircleMapFamily) -> MonotonicityPartition:
+    crit = family.critical_set
     if crit.q == 0:
         raise EmptyCriticalSetError("diffeomorphism regime: no partition")
     starts = crit.points
@@ -620,7 +593,7 @@ def superstable_search(family: CircleMapFamily, period: int,
     """
     if period not in (1, 2):
         raise ValueError("supported periods: 1 and 2")
-    crit = critical_points(family)
+    crit = family.critical_set
     if crit.q == 0:
         raise EmptyCriticalSetError("superstable search needs critical points")
     a_lo, a_hi = a_window
@@ -670,6 +643,11 @@ def superstable_search(family: CircleMapFamily, period: int,
     return dedup
 
 
+def abundance_accepts_lambda0(lambda0: float) -> bool:
+    """Expansion-threshold arithmetic for the surjectivity proposition."""
+    return math.exp(lambda0) > math.log(10.0)
+
+
 def abundance_conditions(family: CircleMapFamily, a_star: float,
                       cert: MisiurewiczCertificate) -> list[Verdict]:
     """Surjective-branch and expansion-threshold conditions at a*.
@@ -691,7 +669,7 @@ def abundance_conditions(family: CircleMapFamily, a_star: float,
         verdicts.append(Verdict("ii-full-branch-images", False,
                                 "no critical points"))
     verdicts.append(Verdict("iii-expansion-threshold",
-                            math.exp(cert.lambda0) > math.log(10.0),
+                            abundance_accepts_lambda0(cert.lambda0),
                             {"exp_lambda0": math.exp(cert.lambda0),
                              "ln10": math.log(10.0)}))
     return verdicts

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -76,14 +75,13 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_iterate(cfg: RunConfig, out: str, seed: int, threads: int,
-                written: list[str] | None = None) -> list[str]:
+                written: list[str]) -> None:
     opt = cfg.command_options("iterate", {"n", "burn_in", "x0", "y0", "plot"})
     n = int(opt.get("n", 1000))
     burn = int(opt.get("burn_in", 0))
     p0 = CylinderPoint(float(opt.get("x0", 0.5)),
                        float(opt.get("y0", max(cfg.params.lam, 1e-6))))
     orbit = ob.iterate(cfg.params, cfg.pert, p0, n, burn)
-    written = written if written is not None else []
     path = os.path.join(out, "orbit.csv")
     rows = [(i, _fmt(x), _fmt(y))
             for i, (x, y) in enumerate(orbit.points)]
@@ -98,11 +96,10 @@ def cmd_iterate(cfg: RunConfig, out: str, seed: int, threads: int,
         with open(spath, "w", encoding="utf-8") as fh:
             fh.write(svg)
         written.append(spath)
-    return written
 
 
 def cmd_lyapunov(cfg: RunConfig, out: str, seed: int, threads: int,
-                written: list[str] | None = None) -> list[str]:
+                 written: list[str]) -> None:
     opt = cfg.command_options("lyapunov", {"n", "burn_in", "x0", "y0",
                                            "cadence"})
     n = int(opt.get("n", 100_000))
@@ -112,19 +109,17 @@ def cmd_lyapunov(cfg: RunConfig, out: str, seed: int, threads: int,
                       burn_in=int(opt.get("burn_in", 1000)),
                       cadence=int(opt.get("cadence", 10)))
     path = os.path.join(out, "lyapunov.json")
-    if written is not None:
-        written.append(path)
     _write_json(path, {"kind": "lyapunov-estimate",
                        "chi1": est.chi1, "chi2": est.chi2,
                        "saturated": est.saturated,
                        "det_consistency": est.det_consistency,
                        "n_iter": est.n_iter, "cadence": est.cadence,
                        "inconclusive": est.inconclusive}, cfg, seed)
-    return [path]
+    written.append(path)
 
 
 def cmd_scan(cfg: RunConfig, out: str, seed: int, threads: int,
-                written: list[str] | None = None) -> list[str]:
+             written: list[str]) -> None:
     opt = cfg.command_options(
         "scan", {"lambda_grid", "k_omega_grid", "n_iter", "burn_in",
                  "chi_thresh", "curve_thresh", "plot"})
@@ -138,7 +133,6 @@ def cmd_scan(cfg: RunConfig, out: str, seed: int, threads: int,
     result = ob.scan([float(v) for v in opt["lambda_grid"]],
                      [float(v) for v in opt["k_omega_grid"]],
                      cfg.params, cfg.pert, budget, threads=threads)
-    written = written if written is not None else []
     path = os.path.join(out, "scan.csv")
     _write_csv(path, ob.SCAN_CSV_COLUMNS, ob.scan_rows(result), cfg, seed)
     written.append(path)
@@ -155,11 +149,10 @@ def cmd_scan(cfg: RunConfig, out: str, seed: int, threads: int,
                         "t1_hat": {str(k): v for k, v in result.t1_hat.items()},
                         "ordered": result.ordered}, cfg, seed)
     written.append(bpath)
-    return written
 
 
 def cmd_audit(cfg: RunConfig, out: str, seed: int, threads: int,
-                written: list[str] | None = None) -> list[str]:
+              written: list[str]) -> None:
     opt = cfg.command_options("audit", {"n_a", "a_window", "lambda_range",
                                         "thresholds"})
     window = tuple(float(v) for v in opt.get("a_window", (0.0, TWO_PI)))
@@ -168,14 +161,12 @@ def cmd_audit(cfg: RunConfig, out: str, seed: int, threads: int,
                           n_a=int(opt.get("n_a", 64)), lam_range=lam_range,
                           seed=seed, thresholds=opt.get("thresholds"))
     path = os.path.join(out, "audit.json")
-    if written is not None:
-        written.append(path)
     _write_json(path, report.to_report(), cfg, seed)
-    return [path]
+    written.append(path)
 
 
 def cmd_misiurewicz(cfg: RunConfig, out: str, seed: int, threads: int,
-                written: list[str] | None = None) -> list[str]:
+                    written: list[str]) -> None:
     opt = cfg.command_options("misiurewicz", {"a", "delta0", "horizon",
                                               "n_seeds"})
     family = cm.family_from_model(cfg.params, cfg.pert)
@@ -185,14 +176,12 @@ def cmd_misiurewicz(cfg: RunConfig, out: str, seed: int, threads: int,
                                 n_seeds=int(opt.get("n_seeds", 32)),
                                 seed=seed)
     path = os.path.join(out, "certificate.json")
-    if written is not None:
-        written.append(path)
     _write_json(path, cert.to_report(), cfg, seed)
-    return [path]
+    written.append(path)
 
 
 def cmd_superstable(cfg: RunConfig, out: str, seed: int, threads: int,
-                written: list[str] | None = None) -> list[str]:
+                    written: list[str]) -> None:
     opt = cfg.command_options("superstable", {"period", "a_window",
                                               "n_lambdas"})
     family = cm.family_from_model(cfg.params, cfg.pert)
@@ -201,8 +190,6 @@ def cmd_superstable(cfg: RunConfig, out: str, seed: int, threads: int,
                                    a_window=window,
                                    n_lambdas=int(opt.get("n_lambdas", 8)))
     path = os.path.join(out, "superstable.json")
-    if written is not None:
-        written.append(path)
     _write_json(path, {
         "kind": "superstable-orbits",
         "period": int(opt.get("period", 2)),
@@ -211,16 +198,13 @@ def cmd_superstable(cfg: RunConfig, out: str, seed: int, threads: int,
                     "winding": s.winding, "residual": s.residual,
                     "deriv_residual": s.deriv_residual,
                     "lambdas": list(s.lambdas)} for s in orbits]}, cfg, seed)
-    return [path]
+    written.append(path)
 
 
 def cmd_rotation(cfg: RunConfig, out: str, seed: int, threads: int,
-                written: list[str] | None = None) -> list[str]:
+                 written: list[str]) -> None:
     opt = cfg.command_options("rotation", {"a", "n_iter", "n_seeds", "mode"})
     mode = opt.get("mode", "circle")
-    path = os.path.join(out, "rotation.json")
-    if written is not None:
-        written.append(path)
     if mode == "circle":
         family = cm.family_from_model(cfg.params, cfg.pert)
         ri = cm.rotation_interval(family, float(opt.get("a", 0.0)),
@@ -244,12 +228,13 @@ def cmd_rotation(cfg: RunConfig, out: str, seed: int, threads: int,
                    "degenerate": (hi - lo) <= 2.0 / n}
     else:
         raise ConfigError(f"unknown rotation mode: {mode!r}")
+    path = os.path.join(out, "rotation.json")
     _write_json(path, payload, cfg, seed)
-    return [path]
+    written.append(path)
 
 
 def cmd_singular_limit(cfg: RunConfig, out: str, seed: int, threads: int,
-                       written: list[str] | None = None) -> list[str]:
+                       written: list[str]) -> None:
     opt = cfg.command_options("singular_limit", {"a", "n_min", "n_max", "nx",
                                                  "ny"})
     rows = cm.singular_limit_convergence(
@@ -257,15 +242,13 @@ def cmd_singular_limit(cfg: RunConfig, out: str, seed: int, threads: int,
         range(int(opt.get("n_min", 3)), int(opt.get("n_max", 12)) + 1),
         nx=int(opt.get("nx", 128)), ny=int(opt.get("ny", 4)))
     path = os.path.join(out, "singular_limit.csv")
-    if written is not None:
-        written.append(path)
     _write_csv(path,
                ("n", "lambda", "value_err", "d1_err", "d2_err",
                 "second_comp_err", "excluded"),
                [(r.n, _fmt(r.lam), _fmt(r.value_err), _fmt(r.d1_err),
                  _fmt(r.d2_err), _fmt(r.second_comp_err), r.excluded)
                 for r in rows], cfg, seed)
-    return [path]
+    written.append(path)
 
 
 COMMANDS = {
@@ -311,8 +294,7 @@ def main(argv=None) -> int:
     seed = cfg.seed if args.seed is None else args.seed
     written: list[str] = []
     try:
-        COMMANDS[args.command](cfg, out, seed, max(1, args.threads),
-                               written=written)
+        COMMANDS[args.command](cfg, out, seed, max(1, args.threads), written)
     except (ConfigError, InvalidParamsError, MorseError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -323,6 +305,10 @@ def main(argv=None) -> int:
                 os.remove(path)
         print(f"computation failed: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        # an option value the computation rejects (after the subclasses above)
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     if args.verbose:
         for path in written:
             print(path)

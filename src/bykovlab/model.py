@@ -9,8 +9,8 @@ transition (x, y) -> (x + xi + lam*Phi1, y + lam*Phi2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Sequence
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,27 +41,11 @@ def wrap_angle(x: float) -> float:
     return 0.0 if x >= TWO_PI else x
 
 
-def angle_dist(a: float, b: float) -> float:
-    """Circular distance between two angles."""
-    d = math.fmod(a - b, TWO_PI)
-    if d < -math.pi:
-        d += TWO_PI
-    elif d > math.pi:
-        d -= TWO_PI
-    return abs(d)
-
-
 class CylinderPoint(NamedTuple):
     """Point of the cross-section: angle x in [0, 2pi), height |y| <= 1."""
 
     x: float
     y: float
-
-    @staticmethod
-    def make(x: float, y: float) -> "CylinderPoint":
-        if abs(y) > 1.0:
-            raise ValueError(f"height out of strip: y={y}")
-        return CylinderPoint(wrap_angle(x), y)
 
 
 @dataclass(frozen=True)
@@ -296,41 +280,22 @@ class OrbitRecord:
 # Local, transition and return maps
 # ---------------------------------------------------------------------------
 
-RemainderFn = Callable[[float, float, float], float]
-
-
-def local_map_o1(p: CylinderPoint, params: ModelParams,
-                 s1: RemainderFn | None = None,
-                 s2: RemainderFn | None = None) -> tuple[float, float]:
-    """Passage past the first saddle-focus: wall point -> disc point (r, phi).
-
-    The optional remainder callbacks extend the leading-order map; they
-    default to zero.
-    """
+def local_map_o1(p: CylinderPoint, params: ModelParams) -> tuple[float, float]:
+    """Passage past the first saddle-focus: wall point -> disc point (r, phi)."""
     x, y = p
     if y <= 0.0:
         raise TrappedError(f"y={y}: trapped or wrong branch at the first focus")
     r = y ** params.delta1
     phi = x - (params.omega1 / params.e1) * math.log(y)
-    if s1 is not None:
-        r += s1(x, y, params.lam)
-    if s2 is not None:
-        phi += s2(x, y, params.lam)
     return r, wrap_angle(phi)
 
 
-def local_map_o2(r: float, phi: float, params: ModelParams,
-                 r1: RemainderFn | None = None,
-                 r2: RemainderFn | None = None) -> CylinderPoint:
+def local_map_o2(r: float, phi: float, params: ModelParams) -> CylinderPoint:
     """Passage past the second saddle-focus: disc point -> wall point."""
     if r <= 0.0:
         raise TrappedError(f"r={r}: on the stable manifold of the second focus")
     x = phi - (params.omega2 / params.e2) * math.log(r)
     y = r ** params.delta2
-    if r1 is not None:
-        x += r1(r, phi, params.lam)
-    if r2 is not None:
-        y += r2(r, phi, params.lam)
     return CylinderPoint(wrap_angle(x), y)
 
 
@@ -351,34 +316,38 @@ def psi_21(p: CylinderPoint, params: ModelParams, pert: Perturbation) -> Cylinde
                          y + lam * pert.phi2(x, y))
 
 
-def return_map(p: CylinderPoint, params: ModelParams, pert: Perturbation) -> CylinderPoint:
-    """First return map eta o psi_21 on the domain y + lam*Phi2 > 0."""
-    x, y = p
+def _return_step(x: float, y: float, params: ModelParams,
+                 pert: Perturbation) -> tuple[float, float]:
+    """One step of eta o psi_21: the unwrapped new angle and the new height.
+
+    The only copy of the return-map arithmetic; raises EscapeError when
+    y + lam*Phi2 <= 0 or the image height leaves the strip |y| <= 1.
+    """
     lam = params.lam
     big_y = y + lam * pert.phi2(x, y)
     if big_y <= 0.0:
-        raise EscapeError(p)
-    if big_y ** params.delta > 1.0:
-        # image height leaves the cross-section strip |y| <= 1
-        raise EscapeError(p)
+        raise EscapeError(CylinderPoint(x, y))
+    new_y = big_y ** params.delta
+    if new_y > 1.0:
+        raise EscapeError(CylinderPoint(x, y))
     new_x = x + params.xi + lam * pert.phi1(x, y) - params.k_omega * math.log(big_y)
-    return CylinderPoint(wrap_angle(new_x), big_y ** params.delta)
+    return new_x, new_y
+
+
+def return_map(p: CylinderPoint, params: ModelParams, pert: Perturbation) -> CylinderPoint:
+    """First return map eta o psi_21 on the domain y + lam*Phi2 > 0."""
+    new_x, new_y = _return_step(p[0], p[1], params, pert)
+    return CylinderPoint(wrap_angle(new_x), new_y)
 
 
 def rescaled_return_map(p: tuple[float, float], params: ModelParams,
                         pert: Perturbation) -> tuple[float, float]:
-    """Return map in (x, ybar) with ybar = y/lam; singular at lam = 0."""
+    """Return map in (x, ybar) with ybar = y/lam: the conjugate of return_map."""
     lam = params.lam
     if lam <= 0.0:
         raise ValueError("rescaled coordinates need lam > 0")
-    x, ybar = p
-    y = lam * ybar
-    big = ybar + pert.phi2(x, y)
-    if big <= 0.0:
-        raise EscapeError(p)
-    new_x = (x + params.xi + lam * pert.phi1(x, y)
-             - params.k_omega * math.log(lam) - params.k_omega * math.log(big))
-    return wrap_angle(new_x), lam ** (params.delta - 1.0) * big ** params.delta
+    q = return_map(CylinderPoint(p[0], lam * p[1]), params, pert)
+    return q.x, q.y / lam
 
 
 # ---------------------------------------------------------------------------
@@ -455,31 +424,3 @@ def finite_difference_jacobian(fn, p, h: float = FD_STEP) -> np.ndarray:
         [fx[1] / (2 * h), fy[1] / (2 * h)],
     ])
 
-
-_MAPS = {"psi21", "eta", "return", "rescaled"}
-
-
-def jacobian(map_id: str, p, params: ModelParams,
-             pert: Perturbation | None = None,
-             analytic: bool = True) -> np.ndarray:
-    """Jacobian of one of the named maps at a point interior to its domain.
-
-    Falls back to central finite differences (step 1e-6) when analytic=False.
-    """
-    if map_id not in _MAPS:
-        raise ValueError(f"unknown map id {map_id!r}; choose from {sorted(_MAPS)}")
-    if analytic:
-        if map_id == "psi21":
-            return jac_psi21(p, params, pert)
-        if map_id == "eta":
-            return jac_eta(p, params)
-        if map_id == "return":
-            return jac_return(p, params, pert)
-        return jac_rescaled(p, params, pert)
-    if map_id == "psi21":
-        return finite_difference_jacobian(lambda q: psi_21(CylinderPoint(*q), params, pert), p)
-    if map_id == "eta":
-        return finite_difference_jacobian(lambda q: eta(CylinderPoint(*q), params), p)
-    if map_id == "return":
-        return finite_difference_jacobian(lambda q: return_map(CylinderPoint(*q), params, pert), p)
-    return finite_difference_jacobian(lambda q: rescaled_return_map(q, params, pert), p)

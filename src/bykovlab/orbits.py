@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (TWO_PI, CylinderPoint, EscapeError, ModelParams,
-                    OrbitRecord, Perturbation, jac_return, reference_params,
+                    OrbitRecord, Perturbation, _return_step, jac_return,
                     return_map, wrap_angle)
 
 SATURATION = -50.0  # per-iterate log-contraction below this is reported as saturated
@@ -200,32 +200,23 @@ def autocorrelation(orbit: OrbitRecord, observable, max_lag: int):
     return rho, tau, r2
 
 
-def _lift_orbit(params: ModelParams, pert: Perturbation, p0: CylinderPoint,
-                n: int):
-    """Angle-lift displacement of the return map over n iterates (lam > 0)."""
-    if params.lam <= 0.0:
-        raise ValueError("lift displacement needs lambda > 0")
-    x, y = wrap_angle(p0.x), p0.y
-    xhat = x
-    for _ in range(n):
-        ynew = y + params.lam * pert.phi2(x, y)
-        if ynew <= 0.0 or ynew ** params.delta > 1.0:
-            raise EscapeError(CylinderPoint(x, y))
-        dx = (params.xi + params.lam * pert.phi1(x, y)
-              - params.k_omega * math.log(ynew))
-        xhat += dx
-        x = wrap_angle(x + dx)
-        y = ynew ** params.delta
-    return xhat - p0.x
-
-
 def rotation_set_2d(params: ModelParams, pert: Perturbation,
                     seeds, n: int) -> tuple[float, float]:
-    """Min/max per-iterate lift displacement over the non-escaping seeds."""
+    """Min/max per-iterate lift displacement over the non-escaping seeds.
+
+    Each seed follows the return map's own orbit; the lift adds up the
+    unwrapped angle steps of that orbit (needs lam > 0).
+    """
+    if params.lam <= 0.0:
+        raise ValueError("lift displacement needs lambda > 0")
     rhos = []
     for p0 in seeds:
+        x, y, disp = wrap_angle(p0.x), p0.y, 0.0
         try:
-            disp = _lift_orbit(params, pert, p0, n)
+            for _ in range(n):
+                xhat, y = _return_step(x, y, params, pert)
+                disp += xhat - x
+                x = wrap_angle(xhat)
         except EscapeError:
             continue
         rhos.append(disp / (TWO_PI * n))

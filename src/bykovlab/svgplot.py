@@ -1,12 +1,10 @@
-"""Dependency-free SVG rendering for scans, circle-map graphs, and orbits.
+"""Dependency-free SVG rendering for regime scans and orbits.
 
 All output is plain hand-assembled SVG so plots are diff-able in tests and
 need no raster libraries.
 """
 
 from __future__ import annotations
-
-import math
 
 from .model import TWO_PI
 
@@ -73,52 +71,6 @@ def regime_map_svg(result, provenance: str = "") -> str:
     parts.append(_text(width / 2 - 110, height - 12, "lambda", 12, "middle"))
     parts.append(_text(14, _PAD - 14, "K_omega"))
     _legend(parts, _PAD + cell * n_lam + 20, _PAD, labels_seen)
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
-def circle_graph_svg(panels, provenance: str = "", samples: int = 512) -> str:
-    """Graphs of h_a over [0, 2pi) with critical points marked.
-
-    `panels` is a list of (title, family, a, critical_xs); one sub-panel per
-    entry, laid out horizontally.
-    """
-    pw, ph = 260.0, 260.0
-    width = _PAD + len(panels) * (pw + 30)
-    height = ph + 2 * _PAD
-    parts = _header(width, height, provenance)
-    for idx, (title, family, a, crit_xs) in enumerate(panels):
-        ox = _PAD + idx * (pw + 30)
-        oy = _PAD
-        parts.append(f'<rect x="{ox:g}" y="{oy:g}" width="{pw:g}" '
-                     f'height="{ph:g}" fill="none" stroke="black"/>')
-        parts.append(_text(ox + pw / 2, oy - 8, title, 12, "middle"))
-        pts = []
-        prev = None
-        for i in range(samples):
-            x = TWO_PI * i / samples
-            y = family.val(a, x)
-            px = ox + pw * x / TWO_PI
-            py = oy + ph * (1.0 - y / TWO_PI)
-            if prev is not None and abs(y - prev) > math.pi:
-                pts.append(None)  # break the polyline at the wrap jump
-            pts.append((px, py))
-            prev = y
-        seg: list[str] = []
-        for p in pts + [None]:
-            if p is None:
-                if len(seg) > 1:
-                    parts.append(f'<polyline points="{" ".join(seg)}" '
-                                 'fill="none" stroke="#4878cf" '
-                                 'stroke-width="1.2"/>')
-                seg = []
-            else:
-                seg.append(f"{p[0]:.2f},{p[1]:.2f}")
-        for cx in crit_xs:
-            px = ox + pw * float(cx) / TWO_PI
-            py = oy + ph * (1.0 - family.val(a, float(cx)) / TWO_PI)
-            parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3" '
-                         'fill="#d65f5f"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

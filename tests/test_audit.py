@@ -150,6 +150,18 @@ class TestOrchestrator:
         with pytest.raises(ValueError):
             au.run_audit(params_k5, pert, thresholds={"bogus": 1.0})
 
+    def test_critical_set_computed_once(self, params_k5, pert, monkeypatch):
+        calls = []
+        original = cm.critical_points
+
+        def counting(family, *args, **kwargs):
+            calls.append(family)
+            return original(family, *args, **kwargs)
+
+        monkeypatch.setattr(cm, "critical_points", counting)
+        au.run_audit(params_k5, pert, n_a=8, seed=0)
+        assert len(calls) == 1
+
 
 class TestFraction:
     def test_diffeo_regime_near_zero(self, pert):

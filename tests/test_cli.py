@@ -138,6 +138,19 @@ class TestCommands:
         assert cli.main(["iterate", "--config", str(path),
                          "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("command, extra, lam", [
+        ("rotation", "rotation: {mode: annulus}\n", 0.0),
+        ("superstable", "superstable: {period: 3}\n", 1e-3),
+        ("misiurewicz", "misiurewicz: {horizon: 0}\n", 1e-3),
+    ])
+    def test_exit_code_rejected_option_value(self, tmp_path, capsys,
+                                             command, extra, lam):
+        cfgp = write_config(tmp_path, extra, lam=lam)
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", cfgp, "--out", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
     def test_exit_code_missing_scan_grids(self, tmp_path):
         cfgp = write_config(tmp_path)
         assert cli.main(["scan", "--config", cfgp,

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bykovlab import orbits as ob
 from bykovlab.model import (CylinderPoint, EscapeError, TWO_PI, named_profile,
-                            Perturbation, reference_params, wrap_angle)
+                            Perturbation, reference_params,
+                            reference_perturbation, return_map, wrap_angle)
 
 
 class TestIterate:
@@ -171,3 +174,25 @@ class TestScan:
         assert 0.1 in r.t2_hat      # invariant-curve column
         assert 8.0 in r.t1_hat      # chaotic column
         assert r.ordered
+
+
+@given(st.floats(min_value=0.0, max_value=TWO_PI, exclude_max=True),
+       st.floats(min_value=-0.5, max_value=1.0),
+       st.floats(min_value=1e-5, max_value=0.5),
+       st.floats(min_value=0.1, max_value=20.0))
+@settings(max_examples=200, deadline=None)
+def test_rotation_lift_follows_return_map(x, y, lam, k_omega):
+    """One lift step escapes exactly when return_map does, else lands on it."""
+    params = reference_params(lam=lam).with_k_omega(k_omega)
+    pert = reference_perturbation()
+    p = CylinderPoint(x, y)
+    try:
+        q = return_map(p, params, pert)
+    except EscapeError:
+        with pytest.raises(EscapeError):
+            ob.rotation_set_2d(params, pert, [p], 1)
+        return
+    rho_min, rho_max = ob.rotation_set_2d(params, pert, [p], 1)
+    assert rho_min == rho_max
+    d = abs(math.fmod(p.x + TWO_PI * rho_min - q.x, TWO_PI))
+    assert min(d, TWO_PI - d) <= 1e-12
