@@ -21,20 +21,27 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from bykovlab import circlemap as cm
-from bykovlab.model import (CylinderPoint, jac_return, reference_params,
-                            reference_perturbation, return_map)
+from bykovlab.model import (CylinderPoint, EscapeError, jac_return,
+                            reference_params, reference_perturbation,
+                            return_map)
 
 
 def confirm_2d(params, pert, lam, a_star, c, period=2, n_settle=400):
-    """Iterate the 2D map at lambda and measure the cycle multipliers."""
+    """Iterate the 2D map at lambda and measure the cycle multipliers.
+
+    Returns None when the orbit leaves the return domain.
+    """
     params = params.with_lambda(lam)
     p = CylinderPoint(float(c), lam)
-    for _ in range(n_settle):
-        p = return_map(p, params, pert)
-    cycle = [p]
-    for _ in range(period - 1):
-        cycle.append(return_map(cycle[-1], params, pert))
-    closure = return_map(cycle[-1], params, pert)
+    try:
+        for _ in range(n_settle):
+            p = return_map(p, params, pert)
+        cycle = [p]
+        for _ in range(period - 1):
+            cycle.append(return_map(cycle[-1], params, pert))
+        closure = return_map(cycle[-1], params, pert)
+    except EscapeError:
+        return None
     gap = abs(closure.x - cycle[0].x) + abs(closure.y - cycle[0].y)
     jac = np.eye(2)
     for q in cycle:
@@ -66,8 +73,13 @@ def main() -> int:
         print(f"\na* = {s.a_star:+.10f}  c = {s.critical_point:.10f}  "
               f"|h^p(c)-c| = {s.residual:.2e}  |(h^p)'(c)| = {s.deriv_residual:.2e}")
         print("  pullbacks:", "  ".join(f"{l:.3e}" for l in s.lambdas[:4]))
-        cycle, gap, mults = confirm_2d(base, pert, lam1, s.a_star,
-                                       s.critical_point, args.period)
+        checked = confirm_2d(base, pert, lam1, s.a_star, s.critical_point,
+                             args.period)
+        if checked is None:
+            print(f"  2D check at lambda_1={lam1:.6f}: orbit escaped the "
+                  "return domain, not confirmed")
+            continue
+        cycle, gap, mults = checked
         print(f"  2D check at lambda_1={lam1:.6f}: cycle gap {gap:.2e}, "
               f"multipliers {mults[0]:.3e}, {mults[1]:.3e}")
         if gap < 1e-8 and mults[1] < 0.1:

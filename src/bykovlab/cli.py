@@ -114,7 +114,8 @@ def cmd_lyapunov(cfg: RunConfig, out: str, seed: int, threads: int,
                        "saturated": est.saturated,
                        "det_consistency": est.det_consistency,
                        "n_iter": est.n_iter, "cadence": est.cadence,
-                       "inconclusive": est.inconclusive}, cfg, seed)
+                       "inconclusive": est.inconclusive,
+                       "escaped_at": est.escaped_at}, cfg, seed)
     written.append(path)
 
 

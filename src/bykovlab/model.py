@@ -8,6 +8,7 @@ transition (x, y) -> (x + xi + lam*Phi1, y + lam*Phi2).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -132,22 +133,39 @@ class TrigPoly:
     terms: tuple[tuple[int, float, float], ...] = ()
 
     def __call__(self, x):
-        out = self.constant + np.zeros_like(np.asarray(x, dtype=float))
+        lib, out = _backend(x)
+        out = self.constant + out
         for k, ck, sk in self.terms:
-            out = out + ck * np.cos(k * x) + sk * np.sin(k * x)
-        return out if out.ndim else float(out)
+            out = out + ck * lib.cos(k * x) + sk * lib.sin(k * x)
+        return _scalarize(out)
 
     def d1(self, x):
-        out = np.zeros_like(np.asarray(x, dtype=float))
+        lib, out = _backend(x)
         for k, ck, sk in self.terms:
-            out = out + k * (-ck * np.sin(k * x) + sk * np.cos(k * x))
-        return out if out.ndim else float(out)
+            out = out + k * (-ck * lib.sin(k * x) + sk * lib.cos(k * x))
+        return _scalarize(out)
 
     def d2(self, x):
-        out = np.zeros_like(np.asarray(x, dtype=float))
+        lib, out = _backend(x)
         for k, ck, sk in self.terms:
-            out = out - k * k * (ck * np.cos(k * x) + sk * np.sin(k * x))
-        return out if out.ndim else float(out)
+            out = out - k * k * (ck * lib.cos(k * x) + sk * lib.sin(k * x))
+        return _scalarize(out)
+
+
+def _backend(x):
+    """math and a 0.0 start for a plain float, else numpy and a zero array.
+
+    The math path keeps scalar map steps free of per-call numpy overhead.
+    """
+    if type(x) is float:
+        return math, 0.0
+    return np, np.zeros_like(np.asarray(x, dtype=float))
+
+
+def _scalarize(out):
+    if type(out) is float or out.ndim:
+        return out
+    return float(out)
 
 
 @dataclass(frozen=True)
@@ -164,7 +182,7 @@ class CylinderFunction:
     def __call__(self, x, y):
         if self.slope is None:
             b = self.base(x)
-            if np.ndim(y) and not np.ndim(b):
+            if type(y) is not float and np.ndim(y) and not np.ndim(b):
                 return b + np.zeros(np.shape(y))
             return b
         return self.base(x) + y * self.slope(x)
@@ -176,7 +194,9 @@ class CylinderFunction:
 
     def dy(self, x, y):
         if self.slope is None:
-            return 0.0 * np.asarray(x, dtype=float) if np.ndim(x) else 0.0
+            if type(x) is float or not np.ndim(x):
+                return 0.0
+            return 0.0 * np.asarray(x, dtype=float)
         return self.slope(x)
 
     def dxx(self, x, y):
@@ -245,6 +265,28 @@ class Perturbation:
     def phi2_max(self, grid: int = 4096) -> float:
         xs = np.linspace(0.0, TWO_PI, grid, endpoint=False)
         return float(np.max(self.phi2.section()(xs)))
+
+    @functools.cached_property
+    def _step_tables(self) -> tuple:
+        """Coefficient tables of the pair for _return_step, built on first use.
+
+        (harmonics, phi1, phi2): the distinct harmonics of all four trig
+        polynomials, and per profile a (base, slope) pair.  Each polynomial
+        is (constant, ((index into harmonics, k, ck, sk), ...)); a missing
+        slope stays None.
+        """
+        polys = (self.phi1.base, self.phi1.slope, self.phi2.base, self.phi2.slope)
+        harmonics = tuple(sorted({k for tp in polys if tp is not None
+                                  for k, _, _ in tp.terms}))
+
+        def table(tp):
+            if tp is None:
+                return None
+            return tp.constant, tuple((harmonics.index(k), k, ck, sk)
+                                      for k, ck, sk in tp.terms)
+
+        return (harmonics, (table(polys[0]), table(polys[1])),
+                (table(polys[2]), table(polys[3])))
 
 
 def reference_perturbation() -> Perturbation:
@@ -316,27 +358,64 @@ def psi_21(p: CylinderPoint, params: ModelParams, pert: Perturbation) -> Cylinde
                          y + lam * pert.phi2(x, y))
 
 
-def _return_step(x: float, y: float, params: ModelParams,
-                 pert: Perturbation) -> tuple[float, float]:
-    """One step of eta o psi_21: the unwrapped new angle and the new height.
+def _step_constants(params: ModelParams, pert: Perturbation) -> tuple:
+    """Everything _return_step reads, hoisted out of the per-step path."""
+    return (params.lam, params.xi, params.k_omega, params.delta,
+            *pert._step_tables)
 
-    The only copy of the return-map arithmetic; raises EscapeError when
-    y + lam*Phi2 <= 0 or the image height leaves the strip |y| <= 1.
+
+def _trig_sum(poly, trig) -> tuple[float, float]:
+    """Value and x-derivative of one _step_tables polynomial at shared cos/sin."""
+    out, d1 = poly[0], 0.0
+    for i, k, ck, sk in poly[1]:
+        c, s = trig[i]
+        out = out + ck * c + sk * s
+        d1 = d1 + k * (-ck * s + sk * c)
+    return out, d1
+
+
+def _profile(base, slope, trig, y: float) -> tuple[float, float, float]:
+    """P(x) + y*Q(x) with its x- and y-derivatives."""
+    p, dp = _trig_sum(base, trig)
+    if slope is None:
+        return p, dp, 0.0
+    q, dq = _trig_sum(slope, trig)
+    return p + y * q, dp + y * dq, q
+
+
+def _return_step(x: float, y: float, consts: tuple) -> tuple[float, ...]:
+    """One step of eta o psi_21 and its Jacobian, in plain floats.
+
+    Returns (unwrapped new angle, new height, j11, j12, j21, j22); `consts`
+    comes from _step_constants.  The only copy of the return-map arithmetic:
+    the perturbation pair is evaluated once, from one cos/sin per harmonic.
+    Raises EscapeError when y + lam*Phi2 <= 0 or the image height leaves the
+    strip |y| <= 1.
     """
-    lam = params.lam
-    big_y = y + lam * pert.phi2(x, y)
+    lam, xi, k_omega, delta, harmonics, phi1, phi2 = consts
+    trig = [(math.cos(k * x), math.sin(k * x)) for k in harmonics]
+    f1, f1x, f1y = _profile(*phi1, trig, y)
+    f2, f2x, f2y = _profile(*phi2, trig, y)
+    big_y = y + lam * f2
     if big_y <= 0.0:
         raise EscapeError(CylinderPoint(x, y))
-    new_y = big_y ** params.delta
+    new_y = big_y ** delta
     if new_y > 1.0:
         raise EscapeError(CylinderPoint(x, y))
-    new_x = x + params.xi + lam * pert.phi1(x, y) - params.k_omega * math.log(big_y)
-    return new_x, new_y
+    new_x = x + xi + lam * f1 - k_omega * math.log(big_y)
+    # chain rule: D eta at psi_21(x, y) times D psi_21 at (x, y), where
+    # D eta(X, Y) = [[1, -K/Y], [0, delta*Y^(delta-1)]]
+    e12 = -k_omega / big_y
+    e22 = delta * big_y ** (delta - 1.0)
+    p21 = lam * f2x
+    p22 = 1.0 + lam * f2y
+    return (new_x, new_y, 1.0 + lam * f1x + e12 * p21, lam * f1y + e12 * p22,
+            e22 * p21, e22 * p22)
 
 
 def return_map(p: CylinderPoint, params: ModelParams, pert: Perturbation) -> CylinderPoint:
     """First return map eta o psi_21 on the domain y + lam*Phi2 > 0."""
-    new_x, new_y = _return_step(p[0], p[1], params, pert)
+    new_x, new_y = _return_step(p[0], p[1], _step_constants(params, pert))[:2]
     return CylinderPoint(wrap_angle(new_x), new_y)
 
 
@@ -375,9 +454,13 @@ def jac_eta(p, params: ModelParams) -> np.ndarray:
 
 
 def jac_return(p, params: ModelParams, pert: Perturbation) -> np.ndarray:
-    """Analytic Jacobian of the return map (chain rule through psi_21)."""
-    mid = psi_21(p, params, pert)
-    return jac_eta(mid, params) @ jac_psi21(p, params, pert)
+    """Analytic Jacobian of the return map, from the return-step kernel.
+
+    Raises EscapeError where return_map does.  jac_eta(psi_21(p)) @
+    jac_psi21(p) is the factored reference it is tested against.
+    """
+    j = _return_step(p[0], p[1], _step_constants(params, pert))
+    return np.array([[j[2], j[3]], [j[4], j[5]]])
 
 
 def jac_rescaled(p, params: ModelParams, pert: Perturbation) -> np.ndarray:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (TWO_PI, CylinderPoint, EscapeError, ModelParams,
-                    OrbitRecord, Perturbation, _return_step, jac_return,
-                    return_map, wrap_angle)
+                    OrbitRecord, Perturbation, _return_step, _step_constants,
+                    jac_return, return_map, wrap_angle)
 
 SATURATION = -50.0  # per-iterate log-contraction below this is reported as saturated
 
@@ -69,21 +69,38 @@ class LyapunovEstimate:
     saturated: bool = False
     det_consistency: float | None = None  # |chi1+chi2 - mean ln|det||
     inconclusive: bool = False
+    escaped_at: int | None = None  # step from p0, burn-in included, that escaped
 
 
-def _qr_step(prod: np.ndarray, batch_logdet: float):
-    """Orthonormalize a Jacobian-product batch; return Q and log-diagonals.
+def _gram_schmidt_2x2(p11: float, p12: float, p21: float, p22: float,
+                      logdet: float):
+    """QR of [[p11, p12], [p21, p22]] with diag(R) > 0, in plain floats.
 
-    The first log-diagonal comes from the QR factor directly.  The second is
-    recovered as batch_logdet - ln r11 (identical since r11*r22 = ±det), which
-    stays accurate when the contraction rate drives r22 below the resolvable
-    range of the subtraction inside Householder QR.
+    Returns (q11, q12, q21, q22, ln r11, ln r22).  r11 = |first column|; the
+    second column of Q is the first turned by +-90 degrees, its sign chosen
+    so that r22 > 0.  ln r22 is recovered as logdet - ln r11 (r11*r22 =
+    |det|), which stays accurate when the contraction rate drives r22 below
+    the resolvable range of the Gram-Schmidt subtraction.  A vanished first
+    column gives Q = I and ln r11 = -inf.
     """
-    q, r = np.linalg.qr(prod)
-    s = np.sign(np.diag(r))
-    s[s == 0.0] = 1.0
-    d1 = math.log(abs(r[0, 0])) if r[0, 0] != 0.0 else -math.inf
-    return q * s, np.array([d1, batch_logdet - d1])
+    r11 = math.hypot(p11, p21)
+    if not r11 > 0.0:
+        return 1.0, 0.0, 0.0, 1.0, -math.inf, math.inf
+    q11, q21 = p11 / r11, p21 / r11
+    sign = 1.0 if q11 * p22 - q21 * p12 >= 0.0 else -1.0
+    d1 = math.log(r11)
+    return q11, -sign * q21, q21, sign * q11, d1, logdet - d1
+
+
+def _hooked_kernel(jac, step):
+    """The return-step kernel's signature over separate jac(p), step(p)."""
+    def kernel(x, y, consts):
+        p = CylinderPoint(x, y)
+        j = jac(p)
+        q = step(p)
+        return (q[0], q[1], float(j[0][0]), float(j[0][1]),
+                float(j[1][0]), float(j[1][1]))
+    return kernel
 
 
 def lyapunov(params: ModelParams, pert: Perturbation, p0: CylinderPoint,
@@ -91,63 +108,61 @@ def lyapunov(params: ModelParams, pert: Perturbation, p0: CylinderPoint,
              jac=None, step=None) -> LyapunovEstimate:
     """Both Lyapunov exponents via QR-renormalized Jacobian products.
 
-    `jac` and `step` default to the return map and its analytic Jacobian;
-    synthetic linear maps can be passed for harness tests.
+    One loop over plain floats: each step calls the return-step kernel for
+    the image and its Jacobian, folds the Jacobian into a 2x2 product and,
+    every `cadence` steps, re-orthonormalizes the product (Benettin et al.
+    1980).  An escape stops the run before the escaping step is counted;
+    `escaped_at` reports it, and an escape before n/2 measured steps makes
+    the estimate inconclusive.  `jac` and `step` replace the return map's
+    Jacobian and step with synthetic maps for harness tests.
     """
-    if jac is None:
-        jac = lambda p: jac_return(p, params, pert)
-    if step is None:
-        step = lambda p: return_map(p, params, pert)
-    p = CylinderPoint(wrap_angle(p0.x), p0.y)
-    try:
-        for _ in range(burn_in):
-            p = step(p)
-    except EscapeError:
-        return LyapunovEstimate(math.nan, math.nan, burn_in, 0, cadence,
-                                inconclusive=True)
-    logs = np.zeros(2)
-    logdet = 0.0
-    batch_ld = 0.0
-    done = 0
-    prod = np.eye(2)
-    try:
-        for i in range(n):
-            try:
-                j = jac(p)
-            except (ZeroDivisionError, OverflowError):
-                # height underflowed to zero: superexponential collapse,
-                # the product is numerically singular from here on
-                raise EscapeError(p)
-            with np.errstate(divide="ignore"):
-                _, ld = np.linalg.slogdet(j)
-            ld = ld if np.isfinite(ld) else SATURATION * 2.0
-            logdet += ld
-            batch_ld += ld
-            prod = j @ prod
-            if (i + 1) % cadence == 0:
-                prod, diag = _qr_step(prod, batch_ld)
-                logs += np.where(np.isfinite(diag), diag, SATURATION * cadence)
-                batch_ld = 0.0
-            p = step(p)
-            done = i + 1
-    except EscapeError:
-        if done < n // 2:
-            return LyapunovEstimate(math.nan, math.nan, burn_in, done, cadence,
-                                    inconclusive=True)
+    consts = _step_constants(params, pert)
+    kernel = _return_step
+    if jac is not None or step is not None:
+        kernel = _hooked_kernel(
+            jac or (lambda p: jac_return(p, params, pert)),
+            step or (lambda p: return_map(p, params, pert)))
+    x, y = wrap_angle(p0.x), float(p0.y)
+    l1 = l2 = logdet = batch_ld = 0.0
+    p11, p12, p21, p22 = 1.0, 0.0, 0.0, 1.0
+    escaped_at = None
+    for i in range(burn_in + n):
+        try:
+            xhat, y, a, b, c, d = kernel(x, y, consts)
+        except EscapeError:
+            escaped_at = i
+            break
+        x = wrap_angle(xhat)
+        if i < burn_in:
+            continue
+        det = abs(a * d - b * c)
+        ld = math.log(det) if 0.0 < det < math.inf else SATURATION * 2.0
+        logdet += ld
+        batch_ld += ld
+        p11, p12, p21, p22 = (a * p11 + b * p21, a * p12 + b * p22,
+                              c * p11 + d * p21, c * p12 + d * p22)
+        m = i + 1 - burn_in
+        if m % cadence == 0:
+            p11, p12, p21, p22, d1, d2 = _gram_schmidt_2x2(p11, p12, p21, p22,
+                                                           batch_ld)
+            l1 += d1 if math.isfinite(d1) else SATURATION * cadence
+            l2 += d2 if math.isfinite(d2) else SATURATION * cadence
+            batch_ld = 0.0
+    done = max(0, (burn_in + n if escaped_at is None else escaped_at) - burn_in)
+    if done == 0 or (escaped_at is not None and done < n // 2):
+        return LyapunovEstimate(math.nan, math.nan, burn_in, done, cadence,
+                                inconclusive=True, escaped_at=escaped_at)
     if done % cadence:
-        prod, diag = _qr_step(prod, batch_ld)
-        logs += np.where(np.isfinite(diag), diag, SATURATION * (done % cadence))
-    if done == 0:
-        return LyapunovEstimate(math.nan, math.nan, burn_in, 0, cadence,
-                                inconclusive=True)
-    chi = np.sort(logs / done)[::-1]
-    saturated = bool(chi[1] < SATURATION)
-    chi2 = max(chi[1], SATURATION) if saturated else chi[1]
-    mean_logdet = logdet / done
-    cons = abs(float(chi[0] + chi[1]) - mean_logdet) if not saturated else None
-    return LyapunovEstimate(chi1=float(chi[0]), chi2=float(chi2),
+        *_, d1, d2 = _gram_schmidt_2x2(p11, p12, p21, p22, batch_ld)
+        l1 += d1 if math.isfinite(d1) else SATURATION * (done % cadence)
+        l2 += d2 if math.isfinite(d2) else SATURATION * (done % cadence)
+    chi1, chi2 = sorted((l1 / done, l2 / done), reverse=True)
+    saturated = chi2 < SATURATION
+    cons = None if saturated else abs(chi1 + chi2 - logdet / done)
+    return LyapunovEstimate(chi1=chi1, chi2=max(chi2, SATURATION),
                             transient=burn_in, n_iter=done, cadence=cadence,
-                            saturated=saturated, det_consistency=cons)
+                            saturated=saturated, det_consistency=cons,
+                            escaped_at=escaped_at)
 
 
 def birkhoff_average(orbit: OrbitRecord, observable) -> tuple[float, float]:
@@ -209,12 +224,13 @@ def rotation_set_2d(params: ModelParams, pert: Perturbation,
     """
     if params.lam <= 0.0:
         raise ValueError("lift displacement needs lambda > 0")
+    consts = _step_constants(params, pert)
     rhos = []
     for p0 in seeds:
-        x, y, disp = wrap_angle(p0.x), p0.y, 0.0
+        x, y, disp = wrap_angle(p0.x), float(p0.y), 0.0
         try:
             for _ in range(n):
-                xhat, y = _return_step(x, y, params, pert)
+                xhat, y = _return_step(x, y, consts)[:2]
                 disp += xhat - x
                 x = wrap_angle(xhat)
         except EscapeError:

@@ -103,6 +103,16 @@ class TestCommands:
         assert svg.count("<rect") >= 3  # background + cell + legend patch
         assert "</svg>" in svg
 
+    @pytest.mark.parametrize("y0, escaped_at", [(1e-3, None), (-0.9, 0)])
+    def test_lyapunov_reports_escape(self, tmp_path, y0, escaped_at):
+        cfgp = write_config(tmp_path,
+                            f"lyapunov: {{n: 200, burn_in: 10, y0: {y0}}}\n")
+        out = str(tmp_path / "out")
+        assert cli.main(["lyapunov", "--config", cfgp, "--out", out]) == 0
+        doc = json.load(open(os.path.join(out, "lyapunov.json")))
+        assert doc["escaped_at"] == escaped_at
+        assert doc["inconclusive"] is (escaped_at is not None)
+
     def test_superstable_emits_block(self, tmp_path):
         cfgp = write_config(
             tmp_path, f"superstable: {{a_window: [{-2 * math.pi}, 0.0]}}\n")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bykovlab import model as md
@@ -206,3 +206,62 @@ def test_return_map_height_positive_and_bounded(x, y, lam):
     except EscapeError:
         return
     assert 0.0 < q.y < (1.0 + lam * pert.phi2_max()) ** 6
+
+
+# Phi1 and Phi2 with y-dependent slopes and a second harmonic, so every
+# table entry and partial derivative of the return-step kernel is nonzero
+SLOPED = Perturbation(
+    phi1=md.CylinderFunction(TrigPoly(0.2, ((1, 1.0, 0.0), (2, 0.0, 0.4))),
+                             slope=TrigPoly(0.0, ((2, 0.3, 0.1),))),
+    phi2=md.CylinderFunction(TrigPoly(1.1, ((1, 0.0, 1.0),)),
+                             slope=TrigPoly(0.05, ((1, 0.02, 0.0),))))
+
+kernel_cases = dict(
+    x=st.floats(min_value=0.0, max_value=TWO_PI, exclude_max=True),
+    lam=st.floats(min_value=1e-5, max_value=0.5),
+    k_omega=st.floats(min_value=0.1, max_value=20.0),
+    pert=st.sampled_from([reference_perturbation(), SLOPED]))
+
+
+@given(y=st.floats(min_value=-0.5, max_value=1.0), **kernel_cases)
+@settings(max_examples=300, deadline=None)
+def test_kernel_step_matches_return_map_and_factors(x, y, lam, k_omega, pert):
+    """Same image and escapes as return_map; pinned to eta o psi_21."""
+    params = reference_params(lam=lam).with_k_omega(k_omega)
+    consts = md._step_constants(params, pert)
+    mid = psi_21(CylinderPoint(x, y), params, pert)
+    try:
+        q = return_map(CylinderPoint(x, y), params, pert)
+    except EscapeError:
+        with pytest.raises(EscapeError):
+            md._return_step(x, y, consts)
+        assert mid.y <= 0.0 or mid.y ** params.delta > 1.0
+        return
+    xhat, new_y = md._return_step(x, y, consts)[:2]
+    assert (wrap_angle(xhat), new_y) == (q.x, q.y)
+    ref = eta(mid, params)
+    assert new_y == ref.y
+    d = abs(math.fmod(xhat - ref.x, TWO_PI))
+    assert min(d, TWO_PI - d) <= 1e-12
+
+
+@given(y=st.floats(min_value=0.05, max_value=0.85), **kernel_cases)
+@settings(max_examples=300, deadline=None)
+def test_kernel_jacobian_matches_factors_and_fd(x, y, lam, k_omega, pert):
+    """jac_return equals jac_eta @ jac_psi21 to a few ULP and matches FD."""
+    params = reference_params(lam=min(lam, 0.05)).with_k_omega(k_omega)
+    p = CylinderPoint(x, y)
+    fn = lambda q: return_map(CylinderPoint(*q), params, pert)
+    try:
+        j = md.jac_return(p, params, pert)
+        fd = md.finite_difference_jacobian(fn, p)
+    except EscapeError:
+        assume(False)
+    a = md.jac_eta(psi_21(p, params, pert), params)
+    b = md.jac_psi21(p, params, pert)
+    # rounding bound of a 2x2 matrix product: a few eps times |A| @ |B|
+    assert np.all(np.abs(j - a @ b) <= 4 * np.finfo(float).eps
+                  * (np.abs(a) @ np.abs(b)))
+    for row in range(2):
+        scale = np.max(np.abs(j[row]))
+        assert np.max(np.abs(fd[row] - j[row])) <= 1e-6 * scale

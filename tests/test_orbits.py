@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bykovlab import orbits as ob
@@ -63,6 +63,36 @@ class TestLyapunov:
         # non-commuting products converge like 1/n, not to machine precision
         assert est.chi1 == pytest.approx(math.log(2.0), abs=1e-3)
         assert est.chi2 == pytest.approx(-math.log(2.0), abs=1e-3)
+
+    @staticmethod
+    def _escaping_step(at):
+        """Rotation by 0.7 that escapes on its call number `at` (from 0)."""
+        calls = []
+
+        def step(p):
+            if len(calls) == at:
+                raise EscapeError(p)
+            calls.append(p)
+            return CylinderPoint(wrap_angle(p.x + 0.7), p.y)
+        return step
+
+    def test_late_escape_counts_only_completed_steps(self, ref_params, pert):
+        jac = lambda p: np.array([[2.0, 0.0], [0.0, 0.5]])
+        est = ob.lyapunov(ref_params, pert, CylinderPoint(0.1, 0.5), 4000,
+                          burn_in=100, jac=jac, step=self._escaping_step(2605))
+        assert not est.inconclusive
+        assert est.escaped_at == 2605
+        assert est.n_iter == 2505
+        assert est.chi1 == pytest.approx(math.log(2.0), abs=1e-12)
+        assert est.chi2 == pytest.approx(-math.log(2.0), abs=1e-12)
+
+    @pytest.mark.parametrize("at, n_iter", [(50, 0), (1500, 1400)])
+    def test_early_escape_inconclusive(self, ref_params, pert, at, n_iter):
+        jac = lambda p: np.array([[2.0, 0.0], [0.0, 0.5]])
+        est = ob.lyapunov(ref_params, pert, CylinderPoint(0.1, 0.5), 4000,
+                          burn_in=100, jac=jac, step=self._escaping_step(at))
+        assert est.inconclusive and math.isnan(est.chi1)
+        assert (est.escaped_at, est.n_iter) == (at, n_iter)
 
     def test_det_consistency_on_reference(self, params_k5, pert):
         params = params_k5.with_lambda(1e-3)
@@ -196,3 +226,21 @@ def test_rotation_lift_follows_return_map(x, y, lam, k_omega):
     assert rho_min == rho_max
     d = abs(math.fmod(p.x + TWO_PI * rho_min - q.x, TWO_PI))
     assert min(d, TWO_PI - d) <= 1e-12
+
+
+@given(st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=4,
+                max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_gram_schmidt_matches_numpy_qr(entries):
+    """The 2x2 QR of lyapunov agrees with Householder QR from numpy."""
+    m = np.array(entries).reshape(2, 2)
+    scale = float(np.max(np.abs(m)))
+    assume(abs(np.linalg.det(m)) >= 0.1 * scale * scale > 0.0)
+    _, logdet = np.linalg.slogdet(m)
+    q11, q12, q21, q22, d1, d2 = ob._gram_schmidt_2x2(*entries, logdet)
+    q, r = np.linalg.qr(m)
+    sign = np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    assert d1 == pytest.approx(math.log(abs(r[0, 0])), abs=1e-12)
+    assert d2 == pytest.approx(math.log(abs(r[1, 1])), abs=1e-12)
+    assert np.allclose([[q11, q12], [q21, q22]], q * sign, rtol=0.0,
+                       atol=1e-12)
