@@ -97,6 +97,11 @@ class ModelParams:
     def k_omega(self) -> float:
         return (self.e2 * self.omega1 + self.c1 * self.omega2) / (self.e1 * self.e2)
 
+    @functools.cached_property
+    def _step_scalars(self) -> tuple[float, float, float, float]:
+        """(lam, xi, k_omega, delta) for _return_step, built on first use."""
+        return self.lam, self.xi, self.k_omega, self.delta
+
     def with_lambda(self, lam: float) -> "ModelParams":
         return replace(self, lam=lam)
 
@@ -359,9 +364,8 @@ def psi_21(p: CylinderPoint, params: ModelParams, pert: Perturbation) -> Cylinde
 
 
 def _step_constants(params: ModelParams, pert: Perturbation) -> tuple:
-    """Everything _return_step reads, hoisted out of the per-step path."""
-    return (params.lam, params.xi, params.k_omega, params.delta,
-            *pert._step_tables)
+    """Everything _return_step reads, cached on the parameter records."""
+    return params._step_scalars + pert._step_tables
 
 
 def _trig_sum(poly, trig) -> tuple[float, float]:
@@ -415,8 +419,8 @@ def _return_step(x: float, y: float, consts: tuple) -> tuple[float, ...]:
 
 def return_map(p: CylinderPoint, params: ModelParams, pert: Perturbation) -> CylinderPoint:
     """First return map eta o psi_21 on the domain y + lam*Phi2 > 0."""
-    new_x, new_y = _return_step(p[0], p[1], _step_constants(params, pert))[:2]
-    return CylinderPoint(wrap_angle(new_x), new_y)
+    q = _return_step(p[0], p[1], _step_constants(params, pert))
+    return CylinderPoint(wrap_angle(q[0]), q[1])
 
 
 def rescaled_return_map(p: tuple[float, float], params: ModelParams,

@@ -92,62 +92,53 @@ def _gram_schmidt_2x2(p11: float, p12: float, p21: float, p22: float,
     return q11, -sign * q21, q21, sign * q11, d1, logdet - d1
 
 
-def _hooked_kernel(jac, step):
-    """The return-step kernel's signature over separate jac(p), step(p)."""
-    def kernel(x, y, consts):
-        p = CylinderPoint(x, y)
-        j = jac(p)
-        q = step(p)
-        return (q[0], q[1], float(j[0][0]), float(j[0][1]),
-                float(j[1][0]), float(j[1][1]))
-    return kernel
-
-
 def lyapunov(params: ModelParams, pert: Perturbation, p0: CylinderPoint,
              n: int, burn_in: int = 1000, cadence: int = 10,
              jac=None, step=None) -> LyapunovEstimate:
     """Both Lyapunov exponents via QR-renormalized Jacobian products.
 
-    One loop over plain floats: each step calls the return-step kernel for
-    the image and its Jacobian, folds the Jacobian into a 2x2 product and,
-    every `cadence` steps, re-orthonormalizes the product (Benettin et al.
-    1980).  An escape stops the run before the escaping step is counted;
-    `escaped_at` reports it, and an escape before n/2 measured steps makes
-    the estimate inconclusive.  `jac` and `step` replace the return map's
-    Jacobian and step with synthetic maps for harness tests.
+    One loop over plain floats: each step takes the image from return_map
+    and the Jacobian entries from jac_return (both the return-step kernel),
+    folds the Jacobian into a 2x2 product and, every `cadence` steps,
+    re-orthonormalizes the product (Benettin et al. 1980).  An escape stops
+    the run before the escaping step is counted; `escaped_at` reports it, and
+    an escape before n/2 measured steps makes the estimate inconclusive.
+    `jac` and `step` replace both with a synthetic map for harness tests;
+    they are given together.
     """
-    consts = _step_constants(params, pert)
-    kernel = _return_step
-    if jac is not None or step is not None:
-        kernel = _hooked_kernel(
-            jac or (lambda p: jac_return(p, params, pert)),
-            step or (lambda p: return_map(p, params, pert)))
-    x, y = wrap_angle(p0.x), float(p0.y)
+    if (jac is None) != (step is None):
+        raise ValueError("jac and step replace the map together")
+    if step is None:
+        def step(p):
+            return return_map(p, params, pert)
+
+        def jac(p):
+            return jac_return(p, params, pert)
+    p = CylinderPoint(wrap_angle(p0.x), p0.y)
     l1 = l2 = logdet = batch_ld = 0.0
     p11, p12, p21, p22 = 1.0, 0.0, 0.0, 1.0
     escaped_at = None
     for i in range(burn_in + n):
         try:
-            xhat, y, a, b, c, d = kernel(x, y, consts)
+            q = step(p)
         except EscapeError:
             escaped_at = i
             break
-        x = wrap_angle(xhat)
-        if i < burn_in:
-            continue
-        det = abs(a * d - b * c)
-        ld = math.log(det) if 0.0 < det < math.inf else SATURATION * 2.0
-        logdet += ld
-        batch_ld += ld
-        p11, p12, p21, p22 = (a * p11 + b * p21, a * p12 + b * p22,
-                              c * p11 + d * p21, c * p12 + d * p22)
-        m = i + 1 - burn_in
-        if m % cadence == 0:
-            p11, p12, p21, p22, d1, d2 = _gram_schmidt_2x2(p11, p12, p21, p22,
-                                                           batch_ld)
-            l1 += d1 if math.isfinite(d1) else SATURATION * cadence
-            l2 += d2 if math.isfinite(d2) else SATURATION * cadence
-            batch_ld = 0.0
+        if i >= burn_in:
+            (a, b), (c, d) = jac(p).tolist()
+            det = abs(a * d - b * c)
+            ld = math.log(det) if 0.0 < det < math.inf else SATURATION * 2.0
+            logdet += ld
+            batch_ld += ld
+            p11, p12, p21, p22 = (a * p11 + b * p21, a * p12 + b * p22,
+                                  c * p11 + d * p21, c * p12 + d * p22)
+            if (i + 1 - burn_in) % cadence == 0:
+                p11, p12, p21, p22, d1, d2 = _gram_schmidt_2x2(
+                    p11, p12, p21, p22, batch_ld)
+                l1 += d1 if math.isfinite(d1) else SATURATION * cadence
+                l2 += d2 if math.isfinite(d2) else SATURATION * cadence
+                batch_ld = 0.0
+        p = q
     done = max(0, (burn_in + n if escaped_at is None else escaped_at) - burn_in)
     if done == 0 or (escaped_at is not None and done < n // 2):
         return LyapunovEstimate(math.nan, math.nan, burn_in, done, cadence,

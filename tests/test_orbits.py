@@ -94,6 +94,29 @@ class TestLyapunov:
         assert est.inconclusive and math.isnan(est.chi1)
         assert (est.escaped_at, est.n_iter) == (at, n_iter)
 
+    def test_single_hook_rejected(self, ref_params, pert):
+        jac = lambda p: np.array([[2.0, 0.0], [0.0, 0.5]])
+        with pytest.raises(ValueError):
+            ob.lyapunov(ref_params, pert, CylinderPoint(0.1, 0.5), 10,
+                        burn_in=0, jac=jac)
+
+    def test_steps_through_return_map_and_jac_return(self, params_k5, pert,
+                                                     monkeypatch):
+        # the per-layer benchmark counters read these two module names
+        calls = {"step": 0, "jac": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(ob, "return_map", counted("step", ob.return_map))
+        monkeypatch.setattr(ob, "jac_return", counted("jac", ob.jac_return))
+        ob.lyapunov(params_k5.with_lambda(1e-3), pert,
+                    CylinderPoint(0.5, 1e-3), 200, burn_in=10)
+        assert calls == {"step": 210, "jac": 200}
+
     def test_det_consistency_on_reference(self, params_k5, pert):
         params = params_k5.with_lambda(1e-3)
         est = ob.lyapunov(params, pert, CylinderPoint(0.5, 1e-3), 100_000,
