@@ -200,13 +200,11 @@ def audit_H4(family: cm.CircleMapFamily, a_window=(0.0, TWO_PI),
             "H4", "FAIL",
             {"reason": "diffeomorphism regime - increase K_omega",
              "critical_points": 0})
-    passing = []
-    for a in np.linspace(a_window[0], a_window[1], n_a, endpoint=False):
-        cert = cm.misiurewicz_check(family, float(a), delta0=t["h4_delta0"],
-                                    horizon=t["h4_horizon"], seed=seed)
-        if cert.passed:
-            passing.append({"a": float(a), "lambda0": cert.lambda0,
-                            "b0": cert.b0})
+    certs = cm.misiurewicz_scan(
+        family, np.linspace(a_window[0], a_window[1], n_a, endpoint=False),
+        delta0=t["h4_delta0"], horizon=t["h4_horizon"], seed=seed)
+    passing = [{"a": float(c.a), "lambda0": c.lambda0, "b0": c.b0}
+               for c in certs if c.passed]
     return HypothesisVerdict(
         "H4", "PASS" if passing else "FAIL",
         {"passing": passing, "scanned": n_a, "delta0": t["h4_delta0"],

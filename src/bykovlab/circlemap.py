@@ -191,6 +191,16 @@ def misiurewicz_check(family: CircleMapFamily, a: float, delta0: float = 0.05,
                       seed: int = 0) -> MisiurewiczCertificate:
     """Finite-horizon Misiurewicz-type certificate at parameter a.
 
+    The one-parameter case of `misiurewicz_scan`.
+    """
+    return misiurewicz_scan(family, [a], delta0, horizon, n_seeds, seed)[0]
+
+
+def misiurewicz_scan(family: CircleMapFamily, a_values, delta0: float = 0.05,
+                     horizon: int = 50, n_seeds: int = 32,
+                     seed: int = 0) -> list[MisiurewiczCertificate]:
+    """Finite-horizon Misiurewicz-type certificates, one per parameter a.
+
     Checks (1a) nondegeneracy of h'' near the critical set, (1b) critical
     orbits stay delta0 away from it, and calibrates (lambda0, b0) for the
     expansion conditions (2a)/(2b): lambda0 is the least-squares slope of
@@ -198,97 +208,119 @@ def misiurewicz_check(family: CircleMapFamily, a: float, delta0: float = 0.05,
     for which both inequalities hold on all samples.  With an empty critical
     set the geometric conditions pass vacuously and lambda0 is the uniform
     expansion estimate min_x ln|h'(x)|.
+
+    Every a starts its seed orbits from the same `default_rng(seed)` draws.
+    The critical and seed orbits of all parameters advance in lockstep as
+    one (n_a, q + n_seeds) array.
     """
     if horizon < 1 or delta0 <= 0.0:
         raise ValueError("need horizon >= 1 and delta0 > 0")
+    a_values = list(a_values)
     crit = family.critical_set
-    prov = {"grid": DEFAULT_GRID, "seeds": n_seeds,
-            "tolerances": {"delta0": delta0, "root_tol": ROOT_TOL,
-                           "morse_tol": MORSE_TOL}, "rng_seed": seed}
-    xs = np.linspace(0.0, TWO_PI, DEFAULT_GRID, endpoint=False)
+    q = crit.q
 
-    if crit.q == 0:
+    def provenance() -> dict:
+        return {"grid": DEFAULT_GRID, "seeds": n_seeds,
+                "tolerances": {"delta0": delta0, "root_tol": ROOT_TOL,
+                               "morse_tol": MORSE_TOL}, "rng_seed": seed}
+
+    if q == 0:
+        xs = np.linspace(0.0, TWO_PI, DEFAULT_GRID, endpoint=False)
         lam0 = float(np.min(np.log(np.abs(family.deriv(xs)))))
-        verdicts = [
-            Verdict("1a-nondegenerate-turns", True, "vacuous: empty critical set"),
-            Verdict("1b-critical-orbit-avoidance", True, "vacuous"),
-            Verdict("2a-expansion", lam0 > 0.0, {"lambda0": lam0}),
-            Verdict("2b-return-expansion", lam0 > 0.0,
-                    {"lambda0": lam0} if lam0 > 0.0 else
-                    {"lambda0": lam0, "note": "expansion failure"}),
-        ]
-        return MisiurewiczCertificate(a=a, delta0=delta0, b0=1.0, lambda0=lam0,
-                                      horizon=horizon, verdicts=verdicts,
-                                      vacuous=True, provenance=prov)
+        return [MisiurewiczCertificate(
+            a=a, delta0=delta0, b0=1.0, lambda0=lam0, horizon=horizon,
+            verdicts=[
+                Verdict("1a-nondegenerate-turns", True,
+                        "vacuous: empty critical set"),
+                Verdict("1b-critical-orbit-avoidance", True, "vacuous"),
+                Verdict("2a-expansion", lam0 > 0.0, {"lambda0": lam0}),
+                Verdict("2b-return-expansion", lam0 > 0.0,
+                        {"lambda0": lam0} if lam0 > 0.0 else
+                        {"lambda0": lam0, "note": "expansion failure"}),
+            ], vacuous=True, provenance=provenance()) for a in a_values]
 
     # (1a): h'' bounded away from zero on the delta0-neighbourhood.
     worst_1a = math.inf
     for c in crit.points:
         loc = c + np.linspace(-delta0, delta0, 33)
         worst_1a = min(worst_1a, float(np.min(np.abs(family.deriv2(loc)))))
-    v1a = Verdict("1a-nondegenerate-turns", worst_1a >= MORSE_TOL,
-                  {"min_abs_h2": worst_1a})
 
-    # (1b): forward critical orbits keep distance >= delta0 from the set.
-    worst = (math.inf, None, None)
-    ok_1b = True
-    for ci, c in enumerate(crit.points):
-        x = c
-        for n in range(1, horizon + 1):
-            x = family.val(a, x)
-            d = crit.distance(x)
-            if d < worst[0]:
-                worst = (d, ci, n)
-            if d < delta0:
-                ok_1b = False
-    v1b = Verdict("1b-critical-orbit-avoidance", ok_1b,
-                  {"min_dist": worst[0], "critical_index": worst[1], "n": worst[2]})
+    # Columns [0, q) are the critical orbits, [q, q + n_seeds) the seed
+    # orbits.  A seed orbit's step is a sample unless its point lies within
+    # delta0 of the critical set or has h' = 0; such a step ends the current
+    # segment.  cum is the log-derivative sum over the current segment.  A
+    # sample is a landing sample when the next point lies within delta0.
+    n_a = len(a_values)
+    a_col = np.array(a_values, dtype=float)[:, None]
+    x0 = np.random.default_rng(seed).uniform(0.0, TWO_PI, n_seeds)
+    x = np.broadcast_to(np.concatenate([crit.points, x0]), (n_a, q + n_seeds))
+    dist = crit.distance(x)
+    crit_dist = np.empty((n_a, q, horizon))
+    sampled = np.empty((n_a, n_seeds, horizon), dtype=bool)
+    cum_hist = np.empty((n_a, n_seeds, horizon))
+    lands_next = np.empty((n_a, n_seeds, horizon), dtype=bool)
+    cum = np.zeros((n_a, n_seeds))
+    for n in range(horizon):
+        d = np.abs(family.deriv(x[:, q:]))
+        reset = (dist[:, q:] < delta0) | (d == 0.0)
+        # math.log, not np.log: the vectorised np.log can differ by an ULP
+        logs = map(math.log, np.where(reset, 1.0, d).ravel().tolist())
+        log_d = np.fromiter(logs, float, d.size).reshape(d.shape)
+        cum = np.where(reset, 0.0, cum + log_d)
+        x = family.val(a_col, x)
+        dist = crit.distance(x)
+        crit_dist[:, :, n] = dist[:, :q]
+        sampled[:, :, n] = ~reset
+        cum_hist[:, :, n] = cum
+        lands_next[:, :, n] = dist[:, q:] < delta0
 
-    # (lambda0, b0): least-squares slope of log-derivative growth, then the
-    # largest prefactor making (2a)/(2b) hold on every sample.
-    rng = np.random.default_rng(seed)
-    samples: list[tuple[int, float]] = []
-    land_samples: list[tuple[int, float]] = []
-    for x0 in rng.uniform(0.0, TWO_PI, n_seeds):
-        x, cum, seg = float(x0), 0.0, 0
-        for _ in range(horizon):
-            if crit.distance(x) < delta0:
-                cum, seg = 0.0, 0
-            else:
-                d = abs(family.deriv(x))
-                if d == 0.0:
-                    cum, seg = 0.0, 0
-                else:
-                    cum += math.log(d)
-                    seg += 1
-                    samples.append((seg, cum))
-            x = family.val(a, x)
-            if seg > 0 and crit.distance(x) < delta0:
-                land_samples.append((seg, cum))
-    arr = np.array(samples, dtype=float)
-    if len(arr) < 4:
-        lam0, b0 = float("nan"), 0.0
-        v2a = Verdict("2a-expansion", False, "insufficient expansion samples")
-        v2b = Verdict("2b-return-expansion", False, "insufficient samples")
-    else:
-        slope, _ = np.polyfit(arr[:, 0], arr[:, 1], 1)
-        lam0 = float(slope)
-        # support-line intercepts: largest b0 making each inequality hold
-        env_2a = float(np.min(arr[:, 1] - lam0 * arr[:, 0])) - math.log(delta0)
-        if land_samples:
-            land = np.array(land_samples, dtype=float)
-            env_2b = float(np.min(land[:, 1] - lam0 * land[:, 0]))
+    steps = np.arange(horizon)
+    certs = []
+    for i, a in enumerate(a_values):
+        v1a = Verdict("1a-nondegenerate-turns", worst_1a >= MORSE_TOL,
+                      {"min_abs_h2": worst_1a})
+
+        # (1b): forward critical orbits keep distance >= delta0 from the set;
+        # the witness is the first closest approach in (critical point, n)
+        # order.
+        flat = crit_dist[i].ravel()
+        k = int(np.argmin(flat))
+        v1b = Verdict("1b-critical-orbit-avoidance", not np.any(flat < delta0),
+                      {"min_dist": float(flat[k]),
+                       "critical_index": k // horizon, "n": k % horizon + 1})
+
+        # (lambda0, b0): least-squares slope of log-derivative growth, then
+        # the largest prefactor making (2a)/(2b) hold on every sample.
+        # Samples are taken seed by seed, step by step; a sample's segment
+        # length is its distance from the last non-sample step (or from -1).
+        last_reset = np.maximum.accumulate(
+            np.where(sampled[i], -1, steps), axis=1)
+        mask = sampled[i].ravel()
+        segs = (steps - last_reset).ravel()[mask].astype(float)
+        cums = cum_hist[i].ravel()[mask]
+        land = lands_next[i].ravel()[mask]
+        if len(segs) < 4:
+            lam0, b0 = float("nan"), 0.0
+            v2a = Verdict("2a-expansion", False, "insufficient expansion samples")
+            v2b = Verdict("2b-return-expansion", False, "insufficient samples")
         else:
-            env_2b = env_2a
-        b0 = math.exp(min(env_2a, env_2b))
-        v2a = Verdict("2a-expansion", lam0 > 0.0 and b0 > 0.0,
-                      {"lambda0": lam0, "b0": b0, "samples": len(arr)})
-        v2b = Verdict("2b-return-expansion", lam0 > 0.0 and b0 > 0.0,
-                      {"landing_samples": len(land_samples)})
-    cert = MisiurewiczCertificate(a=a, delta0=delta0, b0=b0, lambda0=lam0,
-                                  horizon=horizon, verdicts=[v1a, v1b, v2a, v2b],
-                                  provenance=prov)
-    return cert
+            slope, _ = np.polyfit(segs, cums, 1)
+            lam0 = float(slope)
+            # support-line intercepts: largest b0 making each inequality hold
+            env_2a = float(np.min(cums - lam0 * segs)) - math.log(delta0)
+            if land.any():
+                env_2b = float(np.min(cums[land] - lam0 * segs[land]))
+            else:
+                env_2b = env_2a
+            b0 = math.exp(min(env_2a, env_2b))
+            v2a = Verdict("2a-expansion", lam0 > 0.0 and b0 > 0.0,
+                          {"lambda0": lam0, "b0": b0, "samples": len(segs)})
+            v2b = Verdict("2b-return-expansion", lam0 > 0.0 and b0 > 0.0,
+                          {"landing_samples": int(land.sum())})
+        certs.append(MisiurewiczCertificate(
+            a=a, delta0=delta0, b0=b0, lambda0=lam0, horizon=horizon,
+            verdicts=[v1a, v1b, v2a, v2b], provenance=provenance()))
+    return certs
 
 
 @dataclass
@@ -391,13 +423,12 @@ def rotation_interval(family: CircleMapFamily, a: float, n_iter: int = 2000,
     """
     if n_iter < 1000:
         raise ValueError("need n_iter >= 1000 for a stable estimate")
-    rhos = []
-    for x0 in np.linspace(0.0, TWO_PI, n_seeds, endpoint=False):
-        xhat = float(x0)
-        for _ in range(n_iter):
-            xhat = family.lift(a, xhat)
-        rhos.append((xhat - x0) / (TWO_PI * n_iter))
-    lo, hi = float(min(rhos)), float(max(rhos))
+    x0 = np.linspace(0.0, TWO_PI, n_seeds, endpoint=False)
+    xhat = x0
+    for _ in range(n_iter):
+        xhat = family.lift(a, xhat)
+    rhos = (xhat - x0) / (TWO_PI * n_iter)
+    lo, hi = float(rhos.min()), float(rhos.max())
     err = 1.0 / n_iter
     return RotationInterval(lo, hi, err, degenerate=(hi - lo) <= 2.0 / n_iter)
 
@@ -572,8 +603,8 @@ class SuperstableOrbit:
     lambdas: tuple[float, ...]
 
 
-def _lift_iterate(family: CircleMapFamily, a: float, x0: float, p: int) -> float:
-    """Lift of h_a^p at x0 (composition of lifts)."""
+def _lift_iterate(family: CircleMapFamily, a, x0: float, p: int):
+    """Lift of h_a^p at x0 (composition of lifts); a may be an array."""
     x = x0
     for _ in range(p):
         x = family.lift(a, x)
@@ -601,7 +632,7 @@ def superstable_search(family: CircleMapFamily, period: int,
     out = []
     for c in crit.points:
         c = float(c)
-        g = np.array([_lift_iterate(family, float(av), c, period) - c for av in grid])
+        g = _lift_iterate(family, grid, c, period) - c
         m_lo = int(math.floor(g.min() / TWO_PI)) - 1
         m_hi = int(math.ceil(g.max() / TWO_PI)) + 1
         for m in range(m_lo, m_hi + 1):

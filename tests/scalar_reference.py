@@ -1,0 +1,131 @@
+"""Scalar reference loops for the array code paths of `bykovlab.circlemap`.
+
+Each function here advances one orbit at a time with plain float calls of
+the family.  The tests require the array paths to match them exactly.
+"""
+
+import math
+
+import numpy as np
+
+from bykovlab import circlemap as cm
+from bykovlab.model import TWO_PI
+
+
+def misiurewicz_check(family: cm.CircleMapFamily, a: float,
+                      delta0: float = 0.05, horizon: int = 50,
+                      n_seeds: int = 32,
+                      seed: int = 0) -> cm.MisiurewiczCertificate:
+    """One orbit at a time: the reference for `cm.misiurewicz_scan`."""
+    if horizon < 1 or delta0 <= 0.0:
+        raise ValueError("need horizon >= 1 and delta0 > 0")
+    crit = family.critical_set
+    prov = {"grid": cm.DEFAULT_GRID, "seeds": n_seeds,
+            "tolerances": {"delta0": delta0, "root_tol": cm.ROOT_TOL,
+                           "morse_tol": cm.MORSE_TOL}, "rng_seed": seed}
+    xs = np.linspace(0.0, TWO_PI, cm.DEFAULT_GRID, endpoint=False)
+
+    if crit.q == 0:
+        lam0 = float(np.min(np.log(np.abs(family.deriv(xs)))))
+        verdicts = [
+            cm.Verdict("1a-nondegenerate-turns", True,
+                       "vacuous: empty critical set"),
+            cm.Verdict("1b-critical-orbit-avoidance", True, "vacuous"),
+            cm.Verdict("2a-expansion", lam0 > 0.0, {"lambda0": lam0}),
+            cm.Verdict("2b-return-expansion", lam0 > 0.0,
+                       {"lambda0": lam0} if lam0 > 0.0 else
+                       {"lambda0": lam0, "note": "expansion failure"}),
+        ]
+        return cm.MisiurewiczCertificate(a=a, delta0=delta0, b0=1.0,
+                                         lambda0=lam0, horizon=horizon,
+                                         verdicts=verdicts, vacuous=True,
+                                         provenance=prov)
+
+    worst_1a = math.inf
+    for c in crit.points:
+        loc = c + np.linspace(-delta0, delta0, 33)
+        worst_1a = min(worst_1a, float(np.min(np.abs(family.deriv2(loc)))))
+    v1a = cm.Verdict("1a-nondegenerate-turns", worst_1a >= cm.MORSE_TOL,
+                     {"min_abs_h2": worst_1a})
+
+    worst = (math.inf, None, None)
+    ok_1b = True
+    for ci, c in enumerate(crit.points):
+        x = c
+        for n in range(1, horizon + 1):
+            x = family.val(a, x)
+            d = crit.distance(x)
+            if d < worst[0]:
+                worst = (d, ci, n)
+            if d < delta0:
+                ok_1b = False
+    v1b = cm.Verdict("1b-critical-orbit-avoidance", ok_1b,
+                     {"min_dist": worst[0], "critical_index": worst[1],
+                      "n": worst[2]})
+
+    rng = np.random.default_rng(seed)
+    samples: list[tuple[int, float]] = []
+    land_samples: list[tuple[int, float]] = []
+    for x0 in rng.uniform(0.0, TWO_PI, n_seeds):
+        x, cum, seg = float(x0), 0.0, 0
+        for _ in range(horizon):
+            if crit.distance(x) < delta0:
+                cum, seg = 0.0, 0
+            else:
+                d = abs(family.deriv(x))
+                if d == 0.0:
+                    cum, seg = 0.0, 0
+                else:
+                    cum += math.log(d)
+                    seg += 1
+                    samples.append((seg, cum))
+            x = family.val(a, x)
+            if seg > 0 and crit.distance(x) < delta0:
+                land_samples.append((seg, cum))
+    arr = np.array(samples, dtype=float)
+    if len(arr) < 4:
+        lam0, b0 = float("nan"), 0.0
+        v2a = cm.Verdict("2a-expansion", False, "insufficient expansion samples")
+        v2b = cm.Verdict("2b-return-expansion", False, "insufficient samples")
+    else:
+        slope, _ = np.polyfit(arr[:, 0], arr[:, 1], 1)
+        lam0 = float(slope)
+        env_2a = float(np.min(arr[:, 1] - lam0 * arr[:, 0])) - math.log(delta0)
+        if land_samples:
+            land = np.array(land_samples, dtype=float)
+            env_2b = float(np.min(land[:, 1] - lam0 * land[:, 0]))
+        else:
+            env_2b = env_2a
+        b0 = math.exp(min(env_2a, env_2b))
+        v2a = cm.Verdict("2a-expansion", lam0 > 0.0 and b0 > 0.0,
+                         {"lambda0": lam0, "b0": b0, "samples": len(arr)})
+        v2b = cm.Verdict("2b-return-expansion", lam0 > 0.0 and b0 > 0.0,
+                         {"landing_samples": len(land_samples)})
+    return cm.MisiurewiczCertificate(a=a, delta0=delta0, b0=b0, lambda0=lam0,
+                                     horizon=horizon,
+                                     verdicts=[v1a, v1b, v2a, v2b],
+                                     provenance=prov)
+
+
+def rotation_rhos(family: cm.CircleMapFamily, a: float, n_iter: int,
+                  n_seeds: int) -> list[float]:
+    """Per-seed lift rotation numbers, one seed at a time."""
+    rhos = []
+    for x0 in np.linspace(0.0, TWO_PI, n_seeds, endpoint=False):
+        xhat = float(x0)
+        for _ in range(n_iter):
+            xhat = family.lift(a, xhat)
+        rhos.append((xhat - x0) / (TWO_PI * n_iter))
+    return rhos
+
+
+def superstable_g(family: cm.CircleMapFamily, grid: np.ndarray, c: float,
+                  period: int) -> np.ndarray:
+    """g(a) = lift^period(c) - c on an a-grid, one parameter at a time."""
+    out = []
+    for av in grid:
+        x = c
+        for _ in range(period):
+            x = family.lift(float(av), x)
+        out.append(x - c)
+    return np.array(out)

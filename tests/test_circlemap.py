@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalar_reference as ref
 from bykovlab import circlemap as cm
 from bykovlab.model import TWO_PI, TrigPoly, reference_params, wrap_angle
 
@@ -110,6 +111,14 @@ class TestRotationInterval:
     def test_min_iterates_enforced(self, family_k5):
         with pytest.raises(ValueError):
             cm.rotation_interval(family_k5, 0.0, n_iter=10)
+
+    @pytest.mark.parametrize("k, a, n_seeds", [(5.0, 0.0, 16), (5.0, 1.3, 3),
+                                               (5.0, 4.0, 7), (0.3, 1.0, 16)])
+    def test_lockstep_matches_scalar_reference(self, pert, k, a, n_seeds):
+        fam = cm.family_from_model(reference_params(omega=k / 3.0), pert)
+        ri = cm.rotation_interval(fam, a, n_iter=1000, n_seeds=n_seeds)
+        rhos = ref.rotation_rhos(fam, a, 1000, n_seeds)
+        assert (ri.rho_min, ri.rho_max) == (min(rhos), max(rhos))
 
 
 class TestPartition:

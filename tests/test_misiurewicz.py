@@ -1,8 +1,13 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import scalar_reference as ref
+from bykovlab import audit as au
 from bykovlab import circlemap as cm
 from bykovlab.model import TWO_PI, TrigPoly
 
@@ -67,6 +72,75 @@ class TestMisiurewicz:
             cm.misiurewicz_check(family_k5, 0.0, horizon=0)
         with pytest.raises(ValueError):
             cm.misiurewicz_check(family_k5, 0.0, delta0=-1.0)
+
+
+def reports(certs) -> list[str]:
+    """Certificates as JSON text, so that a NaN lambda0 compares equal."""
+    return [json.dumps(c.to_report()) for c in certs]
+
+
+class TestMisiurewiczScan:
+    """The lockstep scan against the one-orbit-at-a-time reference loop."""
+
+    @given(a_values=st.lists(st.floats(min_value=-TWO_PI, max_value=2 * TWO_PI),
+                             min_size=1, max_size=3),
+           seed=st.integers(min_value=0, max_value=2**32 - 1),
+           delta0=st.floats(min_value=1e-3, max_value=0.5),
+           horizon=st.integers(min_value=1, max_value=50),
+           n_seeds=st.integers(min_value=0, max_value=8))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_scalar_reference(self, family_k5, a_values, seed, delta0,
+                                      horizon, n_seeds):
+        certs = cm.misiurewicz_scan(family_k5, a_values, delta0, horizon,
+                                    n_seeds, seed)
+        assert reports(certs) == reports(
+            ref.misiurewicz_check(family_k5, a, delta0, horizon, n_seeds, seed)
+            for a in a_values)
+
+    @pytest.mark.parametrize("family", ["family_k03", "doubling"])
+    @given(a_values=st.lists(st.floats(min_value=-TWO_PI, max_value=TWO_PI),
+                             max_size=3),
+           horizon=st.integers(min_value=1, max_value=1000))
+    @settings(max_examples=10, deadline=None)
+    def test_vacuous_matches_scalar_reference(self, request, family,
+                                              a_values, horizon):
+        fam = doubling() if family == "doubling" else \
+            request.getfixturevalue(family)
+        certs = cm.misiurewicz_scan(fam, a_values, horizon=horizon)
+        assert reports(certs) == reports(
+            ref.misiurewicz_check(fam, a, horizon=horizon) for a in a_values)
+        assert all(c.vacuous for c in certs)
+
+    def test_default_constants_match_scalar_reference(self, family_k5):
+        a_values = [0.0, 0.5, 1.3, 4.0]
+        certs = cm.misiurewicz_scan(family_k5, a_values)
+        assert reports(certs) == reports(
+            ref.misiurewicz_check(family_k5, a) for a in a_values)
+        assert certs[0].passed
+
+    def test_check_is_the_one_parameter_scan(self, family_k5):
+        cert = cm.misiurewicz_check(family_k5, 1.3, delta0=0.1, horizon=20,
+                                    n_seeds=5, seed=7)
+        assert isinstance(cert, cm.MisiurewiczCertificate)
+        (same,) = cm.misiurewicz_scan(family_k5, [1.3], 0.1, 20, 5, 7)
+        assert reports([cert]) == reports([same])
+
+    def test_audit_h4_matches_separate_checks(self, family_k5):
+        grid = np.linspace(0.0, TWO_PI, 64, endpoint=False)
+        v = au.audit_H4(family_k5, n_a=64)
+        t = au.DEFAULT_THRESHOLDS
+        separate = []
+        for a in grid:
+            cert = cm.misiurewicz_check(family_k5, float(a),
+                                        delta0=t["h4_delta0"],
+                                        horizon=t["h4_horizon"])
+            if cert.passed:
+                separate.append({"a": float(a), "lambda0": cert.lambda0,
+                                 "b0": cert.b0})
+        assert v.evidence["passing"] == separate
+
+    def test_empty_parameter_list(self, family_k5):
+        assert cm.misiurewicz_scan(family_k5, []) == []
 
 
 class TestColletEckmann:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import scalar_reference as ref
 from bykovlab import circlemap as cm
 from bykovlab.model import (CylinderPoint, TWO_PI, jac_return, return_map,
                             wrap_angle)
@@ -48,6 +49,14 @@ class TestSearch:
     def test_unsupported_period(self, family_k5):
         with pytest.raises(ValueError):
             cm.superstable_search(family_k5, 3)
+
+    @pytest.mark.parametrize("period", [1, 2])
+    def test_grid_matches_scalar_reference(self, family_k5, period):
+        grid = np.linspace(-TWO_PI, TWO_PI, 4096)
+        for c in family_k5.critical_set.points:
+            g = cm._lift_iterate(family_k5, grid, float(c), period) - float(c)
+            assert np.array_equal(
+                g, ref.superstable_g(family_k5, grid, float(c), period))
 
 
 class Test2DConfirmation:
