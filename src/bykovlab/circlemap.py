@@ -205,9 +205,10 @@ def misiurewicz_scan(family: CircleMapFamily, a_values, delta0: float = 0.05,
     orbits stay delta0 away from it, and calibrates (lambda0, b0) for the
     expansion conditions (2a)/(2b): lambda0 is the least-squares slope of
     the log-derivative growth over seeded orbits, b0 the largest prefactor
-    for which both inequalities hold on all samples.  With an empty critical
-    set the geometric conditions pass vacuously and lambda0 is the uniform
-    expansion estimate min_x ln|h'(x)|.
+    for which both inequalities hold on all samples.  Fewer than 4 samples,
+    or samples of one segment length only, fail (2a)/(2b) as insufficient.
+    With an empty critical set the geometric conditions pass vacuously and
+    lambda0 is the uniform expansion estimate min_x ln|h'(x)|.
 
     Every a starts its seed orbits from the same `default_rng(seed)` draws.
     The critical and seed orbits of all parameters advance in lockstep as
@@ -299,7 +300,8 @@ def misiurewicz_scan(family: CircleMapFamily, a_values, delta0: float = 0.05,
         segs = (steps - last_reset).ravel()[mask].astype(float)
         cums = cum_hist[i].ravel()[mask]
         land = lands_next[i].ravel()[mask]
-        if len(segs) < 4:
+        # one segment length leaves the slope undetermined (rank-deficient fit)
+        if len(segs) < 4 or segs.min() == segs.max():
             lam0, b0 = float("nan"), 0.0
             v2a = Verdict("2a-expansion", False, "insufficient expansion samples")
             v2b = Verdict("2b-return-expansion", False, "insufficient samples")

@@ -1,10 +1,12 @@
 """Batch command-line front end.
 
-Every command reads a strict YAML config, writes its outputs (CSV/JSON/SVG)
-under the output directory with an embedded provenance block, and exits with
-0 on success, 1 on validation errors, and 2 on computation failures.  All
-randomness is seeded from the config (default seed 0) so outputs are
-byte-identical across runs and thread counts.
+Every command reads a strict YAML config and returns its outputs as
+{file name: payload}; `main` then writes them (CSV/JSON/SVG) under the
+output directory with an embedded provenance block.  Options the config
+leaves out take the library's defaults.  Exit codes: 0 on success, 1 on
+validation errors, 2 on computation failures; a failed command writes
+nothing.  All randomness is seeded from the config (default seed 0) so
+outputs are byte-identical across runs and thread counts.
 """
 
 from __future__ import annotations
@@ -26,15 +28,14 @@ class ComputationError(RuntimeError):
     pass
 
 
-def _provenance(cfg: RunConfig, seed: int) -> dict:
-    return {"tool": "bykovlab", "version": __version__,
-            "config_sha256": cfg.sha256, "seed": seed}
-
-
 def _prov_comment(cfg: RunConfig, seed: int) -> str:
     return (f"# bykovlab {__version__}\n"
             f"# config sha256: {cfg.sha256}\n"
             f"# seed: {seed}\n")
+
+
+def _svg_provenance(cfg: RunConfig, seed: int) -> str:
+    return _prov_comment(cfg, seed).replace("\n", " ")
 
 
 def _json_default(o):
@@ -47,170 +48,154 @@ def _json_default(o):
     raise TypeError(f"not serializable: {type(o)}")
 
 
-def _write_json(path: str, payload: dict, cfg: RunConfig, seed: int) -> None:
-    payload = dict(payload)
-    prov = dict(payload.get("provenance", {}))
-    prov.update(_provenance(cfg, seed))
-    payload["provenance"] = prov
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True,
-                  default=_json_default)
-        fh.write("\n")
+def _write(path: str, payload, cfg: RunConfig, seed: int) -> None:
+    """Write one command output with its provenance.
 
-
-def _write_csv(path: str, header, rows, cfg: RunConfig, seed: int) -> None:
+    A dict becomes JSON with the run's provenance merged into its
+    `provenance` block, a (header, rows) pair becomes CSV under provenance
+    comments, and a str is SVG whose provenance was set when it was drawn.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_prov_comment(cfg, seed))
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+        if isinstance(payload, dict):
+            prov = {**payload.get("provenance", {}), "tool": "bykovlab",
+                    "version": __version__, "config_sha256": cfg.sha256,
+                    "seed": seed}
+            json.dump({**payload, "provenance": prov}, fh, indent=2,
+                      sort_keys=True, default=_json_default)
+            fh.write("\n")
+        elif isinstance(payload, tuple):
+            header, rows = payload
+            fh.write(_prov_comment(cfg, seed))
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(str(v) for v in row) + "\n")
+        else:
+            fh.write(payload)
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _floats(values) -> tuple:
+    return tuple(float(v) for v in values)
+
+
+def _given(opt: dict, types: dict) -> dict:
+    """The options named in `types` that the config sets, each converted.
+
+    Options left out are not passed on, so the library's defaults apply.
+    """
+    return {key: conv(opt[key]) for key, conv in types.items() if key in opt}
+
+
+def _start_point(cfg: RunConfig, opt: dict) -> CylinderPoint:
+    return CylinderPoint(float(opt.get("x0", 0.5)),
+                         float(opt.get("y0", max(cfg.params.lam, 1e-6))))
+
+
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns {file name: payload} and writes nothing
 # ---------------------------------------------------------------------------
 
-def cmd_iterate(cfg: RunConfig, out: str, seed: int, threads: int,
-                written: list[str]) -> None:
+def cmd_iterate(cfg: RunConfig, seed: int, threads: int) -> dict:
     opt = cfg.command_options("iterate", {"n", "burn_in", "x0", "y0", "plot"})
-    n = int(opt.get("n", 1000))
-    burn = int(opt.get("burn_in", 0))
-    p0 = CylinderPoint(float(opt.get("x0", 0.5)),
-                       float(opt.get("y0", max(cfg.params.lam, 1e-6))))
-    orbit = ob.iterate(cfg.params, cfg.pert, p0, n, burn)
-    path = os.path.join(out, "orbit.csv")
-    rows = [(i, _fmt(x), _fmt(y))
-            for i, (x, y) in enumerate(orbit.points)]
-    _write_csv(path, ("iterate", "x", "y"), rows, cfg, seed)
-    written.append(path)
+    orbit = ob.iterate(cfg.params, cfg.pert, _start_point(cfg, opt),
+                       int(opt.get("n", 1000)),
+                       **_given(opt, {"burn_in": int}))
+    outputs = {"orbit.csv": (("iterate", "x", "y"),
+                             [(i, _fmt(x), _fmt(y))
+                              for i, (x, y) in enumerate(orbit.points)])}
     if opt.get("plot", True) and len(orbit.points):
-        svg = svgplot.orbit_scatter_svg(
-            orbit.points, provenance=_prov_comment(cfg, seed).replace("\n", " "),
+        outputs["orbit.svg"] = svgplot.orbit_scatter_svg(
+            orbit.points, provenance=_svg_provenance(cfg, seed),
             title=f"orbit lambda={cfg.params.lam:g} K={cfg.params.k_omega:g}"
                   + (" (escaped)" if orbit.escaped else ""))
-        spath = os.path.join(out, "orbit.svg")
-        with open(spath, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-        written.append(spath)
+    return outputs
 
 
-def cmd_lyapunov(cfg: RunConfig, out: str, seed: int, threads: int,
-                 written: list[str]) -> None:
+def cmd_lyapunov(cfg: RunConfig, seed: int, threads: int) -> dict:
     opt = cfg.command_options("lyapunov", {"n", "burn_in", "x0", "y0",
                                            "cadence"})
-    n = int(opt.get("n", 100_000))
-    p0 = CylinderPoint(float(opt.get("x0", 0.5)),
-                       float(opt.get("y0", max(cfg.params.lam, 1e-6))))
-    est = ob.lyapunov(cfg.params, cfg.pert, p0, n,
-                      burn_in=int(opt.get("burn_in", 1000)),
-                      cadence=int(opt.get("cadence", 10)))
-    path = os.path.join(out, "lyapunov.json")
-    _write_json(path, {"kind": "lyapunov-estimate",
-                       "chi1": est.chi1, "chi2": est.chi2,
-                       "saturated": est.saturated,
-                       "det_consistency": est.det_consistency,
-                       "n_iter": est.n_iter, "cadence": est.cadence,
-                       "inconclusive": est.inconclusive,
-                       "escaped_at": est.escaped_at}, cfg, seed)
-    written.append(path)
+    est = ob.lyapunov(cfg.params, cfg.pert, _start_point(cfg, opt),
+                      int(opt.get("n", 100_000)),
+                      **_given(opt, {"burn_in": int, "cadence": int}))
+    return {"lyapunov.json": {
+        "kind": "lyapunov-estimate", "chi1": est.chi1, "chi2": est.chi2,
+        "saturated": est.saturated, "det_consistency": est.det_consistency,
+        "n_iter": est.n_iter, "cadence": est.cadence,
+        "inconclusive": est.inconclusive, "escaped_at": est.escaped_at}}
 
 
-def cmd_scan(cfg: RunConfig, out: str, seed: int, threads: int,
-             written: list[str]) -> None:
-    opt = cfg.command_options(
-        "scan", {"lambda_grid", "k_omega_grid", "n_iter", "burn_in",
-                 "chi_thresh", "curve_thresh", "plot"})
+def cmd_scan(cfg: RunConfig, seed: int, threads: int) -> dict:
+    budget = {"n_iter": int, "burn_in": int, "chi_thresh": float,
+              "curve_thresh": float}
+    opt = cfg.command_options("scan", {"lambda_grid", "k_omega_grid", "plot",
+                                       *budget})
     if "lambda_grid" not in opt or "k_omega_grid" not in opt:
         raise ConfigError("scan needs 'lambda_grid' and 'k_omega_grid'")
-    budget = ob.Budget(
-        n_iter=int(opt.get("n_iter", 100_000)),
-        burn_in=int(opt.get("burn_in", 2000)),
-        chi_thresh=float(opt.get("chi_thresh", 5e-3)),
-        curve_thresh=float(opt.get("curve_thresh", 0.02)))
-    result = ob.scan([float(v) for v in opt["lambda_grid"]],
-                     [float(v) for v in opt["k_omega_grid"]],
-                     cfg.params, cfg.pert, budget, threads=threads)
-    path = os.path.join(out, "scan.csv")
-    _write_csv(path, ob.SCAN_CSV_COLUMNS, ob.scan_rows(result), cfg, seed)
-    written.append(path)
+    result = ob.scan(_floats(opt["lambda_grid"]), _floats(opt["k_omega_grid"]),
+                     cfg.params, cfg.pert, ob.Budget(**_given(opt, budget)),
+                     threads=threads)
+    outputs = {"scan.csv": (ob.SCAN_CSV_COLUMNS, ob.scan_rows(result))}
     if opt.get("plot", True):
-        svg = svgplot.regime_map_svg(
-            result, provenance=_prov_comment(cfg, seed).replace("\n", " "))
-        spath = os.path.join(out, "regime_map.svg")
-        with open(spath, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-        written.append(spath)
-    bpath = os.path.join(out, "boundaries.json")
-    _write_json(bpath, {"kind": "scan-boundaries",
-                        "t2_hat": {str(k): v for k, v in result.t2_hat.items()},
-                        "t1_hat": {str(k): v for k, v in result.t1_hat.items()},
-                        "ordered": result.ordered}, cfg, seed)
-    written.append(bpath)
+        outputs["regime_map.svg"] = svgplot.regime_map_svg(
+            result, provenance=_svg_provenance(cfg, seed))
+    outputs["boundaries.json"] = {
+        "kind": "scan-boundaries",
+        "t2_hat": {str(k): v for k, v in result.t2_hat.items()},
+        "t1_hat": {str(k): v for k, v in result.t1_hat.items()},
+        "ordered": result.ordered}
+    return outputs
 
 
-def cmd_audit(cfg: RunConfig, out: str, seed: int, threads: int,
-              written: list[str]) -> None:
+def cmd_audit(cfg: RunConfig, seed: int, threads: int) -> dict:
     opt = cfg.command_options("audit", {"n_a", "a_window", "lambda_range",
                                         "thresholds"})
-    window = tuple(float(v) for v in opt.get("a_window", (0.0, TWO_PI)))
-    lam_range = tuple(float(v) for v in opt.get("lambda_range", (1e-4, 1e-2)))
-    report = au.run_audit(cfg.params, cfg.pert, a_window=window,
-                          n_a=int(opt.get("n_a", 64)), lam_range=lam_range,
-                          seed=seed, thresholds=opt.get("thresholds"))
-    path = os.path.join(out, "audit.json")
-    _write_json(path, report.to_report(), cfg, seed)
-    written.append(path)
+    kw = _given(opt, {"n_a": int, "a_window": _floats,
+                      "lambda_range": _floats})
+    if "lambda_range" in kw:
+        kw["lam_range"] = kw.pop("lambda_range")
+    report = au.run_audit(cfg.params, cfg.pert, seed=seed,
+                          thresholds=opt.get("thresholds"), **kw)
+    return {"audit.json": report.to_report()}
 
 
-def cmd_misiurewicz(cfg: RunConfig, out: str, seed: int, threads: int,
-                    written: list[str]) -> None:
+def cmd_misiurewicz(cfg: RunConfig, seed: int, threads: int) -> dict:
     opt = cfg.command_options("misiurewicz", {"a", "delta0", "horizon",
                                               "n_seeds"})
-    family = cm.family_from_model(cfg.params, cfg.pert)
-    cert = cm.misiurewicz_check(family, float(opt.get("a", 0.0)),
-                                delta0=float(opt.get("delta0", 0.05)),
-                                horizon=int(opt.get("horizon", 50)),
-                                n_seeds=int(opt.get("n_seeds", 32)),
-                                seed=seed)
-    path = os.path.join(out, "certificate.json")
-    _write_json(path, cert.to_report(), cfg, seed)
-    written.append(path)
+    cert = cm.misiurewicz_check(
+        cm.family_from_model(cfg.params, cfg.pert), float(opt.get("a", 0.0)),
+        seed=seed,
+        **_given(opt, {"delta0": float, "horizon": int, "n_seeds": int}))
+    return {"certificate.json": cert.to_report()}
 
 
-def cmd_superstable(cfg: RunConfig, out: str, seed: int, threads: int,
-                    written: list[str]) -> None:
+def cmd_superstable(cfg: RunConfig, seed: int, threads: int) -> dict:
     opt = cfg.command_options("superstable", {"period", "a_window",
                                               "n_lambdas"})
-    family = cm.family_from_model(cfg.params, cfg.pert)
-    window = tuple(float(v) for v in opt.get("a_window", (0.0, TWO_PI)))
-    orbits = cm.superstable_search(family, int(opt.get("period", 2)),
-                                   a_window=window,
-                                   n_lambdas=int(opt.get("n_lambdas", 8)))
-    path = os.path.join(out, "superstable.json")
-    _write_json(path, {
-        "kind": "superstable-orbits",
-        "period": int(opt.get("period", 2)),
+    period = int(opt.get("period", 2))
+    window = _floats(opt.get("a_window", (0.0, TWO_PI)))
+    orbits = cm.superstable_search(cm.family_from_model(cfg.params, cfg.pert),
+                                   period, a_window=window,
+                                   **_given(opt, {"n_lambdas": int}))
+    return {"superstable.json": {
+        "kind": "superstable-orbits", "period": period,
         "a_window": list(window),
         "orbits": [{"a_star": s.a_star, "critical_point": s.critical_point,
                     "winding": s.winding, "residual": s.residual,
                     "deriv_residual": s.deriv_residual,
-                    "lambdas": list(s.lambdas)} for s in orbits]}, cfg, seed)
-    written.append(path)
+                    "lambdas": list(s.lambdas)} for s in orbits]}}
 
 
-def cmd_rotation(cfg: RunConfig, out: str, seed: int, threads: int,
-                 written: list[str]) -> None:
+def cmd_rotation(cfg: RunConfig, seed: int, threads: int) -> dict:
     opt = cfg.command_options("rotation", {"a", "n_iter", "n_seeds", "mode"})
     mode = opt.get("mode", "circle")
     if mode == "circle":
-        family = cm.family_from_model(cfg.params, cfg.pert)
-        ri = cm.rotation_interval(family, float(opt.get("a", 0.0)),
-                                  n_iter=int(opt.get("n_iter", 2000)),
-                                  n_seeds=int(opt.get("n_seeds", 16)))
+        ri = cm.rotation_interval(
+            cm.family_from_model(cfg.params, cfg.pert),
+            float(opt.get("a", 0.0)),
+            **_given(opt, {"n_iter": int, "n_seeds": int}))
         payload = {"kind": "rotation-interval", "mode": "circle",
                    "rho_min": ri.rho_min, "rho_max": ri.rho_max,
                    "error": ri.error, "degenerate": ri.degenerate}
@@ -229,27 +214,22 @@ def cmd_rotation(cfg: RunConfig, out: str, seed: int, threads: int,
                    "degenerate": (hi - lo) <= 2.0 / n}
     else:
         raise ConfigError(f"unknown rotation mode: {mode!r}")
-    path = os.path.join(out, "rotation.json")
-    _write_json(path, payload, cfg, seed)
-    written.append(path)
+    return {"rotation.json": payload}
 
 
-def cmd_singular_limit(cfg: RunConfig, out: str, seed: int, threads: int,
-                       written: list[str]) -> None:
+def cmd_singular_limit(cfg: RunConfig, seed: int, threads: int) -> dict:
     opt = cfg.command_options("singular_limit", {"a", "n_min", "n_max", "nx",
                                                  "ny"})
     rows = cm.singular_limit_convergence(
         cfg.params, cfg.pert, float(opt.get("a", 0.0)),
         range(int(opt.get("n_min", 3)), int(opt.get("n_max", 12)) + 1),
-        nx=int(opt.get("nx", 128)), ny=int(opt.get("ny", 4)))
-    path = os.path.join(out, "singular_limit.csv")
-    _write_csv(path,
-               ("n", "lambda", "value_err", "d1_err", "d2_err",
-                "second_comp_err", "excluded"),
-               [(r.n, _fmt(r.lam), _fmt(r.value_err), _fmt(r.d1_err),
-                 _fmt(r.d2_err), _fmt(r.second_comp_err), r.excluded)
-                for r in rows], cfg, seed)
-    written.append(path)
+        **_given(opt, {"nx": int, "ny": int}))
+    return {"singular_limit.csv": (
+        ("n", "lambda", "value_err", "d1_err", "d2_err", "second_comp_err",
+         "excluded"),
+        [(r.n, _fmt(r.lam), _fmt(r.value_err), _fmt(r.d1_err),
+          _fmt(r.d2_err), _fmt(r.second_comp_err), r.excluded)
+         for r in rows])}
 
 
 COMMANDS = {
@@ -293,25 +273,23 @@ def main(argv=None) -> int:
     out = os.environ.get("BYKOVLAB_OUT", args.out)
     os.makedirs(out, exist_ok=True)
     seed = cfg.seed if args.seed is None else args.seed
-    written: list[str] = []
     try:
-        COMMANDS[args.command](cfg, out, seed, max(1, args.threads), written)
+        outputs = COMMANDS[args.command](cfg, seed, max(1, args.threads))
     except (ConfigError, InvalidParamsError, MorseError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (ComputationError, EscapeError, cm.EmptyCriticalSetError,
             cm.NonMorseError, np.linalg.LinAlgError, ArithmeticError) as exc:
-        for path in written:
-            if os.path.exists(path):
-                os.remove(path)
         print(f"computation failed: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         # an option value the computation rejects (after the subclasses above)
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    if args.verbose:
-        for path in written:
+    for name, payload in outputs.items():
+        path = os.path.join(out, name)
+        _write(path, payload, cfg, seed)
+        if args.verbose:
             print(path)
     return 0
 

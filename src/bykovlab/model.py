@@ -204,11 +204,6 @@ class CylinderFunction:
             return 0.0 * np.asarray(x, dtype=float)
         return self.slope(x)
 
-    def dxx(self, x, y):
-        if self.slope is None:
-            return self.base.d2(x)
-        return self.base.d2(x) + y * self.slope.d2(x)
-
     def section(self) -> TrigPoly:
         """Profile at y = 0."""
         return self.base

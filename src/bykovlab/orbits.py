@@ -19,6 +19,8 @@ from .model import (TWO_PI, CylinderPoint, EscapeError, ModelParams,
                     jac_return, return_map, wrap_angle)
 
 SATURATION = -50.0  # per-iterate log-contraction below this is reported as saturated
+RECURRENCE_TOL = 1e-8  # period detection: recurrence distance of a sink
+PERIOD_CAP = 64        # period detection: longest period looked for
 
 REGIME_LABELS = ("InvariantCurve", "PeriodicSink", "TransientChaos",
                  "StrangeAttractorCandidate", "Escaped")
@@ -31,10 +33,7 @@ class Budget:
     n_iter: int = 100_000
     burn_in: int = 2_000
     chi_thresh: float = 5e-3
-    curve_thresh: float = 5e-3
-    recurrence_tol: float = 1e-8
-    period_cap: int = 64
-    qr_cadence: int = 10
+    curve_thresh: float = 0.02
 
 
 def iterate(params: ModelParams, pert: Perturbation, p0: CylinderPoint,
@@ -311,14 +310,12 @@ def classify_cell(lam: float, k_omega: float, base_params: ModelParams,
     orbit = iterate(params, pert, p0, budget.n_iter, budget.burn_in)
     if orbit.escaped:
         return RegimeCell(lam, k_omega, "Escaped", escaped=True)
-    tail_len = min(len(orbit.points), max(4 * budget.period_cap, 512))
+    tail_len = min(len(orbit.points), max(4 * PERIOD_CAP, 512))
     tail = orbit.points[-tail_len:]
     yscale = float(np.max(tail[:, 1]))
-    period = _detect_period(tail, budget.recurrence_tol, budget.period_cap,
-                            yscale)
+    period = _detect_period(tail, RECURRENCE_TOL, PERIOD_CAP, yscale)
     est = lyapunov(params, pert, CylinderPoint(*orbit.points[-1]),
-                   min(budget.n_iter, 20_000), burn_in=0,
-                   cadence=budget.qr_cadence)
+                   min(budget.n_iter, 20_000), burn_in=0)
     try:
         rho = rotation_set_2d(params, pert,
                               [CylinderPoint(*orbit.points[k])

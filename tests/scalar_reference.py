@@ -83,7 +83,7 @@ def misiurewicz_check(family: cm.CircleMapFamily, a: float,
             if seg > 0 and crit.distance(x) < delta0:
                 land_samples.append((seg, cum))
     arr = np.array(samples, dtype=float)
-    if len(arr) < 4:
+    if len(arr) < 4 or arr[:, 0].min() == arr[:, 0].max():
         lam0, b0 = float("nan"), 0.0
         v2a = cm.Verdict("2a-expansion", False, "insufficient expansion samples")
         v2b = cm.Verdict("2b-return-expansion", False, "insufficient samples")

@@ -10,6 +10,7 @@ except ImportError:  # pragma: no cover
     jsonschema = None
 
 from bykovlab import cli
+from bykovlab import orbits as ob
 from bykovlab.config import ConfigError, parse_config
 
 BASE_CONFIG = """\
@@ -103,6 +104,34 @@ class TestCommands:
         assert svg.count("<rect") >= 3  # background + cell + legend patch
         assert "</svg>" in svg
 
+    def test_scan_thresholds_default_to_budget(self, tmp_path):
+        # at (lambda, K) = (0.1, 0.3) the orbit thickness lies between 5e-3
+        # and 0.02, so the label shows which curve threshold was used
+        cfgp = write_config(tmp_path, (
+            "scan: {lambda_grid: [0.1], k_omega_grid: [0.1, 0.3], "
+            "n_iter: 2000, burn_in: 200}\n"))
+        out = tmp_path / "out"
+        assert cli.main(["scan", "--config", cfgp, "--out", str(out)]) == 0
+        rows = [l.rstrip("\n") for l in open(out / "scan.csv")
+                if not l.startswith("#")][1:]
+        cfg = parse_config(open(cfgp).read())
+        result = ob.scan([0.1], [0.1, 0.3], cfg.params, cfg.pert,
+                         ob.Budget(n_iter=2000, burn_in=200))
+        assert rows == [",".join(str(v) for v in row)
+                        for row in ob.scan_rows(result)]
+
+    def test_command_returns_outputs_without_writing(self, tmp_path,
+                                                     monkeypatch):
+        cfg = parse_config(open(write_config(tmp_path, "iterate: {n: 5}\n"))
+                           .read())
+        monkeypatch.chdir(tmp_path)
+        outputs = cli.cmd_iterate(cfg, 0, 1)
+        assert list(outputs) == ["orbit.csv", "orbit.svg"]
+        header, rows = outputs["orbit.csv"]
+        assert header == ("iterate", "x", "y") and len(rows) == 6
+        assert outputs["orbit.svg"].startswith("<svg")
+        assert sorted(os.listdir(tmp_path)) == ["run.yaml"]
+
     @pytest.mark.parametrize("y0, escaped_at", [(1e-3, None), (-0.9, 0)])
     def test_lyapunov_reports_escape(self, tmp_path, y0, escaped_at):
         cfgp = write_config(tmp_path,
@@ -159,6 +188,16 @@ class TestCommands:
         out = tmp_path / "o"
         assert cli.main([command, "--config", cfgp, "--out", str(out)]) == 1
         assert "config error" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    def test_exit_code_computation_failure_writes_nothing(self, tmp_path,
+                                                         capsys):
+        # at lambda = 0.9 every annulus seed escapes
+        cfgp = write_config(tmp_path, "rotation: {mode: annulus}\n", lam=0.9)
+        out = tmp_path / "o"
+        assert cli.main(["rotation", "--config", cfgp, "--out", str(out)]) == 2
+        assert ("computation failed: all rotation seeds escaped"
+                in capsys.readouterr().err)
         assert not any(out.iterdir())
 
     def test_exit_code_missing_scan_grids(self, tmp_path):

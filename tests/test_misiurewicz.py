@@ -67,6 +67,18 @@ class TestMisiurewicz:
         for v in rep["verdicts"]:
             assert {"condition", "pass", "witness"} <= set(v)
 
+    def test_single_segment_length_is_insufficient(self, family_k5):
+        # at horizon 1 every sample is a length-1 segment: the slope fit is
+        # rank-deficient and must not certify expansion
+        cert = cm.misiurewicz_check(family_k5, 0.0, horizon=1)
+        v2a, v2b = cert.verdicts[2:]
+        assert (v2a.passed, v2a.witness) == (
+            False, "insufficient expansion samples")
+        assert (v2b.passed, v2b.witness) == (False, "insufficient samples")
+        assert math.isnan(cert.lambda0) and not cert.passed
+        assert reports([cert]) == reports(
+            [ref.misiurewicz_check(family_k5, 0.0, horizon=1)])
+
     def test_invalid_arguments(self, family_k5):
         with pytest.raises(ValueError):
             cm.misiurewicz_check(family_k5, 0.0, horizon=0)
