@@ -26,7 +26,7 @@ from bykovlab.model import (CylinderPoint, EscapeError, jac_return,
                             return_map)
 
 
-def confirm_2d(params, pert, lam, a_star, c, period=2, n_settle=400):
+def confirm_2d(params, pert, lam, c, period=2, n_settle=400):
     """Iterate the 2D map at lambda and measure the cycle multipliers.
 
     Returns None when the orbit leaves the return domain.
@@ -73,8 +73,7 @@ def main() -> int:
         print(f"\na* = {s.a_star:+.10f}  c = {s.critical_point:.10f}  "
               f"|h^p(c)-c| = {s.residual:.2e}  |(h^p)'(c)| = {s.deriv_residual:.2e}")
         print("  pullbacks:", "  ".join(f"{l:.3e}" for l in s.lambdas[:4]))
-        checked = confirm_2d(base, pert, lam1, s.a_star, s.critical_point,
-                             args.period)
+        checked = confirm_2d(base, pert, lam1, s.critical_point, args.period)
         if checked is None:
             print(f"  2D check at lambda_1={lam1:.6f}: orbit escaped the "
                   "return domain, not confirmed")

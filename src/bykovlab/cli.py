@@ -78,15 +78,39 @@ def _fmt(x: float) -> str:
 
 
 def _floats(values) -> tuple:
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"expected a list of numbers, got {values!r}")
     return tuple(float(v) for v in values)
+
+
+def _pair(values) -> tuple:
+    """Exactly two floats: a window (lo, hi)."""
+    out = _floats(values)
+    if len(out) != 2:
+        raise ConfigError(f"expected two numbers, got {values!r}")
+    return out
+
+
+def _mapping(values) -> dict | None:
+    if values is not None and not isinstance(values, dict):
+        raise ConfigError(f"expected a mapping, got {values!r}")
+    return values
 
 
 def _given(opt: dict, types: dict) -> dict:
     """The options named in `types` that the config sets, each converted.
 
-    Options left out are not passed on, so the library's defaults apply.
+    Options left out are not passed on, so the library's defaults apply.  A
+    value of the wrong shape is a ConfigError that names its option.
     """
-    return {key: conv(opt[key]) for key, conv in types.items() if key in opt}
+    out = {}
+    for key, conv in types.items():
+        if key in opt:
+            try:
+                out[key] = conv(opt[key])
+            except ConfigError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
+    return out
 
 
 def _start_point(cfg: RunConfig, opt: dict) -> CylinderPoint:
@@ -134,7 +158,8 @@ def cmd_scan(cfg: RunConfig, seed: int, threads: int) -> dict:
                                        *budget})
     if "lambda_grid" not in opt or "k_omega_grid" not in opt:
         raise ConfigError("scan needs 'lambda_grid' and 'k_omega_grid'")
-    result = ob.scan(_floats(opt["lambda_grid"]), _floats(opt["k_omega_grid"]),
+    grids = _given(opt, {"lambda_grid": _floats, "k_omega_grid": _floats})
+    result = ob.scan(grids["lambda_grid"], grids["k_omega_grid"],
                      cfg.params, cfg.pert, ob.Budget(**_given(opt, budget)),
                      threads=threads)
     outputs = {"scan.csv": (ob.SCAN_CSV_COLUMNS, ob.scan_rows(result))}
@@ -152,12 +177,11 @@ def cmd_scan(cfg: RunConfig, seed: int, threads: int) -> dict:
 def cmd_audit(cfg: RunConfig, seed: int, threads: int) -> dict:
     opt = cfg.command_options("audit", {"n_a", "a_window", "lambda_range",
                                         "thresholds"})
-    kw = _given(opt, {"n_a": int, "a_window": _floats,
-                      "lambda_range": _floats})
+    kw = _given(opt, {"n_a": int, "a_window": _pair, "lambda_range": _pair,
+                      "thresholds": _mapping})
     if "lambda_range" in kw:
         kw["lam_range"] = kw.pop("lambda_range")
-    report = au.run_audit(cfg.params, cfg.pert, seed=seed,
-                          thresholds=opt.get("thresholds"), **kw)
+    report = au.run_audit(cfg.params, cfg.pert, seed=seed, **kw)
     return {"audit.json": report.to_report()}
 
 
@@ -175,7 +199,7 @@ def cmd_superstable(cfg: RunConfig, seed: int, threads: int) -> dict:
     opt = cfg.command_options("superstable", {"period", "a_window",
                                               "n_lambdas"})
     period = int(opt.get("period", 2))
-    window = _floats(opt.get("a_window", (0.0, TWO_PI)))
+    window = _given(opt, {"a_window": _pair}).get("a_window", (0.0, TWO_PI))
     orbits = cm.superstable_search(cm.family_from_model(cfg.params, cfg.pert),
                                    period, a_window=window,
                                    **_given(opt, {"n_lambdas": int}))

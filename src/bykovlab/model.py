@@ -1,9 +1,12 @@
-"""Model parameters, perturbation pair, local/global maps and the return map.
+"""Model parameters, the perturbation pair and the first return map.
 
 Coordinates live on the cylinder cross-section: an angle x (mod 2pi) and a
-height y in [-1, 1].  The return map is the composition of two local
-saddle-focus passages, an identity transition, and a perturbed global
-transition (x, y) -> (x + xi + lam*Phi1, y + lam*Phi2).
+height y in [-1, 1].  The return map eta o psi_21 follows the perturbed
+global transition psi_21(x, y) = (x + xi + lam*Phi1, y + lam*Phi2) by the
+passage past both saddle-foci, eta(X, Y) = (X - K_omega ln Y, Y^delta).  One
+float kernel, _return_step, evaluates the map and its Jacobian.  The factored
+maps (each local passage, eta, psi_21 and their Jacobians) and the
+finite-difference Jacobian are test references in tests/scalar_reference.py.
 """
 
 from __future__ import annotations
@@ -20,10 +23,6 @@ TWO_PI = 2.0 * math.pi
 
 class InvalidParamsError(ValueError):
     """Eigenvalue data violates the saddle-focus orderings."""
-
-
-class TrappedError(ValueError):
-    """Point lies on the wrong branch of a local map (y <= 0 or r <= 0)."""
 
 
 class EscapeError(ValueError):
@@ -192,18 +191,6 @@ class CylinderFunction:
             return b
         return self.base(x) + y * self.slope(x)
 
-    def dx(self, x, y):
-        if self.slope is None:
-            return self.base.d1(x)
-        return self.base.d1(x) + y * self.slope.d1(x)
-
-    def dy(self, x, y):
-        if self.slope is None:
-            if type(x) is float or not np.ndim(x):
-                return 0.0
-            return 0.0 * np.asarray(x, dtype=float)
-        return self.slope(x)
-
     def section(self) -> TrigPoly:
         """Profile at y = 0."""
         return self.base
@@ -319,44 +306,8 @@ class OrbitRecord:
 
 
 # ---------------------------------------------------------------------------
-# Local, transition and return maps
+# Return map and its Jacobian
 # ---------------------------------------------------------------------------
-
-def local_map_o1(p: CylinderPoint, params: ModelParams) -> tuple[float, float]:
-    """Passage past the first saddle-focus: wall point -> disc point (r, phi)."""
-    x, y = p
-    if y <= 0.0:
-        raise TrappedError(f"y={y}: trapped or wrong branch at the first focus")
-    r = y ** params.delta1
-    phi = x - (params.omega1 / params.e1) * math.log(y)
-    return r, wrap_angle(phi)
-
-
-def local_map_o2(r: float, phi: float, params: ModelParams) -> CylinderPoint:
-    """Passage past the second saddle-focus: disc point -> wall point."""
-    if r <= 0.0:
-        raise TrappedError(f"r={r}: on the stable manifold of the second focus")
-    x = phi - (params.omega2 / params.e2) * math.log(r)
-    y = r ** params.delta2
-    return CylinderPoint(wrap_angle(x), y)
-
-
-def eta(p: CylinderPoint, params: ModelParams) -> CylinderPoint:
-    """Closed form of the double passage: (x - K ln y mod 2pi, y^delta)."""
-    x, y = p
-    if y <= 0.0:
-        raise TrappedError(f"y={y}: entered lower branch / trapped")
-    return CylinderPoint(wrap_angle(x - params.k_omega * math.log(y)),
-                         y ** params.delta)
-
-
-def psi_21(p: CylinderPoint, params: ModelParams, pert: Perturbation) -> CylinderPoint:
-    """Perturbed global transition (x, y) -> (x + xi + lam*Phi1, y + lam*Phi2)."""
-    x, y = p
-    lam = params.lam
-    return CylinderPoint(wrap_angle(x + params.xi + lam * pert.phi1(x, y)),
-                         y + lam * pert.phi2(x, y))
-
 
 def _step_constants(params: ModelParams, pert: Perturbation) -> tuple:
     """Everything _return_step reads, cached on the parameter records."""
@@ -418,91 +369,26 @@ def return_map(p: CylinderPoint, params: ModelParams, pert: Perturbation) -> Cyl
     return CylinderPoint(wrap_angle(q[0]), q[1])
 
 
-def rescaled_return_map(p: tuple[float, float], params: ModelParams,
-                        pert: Perturbation) -> tuple[float, float]:
-    """Return map in (x, ybar) with ybar = y/lam: the conjugate of return_map."""
-    lam = params.lam
-    if lam <= 0.0:
-        raise ValueError("rescaled coordinates need lam > 0")
-    q = return_map(CylinderPoint(p[0], lam * p[1]), params, pert)
-    return q.x, q.y / lam
-
-
-# ---------------------------------------------------------------------------
-# Jacobians
-# ---------------------------------------------------------------------------
-
-FD_STEP = 1e-6
-
-
-def jac_psi21(p, params: ModelParams, pert: Perturbation) -> np.ndarray:
-    x, y = p
-    lam = params.lam
-    return np.array([
-        [1.0 + lam * pert.phi1.dx(x, y), lam * pert.phi1.dy(x, y)],
-        [lam * pert.phi2.dx(x, y), 1.0 + lam * pert.phi2.dy(x, y)],
-    ])
-
-
-def jac_eta(p, params: ModelParams) -> np.ndarray:
-    _, y = p
-    return np.array([
-        [1.0, -params.k_omega / y],
-        [0.0, params.delta * y ** (params.delta - 1.0)],
-    ])
-
-
 def jac_return(p, params: ModelParams, pert: Perturbation) -> np.ndarray:
     """Analytic Jacobian of the return map, from the return-step kernel.
 
-    Raises EscapeError where return_map does.  jac_eta(psi_21(p)) @
-    jac_psi21(p) is the factored reference it is tested against.
+    Raises EscapeError where return_map does.
     """
     j = _return_step(p[0], p[1], _step_constants(params, pert))
     return np.array([[j[2], j[3]], [j[4], j[5]]])
 
 
-def jac_rescaled(p, params: ModelParams, pert: Perturbation) -> np.ndarray:
-    """Jacobian in rescaled coordinates, conjugate of jac_return."""
-    lam = params.lam
-    x, ybar = p
-    j = jac_return(CylinderPoint(x, lam * ybar), params, pert)
-    out = j.copy()
-    out[0, 1] = j[0, 1] * lam
-    out[1, 0] = j[1, 0] / lam
-    return out
-
-
 def det_jac_return(p, params: ModelParams, pert: Perturbation) -> float:
-    """Determinant via the factorization delta*Y^(delta-1) * det(D psi_21)."""
-    x, y = p
-    lam = params.lam
-    big_y = y + lam * pert.phi2(x, y)
-    dpsi = ((1.0 + lam * pert.phi1.dx(x, y)) * (1.0 + lam * pert.phi2.dy(x, y))
-            - lam * lam * pert.phi1.dy(x, y) * pert.phi2.dx(x, y))
-    return params.delta * big_y ** (params.delta - 1.0) * dpsi
+    """Determinant via the factorization delta*Y^(delta-1) * det(D psi_21).
 
-
-def finite_difference_jacobian(fn, p, h: float = FD_STEP) -> np.ndarray:
-    """Central finite-difference Jacobian of a planar map.
-
-    Angle components are compared on the circle, so the step may cross the
-    branch cut of the mod-2pi reduction.
+    Reads the pair and its partials from the tables _return_step uses.  The
+    domain is not checked: H1 samples the determinant without iterating.
     """
     x, y = p
-
-    def delta(pp, pm):
-        dx = math.fmod(pp[0] - pm[0], TWO_PI)
-        if dx < -math.pi:
-            dx += TWO_PI
-        elif dx > math.pi:
-            dx -= TWO_PI
-        return dx, pp[1] - pm[1]
-
-    fx = delta(fn((x + h, y)), fn((x - h, y)))
-    fy = delta(fn((x, y + h)), fn((x, y - h)))
-    return np.array([
-        [fx[0] / (2 * h), fy[0] / (2 * h)],
-        [fx[1] / (2 * h), fy[1] / (2 * h)],
-    ])
-
+    lam, _, _, delta, harmonics, phi1, phi2 = _step_constants(params, pert)
+    trig = [(math.cos(k * x), math.sin(k * x)) for k in harmonics]
+    _, f1x, f1y = _profile(*phi1, trig, y)
+    f2, f2x, f2y = _profile(*phi2, trig, y)
+    big_y = y + lam * f2
+    dpsi = (1.0 + lam * f1x) * (1.0 + lam * f2y) - lam * lam * f1y * f2x
+    return delta * big_y ** (delta - 1.0) * dpsi

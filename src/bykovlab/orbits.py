@@ -21,6 +21,8 @@ from .model import (TWO_PI, CylinderPoint, EscapeError, ModelParams,
 SATURATION = -50.0  # per-iterate log-contraction below this is reported as saturated
 RECURRENCE_TOL = 1e-8  # period detection: recurrence distance of a sink
 PERIOD_CAP = 64        # period detection: longest period looked for
+LYAPUNOV_CAP = 20_000  # classify_cell: most Lyapunov steps, whatever n_iter
+ROTATION_CAP = 2_000   # classify_cell: most lift steps per rotation seed
 
 REGIME_LABELS = ("InvariantCurve", "PeriodicSink", "TransientChaos",
                  "StrangeAttractorCandidate", "Escaped")
@@ -39,6 +41,9 @@ class Budget:
 def iterate(params: ModelParams, pert: Perturbation, p0: CylinderPoint,
             n: int, burn_in: int = 0) -> OrbitRecord:
     """n post-burn-in iterates of the return map, truncated on escape."""
+    if n < 0 or burn_in < 0:
+        raise ValueError(f"need n >= 0 and burn_in >= 0, got n={n}, "
+                         f"burn_in={burn_in}")
     p = CylinderPoint(wrap_angle(p0.x), p0.y)
     try:
         for _ in range(burn_in):
@@ -107,6 +112,9 @@ def lyapunov(params: ModelParams, pert: Perturbation, p0: CylinderPoint,
     """
     if (jac is None) != (step is None):
         raise ValueError("jac and step replace the map together")
+    if n < 0 or burn_in < 0 or cadence < 1:
+        raise ValueError(f"need n >= 0, burn_in >= 0 and cadence >= 1, got "
+                         f"n={n}, burn_in={burn_in}, cadence={cadence}")
     if step is None:
         def step(p):
             return return_map(p, params, pert)
@@ -315,12 +323,12 @@ def classify_cell(lam: float, k_omega: float, base_params: ModelParams,
     yscale = float(np.max(tail[:, 1]))
     period = _detect_period(tail, RECURRENCE_TOL, PERIOD_CAP, yscale)
     est = lyapunov(params, pert, CylinderPoint(*orbit.points[-1]),
-                   min(budget.n_iter, 20_000), burn_in=0)
+                   min(budget.n_iter, LYAPUNOV_CAP), burn_in=0)
     try:
         rho = rotation_set_2d(params, pert,
                               [CylinderPoint(*orbit.points[k])
                                for k in (0, len(orbit.points) // 2, -1)],
-                              min(2000, budget.n_iter))
+                              min(ROTATION_CAP, budget.n_iter))
     except EscapeError:
         rho = (math.nan, math.nan)
     thick = _orbit_thickness(orbit.points[len(orbit.points) // 2:], lam,

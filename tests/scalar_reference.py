@@ -1,7 +1,15 @@
-"""Scalar reference loops for the array code paths of `bykovlab.circlemap`.
+"""Scalar references for the fast paths of `bykovlab`.
 
-Each function here advances one orbit at a time with plain float calls of
-the family.  The tests require the array paths to match them exactly.
+Two groups of references, each written as the plain definition:
+
+- the factored return map: the local passages past each saddle-focus, their
+  closed form `eta`, the perturbed global transition `psi_21`, their
+  Jacobians, the factored determinant and a central finite-difference
+  Jacobian.  `model._return_step` and `model.det_jac_return` are tested
+  against them.
+- loops that advance one circle-map orbit at a time with plain float calls
+  of the family.  The array paths of `bykovlab.circlemap` must match them
+  exactly.
 """
 
 import math
@@ -9,7 +17,123 @@ import math
 import numpy as np
 
 from bykovlab import circlemap as cm
-from bykovlab.model import TWO_PI
+from bykovlab.model import (TWO_PI, CylinderFunction, CylinderPoint,
+                            ModelParams, Perturbation, wrap_angle)
+
+# ---------------------------------------------------------------------------
+# Factored return map
+# ---------------------------------------------------------------------------
+
+
+class TrappedError(ValueError):
+    """Point lies on the wrong branch of a local map (y <= 0 or r <= 0)."""
+
+
+def local_map_o1(p: CylinderPoint, params: ModelParams) -> tuple[float, float]:
+    """Passage past the first saddle-focus: wall point -> disc point (r, phi)."""
+    x, y = p
+    if y <= 0.0:
+        raise TrappedError(f"y={y}: trapped or wrong branch at the first focus")
+    r = y ** params.delta1
+    phi = x - (params.omega1 / params.e1) * math.log(y)
+    return r, wrap_angle(phi)
+
+
+def local_map_o2(r: float, phi: float, params: ModelParams) -> CylinderPoint:
+    """Passage past the second saddle-focus: disc point -> wall point."""
+    if r <= 0.0:
+        raise TrappedError(f"r={r}: on the stable manifold of the second focus")
+    x = phi - (params.omega2 / params.e2) * math.log(r)
+    y = r ** params.delta2
+    return CylinderPoint(wrap_angle(x), y)
+
+
+def eta(p: CylinderPoint, params: ModelParams) -> CylinderPoint:
+    """Closed form of the double passage: (x - K ln y mod 2pi, y^delta)."""
+    x, y = p
+    if y <= 0.0:
+        raise TrappedError(f"y={y}: entered lower branch / trapped")
+    return CylinderPoint(wrap_angle(x - params.k_omega * math.log(y)),
+                         y ** params.delta)
+
+
+def psi_21(p: CylinderPoint, params: ModelParams, pert: Perturbation) -> CylinderPoint:
+    """Perturbed global transition (x, y) -> (x + xi + lam*Phi1, y + lam*Phi2)."""
+    x, y = p
+    lam = params.lam
+    return CylinderPoint(wrap_angle(x + params.xi + lam * pert.phi1(x, y)),
+                         y + lam * pert.phi2(x, y))
+
+
+def _dx(f: CylinderFunction, x: float, y: float) -> float:
+    """x-partial of P(x) + y*Q(x)."""
+    if f.slope is None:
+        return f.base.d1(x)
+    return f.base.d1(x) + y * f.slope.d1(x)
+
+
+def _dy(f: CylinderFunction, x: float, y: float) -> float:
+    """y-partial of P(x) + y*Q(x)."""
+    return 0.0 if f.slope is None else f.slope(x)
+
+
+def jac_psi21(p, params: ModelParams, pert: Perturbation) -> np.ndarray:
+    x, y = p
+    lam = params.lam
+    return np.array([
+        [1.0 + lam * _dx(pert.phi1, x, y), lam * _dy(pert.phi1, x, y)],
+        [lam * _dx(pert.phi2, x, y), 1.0 + lam * _dy(pert.phi2, x, y)],
+    ])
+
+
+def jac_eta(p, params: ModelParams) -> np.ndarray:
+    _, y = p
+    return np.array([
+        [1.0, -params.k_omega / y],
+        [0.0, params.delta * y ** (params.delta - 1.0)],
+    ])
+
+
+def det_jac_return(p, params: ModelParams, pert: Perturbation) -> float:
+    """Determinant via the factorization delta*Y^(delta-1) * det(D psi_21)."""
+    x, y = p
+    lam = params.lam
+    big_y = y + lam * pert.phi2(x, y)
+    dpsi = ((1.0 + lam * _dx(pert.phi1, x, y)) * (1.0 + lam * _dy(pert.phi2, x, y))
+            - lam * lam * _dy(pert.phi1, x, y) * _dx(pert.phi2, x, y))
+    return params.delta * big_y ** (params.delta - 1.0) * dpsi
+
+
+FD_STEP = 1e-6
+
+
+def finite_difference_jacobian(fn, p, h: float = FD_STEP) -> np.ndarray:
+    """Central finite-difference Jacobian of a planar map.
+
+    Angle components are compared on the circle, so the step may cross the
+    branch cut of the mod-2pi reduction.
+    """
+    x, y = p
+
+    def delta(pp, pm):
+        dx = math.fmod(pp[0] - pm[0], TWO_PI)
+        if dx < -math.pi:
+            dx += TWO_PI
+        elif dx > math.pi:
+            dx -= TWO_PI
+        return dx, pp[1] - pm[1]
+
+    fx = delta(fn((x + h, y)), fn((x - h, y)))
+    fy = delta(fn((x, y + h)), fn((x, y - h)))
+    return np.array([
+        [fx[0] / (2 * h), fy[0] / (2 * h)],
+        [fx[1] / (2 * h), fy[1] / (2 * h)],
+    ])
+
+
+# ---------------------------------------------------------------------------
+# Circle-map loops, one orbit at a time
+# ---------------------------------------------------------------------------
 
 
 def misiurewicz_check(family: cm.CircleMapFamily, a: float,

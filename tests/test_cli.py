@@ -181,6 +181,13 @@ class TestCommands:
         ("rotation", "rotation: {mode: annulus}\n", 0.0),
         ("superstable", "superstable: {period: 3}\n", 1e-3),
         ("misiurewicz", "misiurewicz: {horizon: 0}\n", 1e-3),
+        ("scan", "scan: {lambda_grid: 0.001, k_omega_grid: [5.0]}\n", 1e-3),
+        ("audit", "audit: {thresholds: 5}\n", 1e-3),
+        ("audit", "audit: {a_window: [1]}\n", 1e-3),
+        ("superstable", "superstable: {a_window: 5}\n", 1e-3),
+        ("lyapunov", "lyapunov: {n: 100, burn_in: -5}\n", 1e-3),
+        ("lyapunov", "lyapunov: {cadence: 0}\n", 1e-3),
+        ("iterate", "iterate: {n: -1}\n", 1e-3),
     ])
     def test_exit_code_rejected_option_value(self, tmp_path, capsys,
                                              command, extra, lam):

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import scalar_reference as ref
 from bykovlab import model as md
 from bykovlab.model import (TWO_PI, CylinderPoint, EscapeError,
                             InvalidParamsError, ModelParams, Perturbation,
-                            TrigPoly, eta, local_map_o1, local_map_o2,
-                            named_profile, psi_21, reference_params,
+                            TrigPoly, named_profile, reference_params,
                             reference_perturbation, return_map, wrap_angle)
+from scalar_reference import eta, local_map_o1, local_map_o2, psi_21
 
 
 class TestParams:
@@ -46,7 +47,7 @@ class TestLocalMaps:
         assert phi == pytest.approx(math.log(4.0), abs=1e-14)
 
     def test_o1_trapped(self, ref_params):
-        with pytest.raises(md.TrappedError):
+        with pytest.raises(ref.TrappedError):
             local_map_o1(CylinderPoint(0.0, 0.0), ref_params)
 
     def test_o2_hand_values(self, ref_params):
@@ -111,31 +112,16 @@ class TestReturnMap:
 
 
 class TestRescaled:
-    @pytest.mark.parametrize("lam", [1e-6, 1e-3, 0.1])
-    def test_conjugacy(self, ref_params, pert, lam):
-        params = ref_params.with_lambda(lam)
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            x = float(rng.uniform(0, TWO_PI))
-            ybar = float(rng.uniform(1e-3, 1.0))
-            direct = md.rescaled_return_map((x, ybar), params, pert)
-            q = return_map(CylinderPoint(x, lam * ybar), params, pert)
-            assert abs(direct[0] - q.x) <= 1e-12
-            assert abs(direct[1] - q.y / lam) <= 1e-12 * max(1.0, abs(direct[1]))
-
-    def test_lambda_zero_rejected(self, ref_params, pert):
-        with pytest.raises(ValueError):
-            md.rescaled_return_map((0.1, 0.5), ref_params, pert)
-
     def test_second_component_bound(self, ref_params, pert):
+        """In ybar = y/lam, the image height stays under lam^5 (1 + max Phi2)^6."""
         lam = 1e-3
         params = ref_params.with_lambda(lam)
         bound = lam ** 5 * (1.0 + pert.phi2_max()) ** 6
         for x in np.linspace(0.0, TWO_PI, 32, endpoint=False):
             for ybar in np.linspace(0.0, 1.0, 8):
-                _, out = md.rescaled_return_map((float(x), float(ybar)),
-                                                params, pert)
-                assert out <= bound * (1.0 + 1e-12)
+                q = return_map(CylinderPoint(float(x), lam * float(ybar)),
+                               params, pert)
+                assert q.y / lam <= bound * (1.0 + 1e-12)
 
 
 class TestJacobians:
@@ -152,19 +138,10 @@ class TestJacobians:
             p = CylinderPoint(float(rng.uniform(0, TWO_PI)),
                               float(rng.uniform(0.05, 0.5)))
             det_analytic = md.det_jac_return(p, params, pert)
-            fd = md.finite_difference_jacobian(
+            fd = ref.finite_difference_jacobian(
                 lambda q: return_map(q, params, pert), p)
             det_fd = float(np.linalg.det(fd))
             assert det_fd == pytest.approx(det_analytic, rel=1e-6)
-
-    def test_rescaled_jacobian_similarity(self, ref_params, pert):
-        lam = 1e-2
-        params = ref_params.with_lambda(lam)
-        p = (1.0, 0.4)
-        jr = md.jac_rescaled(p, params, pert)
-        j = md.jac_return(CylinderPoint(1.0, lam * 0.4), params, pert)
-        s = np.diag([1.0, 1.0 / lam])
-        assert np.allclose(jr, s @ j @ np.linalg.inv(s), rtol=1e-10)
 
 
 class TestPerturbation:
@@ -254,14 +231,24 @@ def test_kernel_jacobian_matches_factors_and_fd(x, y, lam, k_omega, pert):
     fn = lambda q: return_map(CylinderPoint(*q), params, pert)
     try:
         j = md.jac_return(p, params, pert)
-        fd = md.finite_difference_jacobian(fn, p)
+        fd = ref.finite_difference_jacobian(fn, p)
     except EscapeError:
         assume(False)
-    a = md.jac_eta(psi_21(p, params, pert), params)
-    b = md.jac_psi21(p, params, pert)
+    a = ref.jac_eta(psi_21(p, params, pert), params)
+    b = ref.jac_psi21(p, params, pert)
     # rounding bound of a 2x2 matrix product: a few eps times |A| @ |B|
     assert np.all(np.abs(j - a @ b) <= 4 * np.finfo(float).eps
                   * (np.abs(a) @ np.abs(b)))
     for row in range(2):
         scale = np.max(np.abs(j[row]))
         assert np.max(np.abs(fd[row] - j[row])) <= 1e-6 * scale
+
+
+@given(y=st.floats(min_value=-0.5, max_value=1.0), **kernel_cases)
+@settings(max_examples=300, deadline=None)
+def test_det_jac_return_matches_factored_reference(x, y, lam, k_omega, pert):
+    """The kernel-table determinant equals the factored one bit for bit."""
+    params = reference_params(lam=lam).with_k_omega(k_omega)
+    for p in (CylinderPoint(x, y), CylinderPoint(x, np.float64(y))):
+        assert (md.det_jac_return(p, params, pert)
+                == ref.det_jac_return(p, params, pert))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bykovlab import circlemap as cm
-from bykovlab.model import TWO_PI, rescaled_return_map
+from bykovlab.model import TWO_PI, CylinderPoint, return_map
 
 
 class TestConvergenceTable:
@@ -49,7 +49,8 @@ class TestLimitAgreement:
         _, lam = cm.lambda_sequences(ref_params.k_omega, 10, a)
         params = ref_params.with_lambda(lam)
         for x in np.linspace(0.0, TWO_PI, 32, endpoint=False):
-            got, second = rescaled_return_map((float(x), 0.0), params, pert)
+            q = return_map(CylinderPoint(float(x), 0.0), params, pert)
+            got, second = q.x, q.y / lam
             want = family.val(a, float(x))
             d = abs(got - want)
             assert min(d, TWO_PI - d) < 1e-8
