@@ -17,9 +17,10 @@ import numpy as np
 
 from . import circlemap as cm
 from .circlemap import abundance_accepts_lambda0  # noqa: F401  (re-exported)
-from .model import (TWO_PI, CylinderPoint, EscapeError, ModelParams,
-                    Perturbation, det_jac_return, return_map, wrap_angle)
-from .orbits import Budget, classify_cell
+from .model import (TWO_PI, CylinderPoint, ModelParams, Perturbation,
+                    _batch_constants, det_jac_return, step_batch, wrap_angle,
+                    wrap_angles)
+from .orbits import Budget, classify_batch
 
 DEFAULT_THRESHOLDS = {
     "h1_ratio_cap": 1e3,
@@ -128,15 +129,11 @@ def audit_H1(params: ModelParams, pert: Perturbation,
     n_inj = min(sample_size * 5, 10_000)
     xs = rng.uniform(0.0, TWO_PI, n_inj)
     ybars = rng.uniform(0.1, 1.0, n_inj)
-    images = np.empty((n_inj, 2))
-    for i in range(n_inj):
-        try:
-            q = return_map(CylinderPoint(float(xs[i]), lam_mid * float(ybars[i])),
-                           pp, pert)
-        except EscapeError:
-            images[i] = (np.nan, np.nan)
-            continue
-        images[i] = (q.x, q.y / lam_mid ** params.delta)
+    new_x, new_y, *_, alive = step_batch(xs, lam_mid * ybars, pp.lam,
+                                         pp.k_omega, _batch_constants(pp, pert))
+    images = np.column_stack((wrap_angles(new_x),
+                              new_y / lam_mid ** params.delta))
+    images[~alive] = np.nan  # escaped points
     order = np.lexsort((images[:, 1], images[:, 0]))
     collisions = 0
     for a, b in zip(order[:-1], order[1:]):
@@ -366,8 +363,8 @@ def strange_attractor_fraction(params: ModelParams, pert: Perturbation,
     lams = np.where(lams <= 0.0, r * 0.5, lams)
     positive = 0
     escaped = 0
-    for lam in lams:
-        cell = classify_cell(float(lam), params.k_omega, params, pert, budget)
+    for cell in classify_batch(lams, [params.k_omega] * samples, params, pert,
+                               budget):
         if cell.label == "Escaped":
             escaped += 1
         elif cell.label == "StrangeAttractorCandidate":

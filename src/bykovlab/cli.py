@@ -160,8 +160,7 @@ def cmd_scan(cfg: RunConfig, seed: int, threads: int) -> dict:
         raise ConfigError("scan needs 'lambda_grid' and 'k_omega_grid'")
     grids = _given(opt, {"lambda_grid": _floats, "k_omega_grid": _floats})
     result = ob.scan(grids["lambda_grid"], grids["k_omega_grid"],
-                     cfg.params, cfg.pert, ob.Budget(**_given(opt, budget)),
-                     threads=threads)
+                     cfg.params, cfg.pert, ob.Budget(**_given(opt, budget)))
     outputs = {"scan.csv": (ob.SCAN_CSV_COLUMNS, ob.scan_rows(result))}
     if opt.get("plot", True):
         outputs["regime_map.svg"] = svgplot.regime_map_svg(
@@ -281,7 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted and ignored: scan classifies its whole "
+                            "grid as one lockstep batch in one process")
         p.add_argument("--verbose", action="store_true")
     return parser
 

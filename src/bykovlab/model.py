@@ -4,9 +4,11 @@ Coordinates live on the cylinder cross-section: an angle x (mod 2pi) and a
 height y in [-1, 1].  The return map eta o psi_21 follows the perturbed
 global transition psi_21(x, y) = (x + xi + lam*Phi1, y + lam*Phi2) by the
 passage past both saddle-foci, eta(X, Y) = (X - K_omega ln Y, Y^delta).  One
-float kernel, _return_step, evaluates the map and its Jacobian.  The factored
-maps (each local passage, eta, psi_21 and their Jacobians) and the
-finite-difference Jacobian are test references in tests/scalar_reference.py.
+float kernel, _return_step, evaluates the map and its Jacobian for one orbit;
+its array twin, step_batch, steps many orbits at once with lam and K_omega
+given per orbit.  The factored maps (each local passage, eta, psi_21 and
+their Jacobians) and the finite-difference Jacobian are test references in
+tests/scalar_reference.py.
 """
 
 from __future__ import annotations
@@ -39,6 +41,16 @@ def wrap_angle(x: float) -> float:
     if x < 0.0:
         x += TWO_PI
     return 0.0 if x >= TWO_PI else x
+
+
+def wrap_angles(x: np.ndarray) -> np.ndarray:
+    """wrap_angle of every entry: the same exact remainder, elementwise."""
+    w = np.fmod(x, TWO_PI)
+    neg = w < 0.0
+    if np.count_nonzero(neg):
+        w = np.where(neg, w + TWO_PI, w)
+        w[w >= TWO_PI] = 0.0
+    return w
 
 
 class CylinderPoint(NamedTuple):
@@ -275,6 +287,38 @@ class Perturbation:
         return (harmonics, (table(polys[0]), table(polys[1])),
                 (table(polys[2]), table(polys[3])))
 
+    @functools.cached_property
+    def _batch_tables(self) -> tuple:
+        """_step_tables laid out as coefficient rows for step_batch.
+
+        (harmonics, const, cos, sin, slopes).  Each polynomial gets a value
+        row and an x-derivative row: Phi1's and Phi2's bases first (rows
+        0-3: Phi1, Phi1_x, Phi2, Phi2_x at y = 0), then the slopes that
+        exist.  const is an (R, 1) column; cos and sin hold per harmonic
+        the (R, 1) column of coefficients of cos(kx) and sin(kx): (ck, sk)
+        on a value row, (k*sk, -k*ck) on a derivative row.  slopes lists
+        (profile index, row of its slope's value) per profile with a slope.
+        """
+        harmonics, *profiles = self._step_tables
+        polys = [base for base, _ in profiles]
+        slopes = []
+        for profile, (_, slope) in enumerate(profiles):
+            if slope is not None:
+                slopes.append((profile, 2 * len(polys)))
+                polys.append(slope)
+        rows = 2 * len(polys)
+        const = np.zeros((rows, 1))
+        cos = np.zeros((len(harmonics), rows, 1))
+        sin = np.zeros((len(harmonics), rows, 1))
+        for p, (c0, terms) in enumerate(polys):
+            const[2 * p] = c0
+            for h, k, ck, sk in terms:
+                cos[h, 2 * p] += ck
+                sin[h, 2 * p] += sk
+                cos[h, 2 * p + 1] += k * sk
+                sin[h, 2 * p + 1] += -k * ck
+        return harmonics, const, tuple(cos), tuple(sin), tuple(slopes)
+
 
 def reference_perturbation() -> Perturbation:
     """Phi1 = cos x, Phi2 = 1.1 + sin x (positive, two Morse turns)."""
@@ -361,6 +405,56 @@ def _return_step(x: float, y: float, consts: tuple) -> tuple[float, ...]:
     p22 = 1.0 + lam * f2y
     return (new_x, new_y, 1.0 + lam * f1x + e12 * p21, lam * f1y + e12 * p22,
             e22 * p21, e22 * p22)
+
+
+def _batch_constants(params: ModelParams, pert: Perturbation) -> tuple:
+    """Everything step_batch reads but the per-orbit lam and K_omega."""
+    return (params.xi, params.delta) + pert._batch_tables
+
+
+def step_batch(x: np.ndarray, y: np.ndarray, lam, k_omega,
+               consts: tuple) -> tuple[np.ndarray, ...]:
+    """_return_step for many orbits at once, lam and K_omega given per orbit.
+
+    Returns (unwrapped new angles, new heights, j11, j12, j21, j22, alive);
+    `consts` comes from _batch_constants and `lam`, `k_omega` are arrays or
+    floats.  The pair is evaluated as rows (value and x-derivative of each
+    profile) from the same coefficient tables as _return_step.  For one
+    harmonic and no slopes every sum runs in _return_step's order, so only
+    np.log and np.power (which may differ from math by an ULP) separate the
+    two.  Where _return_step raises EscapeError, `alive` is False and the
+    other entries are finite but meaningless.
+    """
+    xi, delta, harmonics, const, cos_coef, sin_coef, slopes = consts
+    v = const
+    for k, a, b in zip(harmonics, cos_coef, sin_coef):
+        kx = x if k == 1 else k * x
+        v = v + a * np.cos(kx) + b * np.sin(kx)
+    f, fy = v[:4], [None, None]  # fy: each profile's slope, Phi_y
+    if slopes:
+        f = f.copy()
+        for profile, row in slopes:
+            f[2 * profile:2 * profile + 2] += y * v[row:row + 2]
+            fy[profile] = v[row]
+    f1y, f2y = fy
+    lf = lam * f  # rows: lam*Phi1, lam*Phi1_x, lam*Phi2, lam*Phi2_x
+    big_y = y + lf[2]
+    alive = big_y > 0.0
+    if np.count_nonzero(alive) < alive.size:
+        big_y = np.where(alive, big_y, 1.0)
+    new_y = big_y ** delta
+    alive &= new_y <= 1.0
+    new_x = x + xi + lf[0] - k_omega * np.log(big_y)
+    # D eta = [[1, e12], [0, e22]] with e12 = -r; _return_step's a + e12*p
+    # equals a - r*p exactly, and without slopes p22 = 1 and lam*Phi1_y = 0
+    r = k_omega / big_y
+    e22 = delta * big_y ** (delta - 1.0)
+    j11 = 1.0 + lf[1] - r * lf[3]
+    if not slopes:
+        return new_x, new_y, j11, -r, e22 * lf[3], e22, alive
+    p22 = 1.0 if f2y is None else 1.0 + lam * f2y
+    j12 = -(r * p22) if f1y is None else lam * f1y - r * p22
+    return new_x, new_y, j11, j12, e22 * lf[3], e22 * p22, alive
 
 
 def return_map(p: CylinderPoint, params: ModelParams, pert: Perturbation) -> CylinderPoint:

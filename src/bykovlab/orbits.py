@@ -2,27 +2,30 @@
 
 Provides iteration with escape bookkeeping, QR-renormalized Lyapunov
 exponents, Birkhoff averages, empirical autocorrelation, lift-displacement
-rotation sets, per-cell regime classification, and deterministic parallel
+rotation sets, per-cell regime classification in lockstep batches, and
 scans over the (lambda, K_omega) parameter plane.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (TWO_PI, CylinderPoint, EscapeError, ModelParams,
-                    OrbitRecord, Perturbation, _return_step, _step_constants,
-                    jac_return, return_map, wrap_angle)
+                    OrbitRecord, Perturbation, _batch_constants, _return_step,
+                    _step_constants, jac_return, return_map, step_batch,
+                    wrap_angle, wrap_angles)
 
 SATURATION = -50.0  # per-iterate log-contraction below this is reported as saturated
 RECURRENCE_TOL = 1e-8  # period detection: recurrence distance of a sink
 PERIOD_CAP = 64        # period detection: longest period looked for
-LYAPUNOV_CAP = 20_000  # classify_cell: most Lyapunov steps, whatever n_iter
-ROTATION_CAP = 2_000   # classify_cell: most lift steps per rotation seed
+PERIOD_TAIL = max(4 * PERIOD_CAP, 512)  # period detection: last points read
+LYAPUNOV_CAP = 20_000  # classify_batch: most Lyapunov steps, whatever n_iter
+ROTATION_CAP = 2_000   # classify_batch: most lift steps per rotation seed
+QR_CADENCE = 10        # lyapunov: steps between QR renormalizations
+RECORD_CAP = 4_000_000  # classify_batch: most orbit points held at once
 
 REGIME_LABELS = ("InvariantCurve", "PeriodicSink", "TransientChaos",
                  "StrangeAttractorCandidate", "Escaped")
@@ -97,7 +100,7 @@ def _gram_schmidt_2x2(p11: float, p12: float, p21: float, p22: float,
 
 
 def lyapunov(params: ModelParams, pert: Perturbation, p0: CylinderPoint,
-             n: int, burn_in: int = 1000, cadence: int = 10,
+             n: int, burn_in: int = 1000, cadence: int = QR_CADENCE,
              jac=None, step=None) -> LyapunovEstimate:
     """Both Lyapunov exponents via QR-renormalized Jacobian products.
 
@@ -147,11 +150,23 @@ def lyapunov(params: ModelParams, pert: Perturbation, p0: CylinderPoint,
                 batch_ld = 0.0
         p = q
     done = max(0, (burn_in + n if escaped_at is None else escaped_at) - burn_in)
+    return _lyapunov_estimate(l1, l2, logdet, batch_ld, (p11, p12, p21, p22),
+                              done, n, burn_in, cadence, escaped_at)
+
+
+def _lyapunov_estimate(l1: float, l2: float, logdet: float, batch_ld: float,
+                       product: tuple, done: int, n: int, burn_in: int,
+                       cadence: int, escaped_at: int | None) -> LyapunovEstimate:
+    """The estimate from a QR run stopped after `done` of `n` measured steps.
+
+    l1, l2 and logdet are the sums so far, and `product` and batch_ld the
+    Jacobian product and log-determinant since the last renormalization.
+    """
     if done == 0 or (escaped_at is not None and done < n // 2):
         return LyapunovEstimate(math.nan, math.nan, burn_in, done, cadence,
                                 inconclusive=True, escaped_at=escaped_at)
     if done % cadence:
-        *_, d1, d2 = _gram_schmidt_2x2(p11, p12, p21, p22, batch_ld)
+        *_, d1, d2 = _gram_schmidt_2x2(*product, batch_ld)
         l1 += d1 if math.isfinite(d1) else SATURATION * (done % cadence)
         l2 += d2 if math.isfinite(d2) else SATURATION * (done % cadence)
     chi1, chi2 = sorted((l1 / done, l2 / done), reverse=True)
@@ -303,36 +318,148 @@ def _orbit_thickness(tail: np.ndarray, lam: float, delta: float) -> float:
     return float(np.max(np.abs(resid)))
 
 
-def classify_cell(lam: float, k_omega: float, base_params: ModelParams,
-                  pert: Perturbation, budget: Budget = Budget(),
-                  p0: CylinderPoint | None = None) -> RegimeCell:
-    """Label one (lambda, K_omega) parameter cell.
+def _gram_schmidt_batch(p11, p12, p21, p22, logdet):
+    """_gram_schmidt_2x2 of one 2x2 product per orbit, entries as arrays."""
+    r11 = np.hypot(p11, p21)
+    ok = r11 > 0.0
+    r11 = np.where(ok, r11, 1.0)
+    q11, q21 = p11 / r11, p21 / r11
+    sign = np.where(q11 * p22 - q21 * p12 >= 0.0, 1.0, -1.0)
+    d1 = np.where(ok, np.log(r11), -math.inf)
+    return (np.where(ok, q11, 1.0), np.where(ok, -sign * q21, 0.0),
+            np.where(ok, q21, 0.0), np.where(ok, sign * q11, 1.0),
+            d1, logdet - d1)
 
-    Decision tree: detected period -> PeriodicSink; chi1 above threshold ->
-    StrangeAttractorCandidate; thin orbit closure with near-zero chi1 ->
-    InvariantCurve; otherwise TransientChaos.  Escape anywhere -> Escaped.
+
+def _lockstep(params: list, pert: Perturbation, budget: Budget) -> list:
+    """Follow one orbit per cell, all cells in lockstep through step_batch.
+
+    Cell c's orbit starts at (0.5, lam_c), inside the absorbing annulus, and
+    runs B = burn_in steps, then n = n_iter recorded steps (points[0..n]),
+    then the L = min(n, LYAPUNOV_CAP) steps of the Lyapunov run from
+    points[n].  The rotation seeds points[0], points[(n+1)//2] and
+    points[n] each lift the next R = min(ROTATION_CAP, n) steps of the same
+    orbit.  Per cell: None if the orbit escaped before points[n], else
+    (points[first:] as in _recorded_range, the LyapunovEstimate, the
+    rotation numbers of the seeds whose R steps did not escape).
     """
-    params = base_params.with_k_omega(k_omega).with_lambda(lam)
-    if p0 is None:
-        p0 = CylinderPoint(0.5, lam)  # inside the absorbing annulus
-    orbit = iterate(params, pert, p0, budget.n_iter, budget.burn_in)
-    if orbit.escaped:
+    burn, n = budget.burn_in, budget.n_iter
+    n_lyap, n_rot = min(n, LYAPUNOV_CAP), min(ROTATION_CAP, n)
+    first, half = _recorded_range(n)
+    rec0, lyap0 = burn + first, burn + n
+    seed_starts = (burn, burn + half, burn + n)
+    # at each step where it changes, the range of seeds whose R lift steps
+    # include that step
+    windows = {t: (sum(t >= s + n_rot for s in seed_starts),
+                   sum(t >= s for s in seed_starts))
+               for s0 in seed_starts for t in (s0, s0 + n_rot)}
+    consts = _batch_constants(params[0], pert)
+    m = len(params)
+    lam = np.array([p.lam for p in params])
+    k_omega = np.array([p.k_omega for p in params])
+    x, y = np.full(m, wrap_angle(0.5)), lam.copy()
+    cols = np.arange(m)  # the cell of each live orbit
+    rec_x, rec_y = np.empty((n + 1 - first, m)), np.empty((n + 1 - first, m))
+    # per live orbit: the Jacobian product's rows (p11, p12) and (p21, p22),
+    # lyapunov's sums (l1, l2, logdet, batch_ld) and each seed's lift
+    prod0 = np.repeat([[1.0], [0.0]], m, axis=1)
+    prod1 = np.repeat([[0.0], [1.0]], m, axis=1)
+    sums = np.zeros((4, m))
+    disp = np.zeros((3, m))
+    escaped = np.zeros(m, dtype=bool)
+    seed_ok = np.ones((3, m), dtype=bool)
+    final_disp = np.zeros((3, m))
+    estimates = [None] * m
+
+    def finish(pos: int, escaped_at: int | None) -> None:
+        c = cols[pos]
+        l1, l2, logdet, batch_ld = sums[:, pos].tolist()
+        done = n_lyap if escaped_at is None else escaped_at
+        estimates[c] = _lyapunov_estimate(
+            l1, l2, logdet, batch_ld,
+            (*prod0[:, pos].tolist(), *prod1[:, pos].tolist()),
+            done, n_lyap, 0, QR_CADENCE, escaped_at)
+        final_disp[:, c] = disp[:, pos]
+
+    lo = hi = 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for t in range(lyap0 + n_lyap):
+            if rec0 <= t <= lyap0:
+                if cols.size == m:
+                    rec_x[t - rec0], rec_y[t - rec0] = x, y
+                else:
+                    rec_x[t - rec0, cols], rec_y[t - rec0, cols] = x, y
+            xn, yn, j11, j12, j21, j22, alive = step_batch(x, y, lam, k_omega,
+                                                           consts)
+            if np.count_nonzero(alive) < alive.size:
+                for pos in np.flatnonzero(~alive).tolist():
+                    if t < lyap0:
+                        escaped[cols[pos]] = True
+                        continue
+                    finish(pos, t - lyap0)
+                    for j, start in enumerate(seed_starts):
+                        seed_ok[j, cols[pos]] = t >= start + n_rot
+                x, y, lam, k_omega, cols, xn, yn, j11, j12, j21, j22 = (
+                    v[alive] for v in (x, y, lam, k_omega, cols, xn, yn,
+                                       j11, j12, j21, j22))
+                prod0, prod1, sums, disp = (v[:, alive] for v in
+                                            (prod0, prod1, sums, disp))
+                if not cols.size:
+                    break
+            if t in windows:
+                lo, hi = windows[t]
+            if hi > lo:
+                disp[lo:hi] += xn - x
+            if t >= lyap0:
+                ld = np.log(np.abs(j11 * j22 - j12 * j21))
+                sums[2:] += np.where(np.isfinite(ld), ld, SATURATION * 2.0)
+                prod0, prod1 = (j11 * prod0 + j12 * prod1,
+                                j21 * prod0 + j22 * prod1)
+                if (t + 1 - lyap0) % QR_CADENCE == 0:
+                    p11, p12, p21, p22, d1, d2 = _gram_schmidt_batch(
+                        *prod0, *prod1, sums[3])
+                    prod0, prod1 = np.array([p11, p12]), np.array([p21, p22])
+                    sat = SATURATION * QR_CADENCE
+                    sums[0] += np.where(np.isfinite(d1), d1, sat)
+                    sums[1] += np.where(np.isfinite(d2), d2, sat)
+                    sums[3] = 0.0
+            x, y = wrap_angles(xn), yn
+    for pos in range(cols.size):
+        finish(pos, None)
+    out = []
+    for c in range(m):
+        if escaped[c]:
+            out.append(None)
+            continue
+        rhos = [d / (TWO_PI * n_rot) for d, ok in
+                zip(final_disp[:, c].tolist(), seed_ok[:, c]) if ok]
+        out.append((np.column_stack((rec_x[:, c], rec_y[:, c])),
+                    estimates[c], rhos))
+    return out
+
+
+def _recorded_range(n: int) -> tuple[int, int]:
+    """(first, half): classify_batch keeps points[first:] of points[0..n].
+
+    Period detection reads the last min(n+1, PERIOD_TAIL) points and the
+    thickness fit points[half:], half = (n+1)//2.
+    """
+    half = (n + 1) // 2
+    return min(half, n + 1 - min(n + 1, PERIOD_TAIL)), half
+
+
+def _label(lam: float, k_omega: float, delta: float, run,
+           budget: Budget, half: int) -> RegimeCell:
+    """The decision tree on one cell's lockstep run; points[half:] is the
+    second half of the orbit."""
+    if run is None:
         return RegimeCell(lam, k_omega, "Escaped", escaped=True)
-    tail_len = min(len(orbit.points), max(4 * PERIOD_CAP, 512))
-    tail = orbit.points[-tail_len:]
-    yscale = float(np.max(tail[:, 1]))
-    period = _detect_period(tail, RECURRENCE_TOL, PERIOD_CAP, yscale)
-    est = lyapunov(params, pert, CylinderPoint(*orbit.points[-1]),
-                   min(budget.n_iter, LYAPUNOV_CAP), burn_in=0)
-    try:
-        rho = rotation_set_2d(params, pert,
-                              [CylinderPoint(*orbit.points[k])
-                               for k in (0, len(orbit.points) // 2, -1)],
-                              min(ROTATION_CAP, budget.n_iter))
-    except EscapeError:
-        rho = (math.nan, math.nan)
-    thick = _orbit_thickness(orbit.points[len(orbit.points) // 2:], lam,
-                             params.delta)
+    points, est, rhos = run
+    tail = points[-PERIOD_TAIL:]
+    period = _detect_period(tail, RECURRENCE_TOL, PERIOD_CAP,
+                            float(np.max(tail[:, 1])))
+    thick = _orbit_thickness(points[half:], lam, delta)
+    rho = (min(rhos), max(rhos)) if rhos else (math.nan, math.nan)
     common = dict(chi1=est.chi1, chi2=est.chi2, thickness=thick,
                   rho_min=rho[0], rho_max=rho[1])
     if period is not None:
@@ -344,9 +471,42 @@ def classify_cell(lam: float, k_omega: float, base_params: ModelParams,
     return RegimeCell(lam, k_omega, "TransientChaos", **common)
 
 
-def _scan_worker(task):
-    (i, j, lam, k_omega, params, pert, budget) = task
-    return i, j, classify_cell(lam, k_omega, params, pert, budget)
+def classify_batch(lams, ks, base_params: ModelParams, pert: Perturbation,
+                   budget: Budget = Budget()) -> list[RegimeCell]:
+    """Label (lams[i], ks[i]) parameter cells, one lockstep orbit per cell.
+
+    Decision tree: detected period -> PeriodicSink; chi1 above threshold ->
+    StrangeAttractorCandidate; thin orbit closure with near-zero chi1 ->
+    InvariantCurve; otherwise TransientChaos.  An escape before the end of
+    the recorded orbit -> Escaped; a later one ends the Lyapunov run
+    (inconclusive before half of it) and drops the rotation seeds it cuts
+    short.  See _lockstep for the orbit; period detection and the
+    thickness fit run per cell on the stored second half.  A cell's result
+    does not depend on the other cells of the call.
+    """
+    if budget.n_iter < 1 or budget.burn_in < 0:
+        raise ValueError(f"need n_iter >= 1 and burn_in >= 0, got "
+                         f"n_iter={budget.n_iter}, burn_in={budget.burn_in}")
+    lams, ks = [float(v) for v in lams], [float(v) for v in ks]
+    if len(lams) != len(ks):
+        raise ValueError(f"{len(lams)} lambdas for {len(ks)} K_omega values")
+    params = [base_params.with_k_omega(k).with_lambda(lam)
+              for lam, k in zip(lams, ks)]
+    first, half = _recorded_range(budget.n_iter)
+    per_run = max(1, RECORD_CAP // (budget.n_iter + 1 - first))
+    cells = []
+    for lo in range(0, len(params), per_run):
+        runs = _lockstep(params[lo:lo + per_run], pert, budget)
+        cells += [_label(lam, k, p.delta, run, budget, half - first)
+                  for lam, k, p, run in zip(lams[lo:], ks[lo:],
+                                            params[lo:lo + per_run], runs)]
+    return cells
+
+
+def classify_cell(lam: float, k_omega: float, base_params: ModelParams,
+                  pert: Perturbation, budget: Budget = Budget()) -> RegimeCell:
+    """Label one (lambda, K_omega) parameter cell: classify_batch of one."""
+    return classify_batch([lam], [k_omega], base_params, pert, budget)[0]
 
 
 @dataclass(frozen=True)
@@ -360,26 +520,19 @@ class ScanResult:
 
 
 def scan(lam_grid, k_grid, base_params: ModelParams, pert: Perturbation,
-         budget: Budget = Budget(), threads: int = 1) -> ScanResult:
-    """Classify every (lambda, K_omega) cell; deterministic for any thread count.
+         budget: Budget = Budget()) -> ScanResult:
+    """Classify every (lambda, K_omega) cell as one classify_batch call.
 
-    Cells are independent work items; results are assembled by grid index so
-    the output does not depend on completion order.
+    Cells are row-major over the sorted grids, so the output does not depend
+    on the order the grid values are given in.
     """
     lam_grid = np.asarray(sorted(lam_grid), dtype=float)
     k_grid = np.asarray(sorted(k_grid), dtype=float)
-    tasks = [(i, j, float(lam), float(k), base_params, pert, budget)
-             for i, lam in enumerate(lam_grid)
-             for j, k in enumerate(k_grid)]
-    cells = [[None] * len(k_grid) for _ in lam_grid]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for i, j, cell in pool.map(_scan_worker, tasks, chunksize=1):
-                cells[i][j] = cell
-    else:
-        for task in tasks:
-            i, j, cell = _scan_worker(task)
-            cells[i][j] = cell
+    flat = classify_batch([lam for lam in lam_grid for _ in k_grid],
+                          [k for _ in lam_grid for k in k_grid],
+                          base_params, pert, budget)
+    cells = [flat[i * len(k_grid):(i + 1) * len(k_grid)]
+             for i in range(len(lam_grid))]
     t2_hat, t1_hat = {}, {}
     for j, k in enumerate(k_grid):
         col = [cells[i][j] for i in range(len(lam_grid))]
@@ -396,7 +549,7 @@ def scan(lam_grid, k_grid, base_params: ModelParams, pert: Perturbation,
 
 
 SCAN_CSV_COLUMNS = ("lambda", "K_omega", "label", "chi1", "chi2", "period",
-                    "rho_min", "rho_max", "escaped_fraction")
+                    "rho_min", "rho_max", "escaped")
 
 
 def scan_rows(result: ScanResult):

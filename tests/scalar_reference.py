@@ -1,6 +1,6 @@
 """Scalar references for the fast paths of `bykovlab`.
 
-Two groups of references, each written as the plain definition:
+Three groups of references, each written as the plain definition:
 
 - the factored return map: the local passages past each saddle-focus, their
   closed form `eta`, the perturbed global transition `psi_21`, their
@@ -10,6 +10,12 @@ Two groups of references, each written as the plain definition:
 - loops that advance one circle-map orbit at a time with plain float calls
   of the family.  The array paths of `bykovlab.circlemap` must match them
   exactly.
+- `classify_cell` as three separate one-orbit runs (iterate, lyapunov,
+  rotation_set_2d) of the scalar kernel.  `orbits.classify_batch` follows
+  one lockstep orbit per cell through `model.step_batch` and is tested
+  against it: equal labels and periods, and equal exponents and rotation
+  numbers where the orbit does not amplify the ULP differences between
+  numpy's and math's log and power.
 """
 
 import math
@@ -18,7 +24,11 @@ import numpy as np
 
 from bykovlab import circlemap as cm
 from bykovlab.model import (TWO_PI, CylinderFunction, CylinderPoint,
-                            ModelParams, Perturbation, wrap_angle)
+                            EscapeError, ModelParams, Perturbation, wrap_angle)
+from bykovlab.orbits import (LYAPUNOV_CAP, PERIOD_CAP, RECURRENCE_TOL,
+                             ROTATION_CAP, Budget, RegimeCell, _detect_period,
+                             _orbit_thickness, iterate, lyapunov,
+                             rotation_set_2d)
 
 # ---------------------------------------------------------------------------
 # Factored return map
@@ -253,3 +263,47 @@ def superstable_g(family: cm.CircleMapFamily, grid: np.ndarray, c: float,
             x = family.lift(float(av), x)
         out.append(x - c)
     return np.array(out)
+
+
+# ---------------------------------------------------------------------------
+# Regime classification, one scalar orbit per pass
+# ---------------------------------------------------------------------------
+
+
+def classify_cell(lam: float, k_omega: float, base_params: ModelParams,
+                  pert: Perturbation, budget: Budget = Budget()) -> RegimeCell:
+    """Label one (lambda, K_omega) parameter cell.
+
+    Decision tree: detected period -> PeriodicSink; chi1 above threshold ->
+    StrangeAttractorCandidate; thin orbit closure with near-zero chi1 ->
+    InvariantCurve; otherwise TransientChaos.  Escape anywhere -> Escaped.
+    """
+    params = base_params.with_k_omega(k_omega).with_lambda(lam)
+    p0 = CylinderPoint(0.5, lam)  # inside the absorbing annulus
+    orbit = iterate(params, pert, p0, budget.n_iter, budget.burn_in)
+    if orbit.escaped:
+        return RegimeCell(lam, k_omega, "Escaped", escaped=True)
+    tail_len = min(len(orbit.points), max(4 * PERIOD_CAP, 512))
+    tail = orbit.points[-tail_len:]
+    yscale = float(np.max(tail[:, 1]))
+    period = _detect_period(tail, RECURRENCE_TOL, PERIOD_CAP, yscale)
+    est = lyapunov(params, pert, CylinderPoint(*orbit.points[-1]),
+                   min(budget.n_iter, LYAPUNOV_CAP), burn_in=0)
+    try:
+        rho = rotation_set_2d(params, pert,
+                              [CylinderPoint(*orbit.points[k])
+                               for k in (0, len(orbit.points) // 2, -1)],
+                              min(ROTATION_CAP, budget.n_iter))
+    except EscapeError:
+        rho = (math.nan, math.nan)
+    thick = _orbit_thickness(orbit.points[len(orbit.points) // 2:], lam,
+                             params.delta)
+    common = dict(chi1=est.chi1, chi2=est.chi2, thickness=thick,
+                  rho_min=rho[0], rho_max=rho[1])
+    if period is not None:
+        return RegimeCell(lam, k_omega, "PeriodicSink", period=period, **common)
+    if est.chi1 > budget.chi_thresh:
+        return RegimeCell(lam, k_omega, "StrangeAttractorCandidate", **common)
+    if thick < budget.curve_thresh and abs(est.chi1) <= budget.chi_thresh:
+        return RegimeCell(lam, k_omega, "InvariantCurve", **common)
+    return RegimeCell(lam, k_omega, "TransientChaos", **common)

@@ -200,14 +200,13 @@ def test_criterion_08_superstable_pipeline(params_k5, pert, family_k5, report):
 def test_criterion_09_regime_ordering(ref_params, pert, report):
     t0 = time.perf_counter()
     budget = ob.Budget(n_iter=100_000, burn_in=2000, curve_thresh=0.02)
-    labels = [ob.classify_cell(1e-3, k, ref_params, pert, budget).label
-              for k in (0.1, 0.45, 15.0)]
+    labels = [c.label for c in ob.classify_batch(
+        [1e-3] * 3, (0.1, 0.45, 15.0), ref_params, pert, budget)]
     ordering_ok = (labels[0] == "InvariantCurve"
                    and labels[1] in ("PeriodicSink", "TransientChaos")
                    and labels[2] == "StrangeAttractorCandidate")
     small_budget = ob.Budget(n_iter=20_000, burn_in=2000, curve_thresh=0.02)
-    result = ob.scan([1e-4, 1e-3], [0.1, 8.0], ref_params, pert, small_budget,
-                     threads=1)
+    result = ob.scan([1e-4, 1e-3], [0.1, 8.0], ref_params, pert, small_budget)
     dt = time.perf_counter() - t0
     report(9, ordering_ok and result.ordered and dt < 300.0,
             f"lambda=1e-3 column labels {labels}, "

@@ -182,6 +182,8 @@ class TestCommands:
         ("superstable", "superstable: {period: 3}\n", 1e-3),
         ("misiurewicz", "misiurewicz: {horizon: 0}\n", 1e-3),
         ("scan", "scan: {lambda_grid: 0.001, k_omega_grid: [5.0]}\n", 1e-3),
+        ("scan", "scan: {lambda_grid: [0.001], k_omega_grid: [5.0], "
+                 "n_iter: 0}\n", 1e-3),
         ("audit", "audit: {thresholds: 5}\n", 1e-3),
         ("audit", "audit: {a_window: [1]}\n", 1e-3),
         ("superstable", "superstable: {a_window: 5}\n", 1e-3),

@@ -252,3 +252,63 @@ def test_det_jac_return_matches_factored_reference(x, y, lam, k_omega, pert):
     for p in (CylinderPoint(x, y), CylinderPoint(x, np.float64(y))):
         assert (md.det_jac_return(p, params, pert)
                 == ref.det_jac_return(p, params, pert))
+
+
+def _magnitude(poly) -> tuple[float, float]:
+    """Bounds on |P| and |P'| of one _step_tables polynomial."""
+    if poly is None:
+        return 0.0, 0.0
+    c0, terms = poly
+    return (abs(c0) + sum(abs(ck) + abs(sk) for _, _, ck, sk in terms),
+            sum(k * (abs(ck) + abs(sk)) for _, k, ck, sk in terms))
+
+
+def _step_scales(x, y, lam, k_omega, params, pert, image) -> list[float]:
+    """Per output of one return step, the magnitude its rounding scales with.
+
+    The summed terms' magnitudes, with the height sum Y = y + lam*Phi2
+    entering through its condition number (|y| + lam*|Phi2|)/Y.
+    """
+    harmonics, (b1, s1), (b2, s2) = pert._step_tables
+    (m1, d1), (m1s, d1s) = _magnitude(b1), _magnitude(s1)
+    (m2, d2), (m2s, d2s) = _magnitude(b2), _magnitude(s2)
+    trig = [(math.cos(k * x), math.sin(k * x)) for k in harmonics]
+    big_y = y + lam * md._profile(b2, s2, trig, y)[0]
+    kappa = (abs(y) + lam * (m2 + abs(y) * m2s)) / big_y
+    e12 = k_omega / big_y
+    e22 = params.delta * big_y ** (params.delta - 1.0)
+    f2x = lam * (d2 + abs(y) * d2s)
+    return [abs(x) + abs(params.xi) + lam * (m1 + abs(y) * m1s)
+            + k_omega * (abs(math.log(big_y)) + kappa),
+            image[1] * (1.0 + params.delta * kappa),
+            1.0 + lam * (d1 + abs(y) * d1s) + e12 * f2x * (1.0 + kappa),
+            lam * m1s + e12 * (1.0 + lam * m2s) * (1.0 + kappa),
+            e22 * f2x * (1.0 + params.delta * kappa),
+            e22 * (1.0 + lam * m2s) * (1.0 + params.delta * kappa)]
+
+
+@given(orbits=st.lists(st.tuples(kernel_cases["x"],
+                                 st.floats(min_value=-0.5, max_value=1.0),
+                                 kernel_cases["lam"], kernel_cases["k_omega"]),
+                       min_size=1, max_size=8),
+       pert=kernel_cases["pert"])
+@settings(max_examples=200, deadline=None)
+def test_step_batch_matches_return_step(orbits, pert):
+    """One step_batch call with mixed lam and K_omega: the same escapes as
+    _return_step, and each output within 4 ULP of its terms' magnitude."""
+    x, y, lam, k_omega = (np.array(v) for v in zip(*orbits))
+    params = reference_params()
+    *out, alive = md.step_batch(x, y, lam, k_omega,
+                                md._batch_constants(params, pert))
+    eps = np.finfo(float).eps
+    for i, (xi, yi, li, ki) in enumerate(orbits):
+        consts = (li, params.xi, ki) + md._step_constants(params, pert)[3:]
+        try:
+            ref = md._return_step(xi, yi, consts)
+        except EscapeError:
+            assert not alive[i]
+            continue
+        assert alive[i]
+        scales = _step_scales(xi, yi, li, ki, params, pert, ref)
+        for got, want, scale in zip(out, ref, scales):
+            assert abs(got[i] - want) <= 4 * eps * scale

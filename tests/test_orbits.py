@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import scalar_reference as ref
 from bykovlab import orbits as ob
 from bykovlab.model import (CylinderPoint, EscapeError, TWO_PI, named_profile,
                             Perturbation, reference_params,
@@ -191,33 +192,112 @@ class TestRotationSet:
 
 class TestClassification:
     BUDGET = ob.Budget(n_iter=15_000, burn_in=2_000, curve_thresh=0.02)
+    KS = (0.1, 0.45, 15.0)  # acceptance 9's lambda = 1e-3 column
 
-    def test_invariant_curve_small_twist(self, ref_params, pert):
-        cell = ob.classify_cell(1e-3, 0.1, ref_params, pert, self.BUDGET)
-        assert cell.label == "InvariantCurve"
+    @pytest.fixture(scope="class")
+    def column(self, ref_params, pert):
+        return ob.classify_batch([1e-3] * 3, self.KS, ref_params, pert,
+                                 self.BUDGET)
 
-    def test_periodic_sink_in_tongue(self, ref_params, pert):
-        cell = ob.classify_cell(1e-3, 0.45, ref_params, pert, self.BUDGET)
+    def test_invariant_curve_small_twist(self, column):
+        assert column[0].label == "InvariantCurve"
+
+    def test_periodic_sink_in_tongue(self, column):
+        cell = column[1]
         assert cell.label == "PeriodicSink"
         assert cell.chi1 < 0.0  # period detection agrees with the exponent
 
-    def test_strange_candidate_large_twist(self, ref_params, pert):
-        cell = ob.classify_cell(1e-3, 15.0, ref_params, pert, self.BUDGET)
+    def test_strange_candidate_large_twist(self, column):
+        cell = column[2]
         assert cell.label == "StrangeAttractorCandidate"
         assert cell.chi1 > self.BUDGET.chi_thresh
 
-    def test_label_full_includes_period(self, ref_params, pert):
-        cell = ob.classify_cell(1e-3, 0.45, ref_params, pert, self.BUDGET)
-        assert cell.label_full.startswith("PeriodicSink(")
+    def test_label_full_includes_period(self, column):
+        assert column[1].label_full.startswith("PeriodicSink(")
+
+    def test_column_matches_scalar_reference(self, column, ref_params, pert):
+        expect = [ref.classify_cell(1e-3, k, ref_params, pert, self.BUDGET)
+                  for k in self.KS]
+        _assert_matches_reference(column, expect)
+
+
+NON_CHAOTIC = ("PeriodicSink", "InvariantCurve", "Escaped")
+
+
+def _assert_matches_reference(cells, expect):
+    """Equal labels and periods; non-chaotic exponents and rotation numbers
+    within 1e-9.  A chaotic orbit amplifies the ULP differences between
+    numpy's and math's log and power, so its digits are not compared."""
+    assert [(c.lam, c.k_omega, c.label, c.period, c.escaped) for c in cells] \
+        == [(c.lam, c.k_omega, c.label, c.period, c.escaped) for c in expect]
+    for got, want in zip(cells, expect):
+        if want.label not in NON_CHAOTIC:
+            continue
+        for field in ("chi1", "chi2", "rho_min", "rho_max"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert (math.isnan(a) and math.isnan(b)) \
+                or abs(a - b) <= 1e-9 * max(1.0, abs(b)), (want, field, a)
+
+
+class TestClassifyBatch:
+    # the benchmark's scan grid: every regime, and Escaped cells
+    LAMS = (1e-4, 1e-3, 1e-2, 0.3)
+    KS = (0.1, 0.45, 8.0, 15.0)
+    BUDGET = ob.Budget(n_iter=2000, burn_in=500)
+
+    def grid(self):
+        return ([lam for lam in self.LAMS for _ in self.KS],
+                [k for _ in self.LAMS for k in self.KS])
+
+    def test_scan_grid_matches_scalar_reference(self, params_k5, pert):
+        lams, ks = self.grid()
+        cells = ob.classify_batch(lams, ks, params_k5, pert, self.BUDGET)
+        expect = [ref.classify_cell(lam, k, params_k5, pert, self.BUDGET)
+                  for lam, k in zip(lams, ks)]
+        assert {c.label for c in expect} == set(ob.REGIME_LABELS) - {
+            "TransientChaos"}
+        _assert_matches_reference(cells, expect)
+
+    def test_cell_alone_equals_cell_in_batch(self, params_k5, pert):
+        budget = ob.Budget(n_iter=300, burn_in=50)
+        lams, ks = self.grid()
+        cells = ob.classify_batch(lams, ks, params_k5, pert, budget)
+        for lam, k, cell in zip(lams, ks, cells):
+            alone = ob.classify_cell(lam, k, params_k5, pert, budget)
+            assert repr(alone) == repr(cell)  # repr: nan fields compare equal
+
+    @pytest.mark.parametrize("n_iter", [2, 3, 4, 5])
+    def test_escape_after_the_recorded_orbit(self, params_k5, pert, n_iter):
+        """These orbits escape within 6 steps: in the Lyapunov run (conclusive
+        or not) and in some rotation seeds' lift steps, as the scalar
+        reference sees it."""
+        budget = ob.Budget(n_iter=n_iter, burn_in=0)
+        ks = (0.1, 0.45, 1.0)
+        cells = ob.classify_batch([0.3] * 3, ks, params_k5, pert, budget)
+        expect = [ref.classify_cell(0.3, k, params_k5, pert, budget)
+                  for k in ks]
+        assert [c.label for c in expect].count("Escaped") < 3
+        for got, want in zip(cells, expect):
+            for field in ("label", "period", "escaped", "chi1", "chi2",
+                          "rho_min", "rho_max"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a == b or (a != a and b != b) \
+                    or abs(a - b) <= 1e-9 * max(1.0, abs(b)), (want, field, a)
+
+    def test_rejects_bad_input(self, ref_params, pert):
+        with pytest.raises(ValueError):
+            ob.classify_batch([1e-3], [1.0], ref_params, pert,
+                              ob.Budget(n_iter=0))
+        with pytest.raises(ValueError):
+            ob.classify_batch([1e-3, 1e-2], [1.0], ref_params, pert)
+        assert ob.classify_batch([], [], ref_params, pert) == []
 
 
 class TestScan:
     def test_shapes_and_determinism(self, ref_params, pert):
         budget = ob.Budget(n_iter=4000, burn_in=500, curve_thresh=0.02)
-        r1 = ob.scan([1e-4, 1e-3], [0.1, 8.0], ref_params, pert, budget,
-                     threads=1)
-        r2 = ob.scan([1e-3, 1e-4], [8.0, 0.1], ref_params, pert, budget,
-                     threads=2)
+        r1 = ob.scan([1e-4, 1e-3], [0.1, 8.0], ref_params, pert, budget)
+        r2 = ob.scan([1e-3, 1e-4], [8.0, 0.1], ref_params, pert, budget)
         assert ob.scan_rows(r1) == ob.scan_rows(r2)
         assert len(r1.cells) == 2 and len(r1.cells[0]) == 2
 
@@ -267,3 +347,20 @@ def test_gram_schmidt_matches_numpy_qr(entries):
     assert d2 == pytest.approx(math.log(abs(r[1, 1])), abs=1e-12)
     assert np.allclose([[q11, q12], [q21, q22]], q * sign, rtol=0.0,
                        atol=1e-12)
+
+
+@given(st.lists(st.lists(st.one_of(st.just(0.0),
+                                   st.floats(min_value=-10.0, max_value=10.0)),
+                         min_size=4, max_size=4),
+                min_size=1, max_size=6),
+       st.floats(min_value=-5.0, max_value=5.0))
+@settings(max_examples=100, deadline=None)
+def test_gram_schmidt_batch_matches_scalar(products, logdet):
+    """classify_batch's array QR equals lyapunov's 2x2 QR per orbit, vanished
+    first columns (Q = I, ln r11 = -inf) included."""
+    got = ob._gram_schmidt_batch(*np.array(products).T, np.full(len(products),
+                                                               logdet))
+    for i, entries in enumerate(products):
+        want = ob._gram_schmidt_2x2(*entries, logdet)
+        for g, w in zip((v[i] for v in got), want):
+            assert g == w or abs(g - w) <= 1e-15 * max(1.0, abs(w))
