@@ -17,9 +17,8 @@ import numpy as np
 
 from . import circlemap as cm
 from .circlemap import abundance_accepts_lambda0  # noqa: F401  (re-exported)
-from .model import (TWO_PI, CylinderPoint, ModelParams, Perturbation,
-                    _batch_constants, det_jac_return, step_batch, wrap_angle,
-                    wrap_angles)
+from .model import (TWO_PI, ModelParams, Perturbation, _batch_constants,
+                    step_batch, wrap_angle, wrap_angles)
 from .orbits import Budget, classify_batch
 
 DEFAULT_THRESHOLDS = {
@@ -90,30 +89,35 @@ def audit_H1(params: ModelParams, pert: Perturbation,
              seed: int = 0, thresholds: dict | None = None) -> HypothesisVerdict:
     """Determinant-ratio bound and an injectivity spot-check.
 
-    Samples |det DF| over random (x, y, lam); PASS iff max/min stays under
-    the configured cap, with k = sqrt(max/min) reported.  The injectivity
-    check looks for distinct sample points with nearly equal images.
+    Samples |det DF| over random (x, y, lam) in one step_batch call; PASS
+    iff max/min stays under the configured cap, with k = sqrt(max/min)
+    reported.  A determinant at or below the floor, or a sample off the
+    return domain (y + lam*Phi2 <= 0), is a FAIL witnessed by the first such
+    sample drawn.  The injectivity check looks for distinct sample points
+    with nearly equal images.
     """
     t = _thresholds(thresholds)
     rng = np.random.default_rng(seed)
     lams = np.exp(rng.uniform(math.log(lam_range[0]), math.log(lam_range[1]),
                               sample_size))
-    dets = []
-    for lam in lams:
-        pp = params.with_lambda(float(lam))
-        x = float(rng.uniform(0.0, TWO_PI))
-        ybar = float(rng.uniform(0.0, 1.0))
-        p = CylinderPoint(x, lam * ybar)
-        d = abs(det_jac_return(p, pp, pert))
-        if d <= t["h1_det_floor"]:
-            return HypothesisVerdict(
-                "H1", "FAIL",
-                {"reason": "degenerate determinant",
-                 "witness": {"x": x, "ybar": ybar, "lambda": float(lam)}})
-        # normalize out the lambda^(delta-1) volume factor so the ratio
-        # measures the point-dependence, not the lambda scale
-        dets.append(d / lam ** (params.delta - 1.0))
-    dets = np.asarray(dets)
+    xs, ybars = rng.uniform((0.0, 0.0), (TWO_PI, 1.0), (sample_size, 2)).T
+    consts = _batch_constants(params, pert)
+    _, new_y, j11, j12, j21, j22, alive = step_batch(
+        xs, lams * ybars, lams, params.k_omega, consts)
+    dets = np.abs(j11 * j22 - j12 * j21)
+    # a dead sample with Y = y + lam*Phi2 > 0 has an image height above 1;
+    # step_batch evaluates one with Y <= 0 at Y = 1, an image height of 1
+    degenerate = (dets <= t["h1_det_floor"]) | (~alive & (new_y <= 1.0))
+    if degenerate.any():
+        i = int(np.argmax(degenerate))
+        return HypothesisVerdict(
+            "H1", "FAIL",
+            {"reason": "degenerate determinant",
+             "witness": {"x": float(xs[i]), "ybar": float(ybars[i]),
+                         "lambda": float(lams[i])}})
+    # normalize out the lambda^(delta-1) volume factor so the ratio
+    # measures the point-dependence, not the lambda scale
+    dets /= lams ** (params.delta - 1.0)
     ratio = float(dets.max() / dets.min())
     k = math.sqrt(ratio)
     # largest sampled lambda at which the running ratio still met the cap
@@ -125,25 +129,21 @@ def audit_H1(params: ModelParams, pert: Perturbation,
 
     # injectivity spot-check at a fixed lam in the middle of the range
     lam_mid = math.sqrt(lam_range[0] * lam_range[1])
-    pp = params.with_lambda(lam_mid)
     n_inj = min(sample_size * 5, 10_000)
     xs = rng.uniform(0.0, TWO_PI, n_inj)
     ybars = rng.uniform(0.1, 1.0, n_inj)
-    new_x, new_y, *_, alive = step_batch(xs, lam_mid * ybars, pp.lam,
-                                         pp.k_omega, _batch_constants(pp, pert))
+    new_x, new_y, *_, alive = step_batch(xs, lam_mid * ybars, lam_mid,
+                                         params.k_omega, consts)
     images = np.column_stack((wrap_angles(new_x),
                               new_y / lam_mid ** params.delta))
-    images[~alive] = np.nan  # escaped points
+    images[~alive] = np.nan  # escaped points are never near anything
     order = np.lexsort((images[:, 1], images[:, 0]))
-    collisions = 0
-    for a, b in zip(order[:-1], order[1:]):
-        da = abs(images[a, 0] - images[b, 0]) + abs(images[a, 1] - images[b, 1])
-        if not np.isfinite(da) or da > 1e-12:
-            continue
-        src = (abs(wrap_angle(xs[a] - xs[b] + math.pi) - math.pi)
-               + abs(ybars[a] - ybars[b]))
-        if src > 1e-9:
-            collisions += 1
+    a, b = order[:-1], order[1:]
+    near = np.abs(images[a] - images[b]).sum(axis=1) <= 1e-12
+    a, b = a[near], b[near]
+    src = (np.abs(wrap_angles(xs[a] - xs[b] + math.pi) - math.pi)
+           + np.abs(ybars[a] - ybars[b]))
+    collisions = int(np.count_nonzero(src > 1e-9))
     ok = ratio <= t["h1_ratio_cap"] and collisions == 0
     return HypothesisVerdict("H1", "PASS" if ok else "FAIL",
                              {"k": k, "det_ratio": ratio,
@@ -208,32 +208,14 @@ def audit_H4(family: cm.CircleMapFamily, a_window=(0.0, TWO_PI),
          "horizon": t["h4_horizon"], "critical_points": crit.q})
 
 
-def _continuation_orbit(family: cm.CircleMapFamily, a: float, x0: float,
-                        horizon: int):
-    """Branch/winding itinerary of the lift orbit of x0 under h_a."""
-    part = cm.monotonicity_partition(family)
-    starts = np.append(part.starts, part.starts[0] + TWO_PI)
-    itinerary = []
-    x = x0
-    for _ in range(horizon):
-        xc = wrap_angle(x)
-        xb = xc if xc >= starts[0] else xc + TWO_PI
-        branch = int(np.searchsorted(starts, xb, side="right")) - 1
-        xn = family.lift(a, xc)
-        winding = int(math.floor((xn - xc) / TWO_PI + 0.5))
-        itinerary.append((branch, winding))
-        x = xn
-    return itinerary
-
-
 def audit_H5_proxy(family: cm.CircleMapFamily, a_star: float,
                    horizon: int = 12, delta0: float = 0.05,
                    thresholds: dict | None = None) -> HypothesisVerdict:
     """Finite-horizon transversality proxy at a_star (never proof-grade).
 
     Compares d/da of h_a(c) against d/da of the continuation p(a) of the
-    critical value, where p(a) is tracked by matching the branch/winding
-    itinerary of the reference orbit over the horizon.  The first derivative
+    critical value, where p(a) is tracked by matching the branch itinerary
+    of the reference orbit over the horizon.  The first derivative
     is exactly 1 (a enters additively); the margin is |1 - dp/da|.
     INCONCLUSIVE when the reference orbit passes within delta0/2 of the
     critical set (continuation ambiguous).
@@ -256,18 +238,24 @@ def audit_H5_proxy(family: cm.CircleMapFamily, a_star: float,
                  "n": n + 1, "distance": float(crit.distance(x))},
                 proxy=True)
         x = family.val(a_star, x)
-    itinerary = _continuation_orbit(family, a_star, v_star, horizon)
+    # monotone branch (between consecutive starts) of each orbit point
     starts = np.append(crit.points, crit.points[0] + TWO_PI)
+    itinerary = []
+    x = v_star
+    for _ in range(horizon):
+        xc = wrap_angle(x)
+        xb = xc if xc >= starts[0] else xc + TWO_PI
+        itinerary.append(int(np.searchsorted(starts, xb, side="right")) - 1)
+        x = family.lift(a_star, xc)
 
     def p_of_a(a: float) -> float:
         """Backward-nested continuation of v_star with the same itinerary."""
         # forward endpoint: follow the orbit of the continued critical value;
         # solve backwards so each preimage stays on the recorded branch
-        xs = [family.val(a, float(crit.points[0]))]
+        target = family.val(a, c)
         for _ in range(horizon - 1):
-            xs.append(family.val(a, xs[-1]))
-        target = xs[-1]
-        for branch, winding in reversed(itinerary[1:]):
+            target = family.val(a, target)
+        for branch in reversed(itinerary[1:]):
             lo = float(starts[branch])
             hi = float(starts[branch + 1])
             goal = wrap_angle(target)

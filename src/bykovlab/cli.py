@@ -6,7 +6,7 @@ output directory with an embedded provenance block.  Options the config
 leaves out take the library's defaults.  Exit codes: 0 on success, 1 on
 validation errors, 2 on computation failures; a failed command writes
 nothing.  All randomness is seeded from the config (default seed 0) so
-outputs are byte-identical across runs and thread counts.
+outputs are byte-identical across runs; `--threads` is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def _start_point(cfg: RunConfig, opt: dict) -> CylinderPoint:
 # Commands: each returns {file name: payload} and writes nothing
 # ---------------------------------------------------------------------------
 
-def cmd_iterate(cfg: RunConfig, seed: int, threads: int) -> dict:
+def cmd_iterate(cfg: RunConfig, seed: int) -> dict:
     opt = cfg.command_options("iterate", {"n", "burn_in", "x0", "y0", "plot"})
     orbit = ob.iterate(cfg.params, cfg.pert, _start_point(cfg, opt),
                        int(opt.get("n", 1000)),
@@ -138,7 +138,7 @@ def cmd_iterate(cfg: RunConfig, seed: int, threads: int) -> dict:
     return outputs
 
 
-def cmd_lyapunov(cfg: RunConfig, seed: int, threads: int) -> dict:
+def cmd_lyapunov(cfg: RunConfig, seed: int) -> dict:
     opt = cfg.command_options("lyapunov", {"n", "burn_in", "x0", "y0",
                                            "cadence"})
     est = ob.lyapunov(cfg.params, cfg.pert, _start_point(cfg, opt),
@@ -151,7 +151,7 @@ def cmd_lyapunov(cfg: RunConfig, seed: int, threads: int) -> dict:
         "inconclusive": est.inconclusive, "escaped_at": est.escaped_at}}
 
 
-def cmd_scan(cfg: RunConfig, seed: int, threads: int) -> dict:
+def cmd_scan(cfg: RunConfig, seed: int) -> dict:
     budget = {"n_iter": int, "burn_in": int, "chi_thresh": float,
               "curve_thresh": float}
     opt = cfg.command_options("scan", {"lambda_grid", "k_omega_grid", "plot",
@@ -173,7 +173,7 @@ def cmd_scan(cfg: RunConfig, seed: int, threads: int) -> dict:
     return outputs
 
 
-def cmd_audit(cfg: RunConfig, seed: int, threads: int) -> dict:
+def cmd_audit(cfg: RunConfig, seed: int) -> dict:
     opt = cfg.command_options("audit", {"n_a", "a_window", "lambda_range",
                                         "thresholds"})
     kw = _given(opt, {"n_a": int, "a_window": _pair, "lambda_range": _pair,
@@ -184,7 +184,7 @@ def cmd_audit(cfg: RunConfig, seed: int, threads: int) -> dict:
     return {"audit.json": report.to_report()}
 
 
-def cmd_misiurewicz(cfg: RunConfig, seed: int, threads: int) -> dict:
+def cmd_misiurewicz(cfg: RunConfig, seed: int) -> dict:
     opt = cfg.command_options("misiurewicz", {"a", "delta0", "horizon",
                                               "n_seeds"})
     cert = cm.misiurewicz_check(
@@ -194,7 +194,7 @@ def cmd_misiurewicz(cfg: RunConfig, seed: int, threads: int) -> dict:
     return {"certificate.json": cert.to_report()}
 
 
-def cmd_superstable(cfg: RunConfig, seed: int, threads: int) -> dict:
+def cmd_superstable(cfg: RunConfig, seed: int) -> dict:
     opt = cfg.command_options("superstable", {"period", "a_window",
                                               "n_lambdas"})
     period = int(opt.get("period", 2))
@@ -211,7 +211,7 @@ def cmd_superstable(cfg: RunConfig, seed: int, threads: int) -> dict:
                     "lambdas": list(s.lambdas)} for s in orbits]}}
 
 
-def cmd_rotation(cfg: RunConfig, seed: int, threads: int) -> dict:
+def cmd_rotation(cfg: RunConfig, seed: int) -> dict:
     opt = cfg.command_options("rotation", {"a", "n_iter", "n_seeds", "mode"})
     mode = opt.get("mode", "circle")
     if mode == "circle":
@@ -240,7 +240,7 @@ def cmd_rotation(cfg: RunConfig, seed: int, threads: int) -> dict:
     return {"rotation.json": payload}
 
 
-def cmd_singular_limit(cfg: RunConfig, seed: int, threads: int) -> dict:
+def cmd_singular_limit(cfg: RunConfig, seed: int) -> dict:
     opt = cfg.command_options("singular_limit", {"a", "n_min", "n_max", "nx",
                                                  "ny"})
     rows = cm.singular_limit_convergence(
@@ -299,7 +299,7 @@ def main(argv=None) -> int:
     os.makedirs(out, exist_ok=True)
     seed = cfg.seed if args.seed is None else args.seed
     try:
-        outputs = COMMANDS[args.command](cfg, seed, max(1, args.threads))
+        outputs = COMMANDS[args.command](cfg, seed)
     except (ConfigError, InvalidParamsError, MorseError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

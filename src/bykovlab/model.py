@@ -475,8 +475,10 @@ def jac_return(p, params: ModelParams, pert: Perturbation) -> np.ndarray:
 def det_jac_return(p, params: ModelParams, pert: Perturbation) -> float:
     """Determinant via the factorization delta*Y^(delta-1) * det(D psi_21).
 
-    Reads the pair and its partials from the tables _return_step uses.  The
-    domain is not checked: H1 samples the determinant without iterating.
+    Reads the pair and its partials from the tables _return_step uses and
+    does not check the domain.  H1 takes its determinants from step_batch;
+    this is the scalar reference they are tested against, kept under its
+    name because perfbench/tracing.py binds it.
     """
     x, y = p
     lam, _, _, delta, harmonics, phi1, phi2 = _step_constants(params, pert)

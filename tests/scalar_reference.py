@@ -1,6 +1,6 @@
 """Scalar references for the fast paths of `bykovlab`.
 
-Three groups of references, each written as the plain definition:
+Four groups of references, each written as the plain definition:
 
 - the factored return map: the local passages past each saddle-focus, their
   closed form `eta`, the perturbed global transition `psi_21`, their
@@ -10,6 +10,10 @@ Three groups of references, each written as the plain definition:
 - loops that advance one circle-map orbit at a time with plain float calls
   of the family.  The array paths of `bykovlab.circlemap` must match them
   exactly.
+- `audit_H1` as a loop over samples that calls `model.det_jac_return` once
+  per sample, and over sorted image neighbours one pair at a time.
+  `audit.audit_H1` takes every determinant from one `model.step_batch`
+  call and compares all neighbours as arrays; it is tested against it.
 - `classify_cell` as three separate one-orbit runs (iterate, lyapunov,
   rotation_set_2d) of the scalar kernel.  `orbits.classify_batch` follows
   one lockstep orbit per cell through `model.step_batch` and is tested
@@ -23,8 +27,11 @@ import math
 import numpy as np
 
 from bykovlab import circlemap as cm
+from bykovlab import model as md
+from bykovlab.audit import HypothesisVerdict, _thresholds
 from bykovlab.model import (TWO_PI, CylinderFunction, CylinderPoint,
-                            EscapeError, ModelParams, Perturbation, wrap_angle)
+                            EscapeError, ModelParams, Perturbation, TrigPoly,
+                            wrap_angle)
 from bykovlab.orbits import (LYAPUNOV_CAP, PERIOD_CAP, RECURRENCE_TOL,
                              ROTATION_CAP, Budget, RegimeCell, _detect_period,
                              _orbit_thickness, iterate, lyapunov,
@@ -112,6 +119,16 @@ def det_jac_return(p, params: ModelParams, pert: Perturbation) -> float:
     dpsi = ((1.0 + lam * _dx(pert.phi1, x, y)) * (1.0 + lam * _dy(pert.phi2, x, y))
             - lam * lam * _dy(pert.phi1, x, y) * _dx(pert.phi2, x, y))
     return params.delta * big_y ** (params.delta - 1.0) * dpsi
+
+
+# Phi1 and Phi2 with y-dependent slopes and a second harmonic, so every
+# table entry and partial derivative of the return-step kernel is nonzero;
+# y + lam*Phi2 > 0 wherever y >= 0
+SLOPED = Perturbation(
+    phi1=CylinderFunction(TrigPoly(0.2, ((1, 1.0, 0.0), (2, 0.0, 0.4))),
+                          slope=TrigPoly(0.0, ((2, 0.3, 0.1),))),
+    phi2=CylinderFunction(TrigPoly(1.1, ((1, 0.0, 1.0),)),
+                          slope=TrigPoly(0.05, ((1, 0.02, 0.0),))))
 
 
 FD_STEP = 1e-6
@@ -263,6 +280,74 @@ def superstable_g(family: cm.CircleMapFamily, grid: np.ndarray, c: float,
             x = family.lift(float(av), x)
         out.append(x - c)
     return np.array(out)
+
+
+# ---------------------------------------------------------------------------
+# H1, one sample and one image pair at a time
+# ---------------------------------------------------------------------------
+
+
+def audit_H1(params: ModelParams, pert: Perturbation,
+             lam_range=(1e-4, 1e-2), sample_size: int = 2000,
+             seed: int = 0, thresholds: dict | None = None) -> HypothesisVerdict:
+    """Determinant-ratio bound and injectivity spot-check, one point at a time.
+
+    Draws the same random numbers in the same order as `audit.audit_H1`.  A
+    sample with y + lam*Phi2 < 0 is not caught here: its determinant is the
+    factored formula's value off the return domain.
+    """
+    t = _thresholds(thresholds)
+    rng = np.random.default_rng(seed)
+    lams = np.exp(rng.uniform(math.log(lam_range[0]), math.log(lam_range[1]),
+                              sample_size))
+    dets = []
+    for lam in lams:
+        pp = params.with_lambda(float(lam))
+        x = float(rng.uniform(0.0, TWO_PI))
+        ybar = float(rng.uniform(0.0, 1.0))
+        d = abs(md.det_jac_return(CylinderPoint(x, lam * ybar), pp, pert))
+        if d <= t["h1_det_floor"]:
+            return HypothesisVerdict(
+                "H1", "FAIL",
+                {"reason": "degenerate determinant",
+                 "witness": {"x": x, "ybar": ybar, "lambda": float(lam)}})
+        dets.append(d / lam ** (params.delta - 1.0))
+    dets = np.asarray(dets)
+    ratio = float(dets.max() / dets.min())
+    order_lam = np.argsort(lams)
+    run_max = np.maximum.accumulate(dets[order_lam])
+    run_min = np.minimum.accumulate(dets[order_lam])
+    held = (run_max / run_min) <= t["h1_ratio_cap"]
+    lam_held = float(lams[order_lam][held][-1]) if held.any() else None
+
+    lam_mid = math.sqrt(lam_range[0] * lam_range[1])
+    pp = params.with_lambda(lam_mid)
+    n_inj = min(sample_size * 5, 10_000)
+    xs = rng.uniform(0.0, TWO_PI, n_inj)
+    ybars = rng.uniform(0.1, 1.0, n_inj)
+    new_x, new_y, *_, alive = md.step_batch(
+        xs, lam_mid * ybars, pp.lam, pp.k_omega, md._batch_constants(pp, pert))
+    images = np.column_stack((md.wrap_angles(new_x),
+                              new_y / lam_mid ** params.delta))
+    images[~alive] = np.nan
+    order = np.lexsort((images[:, 1], images[:, 0]))
+    collisions = 0
+    for a, b in zip(order[:-1], order[1:]):
+        da = abs(images[a, 0] - images[b, 0]) + abs(images[a, 1] - images[b, 1])
+        if not np.isfinite(da) or da > 1e-12:
+            continue
+        src = (abs(wrap_angle(xs[a] - xs[b] + math.pi) - math.pi)
+               + abs(ybars[a] - ybars[b]))
+        if src > 1e-9:
+            collisions += 1
+    ok = ratio <= t["h1_ratio_cap"] and collisions == 0
+    return HypothesisVerdict("H1", "PASS" if ok else "FAIL",
+                             {"k": math.sqrt(ratio), "det_ratio": ratio,
+                              "ratio_cap": t["h1_ratio_cap"],
+                              "injectivity_collisions": collisions,
+                              "lambda_max_checked": float(lams.max()),
+                              "largest_lambda_cap_held": lam_held,
+                              "samples": sample_size})
 
 
 # ---------------------------------------------------------------------------

@@ -267,5 +267,5 @@ def test_criterion_12_determinism(tmp_path, report):
             for name in ("scan.csv", "regime_map.svg", "boundaries.json",
                          "audit.json"))
     ok = blobs["a"] == blobs["b"] == blobs["c"]
-    report(12, ok, "scan + audit outputs byte-identical across reruns "
-                    "and 1 vs 3 worker threads")
+    report(12, ok, "scan + audit outputs byte-identical across three reruns, "
+                    "one of them with the ignored --threads 3")

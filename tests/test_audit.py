@@ -4,10 +4,23 @@ import math
 import numpy as np
 import pytest
 
+import scalar_reference as ref
 from bykovlab import audit as au
 from bykovlab import circlemap as cm
-from bykovlab.model import (CylinderFunction, Perturbation, TrigPoly,
-                            named_profile, reference_params)
+from bykovlab.model import (TWO_PI, CylinderFunction, CylinderPoint,
+                            Perturbation, TrigPoly, det_jac_return,
+                            named_profile, reference_params,
+                            reference_perturbation)
+
+
+def h1_draws(sample_size, lam_range, seed):
+    """H1's determinant samples (lam, x, ybar) in draw order."""
+    rng = np.random.default_rng(seed)
+    lams = np.exp(rng.uniform(math.log(lam_range[0]), math.log(lam_range[1]),
+                              sample_size))
+    draws = [(float(rng.uniform(0.0, TWO_PI)), float(rng.uniform(0.0, 1.0)))
+             for _ in lams]
+    return [(float(lam), x, ybar) for lam, (x, ybar) in zip(lams, draws)]
 
 
 class TestH1:
@@ -29,6 +42,68 @@ class TestH1:
     def test_largest_lambda_cap_held_reported(self, params_k5, pert):
         v = au.audit_H1(params_k5, pert, sample_size=500)
         assert "largest_lambda_cap_held" in v.evidence
+
+    @pytest.mark.parametrize("k_omega", [0.3, 5.0, 15.0])
+    @pytest.mark.parametrize("pair", [reference_perturbation(), ref.SLOPED],
+                             ids=["reference", "sloped"])
+    def test_matches_scalar_reference(self, k_omega, pair):
+        params = reference_params().with_k_omega(k_omega)
+        # the ratio is 1e7 or more here, so the caps give FAIL, a cap held
+        # only up to some lam, and PASS
+        for seed, lam_range, cap in ((0, (1e-4, 1e-2), 1e3),
+                                     (1, (1e-5, 1e-3), 1e7),
+                                     (7, (1e-3, 1e-1), 1e9)):
+            t = {**au.DEFAULT_THRESHOLDS, "h1_ratio_cap": cap}
+            got = au.audit_H1(params, pair, lam_range=lam_range, seed=seed,
+                              thresholds=t)
+            want = ref.audit_H1(params, pair, lam_range=lam_range, seed=seed,
+                                thresholds=t)
+            assert got.status == want.status
+            for key in ("k", "det_ratio"):
+                assert got.evidence[key] == pytest.approx(
+                    want.evidence[key], rel=1e-13, abs=0.0)
+            for key in ("injectivity_collisions", "lambda_max_checked",
+                        "largest_lambda_cap_held", "ratio_cap", "samples"):
+                assert got.evidence[key] == want.evidence[key]
+
+    def test_det_floor_fails_at_first_drawn_sample(self, params_k5, pert):
+        draws = h1_draws(2000, (1e-4, 1e-2), 0)
+        dets = [abs(det_jac_return(CylinderPoint(x, lam * ybar),
+                                   params_k5.with_lambda(lam), pert))
+                for lam, x, ybar in draws]
+        floor = float(np.median(dets))
+        first = next(i for i, d in enumerate(dets) if d <= floor)
+        assert first > 0
+        t = {**au.DEFAULT_THRESHOLDS, "h1_det_floor": floor}
+        v = au.audit_H1(params_k5, pert, thresholds=t)
+        lam, x, ybar = draws[first]
+        assert v.status == "FAIL"
+        assert v.evidence == {"reason": "degenerate determinant",
+                              "witness": {"x": x, "ybar": ybar,
+                                          "lambda": lam}}
+        assert v.to_dict() == ref.audit_H1(params_k5, pert,
+                                           thresholds=t).to_dict()
+
+    def test_sample_off_the_domain_fails(self, params_k5):
+        # Phi2 = 1.1 + sin x - 50 y is positive for |y| <= 1e-3, but
+        # y + lam*Phi2 = lam*(ybar*(1 - 50 lam) + 1.1 + sin x) turns negative
+        # for lam > 0.02 and ybar large enough
+        pair = Perturbation(
+            phi1=named_profile("cosine"),
+            phi2=CylinderFunction(TrigPoly(1.1, ((1, 0.0, 1.0),)),
+                                  slope=TrigPoly(-50.0, ())),
+            epsilon=1e-3)
+        pair.validate()
+        lam_range = (0.05, 0.2)
+        draws = h1_draws(2000, lam_range, 0)
+        first = next(i for i, (lam, x, ybar) in enumerate(draws)
+                     if lam * ybar + lam * pair.phi2(x, lam * ybar) <= 0.0)
+        v = au.audit_H1(params_k5, pair, lam_range=lam_range)
+        lam, x, ybar = draws[first]
+        assert v.status == "FAIL"
+        assert v.evidence == {"reason": "degenerate determinant",
+                              "witness": {"x": x, "ybar": ybar,
+                                          "lambda": lam}}
 
 
 class TestH2H3:

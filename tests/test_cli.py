@@ -125,7 +125,7 @@ class TestCommands:
         cfg = parse_config(open(write_config(tmp_path, "iterate: {n: 5}\n"))
                            .read())
         monkeypatch.chdir(tmp_path)
-        outputs = cli.cmd_iterate(cfg, 0, 1)
+        outputs = cli.cmd_iterate(cfg, 0)
         assert list(outputs) == ["orbit.csv", "orbit.svg"]
         header, rows = outputs["orbit.csv"]
         assert header == ("iterate", "x", "y") and len(rows) == 6

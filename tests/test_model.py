@@ -11,7 +11,8 @@ from bykovlab.model import (TWO_PI, CylinderPoint, EscapeError,
                             InvalidParamsError, ModelParams, Perturbation,
                             TrigPoly, named_profile, reference_params,
                             reference_perturbation, return_map, wrap_angle)
-from scalar_reference import eta, local_map_o1, local_map_o2, psi_21
+from scalar_reference import (SLOPED, eta, local_map_o1, local_map_o2,
+                              psi_21)
 
 
 class TestParams:
@@ -185,14 +186,6 @@ def test_return_map_height_positive_and_bounded(x, y, lam):
     assert 0.0 < q.y < (1.0 + lam * pert.phi2_max()) ** 6
 
 
-# Phi1 and Phi2 with y-dependent slopes and a second harmonic, so every
-# table entry and partial derivative of the return-step kernel is nonzero
-SLOPED = Perturbation(
-    phi1=md.CylinderFunction(TrigPoly(0.2, ((1, 1.0, 0.0), (2, 0.0, 0.4))),
-                             slope=TrigPoly(0.0, ((2, 0.3, 0.1),))),
-    phi2=md.CylinderFunction(TrigPoly(1.1, ((1, 0.0, 1.0),)),
-                             slope=TrigPoly(0.05, ((1, 0.02, 0.0),))))
-
 kernel_cases = dict(
     x=st.floats(min_value=0.0, max_value=TWO_PI, exclude_max=True),
     lam=st.floats(min_value=1e-5, max_value=0.5),
@@ -252,6 +245,29 @@ def test_det_jac_return_matches_factored_reference(x, y, lam, k_omega, pert):
     for p in (CylinderPoint(x, y), CylinderPoint(x, np.float64(y))):
         assert (md.det_jac_return(p, params, pert)
                 == ref.det_jac_return(p, params, pert))
+
+
+@given(samples=st.lists(st.tuples(kernel_cases["x"],
+                                  st.floats(min_value=0.0, max_value=1.0),
+                                  kernel_cases["lam"]),
+                        min_size=1, max_size=8),
+       k_omega=kernel_cases["k_omega"], pert=kernel_cases["pert"])
+@settings(max_examples=200, deadline=None)
+def test_step_batch_determinant_matches_det_jac_return(samples, k_omega,
+                                                       pert):
+    """H1's determinant: j11*j22 - j12*j21 of one step_batch call with a
+    lam per sample, at y = lam*ybar, within 4 ULP of |j11*j22| + |j12*j21|
+    of det_jac_return."""
+    x, ybar, lam = (np.array(v) for v in zip(*samples))
+    params = reference_params().with_k_omega(k_omega)
+    _, _, j11, j12, j21, j22, _ = md.step_batch(
+        x, lam * ybar, lam, k_omega, md._batch_constants(params, pert))
+    det = j11 * j22 - j12 * j21
+    scale = np.abs(j11 * j22) + np.abs(j12 * j21)
+    for i, (xi, _, li) in enumerate(samples):
+        want = md.det_jac_return(CylinderPoint(xi, lam[i] * ybar[i]),
+                                 params.with_lambda(li), pert)
+        assert abs(det[i] - want) <= 4 * np.finfo(float).eps * scale[i]
 
 
 def _magnitude(poly) -> tuple[float, float]:
