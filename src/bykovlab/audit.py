@@ -18,7 +18,7 @@ import numpy as np
 from . import circlemap as cm
 from .circlemap import abundance_accepts_lambda0  # noqa: F401  (re-exported)
 from .model import (TWO_PI, ModelParams, Perturbation, _batch_constants,
-                    step_batch, wrap_angle, wrap_angles)
+                    image_batch, step_batch, wrap_angle, wrap_angles)
 from .orbits import Budget, classify_batch
 
 DEFAULT_THRESHOLDS = {
@@ -132,8 +132,8 @@ def audit_H1(params: ModelParams, pert: Perturbation,
     n_inj = min(sample_size * 5, 10_000)
     xs = rng.uniform(0.0, TWO_PI, n_inj)
     ybars = rng.uniform(0.1, 1.0, n_inj)
-    new_x, new_y, *_, alive = step_batch(xs, lam_mid * ybars, lam_mid,
-                                         params.k_omega, consts)
+    new_x, new_y, alive = image_batch(xs, lam_mid * ybars, lam_mid,
+                                      params.k_omega, consts)
     images = np.column_stack((wrap_angles(new_x),
                               new_y / lam_mid ** params.delta))
     images[~alive] = np.nan  # escaped points are never near anything

@@ -5,7 +5,8 @@ height y in [-1, 1].  The return map eta o psi_21 follows the perturbed
 global transition psi_21(x, y) = (x + xi + lam*Phi1, y + lam*Phi2) by the
 passage past both saddle-foci, eta(X, Y) = (X - K_omega ln Y, Y^delta).  One
 float kernel, _return_step, evaluates the map and its Jacobian for one orbit;
-its array twin, step_batch, steps many orbits at once with lam and K_omega
+its image half, _image_step, is the map alone.  Their array twins,
+step_batch and image_batch, step many orbits at once with lam and K_omega
 given per orbit.  The factored maps (each local passage, eta, psi_21 and
 their Jacobians) and the finite-difference Jacobian are test references in
 tests/scalar_reference.py.
@@ -289,15 +290,18 @@ class Perturbation:
 
     @functools.cached_property
     def _batch_tables(self) -> tuple:
-        """_step_tables laid out as coefficient rows for step_batch.
+        """_step_tables laid out as coefficient rows for the array kernel.
 
-        (harmonics, const, cos, sin, slopes).  Each polynomial gets a value
-        row and an x-derivative row: Phi1's and Phi2's bases first (rows
-        0-3: Phi1, Phi1_x, Phi2, Phi2_x at y = 0), then the slopes that
-        exist.  const is an (R, 1) column; cos and sin hold per harmonic
-        the (R, 1) column of coefficients of cos(kx) and sin(kx): (ck, sk)
-        on a value row, (k*sk, -k*ck) on a derivative row.  slopes lists
-        (profile index, row of its slope's value) per profile with a slope.
+        (harmonics, rows, value_rows), each of rows and value_rows a
+        (const, cos, sin, slopes) table.  In rows each polynomial gets a
+        value row and an x-derivative row: Phi1's and Phi2's bases first
+        (rows 0-3: Phi1, Phi1_x, Phi2, Phi2_x at y = 0), then the slopes
+        that exist.  const is an (R, 1) column; cos and sin hold per
+        harmonic the (R, 1) column of coefficients of cos(kx) and sin(kx):
+        (ck, sk) on a value row, (k*sk, -k*ck) on a derivative row.  slopes
+        lists (profile index, row of its slope's value) per profile with a
+        slope.  value_rows is the same table with the value rows only (rows
+        0-1: Phi1, Phi2 at y = 0), for image_batch.
         """
         harmonics, *profiles = self._step_tables
         polys = [base for base, _ in profiles]
@@ -317,7 +321,11 @@ class Perturbation:
                 sin[h, 2 * p] += sk
                 cos[h, 2 * p + 1] += k * sk
                 sin[h, 2 * p + 1] += -k * ck
-        return harmonics, const, tuple(cos), tuple(sin), tuple(slopes)
+        values = (const[::2].copy(), tuple(c[::2].copy() for c in cos),
+                  tuple(s[::2].copy() for s in sin),
+                  tuple((profile, row // 2) for profile, row in slopes))
+        return (harmonics, (const, tuple(cos), tuple(sin), tuple(slopes)),
+                values)
 
 
 def reference_perturbation() -> Perturbation:
@@ -354,49 +362,83 @@ class OrbitRecord:
 # ---------------------------------------------------------------------------
 
 def _step_constants(params: ModelParams, pert: Perturbation) -> tuple:
-    """Everything _return_step reads, cached on the parameter records."""
+    """Everything _image_step and _return_step read, cached on the records."""
     return params._step_scalars + pert._step_tables
 
 
-def _trig_sum(poly, trig) -> tuple[float, float]:
-    """Value and x-derivative of one _step_tables polynomial at shared cos/sin."""
-    out, d1 = poly[0], 0.0
-    for i, k, ck, sk in poly[1]:
+def _trig_sum(poly, trig) -> float:
+    """Value of one _step_tables polynomial at shared cos/sin."""
+    out = poly[0]
+    for i, _, ck, sk in poly[1]:
         c, s = trig[i]
         out = out + ck * c + sk * s
-        d1 = d1 + k * (-ck * s + sk * c)
-    return out, d1
+    return out
 
 
-def _profile(base, slope, trig, y: float) -> tuple[float, float, float]:
-    """P(x) + y*Q(x) with its x- and y-derivatives."""
-    p, dp = _trig_sum(base, trig)
+def _partials(profile, trig, y: float) -> tuple[float, float]:
+    """x- and y-derivatives P' + y*Q' and Q of a (base, slope) profile."""
+    base, slope = profile
+    dp = 0.0
+    for i, k, ck, sk in base[1]:
+        c, s = trig[i]
+        dp = dp + k * (-ck * s + sk * c)
     if slope is None:
-        return p, dp, 0.0
-    q, dq = _trig_sum(slope, trig)
-    return p + y * q, dp + y * dq, q
+        return dp, 0.0
+    dq = 0.0
+    for i, k, ck, sk in slope[1]:
+        c, s = trig[i]
+        dq = dq + k * (-ck * s + sk * c)
+    return dp + y * dq, _trig_sum(slope, trig)
 
 
-def _return_step(x: float, y: float, consts: tuple) -> tuple[float, ...]:
-    """One step of eta o psi_21 and its Jacobian, in plain floats.
+def _image_step(x: float, y: float, consts: tuple) -> tuple:
+    """The image half of _return_step: the map without its derivatives.
 
-    Returns (unwrapped new angle, new height, j11, j12, j21, j22); `consts`
-    comes from _step_constants.  The only copy of the return-map arithmetic:
-    the perturbation pair is evaluated once, from one cos/sin per harmonic.
-    Raises EscapeError when y + lam*Phi2 <= 0 or the image height leaves the
-    strip |y| <= 1.
+    Returns (unwrapped new angle, new height, Y, trig) with Y = y + lam*Phi2
+    and trig the (cos kx, sin kx) of each harmonic, which _return_step
+    reuses for the Jacobian.  The only scalar copy of the return-map
+    arithmetic: the pair is evaluated once, from one cos/sin per harmonic
+    (the base sums are written out: this is the hot loop of every one-orbit
+    path).  Raises EscapeError when Y <= 0 or the image height
+    leaves the strip |y| <= 1.
     """
-    lam, xi, k_omega, delta, harmonics, phi1, phi2 = consts
-    trig = [(math.cos(k * x), math.sin(k * x)) for k in harmonics]
-    f1, f1x, f1y = _profile(*phi1, trig, y)
-    f2, f2x, f2y = _profile(*phi2, trig, y)
+    lam, xi, k_omega, delta, harmonics, (base1, slope1), (base2, slope2) = consts
+    trig = []  # a loop, not a comprehension: that costs a frame per call
+    for k in harmonics:
+        trig.append((math.cos(k * x), math.sin(k * x)))
+    f2 = base2[0]
+    for i, _, ck, sk in base2[1]:
+        c, s = trig[i]
+        f2 = f2 + ck * c + sk * s
+    if slope2 is not None:
+        f2 = f2 + y * _trig_sum(slope2, trig)
     big_y = y + lam * f2
     if big_y <= 0.0:
         raise EscapeError(CylinderPoint(x, y))
     new_y = big_y ** delta
     if new_y > 1.0:
         raise EscapeError(CylinderPoint(x, y))
-    new_x = x + xi + lam * f1 - k_omega * math.log(big_y)
+    f1 = base1[0]
+    for i, _, ck, sk in base1[1]:
+        c, s = trig[i]
+        f1 = f1 + ck * c + sk * s
+    if slope1 is not None:
+        f1 = f1 + y * _trig_sum(slope1, trig)
+    return x + xi + lam * f1 - k_omega * math.log(big_y), new_y, big_y, trig
+
+
+def _return_step(x: float, y: float, consts: tuple) -> tuple[float, ...]:
+    """One step of eta o psi_21 and its Jacobian, in plain floats.
+
+    Returns (unwrapped new angle, new height, j11, j12, j21, j22); `consts`
+    comes from _step_constants.  The image is _image_step's; the Jacobian
+    adds the pair's partial derivatives at the same cos/sin.  Raises
+    EscapeError where _image_step does.
+    """
+    new_x, new_y, big_y, trig = _image_step(x, y, consts)
+    lam, _, k_omega, delta, _, phi1, phi2 = consts
+    f1x, f1y = _partials(phi1, trig, y)
+    f2x, f2y = _partials(phi2, trig, y)
     # chain rule: D eta at psi_21(x, y) times D psi_21 at (x, y), where
     # D eta(X, Y) = [[1, -K/Y], [0, delta*Y^(delta-1)]]
     e12 = -k_omega / big_y
@@ -408,8 +450,60 @@ def _return_step(x: float, y: float, consts: tuple) -> tuple[float, ...]:
 
 
 def _batch_constants(params: ModelParams, pert: Perturbation) -> tuple:
-    """Everything step_batch reads but the per-orbit lam and K_omega."""
+    """Everything the array kernel reads but the per-orbit lam and K_omega."""
     return (params.xi, params.delta) + pert._batch_tables
+
+
+def _pair_rows(x: np.ndarray, y: np.ndarray, harmonics: tuple, table: tuple,
+               width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of one _batch_tables table at the orbits (x, y).
+
+    Returns (f, v): v holds every row at y = 0, and f the first 2*width
+    rows (`width` rows per profile: its value, then its x-derivative if
+    width is 2) with each slope's rows added y times.
+    """
+    const, cos_coef, sin_coef, slopes = table
+    v = const
+    for k, a, b in zip(harmonics, cos_coef, sin_coef):
+        kx = x if k == 1 else k * x
+        v = v + a * np.cos(kx) + b * np.sin(kx)
+    f = v[:2 * width]
+    if slopes:
+        f = f.copy()
+        for profile, row in slopes:
+            f[width * profile:width * (profile + 1)] += y * v[row:row + width]
+    return f, v
+
+
+def _batch_image(x: np.ndarray, y: np.ndarray, lam_f1: np.ndarray,
+                 lam_f2: np.ndarray, k_omega, xi: float,
+                 delta: float) -> tuple[np.ndarray, ...]:
+    """The array copy of the return-map arithmetic, from lam*Phi1, lam*Phi2.
+
+    Returns (unwrapped new angles, new heights, alive, Y) with
+    Y = y + lam*Phi2, set to 1 where it is not positive so that everything
+    computed from it stays finite.
+    """
+    big_y = y + lam_f2
+    alive = big_y > 0.0
+    if np.count_nonzero(alive) < alive.size:
+        big_y = np.where(alive, big_y, 1.0)
+    new_y = big_y ** delta
+    alive &= new_y <= 1.0
+    return x + xi + lam_f1 - k_omega * np.log(big_y), new_y, alive, big_y
+
+
+def image_batch(x: np.ndarray, y: np.ndarray, lam, k_omega,
+                consts: tuple) -> tuple[np.ndarray, ...]:
+    """The image half of step_batch: many orbits' images, no Jacobian.
+
+    Returns (unwrapped new angles, new heights, alive), equal bit for bit
+    to those of step_batch with the same arguments.  Only the value rows
+    of the pair are evaluated.
+    """
+    xi, delta, harmonics, _, values = consts
+    lf = lam * _pair_rows(x, y, harmonics, values, 1)[0]
+    return _batch_image(x, y, lf[0], lf[1], k_omega, xi, delta)[:3]
 
 
 def step_batch(x: np.ndarray, y: np.ndarray, lam, k_omega,
@@ -419,32 +513,24 @@ def step_batch(x: np.ndarray, y: np.ndarray, lam, k_omega,
     Returns (unwrapped new angles, new heights, j11, j12, j21, j22, alive);
     `consts` comes from _batch_constants and `lam`, `k_omega` are arrays or
     floats.  The pair is evaluated as rows (value and x-derivative of each
-    profile) from the same coefficient tables as _return_step.  For one
-    harmonic and no slopes every sum runs in _return_step's order, so only
-    np.log and np.power (which may differ from math by an ULP) separate the
-    two.  Where _return_step raises EscapeError, `alive` is False and the
-    other entries are finite but meaningless.
+    profile) from the same coefficient tables as _return_step, and the
+    image comes from the same arithmetic as image_batch's, which is the
+    cheaper call where the Jacobian is not needed.  For one harmonic and
+    no slopes every sum runs in _return_step's order, so only np.log and
+    np.power (which may differ from math by an ULP) separate the two.
+    Where _return_step raises EscapeError, `alive` is False and the other
+    entries are finite but meaningless.
     """
-    xi, delta, harmonics, const, cos_coef, sin_coef, slopes = consts
-    v = const
-    for k, a, b in zip(harmonics, cos_coef, sin_coef):
-        kx = x if k == 1 else k * x
-        v = v + a * np.cos(kx) + b * np.sin(kx)
-    f, fy = v[:4], [None, None]  # fy: each profile's slope, Phi_y
-    if slopes:
-        f = f.copy()
-        for profile, row in slopes:
-            f[2 * profile:2 * profile + 2] += y * v[row:row + 2]
-            fy[profile] = v[row]
+    xi, delta, harmonics, rows, _ = consts
+    slopes = rows[3]
+    f, v = _pair_rows(x, y, harmonics, rows, 2)
+    fy = [None, None]  # each profile's slope, Phi_y
+    for profile, row in slopes:
+        fy[profile] = v[row]
     f1y, f2y = fy
     lf = lam * f  # rows: lam*Phi1, lam*Phi1_x, lam*Phi2, lam*Phi2_x
-    big_y = y + lf[2]
-    alive = big_y > 0.0
-    if np.count_nonzero(alive) < alive.size:
-        big_y = np.where(alive, big_y, 1.0)
-    new_y = big_y ** delta
-    alive &= new_y <= 1.0
-    new_x = x + xi + lf[0] - k_omega * np.log(big_y)
+    new_x, new_y, alive, big_y = _batch_image(x, y, lf[0], lf[2], k_omega,
+                                              xi, delta)
     # D eta = [[1, e12], [0, e22]] with e12 = -r; _return_step's a + e12*p
     # equals a - r*p exactly, and without slopes p22 = 1 and lam*Phi1_y = 0
     r = k_omega / big_y
@@ -458,8 +544,11 @@ def step_batch(x: np.ndarray, y: np.ndarray, lam, k_omega,
 
 
 def return_map(p: CylinderPoint, params: ModelParams, pert: Perturbation) -> CylinderPoint:
-    """First return map eta o psi_21 on the domain y + lam*Phi2 > 0."""
-    q = _return_step(p[0], p[1], _step_constants(params, pert))
+    """First return map eta o psi_21 on the domain y + lam*Phi2 > 0.
+
+    Steps through the kernel's image half, so no derivative is computed.
+    """
+    q = _image_step(p[0], p[1], _step_constants(params, pert))
     return CylinderPoint(wrap_angle(q[0]), q[1])
 
 
@@ -469,7 +558,7 @@ def jac_return(p, params: ModelParams, pert: Perturbation) -> np.ndarray:
     Raises EscapeError where return_map does.
     """
     j = _return_step(p[0], p[1], _step_constants(params, pert))
-    return np.array([[j[2], j[3]], [j[4], j[5]]])
+    return np.array(j[2:]).reshape(2, 2)
 
 
 def det_jac_return(p, params: ModelParams, pert: Perturbation) -> float:
@@ -483,8 +572,11 @@ def det_jac_return(p, params: ModelParams, pert: Perturbation) -> float:
     x, y = p
     lam, _, _, delta, harmonics, phi1, phi2 = _step_constants(params, pert)
     trig = [(math.cos(k * x), math.sin(k * x)) for k in harmonics]
-    _, f1x, f1y = _profile(*phi1, trig, y)
-    f2, f2x, f2y = _profile(*phi2, trig, y)
+    f1x, f1y = _partials(phi1, trig, y)
+    f2x, f2y = _partials(phi2, trig, y)
+    f2 = _trig_sum(phi2[0], trig)
+    if phi2[1] is not None:
+        f2 = f2 + y * f2y
     big_y = y + lam * f2
     dpsi = (1.0 + lam * f1x) * (1.0 + lam * f2y) - lam * lam * f1y * f2x
     return delta * big_y ** (delta - 1.0) * dpsi

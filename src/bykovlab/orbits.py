@@ -14,14 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (TWO_PI, CylinderPoint, EscapeError, ModelParams,
-                    OrbitRecord, Perturbation, _batch_constants, _return_step,
-                    _step_constants, jac_return, return_map, step_batch,
-                    wrap_angle, wrap_angles)
+                    OrbitRecord, Perturbation, _batch_constants, _image_step,
+                    _step_constants, image_batch, jac_return, return_map,
+                    step_batch, wrap_angle, wrap_angles)
 
 SATURATION = -50.0  # per-iterate log-contraction below this is reported as saturated
 RECURRENCE_TOL = 1e-8  # period detection: recurrence distance of a sink
 PERIOD_CAP = 64        # period detection: longest period looked for
 PERIOD_TAIL = max(4 * PERIOD_CAP, 512)  # period detection: last points read
+PERIOD_PREFILTER = 16  # period detection: pairs per candidate checked at once
 LYAPUNOV_CAP = 20_000  # classify_batch: most Lyapunov steps, whatever n_iter
 ROTATION_CAP = 2_000   # classify_batch: most lift steps per rotation seed
 QR_CADENCE = 10        # lyapunov: steps between QR renormalizations
@@ -105,11 +106,13 @@ def lyapunov(params: ModelParams, pert: Perturbation, p0: CylinderPoint,
     """Both Lyapunov exponents via QR-renormalized Jacobian products.
 
     One loop over plain floats: each step takes the image from return_map
-    and the Jacobian entries from jac_return (both the return-step kernel),
-    folds the Jacobian into a 2x2 product and, every `cadence` steps,
-    re-orthonormalizes the product (Benettin et al. 1980).  An escape stops
-    the run before the escaping step is counted; `escaped_at` reports it, and
-    an escape before n/2 measured steps makes the estimate inconclusive.
+    (the image half of the return-step kernel, no derivatives) and each
+    measured step the Jacobian entries from jac_return (the full kernel,
+    whose image is computed again and dropped), folds the Jacobian into a
+    2x2 product and, every `cadence` steps, re-orthonormalizes the product
+    (Benettin et al. 1980).  An escape stops the run before the escaping
+    step is counted; `escaped_at` reports it, and an escape before n/2
+    measured steps makes the estimate inconclusive.
     `jac` and `step` replace both with a synthetic map for harness tests;
     they are given together.
     """
@@ -243,7 +246,7 @@ def rotation_set_2d(params: ModelParams, pert: Perturbation,
         x, y, disp = wrap_angle(p0.x), float(p0.y), 0.0
         try:
             for _ in range(n):
-                xhat, y = _return_step(x, y, consts)[:2]
+                xhat, y = _image_step(x, y, consts)[:2]
                 disp += xhat - x
                 x = wrap_angle(xhat)
         except EscapeError:
@@ -283,13 +286,20 @@ def _detect_period(tail: np.ndarray, tol: float, cap: int,
     """Smallest p <= cap with recurrence |orbit_{n+p} - orbit_n| <= tol.
 
     Heights are compared relative to yscale (the orbit's own y-magnitude),
-    angles on the circle.
+    angles on the circle.  The first PERIOD_PREFILTER pairs of every
+    candidate are checked as one array first; the full check over all pairs
+    runs only on the candidates that pass them.
     """
     m = len(tail)
     if m < 2 * cap:
         return None
     ys = tail[:, 1] / max(yscale, 1e-300)
-    for p in range(1, cap + 1):
+    i = np.arange(min(PERIOD_PREFILTER, m - cap))
+    ip = i + np.arange(1, cap + 1)[:, None]  # row p-1: the pairs (i, i + p)
+    dx = np.abs(np.mod(tail[ip, 0] - tail[i, 0] + math.pi, TWO_PI) - math.pi)
+    dy = np.abs(ys[ip] - ys[i])
+    candidates = np.flatnonzero(((dx <= tol) & (dy <= tol)).all(axis=1)) + 1
+    for p in candidates.tolist():
         dx = np.abs(np.mod(tail[p:, 0] - tail[:-p, 0] + math.pi, TWO_PI) - math.pi)
         dy = np.abs(ys[p:] - ys[:-p])
         if float(np.max(dx)) <= tol and float(np.max(dy)) <= tol:
@@ -332,14 +342,14 @@ def _gram_schmidt_batch(p11, p12, p21, p22, logdet):
 
 
 def _lockstep(params: list, pert: Perturbation, budget: Budget) -> list:
-    """Follow one orbit per cell, all cells in lockstep through step_batch.
+    """Follow one orbit per cell, all cells in lockstep on the array kernel.
 
     Cell c's orbit starts at (0.5, lam_c), inside the absorbing annulus, and
     runs B = burn_in steps, then n = n_iter recorded steps (points[0..n]),
-    then the L = min(n, LYAPUNOV_CAP) steps of the Lyapunov run from
-    points[n].  The rotation seeds points[0], points[(n+1)//2] and
-    points[n] each lift the next R = min(ROTATION_CAP, n) steps of the same
-    orbit.  Per cell: None if the orbit escaped before points[n], else
+    both through image_batch, then the L = min(n, LYAPUNOV_CAP) steps of
+    the Lyapunov run from points[n] through step_batch.  The rotation seeds
+    points[0], points[(n+1)//2] and points[n] each lift the next
+    R = min(ROTATION_CAP, n) steps of the same orbit.  Per cell: None if the orbit escaped before points[n], else
     (points[first:] as in _recorded_range, the LyapunovEstimate, the
     rotation numbers of the seeds whose R steps did not escape).
     """
@@ -389,8 +399,11 @@ def _lockstep(params: list, pert: Perturbation, budget: Budget) -> list:
                     rec_x[t - rec0], rec_y[t - rec0] = x, y
                 else:
                     rec_x[t - rec0, cols], rec_y[t - rec0, cols] = x, y
-            xn, yn, j11, j12, j21, j22, alive = step_batch(x, y, lam, k_omega,
-                                                           consts)
+            if t < lyap0:
+                xn, yn, alive = image_batch(x, y, lam, k_omega, consts)
+                jac = ()
+            else:
+                xn, yn, *jac, alive = step_batch(x, y, lam, k_omega, consts)
             if np.count_nonzero(alive) < alive.size:
                 for pos in np.flatnonzero(~alive).tolist():
                     if t < lyap0:
@@ -399,9 +412,8 @@ def _lockstep(params: list, pert: Perturbation, budget: Budget) -> list:
                     finish(pos, t - lyap0)
                     for j, start in enumerate(seed_starts):
                         seed_ok[j, cols[pos]] = t >= start + n_rot
-                x, y, lam, k_omega, cols, xn, yn, j11, j12, j21, j22 = (
-                    v[alive] for v in (x, y, lam, k_omega, cols, xn, yn,
-                                       j11, j12, j21, j22))
+                x, y, lam, k_omega, cols, xn, yn, *jac = (
+                    v[alive] for v in (x, y, lam, k_omega, cols, xn, yn, *jac))
                 prod0, prod1, sums, disp = (v[:, alive] for v in
                                             (prod0, prod1, sums, disp))
                 if not cols.size:
@@ -410,7 +422,8 @@ def _lockstep(params: list, pert: Perturbation, budget: Budget) -> list:
                 lo, hi = windows[t]
             if hi > lo:
                 disp[lo:hi] += xn - x
-            if t >= lyap0:
+            if jac:
+                j11, j12, j21, j22 = jac
                 ld = np.log(np.abs(j11 * j22 - j12 * j21))
                 sums[2:] += np.where(np.isfinite(ld), ld, SATURATION * 2.0)
                 prod0, prod1 = (j11 * prod0 + j12 * prod1,

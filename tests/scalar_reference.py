@@ -15,11 +15,13 @@ Four groups of references, each written as the plain definition:
   `audit.audit_H1` takes every determinant from one `model.step_batch`
   call and compares all neighbours as arrays; it is tested against it.
 - `classify_cell` as three separate one-orbit runs (iterate, lyapunov,
-  rotation_set_2d) of the scalar kernel.  `orbits.classify_batch` follows
+  rotation_set_2d) of the scalar kernel, and period detection as one full
+  pass over the tail per candidate period.  `orbits.classify_batch` follows
   one lockstep orbit per cell through `model.step_batch` and is tested
   against it: equal labels and periods, and equal exponents and rotation
   numbers where the orbit does not amplify the ULP differences between
-  numpy's and math's log and power.
+  numpy's and math's log and power.  `orbits._detect_period` rejects most
+  candidate periods as one array first and must return the same period.
 """
 
 import math
@@ -33,7 +35,7 @@ from bykovlab.model import (TWO_PI, CylinderFunction, CylinderPoint,
                             EscapeError, ModelParams, Perturbation, TrigPoly,
                             wrap_angle)
 from bykovlab.orbits import (LYAPUNOV_CAP, PERIOD_CAP, RECURRENCE_TOL,
-                             ROTATION_CAP, Budget, RegimeCell, _detect_period,
+                             ROTATION_CAP, Budget, RegimeCell,
                              _orbit_thickness, iterate, lyapunov,
                              rotation_set_2d)
 
@@ -355,6 +357,25 @@ def audit_H1(params: ModelParams, pert: Perturbation,
 # ---------------------------------------------------------------------------
 
 
+def detect_period(tail: np.ndarray, tol: float, cap: int,
+                  yscale: float) -> int | None:
+    """Smallest p <= cap with recurrence |orbit_{n+p} - orbit_n| <= tol.
+
+    Heights are compared relative to yscale (the orbit's own y-magnitude),
+    angles on the circle.
+    """
+    m = len(tail)
+    if m < 2 * cap:
+        return None
+    ys = tail[:, 1] / max(yscale, 1e-300)
+    for p in range(1, cap + 1):
+        dx = np.abs(np.mod(tail[p:, 0] - tail[:-p, 0] + math.pi, TWO_PI) - math.pi)
+        dy = np.abs(ys[p:] - ys[:-p])
+        if float(np.max(dx)) <= tol and float(np.max(dy)) <= tol:
+            return p
+    return None
+
+
 def classify_cell(lam: float, k_omega: float, base_params: ModelParams,
                   pert: Perturbation, budget: Budget = Budget()) -> RegimeCell:
     """Label one (lambda, K_omega) parameter cell.
@@ -371,7 +392,7 @@ def classify_cell(lam: float, k_omega: float, base_params: ModelParams,
     tail_len = min(len(orbit.points), max(4 * PERIOD_CAP, 512))
     tail = orbit.points[-tail_len:]
     yscale = float(np.max(tail[:, 1]))
-    period = _detect_period(tail, RECURRENCE_TOL, PERIOD_CAP, yscale)
+    period = detect_period(tail, RECURRENCE_TOL, PERIOD_CAP, yscale)
     est = lyapunov(params, pert, CylinderPoint(*orbit.points[-1]),
                    min(budget.n_iter, LYAPUNOV_CAP), burn_in=0)
     try:

@@ -196,19 +196,22 @@ kernel_cases = dict(
 @given(y=st.floats(min_value=-0.5, max_value=1.0), **kernel_cases)
 @settings(max_examples=300, deadline=None)
 def test_kernel_step_matches_return_map_and_factors(x, y, lam, k_omega, pert):
-    """Same image and escapes as return_map; pinned to eta o psi_21."""
+    """Both kernel halves: the same image (bit for bit) and escapes as
+    return_map; pinned to eta o psi_21."""
     params = reference_params(lam=lam).with_k_omega(k_omega)
     consts = md._step_constants(params, pert)
     mid = psi_21(CylinderPoint(x, y), params, pert)
     try:
         q = return_map(CylinderPoint(x, y), params, pert)
     except EscapeError:
-        with pytest.raises(EscapeError):
-            md._return_step(x, y, consts)
+        for half in (md._return_step, md._image_step):
+            with pytest.raises(EscapeError):
+                half(x, y, consts)
         assert mid.y <= 0.0 or mid.y ** params.delta > 1.0
         return
     xhat, new_y = md._return_step(x, y, consts)[:2]
     assert (wrap_angle(xhat), new_y) == (q.x, q.y)
+    assert md._image_step(x, y, consts)[:3] == (xhat, new_y, mid.y)
     ref = eta(mid, params)
     assert new_y == ref.y
     d = abs(math.fmod(xhat - ref.x, TWO_PI))
@@ -289,7 +292,10 @@ def _step_scales(x, y, lam, k_omega, params, pert, image) -> list[float]:
     (m1, d1), (m1s, d1s) = _magnitude(b1), _magnitude(s1)
     (m2, d2), (m2s, d2s) = _magnitude(b2), _magnitude(s2)
     trig = [(math.cos(k * x), math.sin(k * x)) for k in harmonics]
-    big_y = y + lam * md._profile(b2, s2, trig, y)[0]
+    f2 = md._trig_sum(b2, trig)
+    if s2 is not None:
+        f2 = f2 + y * md._trig_sum(s2, trig)
+    big_y = y + lam * f2
     kappa = (abs(y) + lam * (m2 + abs(y) * m2s)) / big_y
     e12 = k_omega / big_y
     e22 = params.delta * big_y ** (params.delta - 1.0)
@@ -311,11 +317,16 @@ def _step_scales(x, y, lam, k_omega, params, pert, image) -> list[float]:
 @settings(max_examples=200, deadline=None)
 def test_step_batch_matches_return_step(orbits, pert):
     """One step_batch call with mixed lam and K_omega: the same escapes as
-    _return_step, and each output within 4 ULP of its terms' magnitude."""
+    _return_step, and each output within 4 ULP of its terms' magnitude.
+    image_batch returns step_batch's (new_x, new_y, alive) exactly."""
     x, y, lam, k_omega = (np.array(v) for v in zip(*orbits))
     params = reference_params()
-    *out, alive = md.step_batch(x, y, lam, k_omega,
-                                md._batch_constants(params, pert))
+    consts = md._batch_constants(params, pert)
+    *out, alive = md.step_batch(x, y, lam, k_omega, consts)
+    image = md.image_batch(x, y, lam, k_omega, consts)
+    assert len(image) == 3
+    for got, want in zip(image, (out[0], out[1], alive)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
     eps = np.finfo(float).eps
     for i, (xi, yi, li, ki) in enumerate(orbits):
         consts = (li, params.xi, ki) + md._step_constants(params, pert)[3:]
@@ -328,3 +339,4 @@ def test_step_batch_matches_return_step(orbits, pert):
         scales = _step_scales(xi, yi, li, ki, params, pert, ref)
         for got, want, scale in zip(out, ref, scales):
             assert abs(got[i] - want) <= 4 * eps * scale
+

@@ -239,6 +239,58 @@ def _assert_matches_reference(cells, expect):
                 or abs(a - b) <= 1e-9 * max(1.0, abs(b)), (want, field, a)
 
 
+class TestDetectPeriod:
+    """The prefiltered period search returns what the full pass over every
+    candidate returns (tests/scalar_reference.detect_period)."""
+    # scan-grid budget (n_iter 2000, burn_in 500) tails at the reference
+    # model: sinks of period 28, 2, 3, 1 and 4, and orbits with no period
+    CELLS = {(1e-4, 0.45): 28, (1e-3, 0.45): 2, (1e-2, 0.45): 3,
+             (1e-3, 5.0): 1, (1e-4, 1.0): 4, (1e-4, 8.0): None,
+             (1e-2, 15.0): None, (1e-3, 0.1): None}
+
+    @pytest.fixture(scope="class")
+    def tails(self, params_k5, pert):
+        return {(lam, k): ob.iterate(params_k5.with_k_omega(k).with_lambda(lam),
+                                     pert, CylinderPoint(0.5, lam), 2000,
+                                     500).points[-ob.PERIOD_TAIL:]
+                for lam, k in self.CELLS}
+
+    def test_orbit_tails(self, tails):
+        for cell, period in self.CELLS.items():
+            tail = tails[cell]
+            yscale = float(np.max(tail[:, 1]))
+            args = (tail, ob.RECURRENCE_TOL, ob.PERIOD_CAP, yscale)
+            assert ob._detect_period(*args) == ref.detect_period(*args) \
+                == period, cell
+
+    @given(cell=st.sampled_from(sorted(CELLS)),
+           tol=st.sampled_from([1e-12, ob.RECURRENCE_TOL, 1e-5, 1e-2, 1.0]),
+           cap=st.sampled_from([1, 2, 3, 27, 28, ob.PERIOD_CAP, 256, 257]),
+           start=st.integers(0, 500))
+    @settings(max_examples=200, deadline=None)
+    def test_orbit_tails_any_tolerance(self, tails, cell, tol, cap, start):
+        tail = tails[cell][start:]
+        yscale = float(np.max(tail[:, 1]))
+        args = (tail, tol, cap, yscale)
+        assert ob._detect_period(*args) == ref.detect_period(*args)
+
+    @given(period=st.sampled_from([1, 2, 3, 28]) | st.integers(1, 80),
+           noise=st.sampled_from([0.0, 1e-10, 5e-9, 2e-8, 1e-3]),
+           late=st.integers(0, 511), m=st.integers(1, 600),
+           cap=st.sampled_from([3, 28, ob.PERIOD_CAP]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_synthetic_cycles(self, period, noise, late, m, cap, seed):
+        """A random cycle, with noise from point `late` on: past the
+        prefilter's pairs, only the full check can reject the period."""
+        rng = np.random.default_rng(seed)
+        cycle = rng.uniform((0.0, 1e-3), (TWO_PI, 1.0), (period, 2))
+        tail = cycle[np.arange(m) % period]
+        tail[late:] += noise * rng.standard_normal(tail[late:].shape)
+        args = (tail, ob.RECURRENCE_TOL, cap, float(np.max(tail[:, 1])))
+        assert ob._detect_period(*args) == ref.detect_period(*args)
+
+
 class TestClassifyBatch:
     # the benchmark's scan grid: every regime, and Escaped cells
     LAMS = (1e-4, 1e-3, 1e-2, 0.3)
