@@ -16,10 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import circlemap as cm
-from .circlemap import abundance_accepts_lambda0  # noqa: F401  (re-exported)
 from .model import (TWO_PI, ModelParams, Perturbation, _batch_constants,
                     image_batch, step_batch, wrap_angle, wrap_angles)
 from .orbits import Budget, classify_batch
+
+H2H3_N_RANGE = range(3, 13)  # audit_H2_H3: the n of lambda_(a,n) tabulated
+H5_HORIZON = 12              # audit_H5_proxy: steps of the continued orbit
+H6_A = 0.0                   # audit_H6: parameter a of the limit family
 
 DEFAULT_THRESHOLDS = {
     "h1_ratio_cap": 1e3,
@@ -155,7 +158,6 @@ def audit_H1(params: ModelParams, pert: Perturbation,
 
 
 def audit_H2_H3(params: ModelParams, pert: Perturbation, a: float = 1.0,
-                n_range: range = range(3, 13),
                 thresholds: dict | None = None) -> HypothesisVerdict:
     """Existence of and C3-style convergence to the one-dimensional limit.
 
@@ -163,7 +165,7 @@ def audit_H2_H3(params: ModelParams, pert: Perturbation, a: float = 1.0,
     eventually monotone decreasing in n and the final row is below tolerance.
     """
     t = _thresholds(thresholds)
-    rows = cm.singular_limit_convergence(params, pert, a, n_range)
+    rows = cm.singular_limit_convergence(params, pert, a, H2H3_N_RANGE)
     tables = {
         "value": [r.value_err for r in rows],
         "d1": [r.d1_err for r in rows],
@@ -177,7 +179,7 @@ def audit_H2_H3(params: ModelParams, pert: Perturbation, a: float = 1.0,
     ok = all(mono.values()) and final_ok
     return HypothesisVerdict(
         "H2H3", "PASS" if ok else "FAIL",
-        {"a": a, "n_range": [n_range.start, n_range.stop],
+        {"a": a, "n_range": [H2H3_N_RANGE.start, H2H3_N_RANGE.stop],
          "monotone": mono, "final_errors": {k: v[-1] for k, v in tables.items()},
          "final_tol": t["h2h3_final_tol"],
          "table": [{"n": r.n, "lambda": r.lam, "value": r.value_err,
@@ -209,7 +211,6 @@ def audit_H4(family: cm.CircleMapFamily, a_window=(0.0, TWO_PI),
 
 
 def audit_H5_proxy(family: cm.CircleMapFamily, a_star: float,
-                   horizon: int = 12, delta0: float = 0.05,
                    thresholds: dict | None = None) -> HypothesisVerdict:
     """Finite-horizon transversality proxy at a_star (never proof-grade).
 
@@ -218,9 +219,10 @@ def audit_H5_proxy(family: cm.CircleMapFamily, a_star: float,
     of the reference orbit over the horizon.  The first derivative
     is exactly 1 (a enters additively); the margin is |1 - dp/da|.
     INCONCLUSIVE when the reference orbit passes within delta0/2 of the
-    critical set (continuation ambiguous).
+    critical set (continuation ambiguous); delta0 is H4's h4_delta0.
     """
     t = _thresholds(thresholds)
+    horizon, delta0 = H5_HORIZON, t["h4_delta0"]
     crit = family.critical_set
     if crit.q == 0:
         return HypothesisVerdict("H5", "FAIL",
@@ -284,13 +286,12 @@ def audit_H5_proxy(family: cm.CircleMapFamily, a_star: float,
         proxy=True)
 
 
-def audit_H6(params: ModelParams, pert: Perturbation,
-             crit: cm.CriticalSet, a: float = 0.0,
+def audit_H6(params: ModelParams, pert: Perturbation, crit: cm.CriticalSet,
              thresholds: dict | None = None) -> HypothesisVerdict:
     """Height-derivative of the limit family's first component at each turn.
 
-    Central differences (in ybar, at ybar = 0) of the extended limit map;
-    PASS iff every magnitude exceeds the configured floor.
+    Central differences (in ybar, at ybar = 0) of the extended limit map at
+    a = H6_A; PASS iff every magnitude exceeds the configured floor.
     """
     t = _thresholds(thresholds)
     if crit.q == 0:
@@ -298,7 +299,7 @@ def audit_H6(params: ModelParams, pert: Perturbation,
     h = t["h6_step"]
     values = []
     for c in crit.points:
-        f = lambda yb: cm.limit_extension_value(params, pert, a, float(c), yb)
+        f = lambda yb: cm.limit_extension_value(params, pert, H6_A, float(c), yb)
         d = (f(h) - f(-h)) / (2.0 * h)
         values.append(float(d))
     ok = all(abs(v) > t["h6_floor"] for v in values)
@@ -382,8 +383,7 @@ def run_audit(params: ModelParams, pert: Perturbation,
     if v4.status == "PASS" and v4.evidence["passing"]:
         best = max(v4.evidence["passing"], key=lambda e: e["lambda0"])
         a_star, lambda0 = best["a"], best["lambda0"]
-        v5 = audit_H5_proxy(family, a_star, delta0=t["h4_delta0"],
-                            thresholds=t)
+        v5 = audit_H5_proxy(family, a_star, thresholds=t)
         v7 = audit_H7(family, a_star, lambda0, thresholds=t)
     else:
         v5 = HypothesisVerdict("H5", "INCONCLUSIVE",

@@ -22,6 +22,9 @@ from .model import TWO_PI, ModelParams, Perturbation, TrigPoly, wrap_angle
 DEFAULT_GRID = 1 << 14
 ROOT_TOL = 1e-12
 MORSE_TOL = 1e-8
+FD_STEP = 1e-6           # singular_limit_convergence: central-difference step
+SUPERSTABLE_GRID = 4096  # superstable_search: a-grid points that bracket roots
+SUPERSTABLE_TOL = 1e-10  # superstable_search: largest |g| of a kept root
 
 
 class NonMorseError(ValueError):
@@ -47,7 +50,7 @@ class CircleMapFamily:
 
     @functools.cached_property
     def critical_set(self) -> "CriticalSet":
-        """critical_points(self) on the default grid, computed on first use."""
+        """critical_points(self), computed on first use."""
         return critical_points(self)
 
     def lift(self, a: float, xhat):
@@ -101,15 +104,15 @@ class CriticalSet:
         return float(out) if out.ndim == 0 else out
 
 
-def critical_points(family: CircleMapFamily, grid: int = DEFAULT_GRID) -> CriticalSet:
-    """All roots of h' in [0, 2pi), bracketed on a grid and polished.
+def critical_points(family: CircleMapFamily) -> CriticalSet:
+    """All roots of h' in [0, 2pi), bracketed on DEFAULT_GRID and polished.
 
     Bisection narrows each bracket, a Newton step finishes to |h'| <= 1e-12.
     Degenerate roots (|h''| < 1e-8) raise NonMorseError.
     """
-    xs = np.linspace(0.0, TWO_PI, grid, endpoint=False)
+    xs = np.linspace(0.0, TWO_PI, DEFAULT_GRID, endpoint=False)
     vals = np.asarray(family.deriv(xs))
-    step = TWO_PI / grid
+    step = TWO_PI / DEFAULT_GRID
     roots = []
     for i in np.nonzero(vals * np.roll(vals, -1) < 0.0)[0]:
         lo, hi = xs[i], xs[i] + step
@@ -527,15 +530,14 @@ class ConvergenceRow:
 
 
 def singular_limit_convergence(params: ModelParams, pert: Perturbation, a: float,
-                               n_range: range, nx: int = 128, ny: int = 4,
-                               ybar_max: float | None = None,
-                               fd_step: float = 1e-6) -> list[ConvergenceRow]:
+                               n_range: range, nx: int = 128,
+                               ny: int = 4) -> list[ConvergenceRow]:
     """Error table for the convergence of the rescaled map to (h_a, 0).
 
     For each n the map at lam = lambda_(a,n) is compared with the limit
     h_a(x, ybar) = x + xi + a - K ln(ybar + Phi2(x, ybar)) on a grid of the
     forward-invariant strip; derivative errors use central differences of
-    the difference function (step fd_step).  Grid points violating the
+    the difference function (step FD_STEP).  Grid points violating the
     domain condition are excluded and counted.
     """
     k = params.k_omega
@@ -544,9 +546,7 @@ def singular_limit_convergence(params: ModelParams, pert: Perturbation, a: float
     rows = []
     for n in n_range:
         _, lam = lambda_sequences(k, n, a)
-        cap = ybar_max
-        if cap is None:
-            cap = min(1.0, lam ** (delta - 1.0) * (1.0 + phi2max) ** delta)
+        cap = min(1.0, lam ** (delta - 1.0) * (1.0 + phi2max) ** delta)
         xs = np.linspace(0.0, TWO_PI, nx, endpoint=False)
         ys = np.linspace(0.0, cap, ny)
         xg, yg = np.meshgrid(xs, ys, indexing="ij")
@@ -565,7 +565,7 @@ def singular_limit_convergence(params: ModelParams, pert: Perturbation, a: float
 
         domain_ok = (yg + np.asarray(pert.phi2(xg, lam * yg))) > 0.0
         excluded = int(np.sum(~domain_ok))
-        h = fd_step
+        h = FD_STEP
         g0 = diff1(xg, yg)
         gxp, gxm = diff1(xg + h, yg), diff1(xg - h, yg)
         gyp, gym = diff1(xg, yg + h), diff1(xg, yg - h)
@@ -615,14 +615,13 @@ def _lift_iterate(family: CircleMapFamily, a, x0: float, p: int):
 
 def superstable_search(family: CircleMapFamily, period: int,
                        a_window: tuple[float, float] = (0.0, TWO_PI),
-                       n_grid: int = 4096, n_lambdas: int = 8,
-                       tol: float = 1e-10) -> list[SuperstableOrbit]:
+                       n_lambdas: int = 8) -> list[SuperstableOrbit]:
     """Parameters a* with h_{a*}^p(c) = c at a critical point c.
 
     Brackets sign changes of g(a) = lift^p(c) - c - 2*pi*m over integer
-    windings m on a dense a-grid, polishes by bisection to |g| <= tol, and
-    returns each root with the pulled-back sequence
-    lambda_n = exp((a* - 2*pi*n)/K_omega).
+    windings m on a SUPERSTABLE_GRID-point a-grid, polishes by bisection to
+    |g| <= SUPERSTABLE_TOL, and returns each root with the pulled-back
+    sequence lambda_n = exp((a* - 2*pi*n)/K_omega).
     """
     if period not in (1, 2):
         raise ValueError("supported periods: 1 and 2")
@@ -630,7 +629,7 @@ def superstable_search(family: CircleMapFamily, period: int,
     if crit.q == 0:
         raise EmptyCriticalSetError("superstable search needs critical points")
     a_lo, a_hi = a_window
-    grid = np.linspace(a_lo, a_hi, n_grid)
+    grid = np.linspace(a_lo, a_hi, SUPERSTABLE_GRID)
     out = []
     for c in crit.points:
         c = float(c)
@@ -651,7 +650,7 @@ def superstable_search(family: CircleMapFamily, period: int,
                         lo, flo = mid, fm
                 a_star = 0.5 * (lo + hi)
                 res = abs(_lift_iterate(family, a_star, c, period) - c - TWO_PI * m)
-                if res > tol:
+                if res > SUPERSTABLE_TOL:
                     continue
                 # chain rule through the critical point: one factor is h'(c)
                 dres = 1.0
@@ -679,30 +678,3 @@ def superstable_search(family: CircleMapFamily, period: int,
 def abundance_accepts_lambda0(lambda0: float) -> bool:
     """Expansion-threshold arithmetic for the surjectivity proposition."""
     return math.exp(lambda0) > math.log(10.0)
-
-
-def abundance_conditions(family: CircleMapFamily, a_star: float,
-                      cert: MisiurewiczCertificate) -> list[Verdict]:
-    """Surjective-branch and expansion-threshold conditions at a*.
-
-    (i) a prior Misiurewicz certificate passes; (ii) every monotone branch
-    image covers the full circle; (iii) exp(lambda0) > ln 10.
-    """
-    verdicts = [Verdict("i-misiurewicz", cert.passed, {"a": cert.a})]
-    try:
-        part = monotonicity_partition(family)
-        cover = []
-        for i in range(part.r):
-            lo_end = family.lift(a_star, float(part.starts[i]))
-            hi_end = family.lift(a_star, float(part.starts[i] + part.gaps[i]))
-            cover.append(abs(hi_end - lo_end) >= TWO_PI)
-        verdicts.append(Verdict("ii-full-branch-images", all(cover),
-                                {"branch_covers": cover}))
-    except EmptyCriticalSetError:
-        verdicts.append(Verdict("ii-full-branch-images", False,
-                                "no critical points"))
-    verdicts.append(Verdict("iii-expansion-threshold",
-                            abundance_accepts_lambda0(cert.lambda0),
-                            {"exp_lambda0": math.exp(cert.lambda0),
-                             "ln10": math.log(10.0)}))
-    return verdicts

@@ -19,7 +19,7 @@ from .model import (CylinderFunction, ModelParams, Perturbation, TrigPoly,
 MODEL_KEYS = {"c1", "e1", "omega1", "c2", "e2", "omega2", "xi", "lambda"}
 TOP_KEYS = {"model", "perturbation", "seed", "iterate", "lyapunov", "scan",
             "audit", "misiurewicz", "superstable", "rotation",
-            "singular_limit", "plot"}
+            "singular_limit"}
 
 
 class ConfigError(ValueError):

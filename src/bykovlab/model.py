@@ -22,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+PROFILE_GRID = 4096  # Perturbation.validate/phi2_max: sample points on the circle
 
 
 class InvalidParamsError(ValueError):
@@ -172,7 +173,10 @@ class TrigPoly:
 def _backend(x):
     """math and a 0.0 start for a plain float, else numpy and a zero array.
 
-    The math path keeps scalar map steps free of per-call numpy overhead.
+    The math path serves the circle family's scalar loops (H5's
+    continuation, the superstable bisection, transition_matrix and H6's
+    limit_extension_value) without per-call numpy overhead; map steps read
+    _step_tables and never call TrigPoly.
     """
     if type(x) is float:
         return math, 0.0
@@ -244,8 +248,8 @@ class Perturbation:
     phi2: CylinderFunction
     epsilon: float = 1.0
 
-    def validate(self, grid: int = 4096) -> None:
-        xs = np.linspace(0.0, TWO_PI, grid, endpoint=False)
+    def validate(self) -> None:
+        xs = np.linspace(0.0, TWO_PI, PROFILE_GRID, endpoint=False)
         for yv in (-self.epsilon, 0.0, self.epsilon):
             vals = np.asarray(self.phi2(xs, np.full_like(xs, yv)))
             if np.any(vals <= 0.0):
@@ -256,14 +260,14 @@ class Perturbation:
         d1 = np.asarray(sec.d1(xs))
         flips = np.nonzero(d1 * np.roll(d1, -1) < 0.0)[0]
         for i in flips:
-            xc = 0.5 * (xs[i] + xs[(i + 1) % grid])
+            xc = 0.5 * (xs[i] + xs[(i + 1) % PROFILE_GRID])
             v, dv, d2v = sec(xc), sec.d1(xc), sec.d2(xc)
             log_d2 = (d2v * v - dv * dv) / (v * v)
             if abs(log_d2) < 1e-8:
                 raise MorseError(f"degenerate critical point of ln Phi2 near x={xc}")
 
-    def phi2_max(self, grid: int = 4096) -> float:
-        xs = np.linspace(0.0, TWO_PI, grid, endpoint=False)
+    def phi2_max(self) -> float:
+        xs = np.linspace(0.0, TWO_PI, PROFILE_GRID, endpoint=False)
         return float(np.max(self.phi2.section()(xs)))
 
     @functools.cached_property
@@ -352,9 +356,6 @@ class OrbitRecord:
 
     def __post_init__(self):
         assert self.escaped == (self.escape_index is not None)
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Orbit statistics and regime classification for the return map.
 
 Provides iteration with escape bookkeeping, QR-renormalized Lyapunov
-exponents, Birkhoff averages, empirical autocorrelation, lift-displacement
-rotation sets, per-cell regime classification in lockstep batches, and
-scans over the (lambda, K_omega) parameter plane.
+exponents, lift-displacement rotation sets, per-cell regime classification
+in lockstep batches, and scans over the (lambda, K_omega) parameter plane.
 """
 
 from __future__ import annotations
@@ -71,7 +70,6 @@ def iterate(params: ModelParams, pert: Perturbation, p0: CylinderPoint,
 class LyapunovEstimate:
     chi1: float
     chi2: float
-    transient: int
     n_iter: int
     cadence: int
     saturated: bool = False
@@ -154,19 +152,19 @@ def lyapunov(params: ModelParams, pert: Perturbation, p0: CylinderPoint,
         p = q
     done = max(0, (burn_in + n if escaped_at is None else escaped_at) - burn_in)
     return _lyapunov_estimate(l1, l2, logdet, batch_ld, (p11, p12, p21, p22),
-                              done, n, burn_in, cadence, escaped_at)
+                              done, n, cadence, escaped_at)
 
 
 def _lyapunov_estimate(l1: float, l2: float, logdet: float, batch_ld: float,
-                       product: tuple, done: int, n: int, burn_in: int,
-                       cadence: int, escaped_at: int | None) -> LyapunovEstimate:
+                       product: tuple, done: int, n: int, cadence: int,
+                       escaped_at: int | None) -> LyapunovEstimate:
     """The estimate from a QR run stopped after `done` of `n` measured steps.
 
     l1, l2 and logdet are the sums so far, and `product` and batch_ld the
     Jacobian product and log-determinant since the last renormalization.
     """
     if done == 0 or (escaped_at is not None and done < n // 2):
-        return LyapunovEstimate(math.nan, math.nan, burn_in, done, cadence,
+        return LyapunovEstimate(math.nan, math.nan, done, cadence,
                                 inconclusive=True, escaped_at=escaped_at)
     if done % cadence:
         *_, d1, d2 = _gram_schmidt_2x2(*product, batch_ld)
@@ -176,59 +174,8 @@ def _lyapunov_estimate(l1: float, l2: float, logdet: float, batch_ld: float,
     saturated = chi2 < SATURATION
     cons = None if saturated else abs(chi1 + chi2 - logdet / done)
     return LyapunovEstimate(chi1=chi1, chi2=max(chi2, SATURATION),
-                            transient=burn_in, n_iter=done, cadence=cadence,
-                            saturated=saturated, det_consistency=cons,
-                            escaped_at=escaped_at)
-
-
-def birkhoff_average(orbit: OrbitRecord, observable) -> tuple[float, float]:
-    """(time average, last-quarter drift) of an observable along the orbit.
-
-    The drift is |mean over the last quarter - global mean|, a cheap
-    convergence diagnostic; escaped orbits yield a flagged partial average
-    (drift = nan).
-    """
-    vals = np.asarray(observable(orbit.points[:, 0], orbit.points[:, 1]),
-                      dtype=float)
-    if np.ndim(vals) == 0:
-        vals = np.full(len(orbit.points), float(vals))
-    mean = float(np.mean(vals))
-    if orbit.escaped:
-        return mean, math.nan
-    q = max(1, len(vals) // 4)
-    return mean, abs(float(np.mean(vals[-q:])) - mean)
-
-
-def autocorrelation(orbit: OrbitRecord, observable, max_lag: int):
-    """Normalized autocovariance and a fitted exponential decay rate.
-
-    Returns (correlations[0..max_lag], tau, r_squared).  tau is the rate of
-    the least-squares fit |rho_k| ~ exp(-k/tau) over lags with |rho| > 1e-3;
-    r_squared records the fit quality (poor for periodic signals).
-    """
-    pts = orbit.points
-    if len(pts) < 10 * max_lag:
-        raise ValueError("orbit shorter than 10 * max_lag")
-    vals = np.asarray(observable(pts[:, 0], pts[:, 1]), dtype=float)
-    vals = vals - vals.mean()
-    var = float(np.dot(vals, vals)) / len(vals)
-    if var < 1e-30:
-        return np.full(max_lag + 1, np.nan), math.nan, math.nan
-    rho = np.empty(max_lag + 1)
-    for k in range(max_lag + 1):
-        rho[k] = float(np.dot(vals[:len(vals) - k], vals[k:])) / (len(vals) * var)
-    ks = np.arange(1, max_lag + 1)
-    mask = np.abs(rho[1:]) > 1e-3
-    if mask.sum() < 2:
-        return rho, 0.0, 1.0  # immediate decay: zero correlation time
-    logs = np.log(np.abs(rho[1:][mask]))
-    slope, intercept = np.polyfit(ks[mask], logs, 1)
-    pred = slope * ks[mask] + intercept
-    ss_res = float(np.sum((logs - pred) ** 2))
-    ss_tot = float(np.sum((logs - logs.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    tau = -1.0 / slope if slope < 0 else math.inf
-    return rho, tau, r2
+                            n_iter=done, cadence=cadence, saturated=saturated,
+                            det_consistency=cons, escaped_at=escaped_at)
 
 
 def rotation_set_2d(params: ModelParams, pert: Perturbation,
@@ -388,7 +335,7 @@ def _lockstep(params: list, pert: Perturbation, budget: Budget) -> list:
         estimates[c] = _lyapunov_estimate(
             l1, l2, logdet, batch_ld,
             (*prod0[:, pos].tolist(), *prod1[:, pos].tolist()),
-            done, n_lyap, 0, QR_CADENCE, escaped_at)
+            done, n_lyap, QR_CADENCE, escaped_at)
         final_disp[:, c] = disp[:, pos]
 
     lo = hi = 0

@@ -233,8 +233,8 @@ def test_criterion_11_h7_arithmetic(report):
     lo2 = math.log(math.log(10.0))
     ok = (au.h7_accepts_lambda0(lo + 1e-12)
           and not au.h7_accepts_lambda0(lo - 1e-12)
-          and au.abundance_accepts_lambda0(lo2 + 1e-12)
-          and not au.abundance_accepts_lambda0(lo2 - 1e-12))
+          and cm.abundance_accepts_lambda0(lo2 + 1e-12)
+          and not cm.abundance_accepts_lambda0(lo2 - 1e-12))
     report(11, ok,
             "acceptance boundaries exact at 3 ln 2 and ln(ln 10) +- 1e-12")
 

@@ -184,16 +184,16 @@ class TestH7Arithmetic:
     def test_threshold_examples(self):
         assert au.h7_accepts_lambda0(2.2)          # exp(2.2/3) = 2.08 > 2
         assert not au.h7_accepts_lambda0(2.0)
-        assert au.abundance_accepts_lambda0(0.9)   # e^0.9 = 2.46 > ln 10
-        assert not au.abundance_accepts_lambda0(0.8)
+        assert cm.abundance_accepts_lambda0(0.9)   # e^0.9 = 2.46 > ln 10
+        assert not cm.abundance_accepts_lambda0(0.8)
 
     def test_boundary_exactness(self):
         lo = 3.0 * math.log(2.0)
         assert au.h7_accepts_lambda0(lo + 1e-12)
         assert not au.h7_accepts_lambda0(lo - 1e-12)
         lo2 = math.log(math.log(10.0))
-        assert au.abundance_accepts_lambda0(lo2 + 1e-12)
-        assert not au.abundance_accepts_lambda0(lo2 - 1e-12)
+        assert cm.abundance_accepts_lambda0(lo2 + 1e-12)
+        assert not cm.abundance_accepts_lambda0(lo2 - 1e-12)
 
     def test_matrix_part(self, family_k5):
         v = au.audit_H7(family_k5, 0.0, lambda0=2.2)

@@ -178,12 +178,3 @@ class TestProp92:
                    for i in range(part.r)]
             variations.append(min(var))
         assert variations[0] < variations[1] < variations[2]
-
-    def test_conditions_at_k5(self, family_k5, cert_k5):
-        verdicts = cm.abundance_conditions(family_k5, cert_k5.a, cert_k5)
-        by_name = {v.condition: v.passed for v in verdicts}
-        assert by_name["i-misiurewicz"]
-        assert by_name["ii-full-branch-images"]
-        # exp(lambda0) > ln 10 needs lambda0 > ln ln 10 ~ 0.834
-        assert by_name["iii-expansion-threshold"] == (
-            math.exp(cert_k5.lambda0) > math.log(10.0))

@@ -2,6 +2,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 try:
@@ -9,9 +10,11 @@ try:
 except ImportError:  # pragma: no cover
     jsonschema = None
 
+from bykovlab import circlemap as cm
 from bykovlab import cli
 from bykovlab import orbits as ob
 from bykovlab.config import ConfigError, parse_config
+from bykovlab.model import TWO_PI, CylinderPoint
 
 BASE_CONFIG = """\
 model:
@@ -51,9 +54,11 @@ class TestConfig:
         assert len(cfg.sha256) == 64
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_config(BASE_CONFIG.format(omega="1.0", lam="0.001")
-                         + "bogus: 1\n")
+        # a top-level `plot` is unknown too: only the per-command one is read
+        for extra in ("bogus: 1\n", "plot: false\n"):
+            with pytest.raises(ConfigError):
+                parse_config(BASE_CONFIG.format(omega="1.0", lam="0.001")
+                             + extra)
 
     def test_missing_model_key_rejected(self):
         text = BASE_CONFIG.format(omega="1.0", lam="0.001")
@@ -152,6 +157,43 @@ class TestCommands:
         first = doc["orbits"][0]
         assert first["residual"] <= 1e-10
         assert len(first["lambdas"]) == 8
+
+    def test_singular_limit_writes_table(self, tmp_path):
+        cfgp = write_config(tmp_path, "singular_limit: {n_min: 3, n_max: 5}\n")
+        out = tmp_path / "out"
+        assert cli.main(["singular-limit", "--config", cfgp,
+                         "--out", str(out)]) == 0
+        lines = [l.rstrip("\n") for l in open(out / "singular_limit.csv")
+                 if not l.startswith("#")]
+        assert lines[0] == ("n,lambda,value_err,d1_err,d2_err,"
+                            "second_comp_err,excluded")
+        cfg = parse_config(open(cfgp).read())
+        rows = cm.singular_limit_convergence(cfg.params, cfg.pert, 0.0,
+                                             range(3, 6))
+        assert lines[1:] == [
+            ",".join((str(r.n), *(f"{v:.17g}" for v in (
+                r.lam, r.value_err, r.d1_err, r.d2_err, r.second_comp_err)),
+                      str(r.excluded)))
+            for r in rows]
+
+    @pytest.mark.parametrize("mode", ["circle", "annulus"])
+    def test_rotation_matches_library(self, tmp_path, mode):
+        cfgp = write_config(tmp_path, f"rotation: {{mode: {mode}}}\n")
+        out = tmp_path / "out"
+        assert cli.main(["rotation", "--config", cfgp, "--out", str(out)]) == 0
+        doc = json.load(open(out / "rotation.json"))
+        cfg = parse_config(open(cfgp).read())
+        if mode == "circle":
+            ri = cm.rotation_interval(
+                cm.family_from_model(cfg.params, cfg.pert), 0.0)
+            want = (ri.rho_min, ri.rho_max, ri.error)
+        else:
+            seeds = [CylinderPoint(x, 1e-3) for x in
+                     np.linspace(0.0, TWO_PI, 16, endpoint=False)]
+            lo, hi = ob.rotation_set_2d(cfg.params, cfg.pert, seeds, 2000)
+            want = (lo, hi, 1.0 / 2000)
+        assert doc["mode"] == mode
+        assert (doc["rho_min"], doc["rho_max"], doc["error"]) == want
 
     def test_audit_validates_against_schema(self, tmp_path):
         if jsonschema is None:

@@ -133,50 +133,6 @@ class TestLyapunov:
         assert est.saturated or est.inconclusive or est.chi2 <= ob.SATURATION
 
 
-class TestBirkhoff:
-    def test_constant_observable(self, params_k5, pert):
-        params = params_k5.with_lambda(1e-3)
-        orbit = ob.iterate(params, pert, CylinderPoint(0.5, 1e-3), 500)
-        val, drift = ob.birkhoff_average(orbit, lambda x, y: 2.5)
-        assert val == 2.5 and drift == 0.0
-
-    def test_periodic_orbit_drift_small(self, params_k5, pert):
-        lam = 0.140322
-        params = params_k5.with_lambda(lam)
-        orbit = ob.iterate(params, pert, CylinderPoint(1.0, lam), 2000,
-                           burn_in=500)
-        _, drift = ob.birkhoff_average(orbit, lambda x, y: np.cos(x))
-        assert drift <= 1e-10
-
-
-class TestAutocorrelation:
-    def test_periodic_signal_no_decay(self):
-        from bykovlab.model import OrbitRecord
-        pts = np.tile([[1.0, 0.5], [2.5, 0.3]], (1000, 1))
-        orbit = OrbitRecord(points=pts, escaped=False, escape_index=None)
-        rho, tau, r2 = ob.autocorrelation(orbit, lambda x, y: np.cos(x), 50)
-        # period-2 signal: correlation at even lags stays ~1, no decay
-        assert abs(rho[2]) > 0.9
-        assert abs(rho[4]) > 0.9
-
-    def test_iid_noise_decorrelates(self):
-        rng = np.random.default_rng(7)
-        pts = np.column_stack([rng.uniform(0, TWO_PI, 20_000),
-                               rng.uniform(0, 1, 20_000)])
-        from bykovlab.model import OrbitRecord
-        orbit = OrbitRecord(points=pts, escaped=False, escape_index=None)
-        rho, tau, r2 = ob.autocorrelation(orbit, lambda x, y: x, 100)
-        assert rho[0] == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(rho[1:])) < 0.05
-
-    def test_zero_variance_flagged(self):
-        from bykovlab.model import OrbitRecord
-        pts = np.tile([1.0, 0.5], (2000, 1))
-        orbit = OrbitRecord(points=pts, escaped=False, escape_index=None)
-        rho, tau, r2 = ob.autocorrelation(orbit, lambda x, y: x, 10)
-        assert math.isnan(tau)
-
-
 class TestRotationSet:
     def test_invariant_curve_regime_narrow(self, pert):
         params = reference_params(omega=0.05).with_lambda(1e-3)
