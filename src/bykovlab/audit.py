@@ -339,9 +339,11 @@ def strange_attractor_fraction(params: ModelParams, pert: Perturbation,
                                budget: Budget | None = None) -> dict:
     """Fraction of lambda in (0, r] classified with a positive top exponent.
 
-    Returns the point estimate with a normal-approximation binomial interval
-    and the escape fraction reported separately.  Numerical analogue of a
-    density statement, not a measure-theoretic result.
+    Returns the point estimate with Wilson's 95% binomial interval (z = 1.96;
+    unlike the normal approximation it keeps a positive upper bound at a
+    fraction of 0 or 1) and the escape fraction reported separately.
+    Numerical analogue of a density statement, not a measure-theoretic
+    result.
     """
     if samples < 100:
         raise ValueError("need samples >= 100")
@@ -361,8 +363,12 @@ def strange_attractor_fraction(params: ModelParams, pert: Perturbation,
     usable = samples - escaped
     frac = positive / usable if usable else math.nan
     if usable:
-        se = math.sqrt(max(frac * (1.0 - frac), 0.0) / usable)
-        ci = (max(0.0, frac - 1.96 * se), min(1.0, frac + 1.96 * se))
+        z = 1.96
+        z2 = z * z / usable
+        center = (frac + 0.5 * z2) / (1.0 + z2)
+        half = z * math.sqrt(frac * (1.0 - frac) / usable
+                             + 0.25 * z2 / usable) / (1.0 + z2)
+        ci = (max(0.0, center - half), min(1.0, center + half))
     else:
         ci = (math.nan, math.nan)
     return {"fraction": frac, "confidence_interval": ci,

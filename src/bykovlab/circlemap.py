@@ -115,7 +115,8 @@ def critical_points(family: CircleMapFamily) -> CriticalSet:
     step = TWO_PI / DEFAULT_GRID
     roots = []
     for i in np.nonzero(vals * np.roll(vals, -1) < 0.0)[0]:
-        lo, hi = xs[i], xs[i] + step
+        lo = float(xs[i])
+        hi = lo + step
         flo = family.deriv(lo)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
@@ -602,7 +603,7 @@ class SuperstableOrbit:
     winding: int
     residual: float        # |h^p(c) - c| on the circle
     deriv_residual: float  # |(h^p)'(c)| via chain rule
-    lambdas: tuple[float, ...]
+    lambdas: tuple[float, ...]  # lambda_(a*,n) for n = 1, 2, ...; decreasing
 
 
 def _lift_iterate(family: CircleMapFamily, a, x0: float, p: int):
@@ -620,8 +621,10 @@ def superstable_search(family: CircleMapFamily, period: int,
 
     Brackets sign changes of g(a) = lift^p(c) - c - 2*pi*m over integer
     windings m on a SUPERSTABLE_GRID-point a-grid, polishes by bisection to
-    |g| <= SUPERSTABLE_TOL, and returns each root with the pulled-back
-    sequence lambda_n = exp((a* - 2*pi*n)/K_omega).
+    |g| <= SUPERSTABLE_TOL, and returns each root with its pullbacks
+    lambda_(a*,n) = exp(-(a* + 2*pi*n)/K_omega), n = 1..n_lambdas, from
+    lambda_sequences: the 2D parameters whose twist -K_omega ln lambda is
+    a* mod 2*pi.
     """
     if period not in (1, 2):
         raise ValueError("supported periods: 1 and 2")
@@ -658,7 +661,7 @@ def superstable_search(family: CircleMapFamily, period: int,
                 for _ in range(period):
                     dres *= family.deriv(x)
                     x = family.val(a_star, x)
-                lams = tuple(math.exp((a_star - TWO_PI * n) / family.k_omega)
+                lams = tuple(lambda_sequences(family.k_omega, n, a_star)[1]
                              for n in range(1, n_lambdas + 1))
                 out.append(SuperstableOrbit(a_star=a_star, critical_point=c,
                                             period=period, winding=m,

@@ -12,6 +12,7 @@ outputs are byte-identical across runs; `--threads` is accepted and ignored.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -100,22 +101,24 @@ def _mapping(values) -> dict | None:
 def _given(opt: dict, types: dict) -> dict:
     """The options named in `types` that the config sets, each converted.
 
-    Options left out are not passed on, so the library's defaults apply.  A
-    value of the wrong shape is a ConfigError that names its option.
+    Options left out are not passed on, so the library's defaults apply; a
+    command with a default of its own applies it with `.get(key, default)`.
+    A value the converter rejects is a ConfigError that names its option.
     """
     out = {}
     for key, conv in types.items():
         if key in opt:
             try:
                 out[key] = conv(opt[key])
-            except ConfigError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{key}: {exc}") from None
     return out
 
 
 def _start_point(cfg: RunConfig, opt: dict) -> CylinderPoint:
-    return CylinderPoint(float(opt.get("x0", 0.5)),
-                         float(opt.get("y0", max(cfg.params.lam, 1e-6))))
+    kw = _given(opt, {"x0": float, "y0": float})
+    return CylinderPoint(kw.get("x0", 0.5),
+                         kw.get("y0", max(cfg.params.lam, 1e-6)))
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +127,9 @@ def _start_point(cfg: RunConfig, opt: dict) -> CylinderPoint:
 
 def cmd_iterate(cfg: RunConfig, seed: int) -> dict:
     opt = cfg.command_options("iterate", {"n", "burn_in", "x0", "y0", "plot"})
+    kw = _given(opt, {"n": int, "burn_in": int})
     orbit = ob.iterate(cfg.params, cfg.pert, _start_point(cfg, opt),
-                       int(opt.get("n", 1000)),
-                       **_given(opt, {"burn_in": int}))
+                       kw.pop("n", 1000), **kw)
     outputs = {"orbit.csv": (("iterate", "x", "y"),
                              [(i, _fmt(x), _fmt(y))
                               for i, (x, y) in enumerate(orbit.points)])}
@@ -141,9 +144,9 @@ def cmd_iterate(cfg: RunConfig, seed: int) -> dict:
 def cmd_lyapunov(cfg: RunConfig, seed: int) -> dict:
     opt = cfg.command_options("lyapunov", {"n", "burn_in", "x0", "y0",
                                            "cadence"})
+    kw = _given(opt, {"n": int, "burn_in": int, "cadence": int})
     est = ob.lyapunov(cfg.params, cfg.pert, _start_point(cfg, opt),
-                      int(opt.get("n", 100_000)),
-                      **_given(opt, {"burn_in": int, "cadence": int}))
+                      kw.pop("n", 100_000), **kw)
     return {"lyapunov.json": {
         "kind": "lyapunov-estimate", "chi1": est.chi1, "chi2": est.chi2,
         "saturated": est.saturated, "det_consistency": est.det_consistency,
@@ -187,46 +190,48 @@ def cmd_audit(cfg: RunConfig, seed: int) -> dict:
 def cmd_misiurewicz(cfg: RunConfig, seed: int) -> dict:
     opt = cfg.command_options("misiurewicz", {"a", "delta0", "horizon",
                                               "n_seeds"})
-    cert = cm.misiurewicz_check(
-        cm.family_from_model(cfg.params, cfg.pert), float(opt.get("a", 0.0)),
-        seed=seed,
-        **_given(opt, {"delta0": float, "horizon": int, "n_seeds": int}))
+    kw = _given(opt, {"a": float, "delta0": float, "horizon": int,
+                      "n_seeds": int})
+    cert = cm.misiurewicz_check(cm.family_from_model(cfg.params, cfg.pert),
+                                kw.pop("a", 0.0), seed=seed, **kw)
     return {"certificate.json": cert.to_report()}
 
 
 def cmd_superstable(cfg: RunConfig, seed: int) -> dict:
     opt = cfg.command_options("superstable", {"period", "a_window",
                                               "n_lambdas"})
-    period = int(opt.get("period", 2))
-    window = _given(opt, {"a_window": _pair}).get("a_window", (0.0, TWO_PI))
+    kw = _given(opt, {"period": int, "a_window": _pair, "n_lambdas": int})
+    period = kw.pop("period", 2)
+    window = kw.setdefault("a_window", (0.0, TWO_PI))
     orbits = cm.superstable_search(cm.family_from_model(cfg.params, cfg.pert),
-                                   period, a_window=window,
-                                   **_given(opt, {"n_lambdas": int}))
+                                   period, **kw)
     return {"superstable.json": {
         "kind": "superstable-orbits", "period": period,
         "a_window": list(window),
         "orbits": [{"a_star": s.a_star, "critical_point": s.critical_point,
                     "winding": s.winding, "residual": s.residual,
                     "deriv_residual": s.deriv_residual,
-                    "lambdas": list(s.lambdas)} for s in orbits]}}
+                    "lambdas": list(s.lambdas),
+                    "cycles": [dataclasses.asdict(ob.confirm_cycle(
+                        cfg.params.with_lambda(lam), cfg.pert,
+                        CylinderPoint(s.critical_point, lam), period))
+                        for lam in s.lambdas]} for s in orbits]}}
 
 
 def cmd_rotation(cfg: RunConfig, seed: int) -> dict:
     opt = cfg.command_options("rotation", {"a", "n_iter", "n_seeds", "mode"})
     mode = opt.get("mode", "circle")
+    kw = _given(opt, {"a": float, "n_iter": int, "n_seeds": int})
     if mode == "circle":
-        ri = cm.rotation_interval(
-            cm.family_from_model(cfg.params, cfg.pert),
-            float(opt.get("a", 0.0)),
-            **_given(opt, {"n_iter": int, "n_seeds": int}))
+        ri = cm.rotation_interval(cm.family_from_model(cfg.params, cfg.pert),
+                                  kw.pop("a", 0.0), **kw)
         payload = {"kind": "rotation-interval", "mode": "circle",
                    "rho_min": ri.rho_min, "rho_max": ri.rho_max,
                    "error": ri.error, "degenerate": ri.degenerate}
     elif mode == "annulus":
-        n = int(opt.get("n_iter", 2000))
+        n = kw.get("n_iter", 2000)
         seeds = [CylinderPoint(x, cfg.params.lam)
-                 for x in np.linspace(0.0, TWO_PI,
-                                      int(opt.get("n_seeds", 16)),
+                 for x in np.linspace(0.0, TWO_PI, kw.get("n_seeds", 16),
                                       endpoint=False)]
         try:
             lo, hi = ob.rotation_set_2d(cfg.params, cfg.pert, seeds, n)
@@ -243,10 +248,11 @@ def cmd_rotation(cfg: RunConfig, seed: int) -> dict:
 def cmd_singular_limit(cfg: RunConfig, seed: int) -> dict:
     opt = cfg.command_options("singular_limit", {"a", "n_min", "n_max", "nx",
                                                  "ny"})
+    kw = _given(opt, {"a": float, "n_min": int, "n_max": int, "nx": int,
+                      "ny": int})
     rows = cm.singular_limit_convergence(
-        cfg.params, cfg.pert, float(opt.get("a", 0.0)),
-        range(int(opt.get("n_min", 3)), int(opt.get("n_max", 12)) + 1),
-        **_given(opt, {"nx": int, "ny": int}))
+        cfg.params, cfg.pert, kw.pop("a", 0.0),
+        range(kw.pop("n_min", 3), kw.pop("n_max", 12) + 1), **kw)
     return {"singular_limit.csv": (
         ("n", "lambda", "value_err", "d1_err", "d2_err", "second_comp_err",
          "excluded"),

@@ -1,8 +1,9 @@
 """Orbit statistics and regime classification for the return map.
 
 Provides iteration with escape bookkeeping, QR-renormalized Lyapunov
-exponents, lift-displacement rotation sets, per-cell regime classification
-in lockstep batches, and scans over the (lambda, K_omega) parameter plane.
+exponents, lift-displacement rotation sets, a periodic-cycle check,
+per-cell regime classification in lockstep batches, and scans over the
+(lambda, K_omega) parameter plane.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ LYAPUNOV_CAP = 20_000  # classify_batch: most Lyapunov steps, whatever n_iter
 ROTATION_CAP = 2_000   # classify_batch: most lift steps per rotation seed
 QR_CADENCE = 10        # lyapunov: steps between QR renormalizations
 RECORD_CAP = 4_000_000  # classify_batch: most orbit points held at once
+SINK_SETTLE = 400      # confirm_cycle: return-map steps before the cycle is read
 
 REGIME_LABELS = ("InvariantCurve", "PeriodicSink", "TransientChaos",
                  "StrangeAttractorCandidate", "Escaped")
@@ -185,6 +187,8 @@ def rotation_set_2d(params: ModelParams, pert: Perturbation,
     Each seed follows the return map's own orbit; the lift adds up the
     unwrapped angle steps of that orbit (needs lam > 0).
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1 lift steps, got n={n}")
     if params.lam <= 0.0:
         raise ValueError("lift displacement needs lambda > 0")
     consts = _step_constants(params, pert)
@@ -202,6 +206,41 @@ def rotation_set_2d(params: ModelParams, pert: Perturbation,
     if not rhos:
         raise EscapeError(seeds[0] if len(seeds) else CylinderPoint(0.0, 0.0))
     return float(min(rhos)), float(max(rhos))
+
+
+@dataclass(frozen=True)
+class CycleCheck:
+    """Closure and multipliers of a candidate periodic cycle."""
+
+    escaped: bool
+    gap: float                       # |F^p(p) - p|, NaN after an escape
+    multipliers: tuple[float, ...]   # sorted |eigenvalues| of D(F^p)(p)
+
+
+def confirm_cycle(params: ModelParams, pert: Perturbation, p0: CylinderPoint,
+                  period: int) -> CycleCheck:
+    """Check whether the orbit of p0 settles on an attracting `period`-cycle.
+
+    Runs SINK_SETTLE return-map steps from p0 to a point p, then `period`
+    more, multiplying the Jacobians along the cycle.  The gap is
+    |x' - x| (on the circle) + |y' - y| between F^p(p) and p; a cycle
+    closes when it is small and attracts when every multiplier is below
+    one.  An escape anywhere is reported as escaped, with NaN gap and
+    multipliers.
+    """
+    p = CylinderPoint(wrap_angle(p0.x), p0.y)
+    try:
+        for _ in range(SINK_SETTLE):
+            p = return_map(p, params, pert)
+        q, jac = p, np.eye(2)
+        for _ in range(period):
+            jac = jac_return(q, params, pert) @ jac
+            q = return_map(q, params, pert)
+    except EscapeError:
+        return CycleCheck(True, math.nan, (math.nan, math.nan))
+    dx = abs(wrap_angle(q.x - p.x + math.pi) - math.pi)
+    mults = sorted(float(m) for m in np.abs(np.linalg.eigvals(jac)))
+    return CycleCheck(False, dx + abs(q.y - p.y), tuple(mults))
 
 
 # ---------------------------------------------------------------------------

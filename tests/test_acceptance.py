@@ -170,31 +170,19 @@ def test_criterion_08_superstable_pipeline(params_k5, pert, family_k5, report):
     roots = cm.superstable_search(family_k5, 2, a_window=(-TWO_PI, 0.0))
     ok_1d = bool(roots) and all(s.residual <= 1e-10
                                 and s.deriv_residual <= 1e-10 for s in roots)
-    confirmed = None
-    for s in roots:
-        lam1 = math.exp((s.a_star - TWO_PI) / family_k5.k_omega)
-        params = params_k5.with_lambda(lam1)
-        p = CylinderPoint(s.critical_point, lam1)
-        try:
-            for _ in range(400):
-                p = md.return_map(p, params, pert)
-            q1 = md.return_map(p, params, pert)
-            q2 = md.return_map(q1, params, pert)
-        except md.EscapeError:
-            continue
-        if abs(q2.x - p.x) + abs(q2.y - p.y) < 1e-10:
-            jac = (md.jac_return(q1, params, pert)
-                   @ md.jac_return(p, params, pert))
-            mults = np.abs(np.linalg.eigvals(jac))
-            if mults.max() < 0.1:
-                confirmed = (s.a_star, lam1, float(mults.max()))
-                break
+    confirmed = {}
+    for n in (2, 5):
+        checks = [ob.confirm_cycle(params_k5.with_lambda(s.lambdas[n - 1]),
+                                   pert, CylinderPoint(s.critical_point,
+                                                       s.lambdas[n - 1]), 2)
+                  for s in roots]
+        confirmed[n] = sum(c.gap < 1e-10 and c.multipliers[-1] < 0.1
+                           for c in checks)
     dt = time.perf_counter() - t0
-    ok = ok_1d and confirmed is not None and dt < 30.0
-    detail = (f"a*={confirmed[0]:.6f}, lambda1={confirmed[1]:.6f}, "
-              f"max multiplier {confirmed[2]:.2e}, {dt:.1f}s"
-              if confirmed else f"no 2D-confirmed pullback ({dt:.1f}s)")
-    report(8, ok, "superstable pipeline: " + detail)
+    ok = ok_1d and 0 < confirmed[2] < confirmed[5] and dt < 30.0
+    report(8, ok, f"superstable pipeline: {len(roots)} roots, 2D-confirmed "
+                  f"sinks at n=2: {confirmed[2]}, n=5: {confirmed[5]}, "
+                  f"{dt:.1f}s")
 
 
 def test_criterion_09_regime_ordering(ref_params, pert, report):

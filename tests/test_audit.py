@@ -246,6 +246,7 @@ class TestFraction:
             params, pert, r=0.01, samples=100, seed=0,
             budget=Budget(n_iter=2000, burn_in=500, curve_thresh=0.02))
         assert out["fraction"] <= 0.05
+        assert out["confidence_interval"][1] > 0.0
 
     def test_sample_floor(self, params_k5, pert):
         with pytest.raises(ValueError):

@@ -83,6 +83,20 @@ class TestCriticalSet:
         c1 = cm.critical_points(family_k5).points
         assert np.allclose(c1, sorted(c1))
 
+    @pytest.mark.parametrize("k_omega, points, second_derivs", [
+        (5.0, ("0x1.27ed3cb182bedp+0", "0x1.2ee0241eeafbcp+2"),
+         ("0x1.3c4090f5de173p+1", "-0x1.8d84a5191e7d6p+5")),
+        (8.0, ("0x1.4f406347e1714p+0", "0x1.2e64bf24f45d8p+2"),
+         ("0x1.eecfd33d2f87dp+1", "-0x1.3f398acaac884p+6")),
+    ])
+    def test_pinned_critical_sets(self, pert, k_omega, points, second_derivs):
+        """Roots and h'' are bit-equal to recorded values."""
+        fam = cm.family_from_model(reference_params(omega=k_omega / 3.0), pert)
+        crit = cm.critical_points(fam)
+        assert crit.points.tolist() == [float.fromhex(h) for h in points]
+        assert crit.second_derivs.tolist() == [float.fromhex(h)
+                                               for h in second_derivs]
+
     def test_distance_helper(self, family_k5):
         crit = cm.critical_points(family_k5)
         c = float(crit.points[0])

@@ -158,6 +158,27 @@ class TestCommands:
         assert first["residual"] <= 1e-10
         assert len(first["lambdas"]) == 8
 
+    def test_superstable_cycles_match_library(self, tmp_path):
+        """One 2D cycle check per pullback, the library's on the same inputs."""
+        cfgp = write_config(
+            tmp_path, f"superstable: {{a_window: [{-2 * math.pi}, 0.0], "
+                      f"n_lambdas: 3}}\n")
+        out = tmp_path / "out"
+        assert cli.main(["superstable", "--config", cfgp,
+                         "--out", str(out)]) == 0
+        doc = json.load(open(out / "superstable.json"))
+        cfg = parse_config(open(cfgp).read())
+        for orbit in doc["orbits"]:
+            assert len(orbit["cycles"]) == len(orbit["lambdas"]) == 3
+            for lam, cycle in zip(orbit["lambdas"], orbit["cycles"]):
+                want = ob.confirm_cycle(
+                    cfg.params.with_lambda(lam), cfg.pert,
+                    CylinderPoint(orbit["critical_point"], lam), 2)
+                assert cycle["escaped"] is want.escaped
+                if not want.escaped:
+                    assert cycle["gap"] == want.gap
+                    assert tuple(cycle["multipliers"]) == want.multipliers
+
     def test_singular_limit_writes_table(self, tmp_path):
         cfgp = write_config(tmp_path, "singular_limit: {n_min: 3, n_max: 5}\n")
         out = tmp_path / "out"
@@ -232,6 +253,11 @@ class TestCommands:
         ("lyapunov", "lyapunov: {n: 100, burn_in: -5}\n", 1e-3),
         ("lyapunov", "lyapunov: {cadence: 0}\n", 1e-3),
         ("iterate", "iterate: {n: -1}\n", 1e-3),
+        ("superstable", "superstable: {period: [2]}\n", 1e-3),
+        ("scan", "scan: {lambda_grid: [0.001], k_omega_grid: [5.0], "
+                 "n_iter: [5]}\n", 1e-3),
+        ("misiurewicz", "misiurewicz: {a: [1]}\n", 1e-3),
+        ("rotation", "rotation: {mode: annulus, n_iter: 0}\n", 1e-3),
     ])
     def test_exit_code_rejected_option_value(self, tmp_path, capsys,
                                              command, extra, lam):

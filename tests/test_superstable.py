@@ -5,8 +5,8 @@ import pytest
 
 import scalar_reference as ref
 from bykovlab import circlemap as cm
-from bykovlab.model import (CylinderPoint, TWO_PI, jac_return, return_map,
-                            wrap_angle)
+from bykovlab import orbits as ob
+from bykovlab.model import CylinderPoint, TWO_PI, wrap_angle
 
 
 class TestSearch:
@@ -37,9 +37,8 @@ class TestSearch:
     def test_pullback_sequence_form(self, family_k5):
         s = cm.superstable_search(family_k5, 2, a_window=(-TWO_PI, 0.0))[0]
         for n, lam in enumerate(s.lambdas, start=1):
-            assert lam == pytest.approx(
-                math.exp((s.a_star - TWO_PI * n) / family_k5.k_omega),
-                rel=1e-14)
+            assert lam == cm.lambda_sequences(family_k5.k_omega, n,
+                                              s.a_star)[1]
         assert all(b < a for a, b in zip(s.lambdas, s.lambdas[1:]))
 
     def test_needs_critical_points(self, family_k03):
@@ -59,29 +58,29 @@ class TestSearch:
                 g, ref.superstable_g(family_k5, grid, float(c), period))
 
 
+def _confirmed_sinks(params, pert, roots, n):
+    """Roots whose pullback lambda_(a*,n) carries an attracting 2-cycle."""
+    count = 0
+    for s in roots:
+        lam = s.lambdas[n - 1]
+        check = ob.confirm_cycle(params.with_lambda(lam), pert,
+                                 CylinderPoint(s.critical_point, lam), 2)
+        count += check.gap < 1e-10 and check.multipliers[-1] < 0.1
+    return count
+
+
 class Test2DConfirmation:
-    def test_period2_sink_at_lambda1(self, params_k5, pert, family_k5):
-        """Some pullback lambda_1 carries an attracting period-2 orbit."""
+    def test_period2_sinks_grow_along_pullbacks(self, params_k5, pert,
+                                                family_k5):
+        """More pullbacks carry an attracting 2-cycle as lambda_(a*,n) -> 0."""
         roots = cm.superstable_search(family_k5, 2, a_window=(-TWO_PI, 0.0))
-        best = None
-        for s in roots:
-            lam1 = s.lambdas[0]
-            params = params_k5.with_lambda(lam1)
-            p = CylinderPoint(s.critical_point, lam1)
-            try:
-                for _ in range(400):
-                    p = return_map(p, params, pert)
-            except Exception:
-                continue
-            q1 = return_map(p, params, pert)
-            q2 = return_map(q1, params, pert)
-            gap = abs(q2.x - p.x) + abs(q2.y - p.y)
-            if gap < 1e-10:
-                jac = jac_return(q1, params, pert) @ jac_return(p, params, pert)
-                mults = np.abs(np.linalg.eigvals(jac))
-                if mults.max() < 0.1:
-                    best = (s, mults)
-                    break
-        assert best is not None, "no pullback realized an attracting 2-cycle"
-        _, mults = best
-        assert mults.max() < 0.1
+        at2 = _confirmed_sinks(params_k5, pert, roots, 2)
+        at5 = _confirmed_sinks(params_k5, pert, roots, 5)
+        assert 0 < at2 < at5, (at2, at5)
+
+    def test_escape_is_reported(self, params_k5, pert):
+        check = ob.confirm_cycle(params_k5.with_lambda(1e-3), pert,
+                                 CylinderPoint(0.5, -0.9), 2)
+        assert check.escaped
+        assert math.isnan(check.gap)
+        assert all(math.isnan(m) for m in check.multipliers)
