@@ -17,7 +17,8 @@ import numpy as np
 
 from . import circlemap as cm
 from .model import (TWO_PI, ModelParams, Perturbation, _batch_constants,
-                    image_batch, step_batch, wrap_angle, wrap_angles)
+                    circle_gap, image_batch, step_batch, wrap_angle,
+                    wrap_angles)
 from .orbits import Budget, classify_batch
 
 H2H3_N_RANGE = range(3, 13)  # audit_H2_H3: the n of lambda_(a,n) tabulated
@@ -77,14 +78,23 @@ class HypothesisAudit:
         }
 
 
-def _thresholds(overrides: dict | None) -> dict:
-    t = dict(DEFAULT_THRESHOLDS)
-    if overrides:
-        unknown = set(overrides) - set(t)
-        if unknown:
-            raise ValueError(f"unknown threshold keys: {sorted(unknown)}")
-        t.update(overrides)
-    return t
+def resolve_thresholds(overrides: dict | None) -> dict:
+    """DEFAULT_THRESHOLDS with `overrides`, a mapping of numbers, applied.
+
+    A threshold whose default is an int (a horizon or a cap) takes an int.
+    """
+    overrides = {} if overrides is None else overrides
+    if not isinstance(overrides, dict):
+        raise ValueError(f"expected a mapping, got {overrides!r}")
+    unknown = set(overrides) - set(DEFAULT_THRESHOLDS)
+    if unknown:
+        raise ValueError(f"unknown threshold keys: {sorted(unknown)}")
+    for key, value in overrides.items():
+        kind = type(DEFAULT_THRESHOLDS[key])  # int or float; an int fits both
+        want = "an integer" if kind is int else "a number"
+        if isinstance(value, bool) or not isinstance(value, (kind, int)):
+            raise ValueError(f"threshold {key} must be {want}, got {value!r}")
+    return {**DEFAULT_THRESHOLDS, **overrides}
 
 
 def audit_H1(params: ModelParams, pert: Perturbation,
@@ -99,7 +109,7 @@ def audit_H1(params: ModelParams, pert: Perturbation,
     sample drawn.  The injectivity check looks for distinct sample points
     with nearly equal images.
     """
-    t = _thresholds(thresholds)
+    t = resolve_thresholds(thresholds)
     rng = np.random.default_rng(seed)
     lams = np.exp(rng.uniform(math.log(lam_range[0]), math.log(lam_range[1]),
                               sample_size))
@@ -144,8 +154,7 @@ def audit_H1(params: ModelParams, pert: Perturbation,
     a, b = order[:-1], order[1:]
     near = np.abs(images[a] - images[b]).sum(axis=1) <= 1e-12
     a, b = a[near], b[near]
-    src = (np.abs(wrap_angles(xs[a] - xs[b] + math.pi) - math.pi)
-           + np.abs(ybars[a] - ybars[b]))
+    src = circle_gap(xs[a], xs[b]) + np.abs(ybars[a] - ybars[b])
     collisions = int(np.count_nonzero(src > 1e-9))
     ok = ratio <= t["h1_ratio_cap"] and collisions == 0
     return HypothesisVerdict("H1", "PASS" if ok else "FAIL",
@@ -164,7 +173,7 @@ def audit_H2_H3(params: ModelParams, pert: Perturbation, a: float = 1.0,
     PASS iff the error tables (values, first and second differences) are
     eventually monotone decreasing in n and the final row is below tolerance.
     """
-    t = _thresholds(thresholds)
+    t = resolve_thresholds(thresholds)
     rows = cm.singular_limit_convergence(params, pert, a, H2H3_N_RANGE)
     tables = {
         "value": [r.value_err for r in rows],
@@ -192,7 +201,7 @@ def audit_H4(family: cm.CircleMapFamily, a_window=(0.0, TWO_PI),
              n_a: int = 256, thresholds: dict | None = None,
              seed: int = 0) -> HypothesisVerdict:
     """Scan the window for parameters passing the Misiurewicz check."""
-    t = _thresholds(thresholds)
+    t = resolve_thresholds(thresholds)
     crit = family.critical_set
     if crit.q == 0:
         return HypothesisVerdict(
@@ -221,7 +230,7 @@ def audit_H5_proxy(family: cm.CircleMapFamily, a_star: float,
     INCONCLUSIVE when the reference orbit passes within delta0/2 of the
     critical set (continuation ambiguous); delta0 is H4's h4_delta0.
     """
-    t = _thresholds(thresholds)
+    t = resolve_thresholds(thresholds)
     horizon, delta0 = H5_HORIZON, t["h4_delta0"]
     crit = family.critical_set
     if crit.q == 0:
@@ -293,7 +302,7 @@ def audit_H6(params: ModelParams, pert: Perturbation, crit: cm.CriticalSet,
     Central differences (in ybar, at ybar = 0) of the extended limit map at
     a = H6_A; PASS iff every magnitude exceeds the configured floor.
     """
-    t = _thresholds(thresholds)
+    t = resolve_thresholds(thresholds)
     if crit.q == 0:
         return HypothesisVerdict("H6", "FAIL", {"reason": "no critical points"})
     h = t["h6_step"]
@@ -311,7 +320,7 @@ def audit_H6(params: ModelParams, pert: Perturbation, crit: cm.CriticalSet,
 def audit_H7(family: cm.CircleMapFamily, a_star: float, lambda0: float,
              thresholds: dict | None = None) -> HypothesisVerdict:
     """Expansion threshold exp(lambda0/3) > 2 plus transition primitivity."""
-    t = _thresholds(thresholds)
+    t = resolve_thresholds(thresholds)
     part_a = h7_accepts_lambda0(lambda0)
     try:
         part = cm.monotonicity_partition(family)
@@ -381,7 +390,7 @@ def run_audit(params: ModelParams, pert: Perturbation,
               lam_range=(1e-4, 1e-2), seed: int = 0,
               thresholds: dict | None = None) -> HypothesisAudit:
     """Full H1-H7 audit with a fixed verdict ordering."""
-    t = _thresholds(thresholds)
+    t = resolve_thresholds(thresholds)
     family = cm.family_from_model(params, pert)
     v1 = audit_H1(params, pert, lam_range=lam_range, seed=seed, thresholds=t)
     v23 = audit_H2_H3(params, pert, thresholds=t)

@@ -17,12 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import TWO_PI, ModelParams, Perturbation, TrigPoly, wrap_angle
+from .model import (TWO_PI, ModelParams, Perturbation, TrigPoly, circle_gap,
+                    wrap_angle)
 
 DEFAULT_GRID = 1 << 14
 ROOT_TOL = 1e-12
 MORSE_TOL = 1e-8
 FD_STEP = 1e-6           # singular_limit_convergence: central-difference step
+LIMIT_GRID = (128, 4)    # singular_limit_convergence: strip grid, x by ybar
 SUPERSTABLE_GRID = 4096  # superstable_search: a-grid points that bracket roots
 SUPERSTABLE_TOL = 1e-10  # superstable_search: largest |g| of a kept root
 
@@ -99,8 +101,7 @@ class CriticalSet:
         if self.q == 0:
             return np.inf if np.ndim(x) == 0 else np.full(np.shape(x), np.inf)
         x = np.asarray(x, dtype=float)
-        d = np.abs(np.mod(x[..., None] - self.points + math.pi, TWO_PI) - math.pi)
-        out = d.min(axis=-1)
+        out = circle_gap(x[..., None], self.points).min(axis=-1)
         return float(out) if out.ndim == 0 else out
 
 
@@ -429,6 +430,8 @@ def rotation_interval(family: CircleMapFamily, a: float, n_iter: int = 2000,
     """
     if n_iter < 1000:
         raise ValueError("need n_iter >= 1000 for a stable estimate")
+    if n_seeds < 1:
+        raise ValueError(f"need n_seeds >= 1, got n_seeds={n_seeds}")
     x0 = np.linspace(0.0, TWO_PI, n_seeds, endpoint=False)
     xhat = x0
     for _ in range(n_iter):
@@ -531,15 +534,14 @@ class ConvergenceRow:
 
 
 def singular_limit_convergence(params: ModelParams, pert: Perturbation, a: float,
-                               n_range: range, nx: int = 128,
-                               ny: int = 4) -> list[ConvergenceRow]:
+                               n_range: range) -> list[ConvergenceRow]:
     """Error table for the convergence of the rescaled map to (h_a, 0).
 
     For each n the map at lam = lambda_(a,n) is compared with the limit
-    h_a(x, ybar) = x + xi + a - K ln(ybar + Phi2(x, ybar)) on a grid of the
-    forward-invariant strip; derivative errors use central differences of
-    the difference function (step FD_STEP).  Grid points violating the
-    domain condition are excluded and counted.
+    h_a(x, ybar) = x + xi + a - K ln(ybar + Phi2(x, ybar)) on a LIMIT_GRID
+    grid of the forward-invariant strip; derivative errors use central
+    differences of the difference function (step FD_STEP).  Grid points
+    violating the domain condition are excluded and counted.
     """
     k = params.k_omega
     delta = params.delta
@@ -548,8 +550,8 @@ def singular_limit_convergence(params: ModelParams, pert: Perturbation, a: float
     for n in n_range:
         _, lam = lambda_sequences(k, n, a)
         cap = min(1.0, lam ** (delta - 1.0) * (1.0 + phi2max) ** delta)
-        xs = np.linspace(0.0, TWO_PI, nx, endpoint=False)
-        ys = np.linspace(0.0, cap, ny)
+        xs = np.linspace(0.0, TWO_PI, LIMIT_GRID[0], endpoint=False)
+        ys = np.linspace(0.0, cap, LIMIT_GRID[1])
         xg, yg = np.meshgrid(xs, ys, indexing="ij")
         dk = twist_of_lambda(k, lam) - (a + TWO_PI * n)
 

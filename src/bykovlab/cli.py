@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -21,8 +22,7 @@ import numpy as np
 
 from . import __version__, audit as au, circlemap as cm, orbits as ob, svgplot
 from .config import ConfigError, RunConfig, load_config
-from .model import (TWO_PI, CylinderPoint, EscapeError, InvalidParamsError,
-                    MorseError)
+from .model import TWO_PI, CylinderPoint, EscapeError
 
 
 class ComputationError(RuntimeError):
@@ -39,30 +39,32 @@ def _svg_provenance(cfg: RunConfig, seed: int) -> str:
     return _prov_comment(cfg, seed).replace("\n", " ")
 
 
-def _json_default(o):
-    if isinstance(o, (np.integer,)):
-        return int(o)
-    if isinstance(o, (np.floating,)):
-        return float(o)
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not serializable: {type(o)}")
+def _jsonable(o):
+    """o with numpy values as Python ones and non-finite floats as None."""
+    if isinstance(o, dict):
+        return {k: _jsonable(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple, np.ndarray)):
+        return [_jsonable(v) for v in o]
+    if isinstance(o, (float, np.floating)):
+        return float(o) if math.isfinite(o) else None
+    return o.item() if isinstance(o, np.generic) else o
 
 
 def _write(path: str, payload, cfg: RunConfig, seed: int) -> None:
     """Write one command output with its provenance.
 
-    A dict becomes JSON with the run's provenance merged into its
-    `provenance` block, a (header, rows) pair becomes CSV under provenance
-    comments, and a str is SVG whose provenance was set when it was drawn.
+    A dict becomes strict JSON (a non-finite float is null) with the run's
+    provenance merged into its `provenance` block, a (header, rows) pair
+    becomes CSV under provenance comments, and a str is SVG whose provenance
+    was set when it was drawn.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if isinstance(payload, dict):
             prov = {**payload.get("provenance", {}), "tool": "bykovlab",
                     "version": __version__, "config_sha256": cfg.sha256,
                     "seed": seed}
-            json.dump({**payload, "provenance": prov}, fh, indent=2,
-                      sort_keys=True, default=_json_default)
+            json.dump(_jsonable({**payload, "provenance": prov}), fh,
+                      indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
         elif isinstance(payload, tuple):
             header, rows = payload
@@ -78,47 +80,9 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _floats(values) -> tuple:
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"expected a list of numbers, got {values!r}")
-    return tuple(float(v) for v in values)
-
-
-def _pair(values) -> tuple:
-    """Exactly two floats: a window (lo, hi)."""
-    out = _floats(values)
-    if len(out) != 2:
-        raise ConfigError(f"expected two numbers, got {values!r}")
-    return out
-
-
-def _mapping(values) -> dict | None:
-    if values is not None and not isinstance(values, dict):
-        raise ConfigError(f"expected a mapping, got {values!r}")
-    return values
-
-
-def _given(opt: dict, types: dict) -> dict:
-    """The options named in `types` that the config sets, each converted.
-
-    Options left out are not passed on, so the library's defaults apply; a
-    command with a default of its own applies it with `.get(key, default)`.
-    A value the converter rejects is a ConfigError that names its option.
-    """
-    out = {}
-    for key, conv in types.items():
-        if key in opt:
-            try:
-                out[key] = conv(opt[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{key}: {exc}") from None
-    return out
-
-
 def _start_point(cfg: RunConfig, opt: dict) -> CylinderPoint:
-    kw = _given(opt, {"x0": float, "y0": float})
-    return CylinderPoint(kw.get("x0", 0.5),
-                         kw.get("y0", max(cfg.params.lam, 1e-6)))
+    return CylinderPoint(opt.pop("x0", 0.5),
+                         opt.pop("y0", max(cfg.params.lam, 1e-6)))
 
 
 # ---------------------------------------------------------------------------
@@ -126,14 +90,14 @@ def _start_point(cfg: RunConfig, opt: dict) -> CylinderPoint:
 # ---------------------------------------------------------------------------
 
 def cmd_iterate(cfg: RunConfig, seed: int) -> dict:
-    opt = cfg.command_options("iterate", {"n", "burn_in", "x0", "y0", "plot"})
-    kw = _given(opt, {"n": int, "burn_in": int})
+    opt = dict(cfg.options["iterate"])
+    plot = opt.pop("plot", True)
     orbit = ob.iterate(cfg.params, cfg.pert, _start_point(cfg, opt),
-                       kw.pop("n", 1000), **kw)
+                       opt.pop("n", 1000), **opt)
     outputs = {"orbit.csv": (("iterate", "x", "y"),
                              [(i, _fmt(x), _fmt(y))
                               for i, (x, y) in enumerate(orbit.points)])}
-    if opt.get("plot", True) and len(orbit.points):
+    if plot and len(orbit.points):
         outputs["orbit.svg"] = svgplot.orbit_scatter_svg(
             orbit.points, provenance=_svg_provenance(cfg, seed),
             title=f"orbit lambda={cfg.params.lam:g} K={cfg.params.k_omega:g}"
@@ -142,30 +106,25 @@ def cmd_iterate(cfg: RunConfig, seed: int) -> dict:
 
 
 def cmd_lyapunov(cfg: RunConfig, seed: int) -> dict:
-    opt = cfg.command_options("lyapunov", {"n", "burn_in", "x0", "y0",
-                                           "cadence"})
-    kw = _given(opt, {"n": int, "burn_in": int, "cadence": int})
+    opt = dict(cfg.options["lyapunov"])
     est = ob.lyapunov(cfg.params, cfg.pert, _start_point(cfg, opt),
-                      kw.pop("n", 100_000), **kw)
+                      opt.pop("n", 100_000), **opt)
     return {"lyapunov.json": {
         "kind": "lyapunov-estimate", "chi1": est.chi1, "chi2": est.chi2,
         "saturated": est.saturated, "det_consistency": est.det_consistency,
-        "n_iter": est.n_iter, "cadence": est.cadence,
+        "n_iter": est.n_iter, "cadence": ob.QR_CADENCE,
         "inconclusive": est.inconclusive, "escaped_at": est.escaped_at}}
 
 
 def cmd_scan(cfg: RunConfig, seed: int) -> dict:
-    budget = {"n_iter": int, "burn_in": int, "chi_thresh": float,
-              "curve_thresh": float}
-    opt = cfg.command_options("scan", {"lambda_grid", "k_omega_grid", "plot",
-                                       *budget})
+    opt = dict(cfg.options["scan"])
     if "lambda_grid" not in opt or "k_omega_grid" not in opt:
         raise ConfigError("scan needs 'lambda_grid' and 'k_omega_grid'")
-    grids = _given(opt, {"lambda_grid": _floats, "k_omega_grid": _floats})
-    result = ob.scan(grids["lambda_grid"], grids["k_omega_grid"],
-                     cfg.params, cfg.pert, ob.Budget(**_given(opt, budget)))
+    plot = opt.pop("plot", True)
+    result = ob.scan(opt.pop("lambda_grid"), opt.pop("k_omega_grid"),
+                     cfg.params, cfg.pert, ob.Budget(**opt))
     outputs = {"scan.csv": (ob.SCAN_CSV_COLUMNS, ob.scan_rows(result))}
-    if opt.get("plot", True):
+    if plot:
         outputs["regime_map.svg"] = svgplot.regime_map_svg(
             result, provenance=_svg_provenance(cfg, seed))
     outputs["boundaries.json"] = {
@@ -177,10 +136,7 @@ def cmd_scan(cfg: RunConfig, seed: int) -> dict:
 
 
 def cmd_audit(cfg: RunConfig, seed: int) -> dict:
-    opt = cfg.command_options("audit", {"n_a", "a_window", "lambda_range",
-                                        "thresholds"})
-    kw = _given(opt, {"n_a": int, "a_window": _pair, "lambda_range": _pair,
-                      "thresholds": _mapping})
+    kw = dict(cfg.options["audit"])
     if "lambda_range" in kw:
         kw["lam_range"] = kw.pop("lambda_range")
     report = au.run_audit(cfg.params, cfg.pert, seed=seed, **kw)
@@ -188,19 +144,14 @@ def cmd_audit(cfg: RunConfig, seed: int) -> dict:
 
 
 def cmd_misiurewicz(cfg: RunConfig, seed: int) -> dict:
-    opt = cfg.command_options("misiurewicz", {"a", "delta0", "horizon",
-                                              "n_seeds"})
-    kw = _given(opt, {"a": float, "delta0": float, "horizon": int,
-                      "n_seeds": int})
+    kw = dict(cfg.options["misiurewicz"])
     cert = cm.misiurewicz_check(cm.family_from_model(cfg.params, cfg.pert),
                                 kw.pop("a", 0.0), seed=seed, **kw)
     return {"certificate.json": cert.to_report()}
 
 
 def cmd_superstable(cfg: RunConfig, seed: int) -> dict:
-    opt = cfg.command_options("superstable", {"period", "a_window",
-                                              "n_lambdas"})
-    kw = _given(opt, {"period": int, "a_window": _pair, "n_lambdas": int})
+    kw = dict(cfg.options["superstable"])
     period = kw.pop("period", 2)
     window = kw.setdefault("a_window", (0.0, TWO_PI))
     orbits = cm.superstable_search(cm.family_from_model(cfg.params, cfg.pert),
@@ -219,16 +170,14 @@ def cmd_superstable(cfg: RunConfig, seed: int) -> dict:
 
 
 def cmd_rotation(cfg: RunConfig, seed: int) -> dict:
-    opt = cfg.command_options("rotation", {"a", "n_iter", "n_seeds", "mode"})
-    mode = opt.get("mode", "circle")
-    kw = _given(opt, {"a": float, "n_iter": int, "n_seeds": int})
-    if mode == "circle":
+    kw = dict(cfg.options["rotation"])
+    if kw.pop("mode", "circle") == "circle":
         ri = cm.rotation_interval(cm.family_from_model(cfg.params, cfg.pert),
                                   kw.pop("a", 0.0), **kw)
         payload = {"kind": "rotation-interval", "mode": "circle",
                    "rho_min": ri.rho_min, "rho_max": ri.rho_max,
                    "error": ri.error, "degenerate": ri.degenerate}
-    elif mode == "annulus":
+    else:
         n = kw.get("n_iter", 2000)
         seeds = [CylinderPoint(x, cfg.params.lam)
                  for x in np.linspace(0.0, TWO_PI, kw.get("n_seeds", 16),
@@ -240,19 +189,14 @@ def cmd_rotation(cfg: RunConfig, seed: int) -> dict:
         payload = {"kind": "rotation-interval", "mode": "annulus",
                    "rho_min": lo, "rho_max": hi, "error": 1.0 / n,
                    "degenerate": (hi - lo) <= 2.0 / n}
-    else:
-        raise ConfigError(f"unknown rotation mode: {mode!r}")
     return {"rotation.json": payload}
 
 
 def cmd_singular_limit(cfg: RunConfig, seed: int) -> dict:
-    opt = cfg.command_options("singular_limit", {"a", "n_min", "n_max", "nx",
-                                                 "ny"})
-    kw = _given(opt, {"a": float, "n_min": int, "n_max": int, "nx": int,
-                      "ny": int})
+    opt = cfg.options["singular_limit"]
     rows = cm.singular_limit_convergence(
-        cfg.params, cfg.pert, kw.pop("a", 0.0),
-        range(kw.pop("n_min", 3), kw.pop("n_max", 12) + 1), **kw)
+        cfg.params, cfg.pert, opt.get("a", 0.0),
+        range(opt.get("n_min", 3), opt.get("n_max", 12) + 1))
     return {"singular_limit.csv": (
         ("n", "lambda", "value_err", "d1_err", "d2_err", "second_comp_err",
          "excluded"),
@@ -297,8 +241,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-    except (ConfigError, InvalidParamsError, MorseError, OSError,
-            ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     out = os.environ.get("BYKOVLAB_OUT", args.out)
@@ -306,15 +249,12 @@ def main(argv=None) -> int:
     seed = cfg.seed if args.seed is None else args.seed
     try:
         outputs = COMMANDS[args.command](cfg, seed)
-    except (ConfigError, InvalidParamsError, MorseError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     except (ComputationError, EscapeError, cm.EmptyCriticalSetError,
             cm.NonMorseError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        # an option value the computation rejects (after the subclasses above)
+        # a config value the command rejects (after the subclasses above)
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     for name, payload in outputs.items():

@@ -55,6 +55,11 @@ def wrap_angles(x: np.ndarray) -> np.ndarray:
     return w
 
 
+def circle_gap(a, b):
+    """|a - b| on the circle, in [0, pi], for floats or arrays."""
+    return np.abs(np.mod(a - b + math.pi, TWO_PI) - math.pi)
+
+
 class CylinderPoint(NamedTuple):
     """Point of the cross-section: angle x in [0, 2pi), height |y| <= 1."""
 

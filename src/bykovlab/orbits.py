@@ -15,8 +15,8 @@ import numpy as np
 
 from .model import (TWO_PI, CylinderPoint, EscapeError, ModelParams,
                     OrbitRecord, Perturbation, _batch_constants, _image_step,
-                    _step_constants, image_batch, jac_return, return_map,
-                    step_batch, wrap_angle, wrap_angles)
+                    _step_constants, circle_gap, image_batch, jac_return,
+                    return_map, step_batch, wrap_angle, wrap_angles)
 
 SATURATION = -50.0  # per-iterate log-contraction below this is reported as saturated
 RECURRENCE_TOL = 1e-8  # period detection: recurrence distance of a sink
@@ -25,7 +25,7 @@ PERIOD_TAIL = max(4 * PERIOD_CAP, 512)  # period detection: last points read
 PERIOD_PREFILTER = 16  # period detection: pairs per candidate checked at once
 LYAPUNOV_CAP = 20_000  # classify_batch: most Lyapunov steps, whatever n_iter
 ROTATION_CAP = 2_000   # classify_batch: most lift steps per rotation seed
-QR_CADENCE = 10        # lyapunov: steps between QR renormalizations
+QR_CADENCE = 10        # steps between QR renormalizations
 RECORD_CAP = 4_000_000  # classify_batch: most orbit points held at once
 SINK_SETTLE = 400      # confirm_cycle: return-map steps before the cycle is read
 
@@ -73,7 +73,6 @@ class LyapunovEstimate:
     chi1: float
     chi2: float
     n_iter: int
-    cadence: int
     saturated: bool = False
     det_consistency: float | None = None  # |chi1+chi2 - mean ln|det||
     inconclusive: bool = False
@@ -101,15 +100,15 @@ def _gram_schmidt_2x2(p11: float, p12: float, p21: float, p22: float,
 
 
 def lyapunov(params: ModelParams, pert: Perturbation, p0: CylinderPoint,
-             n: int, burn_in: int = 1000, cadence: int = QR_CADENCE,
-             jac=None, step=None) -> LyapunovEstimate:
+             n: int, burn_in: int = 1000, jac=None,
+             step=None) -> LyapunovEstimate:
     """Both Lyapunov exponents via QR-renormalized Jacobian products.
 
     One loop over plain floats: each step takes the image from return_map
     (the image half of the return-step kernel, no derivatives) and each
     measured step the Jacobian entries from jac_return (the full kernel,
     whose image is computed again and dropped), folds the Jacobian into a
-    2x2 product and, every `cadence` steps, re-orthonormalizes the product
+    2x2 product and, every QR_CADENCE steps, re-orthonormalizes the product
     (Benettin et al. 1980).  An escape stops the run before the escaping
     step is counted; `escaped_at` reports it, and an escape before n/2
     measured steps makes the estimate inconclusive.
@@ -118,9 +117,9 @@ def lyapunov(params: ModelParams, pert: Perturbation, p0: CylinderPoint,
     """
     if (jac is None) != (step is None):
         raise ValueError("jac and step replace the map together")
-    if n < 0 or burn_in < 0 or cadence < 1:
-        raise ValueError(f"need n >= 0, burn_in >= 0 and cadence >= 1, got "
-                         f"n={n}, burn_in={burn_in}, cadence={cadence}")
+    if n < 0 or burn_in < 0:
+        raise ValueError(f"need n >= 0 and burn_in >= 0, got n={n}, "
+                         f"burn_in={burn_in}")
     if step is None:
         def step(p):
             return return_map(p, params, pert)
@@ -145,20 +144,20 @@ def lyapunov(params: ModelParams, pert: Perturbation, p0: CylinderPoint,
             batch_ld += ld
             p11, p12, p21, p22 = (a * p11 + b * p21, a * p12 + b * p22,
                                   c * p11 + d * p21, c * p12 + d * p22)
-            if (i + 1 - burn_in) % cadence == 0:
+            if (i + 1 - burn_in) % QR_CADENCE == 0:
                 p11, p12, p21, p22, d1, d2 = _gram_schmidt_2x2(
                     p11, p12, p21, p22, batch_ld)
-                l1 += d1 if math.isfinite(d1) else SATURATION * cadence
-                l2 += d2 if math.isfinite(d2) else SATURATION * cadence
+                l1 += d1 if math.isfinite(d1) else SATURATION * QR_CADENCE
+                l2 += d2 if math.isfinite(d2) else SATURATION * QR_CADENCE
                 batch_ld = 0.0
         p = q
     done = max(0, (burn_in + n if escaped_at is None else escaped_at) - burn_in)
     return _lyapunov_estimate(l1, l2, logdet, batch_ld, (p11, p12, p21, p22),
-                              done, n, cadence, escaped_at)
+                              done, n, escaped_at)
 
 
 def _lyapunov_estimate(l1: float, l2: float, logdet: float, batch_ld: float,
-                       product: tuple, done: int, n: int, cadence: int,
+                       product: tuple, done: int, n: int,
                        escaped_at: int | None) -> LyapunovEstimate:
     """The estimate from a QR run stopped after `done` of `n` measured steps.
 
@@ -166,17 +165,17 @@ def _lyapunov_estimate(l1: float, l2: float, logdet: float, batch_ld: float,
     Jacobian product and log-determinant since the last renormalization.
     """
     if done == 0 or (escaped_at is not None and done < n // 2):
-        return LyapunovEstimate(math.nan, math.nan, done, cadence,
+        return LyapunovEstimate(math.nan, math.nan, done,
                                 inconclusive=True, escaped_at=escaped_at)
-    if done % cadence:
+    if done % QR_CADENCE:
         *_, d1, d2 = _gram_schmidt_2x2(*product, batch_ld)
-        l1 += d1 if math.isfinite(d1) else SATURATION * (done % cadence)
-        l2 += d2 if math.isfinite(d2) else SATURATION * (done % cadence)
+        l1 += d1 if math.isfinite(d1) else SATURATION * (done % QR_CADENCE)
+        l2 += d2 if math.isfinite(d2) else SATURATION * (done % QR_CADENCE)
     chi1, chi2 = sorted((l1 / done, l2 / done), reverse=True)
     saturated = chi2 < SATURATION
     cons = None if saturated else abs(chi1 + chi2 - logdet / done)
     return LyapunovEstimate(chi1=chi1, chi2=max(chi2, SATURATION),
-                            n_iter=done, cadence=cadence, saturated=saturated,
+                            n_iter=done, saturated=saturated,
                             det_consistency=cons, escaped_at=escaped_at)
 
 
@@ -189,6 +188,8 @@ def rotation_set_2d(params: ModelParams, pert: Perturbation,
     """
     if n < 1:
         raise ValueError(f"need n >= 1 lift steps, got n={n}")
+    if not len(seeds):
+        raise ValueError("need n_seeds >= 1 seeds, got an empty list")
     if params.lam <= 0.0:
         raise ValueError("lift displacement needs lambda > 0")
     consts = _step_constants(params, pert)
@@ -204,7 +205,7 @@ def rotation_set_2d(params: ModelParams, pert: Perturbation,
             continue
         rhos.append(disp / (TWO_PI * n))
     if not rhos:
-        raise EscapeError(seeds[0] if len(seeds) else CylinderPoint(0.0, 0.0))
+        raise EscapeError(seeds[0])
     return float(min(rhos)), float(max(rhos))
 
 
@@ -238,9 +239,9 @@ def confirm_cycle(params: ModelParams, pert: Perturbation, p0: CylinderPoint,
             q = return_map(q, params, pert)
     except EscapeError:
         return CycleCheck(True, math.nan, (math.nan, math.nan))
-    dx = abs(wrap_angle(q.x - p.x + math.pi) - math.pi)
     mults = sorted(float(m) for m in np.abs(np.linalg.eigvals(jac)))
-    return CycleCheck(False, dx + abs(q.y - p.y), tuple(mults))
+    return CycleCheck(False, float(circle_gap(q.x, p.x)) + abs(q.y - p.y),
+                      tuple(mults))
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +283,11 @@ def _detect_period(tail: np.ndarray, tol: float, cap: int,
     ys = tail[:, 1] / max(yscale, 1e-300)
     i = np.arange(min(PERIOD_PREFILTER, m - cap))
     ip = i + np.arange(1, cap + 1)[:, None]  # row p-1: the pairs (i, i + p)
-    dx = np.abs(np.mod(tail[ip, 0] - tail[i, 0] + math.pi, TWO_PI) - math.pi)
+    dx = circle_gap(tail[ip, 0], tail[i, 0])
     dy = np.abs(ys[ip] - ys[i])
     candidates = np.flatnonzero(((dx <= tol) & (dy <= tol)).all(axis=1)) + 1
     for p in candidates.tolist():
-        dx = np.abs(np.mod(tail[p:, 0] - tail[:-p, 0] + math.pi, TWO_PI) - math.pi)
+        dx = circle_gap(tail[p:, 0], tail[:-p, 0])
         dy = np.abs(ys[p:] - ys[:-p])
         if float(np.max(dx)) <= tol and float(np.max(dy)) <= tol:
             return p
@@ -374,7 +375,7 @@ def _lockstep(params: list, pert: Perturbation, budget: Budget) -> list:
         estimates[c] = _lyapunov_estimate(
             l1, l2, logdet, batch_ld,
             (*prod0[:, pos].tolist(), *prod1[:, pos].tolist()),
-            done, n_lyap, QR_CADENCE, escaped_at)
+            done, n_lyap, escaped_at)
         final_disp[:, c] = disp[:, pos]
 
     lo = hi = 0

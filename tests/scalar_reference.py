@@ -30,7 +30,7 @@ import numpy as np
 
 from bykovlab import circlemap as cm
 from bykovlab import model as md
-from bykovlab.audit import HypothesisVerdict, _thresholds
+from bykovlab.audit import HypothesisVerdict, resolve_thresholds
 from bykovlab.model import (TWO_PI, CylinderFunction, CylinderPoint,
                             EscapeError, ModelParams, Perturbation, TrigPoly,
                             wrap_angle)
@@ -298,7 +298,7 @@ def audit_H1(params: ModelParams, pert: Perturbation,
     sample with y + lam*Phi2 < 0 is not caught here: its determinant is the
     factored formula's value off the return domain.
     """
-    t = _thresholds(thresholds)
+    t = resolve_thresholds(thresholds)
     rng = np.random.default_rng(seed)
     lams = np.exp(rng.uniform(math.log(lam_range[0]), math.log(lam_range[1]),
                               sample_size))

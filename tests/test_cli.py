@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,9 @@ perturbation:
   phi2: {{family: offset_sine}}
 seed: 0
 """
+
+
+SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
 
 
 def write_config(tmp_path, extra="", omega=5.0 / 3.0, lam=1e-3):
@@ -72,6 +76,44 @@ class TestConfig:
             "phi2: {trig: {constant: 1.1, terms: [[1, 0.0, 1.0]]}}")
         cfg = parse_config(text)
         assert cfg.pert.phi2(0.0, 0.0) == pytest.approx(1.1)
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("lambda: 0.001", "lambda: [1]", "model.lambda"),
+        ("seed: 0", "seed: 1.5", "seed"),
+        ("seed: 0", "seed: [1]", "seed"),
+        ("phi2: {family: offset_sine}",
+         "phi2: {family: offset_sine}\n  epsilon: [1]",
+         "perturbation.epsilon"),
+        ("phi1: {family: cosine}", "phi1: {family: cosine, amplitude: 'big'}",
+         "perturbation.phi1.amplitude"),
+        ("phi2: {family: offset_sine}",
+         "phi2: {trig: {constant: 1.1, terms: 5}}",
+         "perturbation.phi2.trig.terms"),
+        ("phi2: {family: offset_sine}",
+         "phi2: {trig: {constant: 1.1, terms: [[1.5, 0.0, 1.0]]}}",
+         "perturbation.phi2.trig.terms"),
+        ("seed: 0", "seed: 0\niterate: {n: 2.7}", "iterate.n"),
+        ("seed: 0", "seed: 0\niterate: {n: true}", "iterate.n"),
+        ("seed: 0", "seed: 0\niterate: {plot: 'no'}", "iterate.plot"),
+        ("seed: 0", "seed: 0\nscan: {n_iter: foo}", "scan.n_iter"),
+        ("seed: 0", "seed: 0\nscan: {bogus: 1}", "scan: unknown keys"),
+        ("seed: 0", "seed: 0\naudit: {thresholds: {h1_ratio_cap: 'x'}}",
+         "audit.thresholds: threshold h1_ratio_cap"),
+    ])
+    def test_bad_value_names_its_key(self, old, new, key):
+        text = BASE_CONFIG.format(omega="1.0", lam="0.001")
+        assert old in text
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            parse_config(text.replace(old, new))
+
+    def test_values_converted_at_load(self):
+        # PyYAML reads 1e-4 and 1.0e5 as strings
+        cfg = parse_config(BASE_CONFIG.format(omega="1.0", lam="0.001")
+                           + "scan: {lambda_grid: [1e-4], n_iter: 1.0e5}\n")
+        assert cfg.options["scan"] == {"lambda_grid": (1e-4,),
+                                       "n_iter": 100_000}
+        assert type(cfg.options["scan"]["n_iter"]) is int
+        assert cfg.options["iterate"] == {}
 
     def test_invalid_perturbation_rejected(self):
         text = BASE_CONFIG.format(omega="1.0", lam="0.001").replace(
@@ -146,6 +188,28 @@ class TestCommands:
         doc = json.load(open(os.path.join(out, "lyapunov.json")))
         assert doc["escaped_at"] == escaped_at
         assert doc["inconclusive"] is (escaped_at is not None)
+
+    @pytest.mark.parametrize("command, extra", [
+        ("lyapunov", "lyapunov: {n: 200, burn_in: 10, y0: -0.9}\n"),
+        ("superstable", None),
+    ])
+    def test_json_is_strict(self, tmp_path, command, extra):
+        """Non-finite values are written as null, never as NaN tokens."""
+        cfgp = (os.path.join(SCRIPTS, "superstable.yaml") if extra is None
+                else write_config(tmp_path, extra))
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", cfgp, "--out", str(out)]) == 0
+        (path,) = out.glob("*.json")
+
+        def reject(token):
+            raise ValueError(f"non-finite JSON token {token}")
+
+        doc = json.loads(path.read_text(), parse_constant=reject)
+        if command == "lyapunov":
+            assert doc["chi1"] is None and doc["chi2"] is None
+        else:
+            cycles = [c for o in doc["orbits"] for c in o["cycles"]]
+            assert any(c["escaped"] and c["gap"] is None for c in cycles)
 
     def test_superstable_emits_block(self, tmp_path):
         cfgp = write_config(
@@ -258,6 +322,14 @@ class TestCommands:
                  "n_iter: [5]}\n", 1e-3),
         ("misiurewicz", "misiurewicz: {a: [1]}\n", 1e-3),
         ("rotation", "rotation: {mode: annulus, n_iter: 0}\n", 1e-3),
+        ("rotation", "rotation: {n_seeds: 0}\n", 1e-3),
+        ("rotation", "rotation: {mode: annulus, n_seeds: 0}\n", 1e-3),
+        ("iterate", "iterate: {n: 2.7}\n", 1e-3),
+        ("iterate", "iterate: {n: true}\n", 1e-3),
+        ("iterate", "iterate: {plot: 'no'}\n", 1e-3),
+        ("lyapunov", "scan: {bogus: 1, n_iter: foo}\n", 1e-3),
+        ("lyapunov", "audit: {thresholds: {h1_ratio_cap: 'x'}}\n", 1e-3),
+        ("audit", "audit: {thresholds: {h4_horizon: 2.5}}\n", 1e-3),
     ])
     def test_exit_code_rejected_option_value(self, tmp_path, capsys,
                                              command, extra, lam):
@@ -265,7 +337,7 @@ class TestCommands:
         out = tmp_path / "o"
         assert cli.main([command, "--config", cfgp, "--out", str(out)]) == 1
         assert "config error" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists() or not any(out.iterdir())
 
     def test_exit_code_computation_failure_writes_nothing(self, tmp_path,
                                                          capsys):

@@ -172,6 +172,17 @@ def test_wrap_angle_range(x):
     assert math.isclose(math.sin(w), math.sin(x), abs_tol=1e-9)
 
 
+@given(st.floats(min_value=-100.0, max_value=100.0),
+       st.floats(min_value=-100.0, max_value=100.0))
+def test_circle_gap_matches_both_reductions(a, b):
+    # circle_gap replaced the wrap_angle and np.mod forms bit for bit
+    gap = md.circle_gap(a, b)
+    assert gap == abs(wrap_angle(a - b + math.pi) - math.pi)
+    assert gap == np.abs(np.mod(np.array([a]) - b + math.pi, TWO_PI)
+                         - math.pi)[0]
+    assert 0.0 <= gap <= math.pi
+
+
 @given(st.floats(min_value=0.0, max_value=TWO_PI - 1e-9),
        st.floats(min_value=1e-5, max_value=0.9),
        st.floats(min_value=1e-5, max_value=0.05))
