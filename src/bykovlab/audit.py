@@ -21,11 +21,14 @@ from .model import (TWO_PI, ModelParams, Perturbation, _batch_constants,
                     wrap_angles)
 from .orbits import Budget, classify_batch
 
+H1_SAMPLES = 2000            # audit_H1: determinant samples drawn
+H2H3_A = 1.0                 # audit_H2_H3: parameter a of the limit family
 H2H3_N_RANGE = range(3, 13)  # audit_H2_H3: the n of lambda_(a,n) tabulated
 H5_HORIZON = 12              # audit_H5_proxy: steps of the continued orbit
 H6_A = 0.0                   # audit_H6: parameter a of the limit family
 
-DEFAULT_THRESHOLDS = {
+# the lines every verdict is judged against; audit.json prints them
+THRESHOLDS = {
     "h1_ratio_cap": 1e3,
     "h1_det_floor": 1e-300,
     "h2h3_final_tol": 1e-3,
@@ -56,7 +59,6 @@ class HypothesisVerdict:
 @dataclass
 class HypothesisAudit:
     verdicts: list[HypothesisVerdict]
-    thresholds: dict
     provenance: dict = field(default_factory=dict)
 
     @property
@@ -73,54 +75,34 @@ class HypothesisAudit:
             "kind": "hypothesis-audit",
             "overall": self.overall,
             "verdicts": [v.to_dict() for v in self.verdicts],
-            "thresholds": self.thresholds,
+            "thresholds": THRESHOLDS,
             "provenance": self.provenance,
         }
 
 
-def resolve_thresholds(overrides: dict | None) -> dict:
-    """DEFAULT_THRESHOLDS with `overrides`, a mapping of numbers, applied.
-
-    A threshold whose default is an int (a horizon or a cap) takes an int.
-    """
-    overrides = {} if overrides is None else overrides
-    if not isinstance(overrides, dict):
-        raise ValueError(f"expected a mapping, got {overrides!r}")
-    unknown = set(overrides) - set(DEFAULT_THRESHOLDS)
-    if unknown:
-        raise ValueError(f"unknown threshold keys: {sorted(unknown)}")
-    for key, value in overrides.items():
-        kind = type(DEFAULT_THRESHOLDS[key])  # int or float; an int fits both
-        want = "an integer" if kind is int else "a number"
-        if isinstance(value, bool) or not isinstance(value, (kind, int)):
-            raise ValueError(f"threshold {key} must be {want}, got {value!r}")
-    return {**DEFAULT_THRESHOLDS, **overrides}
-
-
 def audit_H1(params: ModelParams, pert: Perturbation,
-             lam_range=(1e-4, 1e-2), sample_size: int = 2000,
-             seed: int = 0, thresholds: dict | None = None) -> HypothesisVerdict:
+             lam_range=(1e-4, 1e-2), seed: int = 0) -> HypothesisVerdict:
     """Determinant-ratio bound and an injectivity spot-check.
 
-    Samples |det DF| over random (x, y, lam) in one step_batch call; PASS
-    iff max/min stays under the configured cap, with k = sqrt(max/min)
+    Samples |det DF| at H1_SAMPLES random (x, y, lam) in one step_batch
+    call; PASS iff max/min stays under h1_ratio_cap, with k = sqrt(max/min)
     reported.  A determinant at or below the floor, or a sample off the
     return domain (y + lam*Phi2 <= 0), is a FAIL witnessed by the first such
     sample drawn.  The injectivity check looks for distinct sample points
     with nearly equal images.
     """
-    t = resolve_thresholds(thresholds)
     rng = np.random.default_rng(seed)
     lams = np.exp(rng.uniform(math.log(lam_range[0]), math.log(lam_range[1]),
-                              sample_size))
-    xs, ybars = rng.uniform((0.0, 0.0), (TWO_PI, 1.0), (sample_size, 2)).T
+                              H1_SAMPLES))
+    xs, ybars = rng.uniform((0.0, 0.0), (TWO_PI, 1.0), (H1_SAMPLES, 2)).T
     consts = _batch_constants(params, pert)
     _, new_y, j11, j12, j21, j22, alive = step_batch(
         xs, lams * ybars, lams, params.k_omega, consts)
     dets = np.abs(j11 * j22 - j12 * j21)
     # a dead sample with Y = y + lam*Phi2 > 0 has an image height above 1;
     # step_batch evaluates one with Y <= 0 at Y = 1, an image height of 1
-    degenerate = (dets <= t["h1_det_floor"]) | (~alive & (new_y <= 1.0))
+    degenerate = ((dets <= THRESHOLDS["h1_det_floor"])
+                  | (~alive & (new_y <= 1.0)))
     if degenerate.any():
         i = int(np.argmax(degenerate))
         return HypothesisVerdict(
@@ -137,12 +119,12 @@ def audit_H1(params: ModelParams, pert: Perturbation,
     order_lam = np.argsort(lams)
     run_max = np.maximum.accumulate(dets[order_lam])
     run_min = np.minimum.accumulate(dets[order_lam])
-    held = (run_max / run_min) <= t["h1_ratio_cap"]
+    held = (run_max / run_min) <= THRESHOLDS["h1_ratio_cap"]
     lam_held = float(lams[order_lam][held][-1]) if held.any() else None
 
     # injectivity spot-check at a fixed lam in the middle of the range
     lam_mid = math.sqrt(lam_range[0] * lam_range[1])
-    n_inj = min(sample_size * 5, 10_000)
+    n_inj = min(H1_SAMPLES * 5, 10_000)
     xs = rng.uniform(0.0, TWO_PI, n_inj)
     ybars = rng.uniform(0.1, 1.0, n_inj)
     new_x, new_y, alive = image_batch(xs, lam_mid * ybars, lam_mid,
@@ -156,25 +138,23 @@ def audit_H1(params: ModelParams, pert: Perturbation,
     a, b = a[near], b[near]
     src = circle_gap(xs[a], xs[b]) + np.abs(ybars[a] - ybars[b])
     collisions = int(np.count_nonzero(src > 1e-9))
-    ok = ratio <= t["h1_ratio_cap"] and collisions == 0
+    ok = ratio <= THRESHOLDS["h1_ratio_cap"] and collisions == 0
     return HypothesisVerdict("H1", "PASS" if ok else "FAIL",
                              {"k": k, "det_ratio": ratio,
-                              "ratio_cap": t["h1_ratio_cap"],
+                              "ratio_cap": THRESHOLDS["h1_ratio_cap"],
                               "injectivity_collisions": collisions,
                               "lambda_max_checked": float(lams.max()),
                               "largest_lambda_cap_held": lam_held,
-                              "samples": sample_size})
+                              "samples": H1_SAMPLES})
 
 
-def audit_H2_H3(params: ModelParams, pert: Perturbation, a: float = 1.0,
-                thresholds: dict | None = None) -> HypothesisVerdict:
+def audit_H2_H3(params: ModelParams, pert: Perturbation) -> HypothesisVerdict:
     """Existence of and C3-style convergence to the one-dimensional limit.
 
     PASS iff the error tables (values, first and second differences) are
     eventually monotone decreasing in n and the final row is below tolerance.
     """
-    t = resolve_thresholds(thresholds)
-    rows = cm.singular_limit_convergence(params, pert, a, H2H3_N_RANGE)
+    rows = cm.singular_limit_convergence(params, pert, H2H3_A, H2H3_N_RANGE)
     tables = {
         "value": [r.value_err for r in rows],
         "d1": [r.d1_err for r in rows],
@@ -184,13 +164,14 @@ def audit_H2_H3(params: ModelParams, pert: Perturbation, a: float = 1.0,
     def eventually_decreasing(seq, start=1):
         return all(seq[i + 1] <= seq[i] for i in range(start, len(seq) - 1))
     mono = {k: eventually_decreasing(v) for k, v in tables.items()}
-    final_ok = all(v[-1] <= t["h2h3_final_tol"] for v in tables.values())
+    final_ok = all(v[-1] <= THRESHOLDS["h2h3_final_tol"]
+                   for v in tables.values())
     ok = all(mono.values()) and final_ok
     return HypothesisVerdict(
         "H2H3", "PASS" if ok else "FAIL",
-        {"a": a, "n_range": [H2H3_N_RANGE.start, H2H3_N_RANGE.stop],
+        {"a": H2H3_A, "n_range": [H2H3_N_RANGE.start, H2H3_N_RANGE.stop],
          "monotone": mono, "final_errors": {k: v[-1] for k, v in tables.items()},
-         "final_tol": t["h2h3_final_tol"],
+         "final_tol": THRESHOLDS["h2h3_final_tol"],
          "table": [{"n": r.n, "lambda": r.lam, "value": r.value_err,
                     "d1": r.d1_err, "d2": r.d2_err,
                     "second": r.second_comp_err, "excluded": r.excluded}
@@ -198,10 +179,8 @@ def audit_H2_H3(params: ModelParams, pert: Perturbation, a: float = 1.0,
 
 
 def audit_H4(family: cm.CircleMapFamily, a_window=(0.0, TWO_PI),
-             n_a: int = 256, thresholds: dict | None = None,
-             seed: int = 0) -> HypothesisVerdict:
+             n_a: int = 256, seed: int = 0) -> HypothesisVerdict:
     """Scan the window for parameters passing the Misiurewicz check."""
-    t = resolve_thresholds(thresholds)
     crit = family.critical_set
     if crit.q == 0:
         return HypothesisVerdict(
@@ -210,17 +189,19 @@ def audit_H4(family: cm.CircleMapFamily, a_window=(0.0, TWO_PI),
              "critical_points": 0})
     certs = cm.misiurewicz_scan(
         family, np.linspace(a_window[0], a_window[1], n_a, endpoint=False),
-        delta0=t["h4_delta0"], horizon=t["h4_horizon"], seed=seed)
+        delta0=THRESHOLDS["h4_delta0"], horizon=THRESHOLDS["h4_horizon"],
+        seed=seed)
     passing = [{"a": float(c.a), "lambda0": c.lambda0, "b0": c.b0}
                for c in certs if c.passed]
     return HypothesisVerdict(
         "H4", "PASS" if passing else "FAIL",
-        {"passing": passing, "scanned": n_a, "delta0": t["h4_delta0"],
-         "horizon": t["h4_horizon"], "critical_points": crit.q})
+        {"passing": passing, "scanned": n_a,
+         "delta0": THRESHOLDS["h4_delta0"],
+         "horizon": THRESHOLDS["h4_horizon"], "critical_points": crit.q})
 
 
-def audit_H5_proxy(family: cm.CircleMapFamily, a_star: float,
-                   thresholds: dict | None = None) -> HypothesisVerdict:
+def audit_H5_proxy(family: cm.CircleMapFamily,
+                   a_star: float) -> HypothesisVerdict:
     """Finite-horizon transversality proxy at a_star (never proof-grade).
 
     Compares d/da of h_a(c) against d/da of the continuation p(a) of the
@@ -230,8 +211,7 @@ def audit_H5_proxy(family: cm.CircleMapFamily, a_star: float,
     INCONCLUSIVE when the reference orbit passes within delta0/2 of the
     critical set (continuation ambiguous); delta0 is H4's h4_delta0.
     """
-    t = resolve_thresholds(thresholds)
-    horizon, delta0 = H5_HORIZON, t["h4_delta0"]
+    horizon, delta0 = H5_HORIZON, THRESHOLDS["h4_delta0"]
     crit = family.critical_set
     if crit.q == 0:
         return HypothesisVerdict("H5", "FAIL",
@@ -283,49 +263,48 @@ def audit_H5_proxy(family: cm.CircleMapFamily, a_star: float,
             target = 0.5 * (llo + lhi)
         return target
 
-    h = t["h5_fd_step"]
+    h = THRESHOLDS["h5_fd_step"]
     dpda = (p_of_a(a_star + h) - p_of_a(a_star - h)) / (2.0 * h)
     margin = abs(1.0 - dpda)
-    ok = margin > t["h5_margin"]
+    ok = margin > THRESHOLDS["h5_margin"]
     return HypothesisVerdict(
         "H5", "PASS" if ok else "FAIL",
         {"margin": margin, "dh_da": 1.0, "dp_da": float(dpda),
-         "threshold": t["h5_margin"], "horizon": horizon,
+         "threshold": THRESHOLDS["h5_margin"], "horizon": horizon,
          "note": "finite-horizon continuation proxy - not a proof"},
         proxy=True)
 
 
-def audit_H6(params: ModelParams, pert: Perturbation, crit: cm.CriticalSet,
-             thresholds: dict | None = None) -> HypothesisVerdict:
+def audit_H6(params: ModelParams, pert: Perturbation,
+             crit: cm.CriticalSet) -> HypothesisVerdict:
     """Height-derivative of the limit family's first component at each turn.
 
     Central differences (in ybar, at ybar = 0) of the extended limit map at
-    a = H6_A; PASS iff every magnitude exceeds the configured floor.
+    a = H6_A; PASS iff every magnitude exceeds h6_floor.
     """
-    t = resolve_thresholds(thresholds)
     if crit.q == 0:
         return HypothesisVerdict("H6", "FAIL", {"reason": "no critical points"})
-    h = t["h6_step"]
+    h = THRESHOLDS["h6_step"]
     values = []
     for c in crit.points:
         f = lambda yb: cm.limit_extension_value(params, pert, H6_A, float(c), yb)
         d = (f(h) - f(-h)) / (2.0 * h)
         values.append(float(d))
-    ok = all(abs(v) > t["h6_floor"] for v in values)
+    ok = all(abs(v) > THRESHOLDS["h6_floor"] for v in values)
     return HypothesisVerdict("H6", "PASS" if ok else "FAIL",
-                             {"derivatives": values, "floor": t["h6_floor"],
-                              "step": h})
+                             {"derivatives": values,
+                              "floor": THRESHOLDS["h6_floor"], "step": h})
 
 
-def audit_H7(family: cm.CircleMapFamily, a_star: float, lambda0: float,
-             thresholds: dict | None = None) -> HypothesisVerdict:
+def audit_H7(family: cm.CircleMapFamily, a_star: float,
+             lambda0: float) -> HypothesisVerdict:
     """Expansion threshold exp(lambda0/3) > 2 plus transition primitivity."""
-    t = resolve_thresholds(thresholds)
     part_a = h7_accepts_lambda0(lambda0)
     try:
         part = cm.monotonicity_partition(family)
-        tm = cm.transition_matrix(family, a_star, part,
-                                  primitive_cap=t["h7_primitive_cap"])
+        tm = cm.transition_matrix(
+            family, a_star, part,
+            primitive_cap=THRESHOLDS["h7_primitive_cap"])
         part_b = tm.primitive
         evidence = {"lambda0": lambda0,
                     "exp_lambda0_3": math.exp(lambda0 / 3.0),
@@ -387,29 +366,26 @@ def strange_attractor_fraction(params: ModelParams, pert: Perturbation,
 
 def run_audit(params: ModelParams, pert: Perturbation,
               a_window=(0.0, TWO_PI), n_a: int = 64,
-              lam_range=(1e-4, 1e-2), seed: int = 0,
-              thresholds: dict | None = None) -> HypothesisAudit:
+              lam_range=(1e-4, 1e-2), seed: int = 0) -> HypothesisAudit:
     """Full H1-H7 audit with a fixed verdict ordering."""
-    t = resolve_thresholds(thresholds)
     family = cm.family_from_model(params, pert)
-    v1 = audit_H1(params, pert, lam_range=lam_range, seed=seed, thresholds=t)
-    v23 = audit_H2_H3(params, pert, thresholds=t)
-    v4 = audit_H4(family, a_window=a_window, n_a=n_a, thresholds=t, seed=seed)
+    v1 = audit_H1(params, pert, lam_range=lam_range, seed=seed)
+    v23 = audit_H2_H3(params, pert)
+    v4 = audit_H4(family, a_window=a_window, n_a=n_a, seed=seed)
     if v4.status == "PASS" and v4.evidence["passing"]:
         best = max(v4.evidence["passing"], key=lambda e: e["lambda0"])
         a_star, lambda0 = best["a"], best["lambda0"]
-        v5 = audit_H5_proxy(family, a_star, thresholds=t)
-        v7 = audit_H7(family, a_star, lambda0, thresholds=t)
+        v5 = audit_H5_proxy(family, a_star)
+        v7 = audit_H7(family, a_star, lambda0)
     else:
         v5 = HypothesisVerdict("H5", "INCONCLUSIVE",
                                {"reason": "no expanding parameter found"},
                                proxy=True)
         v7 = HypothesisVerdict("H7", "FAIL",
                                {"reason": "no expanding parameter found"})
-    v6 = audit_H6(params, pert, family.critical_set, thresholds=t)
+    v6 = audit_H6(params, pert, family.critical_set)
     return HypothesisAudit(
         verdicts=[v1, v23, v4, v5, v6, v7],
-        thresholds=t,
         provenance={"k_omega": params.k_omega, "xi": params.xi,
                     "a_window": list(a_window), "n_a": n_a,
                     "lam_range": list(lam_range), "seed": seed})

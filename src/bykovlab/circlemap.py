@@ -105,6 +105,19 @@ class CriticalSet:
         return float(out) if out.ndim == 0 else out
 
 
+def _bisect(f, lo: float, hi: float, flo: float, steps: int) -> float:
+    """Midpoint of [lo, hi] after `steps` halvings that keep a sign change
+    of f, given flo = f(lo); a zero at a midpoint moves hi onto it."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if flo * fm <= 0.0:
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    return 0.5 * (lo + hi)
+
+
 def critical_points(family: CircleMapFamily) -> CriticalSet:
     """All roots of h' in [0, 2pi), bracketed on DEFAULT_GRID and polished.
 
@@ -117,23 +130,15 @@ def critical_points(family: CircleMapFamily) -> CriticalSet:
     roots = []
     for i in np.nonzero(vals * np.roll(vals, -1) < 0.0)[0]:
         lo = float(xs[i])
-        hi = lo + step
-        flo = family.deriv(lo)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            fm = family.deriv(mid)
-            if flo * fm <= 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        root = 0.5 * (lo + hi)
+        root = bisected = _bisect(family.deriv, lo, lo + step,
+                                  family.deriv(lo), 60)
         for _ in range(8):
             d2 = family.deriv2(root)
             if d2 == 0.0:
                 break
             root -= family.deriv(root) / d2
         if abs(family.deriv(root)) > ROOT_TOL:
-            root = 0.5 * (lo + hi)  # Newton wandered; keep the bisection root
+            root = bisected  # Newton wandered; keep the bisection root
         d2 = family.deriv2(root)
         if abs(d2) < MORSE_TOL:
             raise NonMorseError(f"non-Morse configuration near x={root}")
@@ -642,19 +647,13 @@ def superstable_search(family: CircleMapFamily, period: int,
         m_lo = int(math.floor(g.min() / TWO_PI)) - 1
         m_hi = int(math.ceil(g.max() / TWO_PI)) + 1
         for m in range(m_lo, m_hi + 1):
+            def g_m(a):
+                return _lift_iterate(family, a, c, period) - c - TWO_PI * m
             f = g - TWO_PI * m
             for i in np.nonzero(f[:-1] * f[1:] < 0.0)[0]:
-                lo, hi = float(grid[i]), float(grid[i + 1])
-                flo = f[i]
-                for _ in range(80):
-                    mid = 0.5 * (lo + hi)
-                    fm = _lift_iterate(family, mid, c, period) - c - TWO_PI * m
-                    if flo * fm <= 0.0:
-                        hi = mid
-                    else:
-                        lo, flo = mid, fm
-                a_star = 0.5 * (lo + hi)
-                res = abs(_lift_iterate(family, a_star, c, period) - c - TWO_PI * m)
+                a_star = _bisect(g_m, float(grid[i]), float(grid[i + 1]),
+                                 f[i], 80)
+                res = abs(g_m(a_star))
                 if res > SUPERSTABLE_TOL:
                     continue
                 # chain rule through the critical point: one factor is h'(c)

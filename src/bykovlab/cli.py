@@ -178,10 +178,11 @@ def cmd_rotation(cfg: RunConfig, seed: int) -> dict:
                    "rho_min": ri.rho_min, "rho_max": ri.rho_max,
                    "error": ri.error, "degenerate": ri.degenerate}
     else:
-        n = kw.get("n_iter", 2000)
+        n, n_seeds = kw.get("n_iter", 2000), kw.get("n_seeds", 16)
+        if n_seeds < 1:  # the message rotation_interval gives in circle mode
+            raise ValueError(f"need n_seeds >= 1, got n_seeds={n_seeds}")
         seeds = [CylinderPoint(x, cfg.params.lam)
-                 for x in np.linspace(0.0, TWO_PI, kw.get("n_seeds", 16),
-                                      endpoint=False)]
+                 for x in np.linspace(0.0, TWO_PI, n_seeds, endpoint=False)]
         try:
             lo, hi = ob.rotation_set_2d(cfg.params, cfg.pert, seeds, n)
         except EscapeError:

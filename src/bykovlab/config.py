@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .audit import resolve_thresholds
 from .model import (CylinderFunction, ModelParams, Perturbation, TrigPoly,
                     named_profile)
 
@@ -78,10 +77,8 @@ OPTIONS = {
                 "plot": _flag},
     "lyapunov": {"n": _int, "burn_in": _int, "x0": _float, "y0": _float},
     "scan": {"lambda_grid": _floats, "k_omega_grid": _floats, "plot": _flag,
-             "n_iter": _int, "burn_in": _int, "chi_thresh": _float,
-             "curve_thresh": _float},
-    "audit": {"n_a": _int, "a_window": _pair, "lambda_range": _pair,
-              "thresholds": resolve_thresholds},
+             "n_iter": _int, "burn_in": _int},
+    "audit": {"n_a": _int, "a_window": _pair, "lambda_range": _pair},
     "misiurewicz": {"a": _float, "delta0": _float, "horizon": _int,
                     "n_seeds": _int},
     "superstable": {"period": _int, "a_window": _pair, "n_lambdas": _int},

@@ -28,6 +28,8 @@ ROTATION_CAP = 2_000   # classify_batch: most lift steps per rotation seed
 QR_CADENCE = 10        # steps between QR renormalizations
 RECORD_CAP = 4_000_000  # classify_batch: most orbit points held at once
 SINK_SETTLE = 400      # confirm_cycle: return-map steps before the cycle is read
+CHI_THRESH = 5e-3      # _label: chi1 bound of chaos and of neutrality
+CURVE_THRESH = 0.02    # _label: orbit thickness below this is a closed curve
 
 REGIME_LABELS = ("InvariantCurve", "PeriodicSink", "TransientChaos",
                  "StrangeAttractorCandidate", "Escaped")
@@ -35,12 +37,10 @@ REGIME_LABELS = ("InvariantCurve", "PeriodicSink", "TransientChaos",
 
 @dataclass(frozen=True)
 class Budget:
-    """Iterate counts and thresholds for classification and scans."""
+    """Iterate counts for classification and scans."""
 
     n_iter: int = 100_000
     burn_in: int = 2_000
-    chi_thresh: float = 5e-3
-    curve_thresh: float = 0.02
 
 
 def iterate(params: ModelParams, pert: Perturbation, p0: CylinderPoint,
@@ -100,8 +100,7 @@ def _gram_schmidt_2x2(p11: float, p12: float, p21: float, p22: float,
 
 
 def lyapunov(params: ModelParams, pert: Perturbation, p0: CylinderPoint,
-             n: int, burn_in: int = 1000, jac=None,
-             step=None) -> LyapunovEstimate:
+             n: int, burn_in: int = 1000) -> LyapunovEstimate:
     """Both Lyapunov exponents via QR-renormalized Jacobian products.
 
     One loop over plain floats: each step takes the image from return_map
@@ -112,32 +111,22 @@ def lyapunov(params: ModelParams, pert: Perturbation, p0: CylinderPoint,
     (Benettin et al. 1980).  An escape stops the run before the escaping
     step is counted; `escaped_at` reports it, and an escape before n/2
     measured steps makes the estimate inconclusive.
-    `jac` and `step` replace both with a synthetic map for harness tests;
-    they are given together.
     """
-    if (jac is None) != (step is None):
-        raise ValueError("jac and step replace the map together")
     if n < 0 or burn_in < 0:
         raise ValueError(f"need n >= 0 and burn_in >= 0, got n={n}, "
                          f"burn_in={burn_in}")
-    if step is None:
-        def step(p):
-            return return_map(p, params, pert)
-
-        def jac(p):
-            return jac_return(p, params, pert)
     p = CylinderPoint(wrap_angle(p0.x), p0.y)
     l1 = l2 = logdet = batch_ld = 0.0
     p11, p12, p21, p22 = 1.0, 0.0, 0.0, 1.0
     escaped_at = None
     for i in range(burn_in + n):
         try:
-            q = step(p)
+            q = return_map(p, params, pert)
         except EscapeError:
             escaped_at = i
             break
         if i >= burn_in:
-            (a, b), (c, d) = jac(p).tolist()
+            (a, b), (c, d) = jac_return(p, params, pert).tolist()
             det = abs(a * d - b * c)
             ld = math.log(det) if 0.0 < det < math.inf else SATURATION * 2.0
             logdet += ld
@@ -449,7 +438,7 @@ def _recorded_range(n: int) -> tuple[int, int]:
 
 
 def _label(lam: float, k_omega: float, delta: float, run,
-           budget: Budget, half: int) -> RegimeCell:
+           half: int) -> RegimeCell:
     """The decision tree on one cell's lockstep run; points[half:] is the
     second half of the orbit."""
     if run is None:
@@ -464,9 +453,9 @@ def _label(lam: float, k_omega: float, delta: float, run,
                   rho_min=rho[0], rho_max=rho[1])
     if period is not None:
         return RegimeCell(lam, k_omega, "PeriodicSink", period=period, **common)
-    if est.chi1 > budget.chi_thresh:
+    if est.chi1 > CHI_THRESH:
         return RegimeCell(lam, k_omega, "StrangeAttractorCandidate", **common)
-    if thick < budget.curve_thresh and abs(est.chi1) <= budget.chi_thresh:
+    if thick < CURVE_THRESH and abs(est.chi1) <= CHI_THRESH:
         return RegimeCell(lam, k_omega, "InvariantCurve", **common)
     return RegimeCell(lam, k_omega, "TransientChaos", **common)
 
@@ -497,7 +486,7 @@ def classify_batch(lams, ks, base_params: ModelParams, pert: Perturbation,
     cells = []
     for lo in range(0, len(params), per_run):
         runs = _lockstep(params[lo:lo + per_run], pert, budget)
-        cells += [_label(lam, k, p.delta, run, budget, half - first)
+        cells += [_label(lam, k, p.delta, run, half - first)
                   for lam, k, p, run in zip(lams[lo:], ks[lo:],
                                             params[lo:lo + per_run], runs)]
     return cells

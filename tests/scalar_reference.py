@@ -28,16 +28,17 @@ import math
 
 import numpy as np
 
+from bykovlab import audit as au
 from bykovlab import circlemap as cm
 from bykovlab import model as md
-from bykovlab.audit import HypothesisVerdict, resolve_thresholds
+from bykovlab.audit import HypothesisVerdict
 from bykovlab.model import (TWO_PI, CylinderFunction, CylinderPoint,
                             EscapeError, ModelParams, Perturbation, TrigPoly,
                             wrap_angle)
-from bykovlab.orbits import (LYAPUNOV_CAP, PERIOD_CAP, RECURRENCE_TOL,
-                             ROTATION_CAP, Budget, RegimeCell,
-                             _orbit_thickness, iterate, lyapunov,
-                             rotation_set_2d)
+from bykovlab.orbits import (CHI_THRESH, CURVE_THRESH, LYAPUNOV_CAP,
+                             PERIOD_CAP, RECURRENCE_TOL, ROTATION_CAP,
+                             Budget, RegimeCell, _orbit_thickness, iterate,
+                             lyapunov, rotation_set_2d)
 
 # ---------------------------------------------------------------------------
 # Factored return map
@@ -290,15 +291,15 @@ def superstable_g(family: cm.CircleMapFamily, grid: np.ndarray, c: float,
 
 
 def audit_H1(params: ModelParams, pert: Perturbation,
-             lam_range=(1e-4, 1e-2), sample_size: int = 2000,
-             seed: int = 0, thresholds: dict | None = None) -> HypothesisVerdict:
+             lam_range=(1e-4, 1e-2), seed: int = 0) -> HypothesisVerdict:
     """Determinant-ratio bound and injectivity spot-check, one point at a time.
 
-    Draws the same random numbers in the same order as `audit.audit_H1`.  A
+    Draws the same random numbers in the same order as `audit.audit_H1`,
+    whose H1_SAMPLES and THRESHOLDS it reads at call time.  A
     sample with y + lam*Phi2 < 0 is not caught here: its determinant is the
     factored formula's value off the return domain.
     """
-    t = resolve_thresholds(thresholds)
+    t, sample_size = au.THRESHOLDS, au.H1_SAMPLES
     rng = np.random.default_rng(seed)
     lams = np.exp(rng.uniform(math.log(lam_range[0]), math.log(lam_range[1]),
                               sample_size))
@@ -408,8 +409,8 @@ def classify_cell(lam: float, k_omega: float, base_params: ModelParams,
                   rho_min=rho[0], rho_max=rho[1])
     if period is not None:
         return RegimeCell(lam, k_omega, "PeriodicSink", period=period, **common)
-    if est.chi1 > budget.chi_thresh:
+    if est.chi1 > CHI_THRESH:
         return RegimeCell(lam, k_omega, "StrangeAttractorCandidate", **common)
-    if thick < budget.curve_thresh and abs(est.chi1) <= budget.chi_thresh:
+    if thick < CURVE_THRESH and abs(est.chi1) <= CHI_THRESH:
         return RegimeCell(lam, k_omega, "InvariantCurve", **common)
     return RegimeCell(lam, k_omega, "TransientChaos", **common)

@@ -187,13 +187,13 @@ def test_criterion_08_superstable_pipeline(params_k5, pert, family_k5, report):
 
 def test_criterion_09_regime_ordering(ref_params, pert, report):
     t0 = time.perf_counter()
-    budget = ob.Budget(n_iter=100_000, burn_in=2000, curve_thresh=0.02)
+    budget = ob.Budget(n_iter=100_000, burn_in=2000)
     labels = [c.label for c in ob.classify_batch(
         [1e-3] * 3, (0.1, 0.45, 15.0), ref_params, pert, budget)]
     ordering_ok = (labels[0] == "InvariantCurve"
                    and labels[1] in ("PeriodicSink", "TransientChaos")
                    and labels[2] == "StrangeAttractorCandidate")
-    small_budget = ob.Budget(n_iter=20_000, burn_in=2000, curve_thresh=0.02)
+    small_budget = ob.Budget(n_iter=20_000, burn_in=2000)
     result = ob.scan([1e-4, 1e-3], [0.1, 8.0], ref_params, pert, small_budget)
     dt = time.perf_counter() - t0
     report(9, ordering_ok and result.ordered and dt < 300.0,
@@ -201,11 +201,15 @@ def test_criterion_09_regime_ordering(ref_params, pert, report):
             f"2D scan t2_hat <= t1_hat per column, {dt:.0f}s")
 
 
-def test_criterion_10_lyapunov_harness(ref_params, params_k5, pert, report):
-    jac = lambda p: np.array([[2.0, 0.0], [0.0, 0.5]])
-    step = lambda p: CylinderPoint(wrap_angle(p.x + 0.7), p.y)
-    est = ob.lyapunov(ref_params, pert, CylinderPoint(0.1, 0.5), 4000,
-                      burn_in=0, jac=jac, step=step)
+def test_criterion_10_lyapunov_harness(ref_params, params_k5, pert, report,
+                                       monkeypatch):
+    jac = np.array([[2.0, 0.0], [0.0, 0.5]])
+    with monkeypatch.context() as mp:  # a synthetic map for one run
+        mp.setattr(ob, "return_map",
+                   lambda p, *_: CylinderPoint(wrap_angle(p.x + 0.7), p.y))
+        mp.setattr(ob, "jac_return", lambda *_: jac)
+        est = ob.lyapunov(ref_params, pert, CylinderPoint(0.1, 0.5), 4000,
+                          burn_in=0)
     err = max(abs(est.chi1 - math.log(2.0)), abs(est.chi2 + math.log(2.0)))
     params = params_k5.with_lambda(1e-3)
     real = ob.lyapunov(params, pert, CylinderPoint(0.5, 1e-3), 100_000,

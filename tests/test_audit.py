@@ -24,40 +24,40 @@ def h1_draws(sample_size, lam_range, seed):
 
 
 class TestH1:
-    def test_reports_finite_k(self, params_k5, pert):
-        v = au.audit_H1(params_k5, pert, sample_size=500)
+    def test_reports_finite_k(self, params_k5, pert, monkeypatch):
+        monkeypatch.setattr(au, "H1_SAMPLES", 500)
+        v = au.audit_H1(params_k5, pert)
         assert math.isfinite(v.evidence["k"])
         assert v.evidence["injectivity_collisions"] == 0
 
-    def test_cap_controls_verdict(self, params_k5, pert):
-        tight = au.audit_H1(params_k5, pert, sample_size=500,
-                            thresholds={**au.DEFAULT_THRESHOLDS,
-                                        "h1_ratio_cap": 1.0})
+    def test_cap_controls_verdict(self, params_k5, pert, monkeypatch):
+        monkeypatch.setattr(au, "H1_SAMPLES", 500)
+        monkeypatch.setitem(au.THRESHOLDS, "h1_ratio_cap", 1.0)
+        tight = au.audit_H1(params_k5, pert)
         assert tight.status == "FAIL"
-        loose = au.audit_H1(params_k5, pert, sample_size=500,
-                            thresholds={**au.DEFAULT_THRESHOLDS,
-                                        "h1_ratio_cap": 1e9})
+        monkeypatch.setitem(au.THRESHOLDS, "h1_ratio_cap", 1e9)
+        loose = au.audit_H1(params_k5, pert)
         assert loose.status == "PASS"
 
-    def test_largest_lambda_cap_held_reported(self, params_k5, pert):
-        v = au.audit_H1(params_k5, pert, sample_size=500)
+    def test_largest_lambda_cap_held_reported(self, params_k5, pert,
+                                              monkeypatch):
+        monkeypatch.setattr(au, "H1_SAMPLES", 500)
+        v = au.audit_H1(params_k5, pert)
         assert "largest_lambda_cap_held" in v.evidence
 
     @pytest.mark.parametrize("k_omega", [0.3, 5.0, 15.0])
     @pytest.mark.parametrize("pair", [reference_perturbation(), ref.SLOPED],
                              ids=["reference", "sloped"])
-    def test_matches_scalar_reference(self, k_omega, pair):
+    def test_matches_scalar_reference(self, k_omega, pair, monkeypatch):
         params = reference_params().with_k_omega(k_omega)
         # the ratio is 1e7 or more here, so the caps give FAIL, a cap held
         # only up to some lam, and PASS
         for seed, lam_range, cap in ((0, (1e-4, 1e-2), 1e3),
                                      (1, (1e-5, 1e-3), 1e7),
                                      (7, (1e-3, 1e-1), 1e9)):
-            t = {**au.DEFAULT_THRESHOLDS, "h1_ratio_cap": cap}
-            got = au.audit_H1(params, pair, lam_range=lam_range, seed=seed,
-                              thresholds=t)
-            want = ref.audit_H1(params, pair, lam_range=lam_range, seed=seed,
-                                thresholds=t)
+            monkeypatch.setitem(au.THRESHOLDS, "h1_ratio_cap", cap)
+            got = au.audit_H1(params, pair, lam_range=lam_range, seed=seed)
+            want = ref.audit_H1(params, pair, lam_range=lam_range, seed=seed)
             assert got.status == want.status
             for key in ("k", "det_ratio"):
                 assert got.evidence[key] == pytest.approx(
@@ -66,7 +66,8 @@ class TestH1:
                         "largest_lambda_cap_held", "ratio_cap", "samples"):
                 assert got.evidence[key] == want.evidence[key]
 
-    def test_det_floor_fails_at_first_drawn_sample(self, params_k5, pert):
+    def test_det_floor_fails_at_first_drawn_sample(self, params_k5, pert,
+                                                   monkeypatch):
         draws = h1_draws(2000, (1e-4, 1e-2), 0)
         dets = [abs(det_jac_return(CylinderPoint(x, lam * ybar),
                                    params_k5.with_lambda(lam), pert))
@@ -74,15 +75,14 @@ class TestH1:
         floor = float(np.median(dets))
         first = next(i for i, d in enumerate(dets) if d <= floor)
         assert first > 0
-        t = {**au.DEFAULT_THRESHOLDS, "h1_det_floor": floor}
-        v = au.audit_H1(params_k5, pert, thresholds=t)
+        monkeypatch.setitem(au.THRESHOLDS, "h1_det_floor", floor)
+        v = au.audit_H1(params_k5, pert)
         lam, x, ybar = draws[first]
         assert v.status == "FAIL"
         assert v.evidence == {"reason": "degenerate determinant",
                               "witness": {"x": x, "ybar": ybar,
                                           "lambda": lam}}
-        assert v.to_dict() == ref.audit_H1(params_k5, pert,
-                                           thresholds=t).to_dict()
+        assert v.to_dict() == ref.audit_H1(params_k5, pert).to_dict()
 
     def test_sample_off_the_domain_fails(self, params_k5):
         # Phi2 = 1.1 + sin x - 50 y is positive for |y| <= 1e-3, but
@@ -108,7 +108,7 @@ class TestH1:
 
 class TestH2H3:
     def test_reference_pass(self, ref_params, pert):
-        v = au.audit_H2_H3(ref_params, pert, a=1.0)
+        v = au.audit_H2_H3(ref_params, pert)
         assert v.status == "PASS"
         assert all(v.evidence["monotone"].values())
 
@@ -142,12 +142,11 @@ class TestH5:
         assert v.proxy
         assert v.evidence["margin"] > 1e-3
 
-    def test_fd_step_consistency(self, family_k5):
+    def test_fd_step_consistency(self, family_k5, monkeypatch):
         margins = []
         for h in (1e-5, 1e-4, 1e-3):
-            v = au.audit_H5_proxy(
-                family_k5, 0.0,
-                thresholds={**au.DEFAULT_THRESHOLDS, "h5_fd_step": h})
+            monkeypatch.setitem(au.THRESHOLDS, "h5_fd_step", h)
+            v = au.audit_H5_proxy(family_k5, 0.0)
             margins.append(v.evidence["margin"])
         assert max(margins) - min(margins) < 1e-6
 
@@ -221,10 +220,6 @@ class TestOrchestrator:
         else:
             assert rep.overall in ("FAIL", "INCONCLUSIVE")
 
-    def test_unknown_threshold_rejected(self, params_k5, pert):
-        with pytest.raises(ValueError):
-            au.run_audit(params_k5, pert, thresholds={"bogus": 1.0})
-
     def test_critical_set_computed_once(self, params_k5, pert, monkeypatch):
         calls = []
         original = cm.critical_points
@@ -244,7 +239,7 @@ class TestFraction:
         params = reference_params(omega=0.05)
         out = au.strange_attractor_fraction(
             params, pert, r=0.01, samples=100, seed=0,
-            budget=Budget(n_iter=2000, burn_in=500, curve_thresh=0.02))
+            budget=Budget(n_iter=2000, burn_in=500))
         assert out["fraction"] <= 0.05
         assert out["confidence_interval"][1] > 0.0
 

@@ -98,7 +98,11 @@ class TestConfig:
         ("seed: 0", "seed: 0\nscan: {n_iter: foo}", "scan.n_iter"),
         ("seed: 0", "seed: 0\nscan: {bogus: 1}", "scan: unknown keys"),
         ("seed: 0", "seed: 0\naudit: {thresholds: {h1_ratio_cap: 'x'}}",
-         "audit.thresholds: threshold h1_ratio_cap"),
+         "audit: unknown keys ['thresholds']"),
+        ("seed: 0", "seed: 0\nscan: {chi_thresh: 0.1}",
+         "scan: unknown keys ['chi_thresh']"),
+        ("seed: 0", "seed: 0\nscan: {curve_thresh: 0.1}",
+         "scan: unknown keys ['curve_thresh']"),
     ])
     def test_bad_value_names_its_key(self, old, new, key):
         text = BASE_CONFIG.format(omega="1.0", lam="0.001")
@@ -280,6 +284,15 @@ class TestCommands:
         assert doc["mode"] == mode
         assert (doc["rho_min"], doc["rho_max"], doc["error"]) == want
 
+    @pytest.mark.parametrize("mode", ["circle", "annulus"])
+    def test_rotation_names_bad_seed_count(self, tmp_path, capsys, mode):
+        cfgp = write_config(tmp_path, f"rotation: {{mode: {mode}, "
+                                      "n_seeds: -1}\n")
+        out = str(tmp_path / "out")
+        assert cli.main(["rotation", "--config", cfgp, "--out", out]) == 1
+        assert ("config error: need n_seeds >= 1, got n_seeds=-1"
+                in capsys.readouterr().err)
+
     def test_audit_validates_against_schema(self, tmp_path):
         if jsonschema is None:
             pytest.skip("jsonschema not installed")
@@ -330,6 +343,14 @@ class TestCommands:
         ("lyapunov", "scan: {bogus: 1, n_iter: foo}\n", 1e-3),
         ("lyapunov", "audit: {thresholds: {h1_ratio_cap: 'x'}}\n", 1e-3),
         ("audit", "audit: {thresholds: {h4_horizon: 2.5}}\n", 1e-3),
+        # the verdict and label gates are constants, not options
+        ("audit", "audit: {thresholds: {h1_ratio_cap: 1.0e+30}}\n", 1e-3),
+        ("scan", "scan: {lambda_grid: [0.001], k_omega_grid: [5.0], "
+                 "chi_thresh: 0.1}\n", 1e-3),
+        ("scan", "scan: {lambda_grid: [0.001], k_omega_grid: [5.0], "
+                 "curve_thresh: 0.1}\n", 1e-3),
+        ("rotation", "rotation: {n_seeds: -1}\n", 1e-3),
+        ("rotation", "rotation: {mode: annulus, n_seeds: -1}\n", 1e-3),
     ])
     def test_exit_code_rejected_option_value(self, tmp_path, capsys,
                                              command, extra, lam):

@@ -140,7 +140,7 @@ class TestMisiurewiczScan:
     def test_audit_h4_matches_separate_checks(self, family_k5):
         grid = np.linspace(0.0, TWO_PI, 64, endpoint=False)
         v = au.audit_H4(family_k5, n_a=64)
-        t = au.DEFAULT_THRESHOLDS
+        t = au.THRESHOLDS
         separate = []
         for a in grid:
             cert = cm.misiurewicz_check(family_k5, float(a),

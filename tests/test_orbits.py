@@ -42,25 +42,37 @@ class TestIterate:
         assert (orbit.escaped) == (orbit.escape_index is not None)
 
 
+def rotate(p, *_):
+    """A synthetic return map: rotation by 0.7."""
+    return CylinderPoint(wrap_angle(p.x + 0.7), p.y)
+
+
+def synthetic_map(monkeypatch, jac, step=rotate):
+    """Make lyapunov step through `step` with the constant Jacobian jac."""
+    monkeypatch.setattr(ob, "return_map", step)
+    monkeypatch.setattr(ob, "jac_return", lambda *_: jac)
+
+
+DIAG = np.array([[2.0, 0.0], [0.0, 0.5]])
+
+
 class TestLyapunov:
-    def test_synthetic_diagonal_harness(self, ref_params, pert):
-        jac = lambda p: np.array([[2.0, 0.0], [0.0, 0.5]])
-        step = lambda p: CylinderPoint(wrap_angle(p.x + 0.7), p.y)
+    def test_synthetic_diagonal_harness(self, ref_params, pert, monkeypatch):
+        synthetic_map(monkeypatch, DIAG)
         est = ob.lyapunov(ref_params, pert, CylinderPoint(0.1, 0.5), 4000,
-                          burn_in=0, jac=jac, step=step)
+                          burn_in=0)
         assert est.chi1 == pytest.approx(math.log(2.0), abs=1e-10)
         assert est.chi2 == pytest.approx(-math.log(2.0), abs=1e-10)
 
-    def test_rotated_harness(self, ref_params, pert):
+    def test_rotated_harness(self, ref_params, pert, monkeypatch):
         # a rotation times a diagonal still yields (ln 2, -ln 2)
         th = 0.3
         rot = np.array([[math.cos(th), -math.sin(th)],
                         [math.sin(th), math.cos(th)]])
         m = rot @ np.diag([2.0, 0.5]) @ rot.T
+        synthetic_map(monkeypatch, m)
         est = ob.lyapunov(ref_params, pert, CylinderPoint(0.1, 0.5), 4000,
-                          burn_in=0, jac=lambda p: m,
-                          step=lambda p: CylinderPoint(wrap_angle(p.x + 0.7),
-                                                       p.y))
+                          burn_in=0)
         # non-commuting products converge like 1/n, not to machine precision
         assert est.chi1 == pytest.approx(math.log(2.0), abs=1e-3)
         assert est.chi2 == pytest.approx(-math.log(2.0), abs=1e-3)
@@ -70,17 +82,18 @@ class TestLyapunov:
         """Rotation by 0.7 that escapes on its call number `at` (from 0)."""
         calls = []
 
-        def step(p):
+        def step(p, *_):
             if len(calls) == at:
                 raise EscapeError(p)
             calls.append(p)
-            return CylinderPoint(wrap_angle(p.x + 0.7), p.y)
+            return rotate(p)
         return step
 
-    def test_late_escape_counts_only_completed_steps(self, ref_params, pert):
-        jac = lambda p: np.array([[2.0, 0.0], [0.0, 0.5]])
+    def test_late_escape_counts_only_completed_steps(self, ref_params, pert,
+                                                     monkeypatch):
+        synthetic_map(monkeypatch, DIAG, self._escaping_step(2605))
         est = ob.lyapunov(ref_params, pert, CylinderPoint(0.1, 0.5), 4000,
-                          burn_in=100, jac=jac, step=self._escaping_step(2605))
+                          burn_in=100)
         assert not est.inconclusive
         assert est.escaped_at == 2605
         assert est.n_iter == 2505
@@ -88,18 +101,13 @@ class TestLyapunov:
         assert est.chi2 == pytest.approx(-math.log(2.0), abs=1e-12)
 
     @pytest.mark.parametrize("at, n_iter", [(50, 0), (1500, 1400)])
-    def test_early_escape_inconclusive(self, ref_params, pert, at, n_iter):
-        jac = lambda p: np.array([[2.0, 0.0], [0.0, 0.5]])
+    def test_early_escape_inconclusive(self, ref_params, pert, monkeypatch,
+                                       at, n_iter):
+        synthetic_map(monkeypatch, DIAG, self._escaping_step(at))
         est = ob.lyapunov(ref_params, pert, CylinderPoint(0.1, 0.5), 4000,
-                          burn_in=100, jac=jac, step=self._escaping_step(at))
+                          burn_in=100)
         assert est.inconclusive and math.isnan(est.chi1)
         assert (est.escaped_at, est.n_iter) == (at, n_iter)
-
-    def test_single_hook_rejected(self, ref_params, pert):
-        jac = lambda p: np.array([[2.0, 0.0], [0.0, 0.5]])
-        with pytest.raises(ValueError):
-            ob.lyapunov(ref_params, pert, CylinderPoint(0.1, 0.5), 10,
-                        burn_in=0, jac=jac)
 
     def test_steps_through_return_map_and_jac_return(self, params_k5, pert,
                                                      monkeypatch):
@@ -147,7 +155,7 @@ class TestRotationSet:
 
 
 class TestClassification:
-    BUDGET = ob.Budget(n_iter=15_000, burn_in=2_000, curve_thresh=0.02)
+    BUDGET = ob.Budget(n_iter=15_000, burn_in=2_000)
     KS = (0.1, 0.45, 15.0)  # acceptance 9's lambda = 1e-3 column
 
     @pytest.fixture(scope="class")
@@ -166,7 +174,7 @@ class TestClassification:
     def test_strange_candidate_large_twist(self, column):
         cell = column[2]
         assert cell.label == "StrangeAttractorCandidate"
-        assert cell.chi1 > self.BUDGET.chi_thresh
+        assert cell.chi1 > ob.CHI_THRESH
 
     def test_label_full_includes_period(self, column):
         assert column[1].label_full.startswith("PeriodicSink(")
@@ -303,14 +311,14 @@ class TestClassifyBatch:
 
 class TestScan:
     def test_shapes_and_determinism(self, ref_params, pert):
-        budget = ob.Budget(n_iter=4000, burn_in=500, curve_thresh=0.02)
+        budget = ob.Budget(n_iter=4000, burn_in=500)
         r1 = ob.scan([1e-4, 1e-3], [0.1, 8.0], ref_params, pert, budget)
         r2 = ob.scan([1e-3, 1e-4], [8.0, 0.1], ref_params, pert, budget)
         assert ob.scan_rows(r1) == ob.scan_rows(r2)
         assert len(r1.cells) == 2 and len(r1.cells[0]) == 2
 
     def test_boundary_extraction(self, ref_params, pert):
-        budget = ob.Budget(n_iter=4000, burn_in=500, curve_thresh=0.02)
+        budget = ob.Budget(n_iter=4000, burn_in=500)
         r = ob.scan([1e-4, 1e-3], [0.1, 8.0], ref_params, pert, budget)
         assert 0.1 in r.t2_hat      # invariant-curve column
         assert 8.0 in r.t1_hat      # chaotic column
