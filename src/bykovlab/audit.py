@@ -17,8 +17,7 @@ import numpy as np
 
 from . import circlemap as cm
 from .model import (TWO_PI, ModelParams, Perturbation, _batch_constants,
-                    circle_gap, image_batch, step_batch, wrap_angle,
-                    wrap_angles)
+                    circle_gap, image_batch, step_batch, wrap_angles)
 from .orbits import Budget, classify_batch
 
 H1_SAMPLES = 2000            # audit_H1: determinant samples drawn
@@ -35,7 +34,6 @@ THRESHOLDS = {
     "h4_delta0": 0.05,
     "h4_horizon": 50,
     "h5_margin": 1e-3,
-    "h5_fd_step": 1e-4,
     "h6_step": 1e-6,
     "h6_floor": 1e-6,
     "h7_primitive_cap": 64,
@@ -181,6 +179,8 @@ def audit_H2_H3(params: ModelParams, pert: Perturbation) -> HypothesisVerdict:
 def audit_H4(family: cm.CircleMapFamily, a_window=(0.0, TWO_PI),
              n_a: int = 256, seed: int = 0) -> HypothesisVerdict:
     """Scan the window for parameters passing the Misiurewicz check."""
+    if n_a < 1:
+        raise ValueError(f"need n_a >= 1, got n_a={n_a}")
     crit = family.critical_set
     if crit.q == 0:
         return HypothesisVerdict(
@@ -204,12 +204,14 @@ def audit_H5_proxy(family: cm.CircleMapFamily,
                    a_star: float) -> HypothesisVerdict:
     """Finite-horizon transversality proxy at a_star (never proof-grade).
 
-    Compares d/da of h_a(c) against d/da of the continuation p(a) of the
-    critical value, where p(a) is tracked by matching the branch itinerary
-    of the reference orbit over the horizon.  The first derivative
-    is exactly 1 (a enters additively); the margin is |1 - dp/da|.
-    INCONCLUSIVE when the reference orbit passes within delta0/2 of the
-    critical set (continuation ambiguous); delta0 is H4's h4_delta0.
+    Compares d/da of the critical value h_a(c) with d/da of p(a), the
+    continuation of v* = h_{a*}(c) that keeps h_a^(H-1)(p(a)) at the fixed
+    target h_{a*}^(H-1)(v*), H = H5_HORIZON.  The first derivative is exactly
+    1 (a enters additively); differentiating the target equation gives the
+    transversality sum dp/da = -sum_{k=1}^{H-1} 1/(h^k)'(v*) along one orbit
+    of v*.  The margin is |1 - dp/da|.  INCONCLUSIVE when the orbit of v*
+    passes within delta0/2 of the critical set in H steps (continuation
+    ambiguous); delta0 is H4's h4_delta0.
     """
     horizon, delta0 = H5_HORIZON, THRESHOLDS["h4_delta0"]
     crit = family.critical_set
@@ -217,59 +219,22 @@ def audit_H5_proxy(family: cm.CircleMapFamily,
         return HypothesisVerdict("H5", "FAIL",
                                  {"reason": "no critical points"},
                                  proxy=True)
-    c = float(crit.points[0])
-    v_star = family.val(a_star, c)
-    # continuation ambiguity check along the reference orbit
-    x = v_star
-    for n in range(horizon):
-        if crit.distance(x) < delta0 / 2.0:
-            return HypothesisVerdict(
-                "H5", "INCONCLUSIVE",
-                {"reason": "orbit within delta0/2 of the critical set",
-                 "n": n + 1, "distance": float(crit.distance(x))},
-                proxy=True)
-        x = family.val(a_star, x)
-    # monotone branch (between consecutive starts) of each orbit point
-    starts = np.append(crit.points, crit.points[0] + TWO_PI)
-    itinerary = []
-    x = v_star
-    for _ in range(horizon):
-        xc = wrap_angle(x)
-        xb = xc if xc >= starts[0] else xc + TWO_PI
-        itinerary.append(int(np.searchsorted(starts, xb, side="right")) - 1)
-        x = family.lift(a_star, xc)
-
-    def p_of_a(a: float) -> float:
-        """Backward-nested continuation of v_star with the same itinerary."""
-        # forward endpoint: follow the orbit of the continued critical value;
-        # solve backwards so each preimage stays on the recorded branch
-        target = family.val(a, c)
-        for _ in range(horizon - 1):
-            target = family.val(a, target)
-        for branch in reversed(itinerary[1:]):
-            lo = float(starts[branch])
-            hi = float(starts[branch + 1])
-            goal = wrap_angle(target)
-            # monotone branch: bisection on g(x) = wrap(lift(x)) - goal
-            glo = wrap_angle(family.lift(a, lo)) - goal
-            llo, lhi = lo, hi - 1e-12
-            for _ in range(60):
-                mid = 0.5 * (llo + lhi)
-                gm = wrap_angle(family.lift(a, mid)) - goal
-                if (glo <= 0.0) == (gm <= 0.0):
-                    llo, glo = mid, gm
-                else:
-                    lhi = mid
-            target = 0.5 * (llo + lhi)
-        return target
-
-    h = THRESHOLDS["h5_fd_step"]
-    dpda = (p_of_a(a_star + h) - p_of_a(a_star - h)) / (2.0 * h)
+    # v* and its next horizon - 1 images
+    orbit = family.orbit(a_star, crit.points[0], horizon)[1:]
+    dist = crit.distance(orbit)
+    near = np.nonzero(dist < delta0 / 2.0)[0]
+    if len(near):
+        return HypothesisVerdict(
+            "H5", "INCONCLUSIVE",
+            {"reason": "orbit within delta0/2 of the critical set",
+             "n": int(near[0]) + 1, "distance": float(dist[near[0]])},
+            proxy=True)
+    dpda = -float(np.sum(1.0 / np.cumprod(family.deriv(orbit[:-1]))))
     margin = abs(1.0 - dpda)
     ok = margin > THRESHOLDS["h5_margin"]
     return HypothesisVerdict(
         "H5", "PASS" if ok else "FAIL",
-        {"margin": margin, "dh_da": 1.0, "dp_da": float(dpda),
+        {"margin": margin, "dh_da": 1.0, "dp_da": dpda,
          "threshold": THRESHOLDS["h5_margin"], "horizon": horizon,
          "note": "finite-horizon continuation proxy - not a proof"},
         proxy=True)

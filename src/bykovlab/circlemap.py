@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (TWO_PI, ModelParams, Perturbation, TrigPoly, circle_gap,
-                    wrap_angle)
+                    wrap_angles)
 
 DEFAULT_GRID = 1 << 14
 ROOT_TOL = 1e-12
@@ -67,6 +67,19 @@ class CircleMapFamily:
         out = np.mod(self.lift(a, x), TWO_PI)
         return float(out) if np.ndim(out) == 0 else out
 
+    def orbit(self, a, x0, n: int) -> np.ndarray:
+        """x0 and its n images under h_a, stacked on a last axis of n + 1.
+
+        a and x0 broadcast against each other; the images are circle values.
+        This is the one loop that follows circle orbits step by step.
+        """
+        x = np.array(np.broadcast_arrays(a, x0)[1], dtype=float)
+        out = np.empty(x.shape + (n + 1,))
+        out[..., 0] = x
+        for k in range(1, n + 1):
+            x = out[..., k] = self.val(a, x)
+        return out
+
     def deriv(self, x):
         """h' (independent of a)."""
         p = self.phi2_section
@@ -105,48 +118,51 @@ class CriticalSet:
         return float(out) if out.ndim == 0 else out
 
 
-def _bisect(f, lo: float, hi: float, flo: float, steps: int) -> float:
-    """Midpoint of [lo, hi] after `steps` halvings that keep a sign change
-    of f, given flo = f(lo); a zero at a midpoint moves hi onto it."""
+def _bisect(f, lo, hi, flo, steps: int) -> np.ndarray:
+    """Midpoints of the brackets [lo, hi] after `steps` halvings that keep a
+    sign change of f, given flo = f(lo); a zero at a midpoint moves hi onto
+    it.  Elementwise: f maps an array of points to their values."""
+    lo, hi, flo = (np.array(v, dtype=float)
+                   for v in np.broadcast_arrays(lo, hi, flo))
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
-        if flo * fm <= 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
+        left = flo * fm <= 0.0
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid)
+        flo = np.where(left, flo, fm)
     return 0.5 * (lo + hi)
 
 
 def critical_points(family: CircleMapFamily) -> CriticalSet:
     """All roots of h' in [0, 2pi), bracketed on DEFAULT_GRID and polished.
 
-    Bisection narrows each bracket, a Newton step finishes to |h'| <= 1e-12.
-    Degenerate roots (|h''| < 1e-8) raise NonMorseError.
+    Bisection narrows all brackets at once, then up to 8 Newton steps finish
+    each root to |h'| <= 1e-12 (a root whose Newton steps miss that keeps
+    its bisection value).  Degenerate roots (|h''| < 1e-8) raise
+    NonMorseError.
     """
     xs = np.linspace(0.0, TWO_PI, DEFAULT_GRID, endpoint=False)
     vals = np.asarray(family.deriv(xs))
-    step = TWO_PI / DEFAULT_GRID
-    roots = []
-    for i in np.nonzero(vals * np.roll(vals, -1) < 0.0)[0]:
-        lo = float(xs[i])
-        root = bisected = _bisect(family.deriv, lo, lo + step,
-                                  family.deriv(lo), 60)
+    lo = xs[np.nonzero(vals * np.roll(vals, -1) < 0.0)[0]]
+    bisected = _bisect(family.deriv, lo, lo + TWO_PI / DEFAULT_GRID,
+                       family.deriv(lo), 60)
+    root, moving = bisected, np.ones(len(lo), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(8):
             d2 = family.deriv2(root)
-            if d2 == 0.0:
-                break
-            root -= family.deriv(root) / d2
-        if abs(family.deriv(root)) > ROOT_TOL:
-            root = bisected  # Newton wandered; keep the bisection root
-        d2 = family.deriv2(root)
-        if abs(d2) < MORSE_TOL:
-            raise NonMorseError(f"non-Morse configuration near x={root}")
-        roots.append((wrap_angle(root), d2))
-    roots.sort()
-    pts = np.array([r for r, _ in roots])
-    d2s = np.array([d for _, d in roots])
-    return CriticalSet(points=pts, second_derivs=d2s)
+            moving &= d2 != 0.0
+            root = np.where(moving, root - family.deriv(root) / d2, root)
+    # Newton wandered: keep the bisection root
+    root = np.where(np.abs(family.deriv(root)) > ROOT_TOL, bisected, root)
+    d2 = family.deriv2(root)
+    flat = np.abs(d2) < MORSE_TOL
+    if flat.any():
+        raise NonMorseError(
+            f"non-Morse configuration near x={root[np.argmax(flat)]}")
+    pts = wrap_angles(root)
+    order = np.argsort(pts, kind="stable")
+    return CriticalSet(points=pts[order], second_derivs=d2[order])
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +212,12 @@ class MisiurewiczCertificate:
         }
 
 
+def _math_log(x: np.ndarray) -> np.ndarray:
+    """math.log of every entry; the vectorised np.log can differ by an ULP."""
+    return np.fromiter(map(math.log, x.ravel().tolist()), float,
+                       x.size).reshape(x.shape)
+
+
 def misiurewicz_check(family: CircleMapFamily, a: float, delta0: float = 0.05,
                       horizon: int = 50, n_seeds: int = 32,
                       seed: int = 0) -> MisiurewiczCertificate:
@@ -226,6 +248,8 @@ def misiurewicz_scan(family: CircleMapFamily, a_values, delta0: float = 0.05,
     """
     if horizon < 1 or delta0 <= 0.0:
         raise ValueError("need horizon >= 1 and delta0 > 0")
+    if n_seeds < 1:
+        raise ValueError(f"need n_seeds >= 1, got n_seeds={n_seeds}")
     a_values = list(a_values)
     crit = family.critical_set
     q = crit.q
@@ -251,10 +275,8 @@ def misiurewicz_scan(family: CircleMapFamily, a_values, delta0: float = 0.05,
             ], vacuous=True, provenance=provenance()) for a in a_values]
 
     # (1a): h'' bounded away from zero on the delta0-neighbourhood.
-    worst_1a = math.inf
-    for c in crit.points:
-        loc = c + np.linspace(-delta0, delta0, 33)
-        worst_1a = min(worst_1a, float(np.min(np.abs(family.deriv2(loc)))))
+    loc = crit.points[:, None] + np.linspace(-delta0, delta0, 33)
+    worst_1a = float(np.min(np.abs(family.deriv2(loc))))
 
     # Columns [0, q) are the critical orbits, [q, q + n_seeds) the seed
     # orbits.  A seed orbit's step is a sample unless its point lies within
@@ -274,10 +296,7 @@ def misiurewicz_scan(family: CircleMapFamily, a_values, delta0: float = 0.05,
     for n in range(horizon):
         d = np.abs(family.deriv(x[:, q:]))
         reset = (dist[:, q:] < delta0) | (d == 0.0)
-        # math.log, not np.log: the vectorised np.log can differ by an ULP
-        logs = map(math.log, np.where(reset, 1.0, d).ravel().tolist())
-        log_d = np.fromiter(logs, float, d.size).reshape(d.shape)
-        cum = np.where(reset, 0.0, cum + log_d)
+        cum = np.where(reset, 0.0, cum + _math_log(np.where(reset, 1.0, d)))
         x = family.val(a_col, x)
         dist = crit.distance(x)
         crit_dist[:, :, n] = dist[:, :q]
@@ -373,40 +392,36 @@ def collet_eckmann_check(family: CircleMapFamily, a: float,
         lambda_ce = cert.lambda0 / 10.0
     if not lambda_ce < cert.lambda0 / 5.0:
         raise ValueError(f"need lambda_ce < lambda0/5 = {cert.lambda0 / 5.0}")
+    if horizon < 1:
+        raise ValueError(f"need horizon >= 1, got horizon={horizon}")
     crit = family.critical_set
-    verdicts = []
     prov = {"grid": DEFAULT_GRID, "seeds": 0,
             "tolerances": {"delta0": cert.delta0, "b0": cert.b0}}
     if crit.q == 0:
-        verdicts.append(Verdict("CE1", True, "vacuous: empty critical set"))
-        verdicts.append(Verdict("CE2", True, "vacuous"))
-        return CEReport(a, lambda_ce, alpha, horizon, verdicts, prov)
-    for ci, c in enumerate(crit.points):
-        x = family.val(a, c)
-        ok1, wit1 = True, (math.inf, None)
-        ok2, wit2 = True, (math.inf, None)
-        cum = 0.0
-        for n in range(1, horizon + 1):
-            # CE1 at iterate n of c
-            d = crit.distance(x)
-            bound1 = min(cert.delta0 / 2.0, 2.0 * math.exp(-alpha * n))
-            if d - bound1 < wit1[0]:
-                wit1 = (d - bound1, n)
-            if d < bound1:
-                ok1 = False
-            # CE2: |(h^n)'(h(c))| vs 2*b0*delta0*exp(lambda_ce*n)
-            dv = abs(family.deriv(x))
-            cum += math.log(dv) if dv > 0.0 else -math.inf
-            margin = cum - (math.log(2.0 * cert.b0 * cert.delta0) + lambda_ce * n)
-            if margin < wit2[0]:
-                wit2 = (margin, n)
-            if margin < 0.0:
-                ok2 = False
-            x = family.val(a, x)
-        verdicts.append(Verdict(f"CE1[c{ci}]", ok1,
-                                {"tightest_margin": wit1[0], "n": wit1[1]}))
-        verdicts.append(Verdict(f"CE2[c{ci}]", ok2,
-                                {"tightest_log_margin": wit2[0], "n": wit2[1]}))
+        return CEReport(a, lambda_ce, alpha, horizon,
+                        [Verdict("CE1", True, "vacuous: empty critical set"),
+                         Verdict("CE2", True, "vacuous")], prov)
+    # row ci is h^1(c), ..., h^horizon(c) for critical point c; each margin's
+    # witness is its first smallest value
+    x = family.orbit(a, crit.points, horizon)[:, 1:]
+    n = np.arange(1, horizon + 1)
+    # CE1: dist(h^n(c), critical set) vs min(delta0/2, 2 exp(-alpha n))
+    bound1 = [min(cert.delta0 / 2.0, 2.0 * math.exp(-alpha * k)) for k in n]
+    gap1 = crit.distance(x) - bound1
+    # CE2: ln|(h^n)'(h(c))| vs ln(2 b0 delta0) + lambda_ce n
+    d = np.abs(family.deriv(x))
+    log_d = np.where(d > 0.0, _math_log(np.where(d > 0.0, d, 1.0)), -math.inf)
+    gap2 = (np.cumsum(log_d, axis=1)
+            - (math.log(2.0 * cert.b0 * cert.delta0) + lambda_ce * n))
+    verdicts = []
+    for ci in range(crit.q):
+        k1, k2 = int(np.argmin(gap1[ci])), int(np.argmin(gap2[ci]))
+        verdicts.append(Verdict(f"CE1[c{ci}]", not np.any(gap1[ci] < 0.0),
+                                {"tightest_margin": float(gap1[ci, k1]),
+                                 "n": k1 + 1}))
+        verdicts.append(Verdict(f"CE2[c{ci}]", not np.any(gap2[ci] < 0.0),
+                                {"tightest_log_margin": float(gap2[ci, k2]),
+                                 "n": k2 + 1}))
     return CEReport(a, lambda_ce, alpha, horizon, verdicts, prov)
 
 
@@ -438,9 +453,7 @@ def rotation_interval(family: CircleMapFamily, a: float, n_iter: int = 2000,
     if n_seeds < 1:
         raise ValueError(f"need n_seeds >= 1, got n_seeds={n_seeds}")
     x0 = np.linspace(0.0, TWO_PI, n_seeds, endpoint=False)
-    xhat = x0
-    for _ in range(n_iter):
-        xhat = family.lift(a, xhat)
+    xhat = _lift_iterate(family, a, x0, n_iter)
     rhos = (xhat - x0) / (TWO_PI * n_iter)
     lo, hi = float(rhos.min()), float(rhos.max())
     err = 1.0 / n_iter
@@ -486,19 +499,15 @@ def transition_matrix(family: CircleMapFamily, a: float,
                       partition: MonotonicityPartition,
                       primitive_cap: int = 64) -> TransitionMatrix:
     """q_im = 1 iff branch image h_a(J_i) contains J_m (lift arithmetic)."""
-    r = partition.r
-    q = np.zeros((r, r), dtype=int)
-    for i in range(r):
-        lo_end = family.lift(a, float(partition.starts[i]))
-        hi_end = family.lift(a, float(partition.starts[i] + partition.gaps[i]))
-        lo, hi = min(lo_end, hi_end), max(lo_end, hi_end)
-        for m in range(r):
-            alpha = float(partition.starts[m])
-            beta = alpha + float(partition.gaps[m])
-            k_min = math.ceil((lo - alpha) / TWO_PI - 1e-12)
-            k_max = math.floor((hi - beta) / TWO_PI + 1e-12)
-            if k_min <= k_max:
-                q[i, m] = 1
+    alpha = partition.starts
+    beta = alpha + partition.gaps
+    ends = family.lift(a, np.stack([alpha, beta]))
+    lo, hi = ends.min(axis=0)[:, None], ends.max(axis=0)[:, None]
+    # row i is the branch image, column m the interval: some lift of J_m
+    # fits inside h_a(J_i)
+    k_min = np.ceil((lo - alpha) / TWO_PI - 1e-12)
+    k_max = np.floor((hi - beta) / TWO_PI + 1e-12)
+    q = (k_min <= k_max).astype(int)
     power = q.astype(bool)
     primitive_n = None
     for n in range(1, primitive_cap + 1):
@@ -548,6 +557,9 @@ def singular_limit_convergence(params: ModelParams, pert: Perturbation, a: float
     differences of the difference function (step FD_STEP).  Grid points
     violating the domain condition are excluded and counted.
     """
+    if not n_range or n_range[0] < 1:
+        raise ValueError(f"need 1 <= n_min <= n_max, got n_min="
+                         f"{n_range.start}, n_max={n_range.stop - 1}")
     k = params.k_omega
     delta = params.delta
     phi2max = pert.phi2_max()
@@ -638,36 +650,37 @@ def superstable_search(family: CircleMapFamily, period: int,
     crit = family.critical_set
     if crit.q == 0:
         raise EmptyCriticalSetError("superstable search needs critical points")
-    a_lo, a_hi = a_window
-    grid = np.linspace(a_lo, a_hi, SUPERSTABLE_GRID)
+    if n_lambdas < 1:
+        raise ValueError(f"need n_lambdas >= 1, got n_lambdas={n_lambdas}")
+    grid = np.linspace(a_window[0], a_window[1], SUPERSTABLE_GRID)
+    # sign changes of g_m(a) = lift^p(c) - c - 2*pi*m on the grid, indexed
+    # (critical point, winding, grid point); a winding outside the range
+    # of one critical point's g brackets nothing
+    pts = crit.points[:, None]
+    g = _lift_iterate(family, grid, pts, period) - pts
+    ms = np.arange(math.floor(g.min() / TWO_PI) - 1,
+                   math.ceil(g.max() / TWO_PI) + 2)
+    f = g[:, None, :] - TWO_PI * ms[:, None]
+    ci, mi, i = np.nonzero(f[..., :-1] * f[..., 1:] < 0.0)
+    c, m = crit.points[ci], ms[mi]
+
+    def g_m(a):
+        return _lift_iterate(family, a, c, period) - c - TWO_PI * m
+
+    a_star = _bisect(g_m, grid[i], grid[i + 1], f[ci, mi, i], 80)
+    res = np.abs(g_m(a_star))
+    # chain rule through the critical point: one factor is h'(c)
+    dres = np.prod(family.deriv(family.orbit(a_star, c, period - 1)), axis=-1)
     out = []
-    for c in crit.points:
-        c = float(c)
-        g = _lift_iterate(family, grid, c, period) - c
-        m_lo = int(math.floor(g.min() / TWO_PI)) - 1
-        m_hi = int(math.ceil(g.max() / TWO_PI)) + 1
-        for m in range(m_lo, m_hi + 1):
-            def g_m(a):
-                return _lift_iterate(family, a, c, period) - c - TWO_PI * m
-            f = g - TWO_PI * m
-            for i in np.nonzero(f[:-1] * f[1:] < 0.0)[0]:
-                a_star = _bisect(g_m, float(grid[i]), float(grid[i + 1]),
-                                 f[i], 80)
-                res = abs(g_m(a_star))
-                if res > SUPERSTABLE_TOL:
-                    continue
-                # chain rule through the critical point: one factor is h'(c)
-                dres = 1.0
-                x = c
-                for _ in range(period):
-                    dres *= family.deriv(x)
-                    x = family.val(a_star, x)
-                lams = tuple(lambda_sequences(family.k_omega, n, a_star)[1]
-                             for n in range(1, n_lambdas + 1))
-                out.append(SuperstableOrbit(a_star=a_star, critical_point=c,
-                                            period=period, winding=m,
-                                            residual=res, deriv_residual=abs(dres),
-                                            lambdas=lams))
+    for k in np.nonzero(~(res > SUPERSTABLE_TOL))[0]:
+        a_k = float(a_star[k])
+        lams = tuple(lambda_sequences(family.k_omega, n, a_k)[1]
+                     for n in range(1, n_lambdas + 1))
+        out.append(SuperstableOrbit(a_star=a_k, critical_point=float(c[k]),
+                                    period=period, winding=int(m[k]),
+                                    residual=float(res[k]),
+                                    deriv_residual=float(abs(dres[k])),
+                                    lambdas=lams))
     # deduplicate near-identical roots
     out.sort(key=lambda s: s.a_star)
     dedup: list[SuperstableOrbit] = []

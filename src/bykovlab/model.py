@@ -156,42 +156,25 @@ class TrigPoly:
     terms: tuple[tuple[int, float, float], ...] = ()
 
     def __call__(self, x):
-        lib, out = _backend(x)
-        out = self.constant + out
+        x = np.asarray(x, dtype=float)
+        out = self.constant + np.zeros_like(x)
         for k, ck, sk in self.terms:
-            out = out + ck * lib.cos(k * x) + sk * lib.sin(k * x)
-        return _scalarize(out)
+            out = out + ck * np.cos(k * x) + sk * np.sin(k * x)
+        return out
 
     def d1(self, x):
-        lib, out = _backend(x)
+        x = np.asarray(x, dtype=float)
+        out = np.zeros_like(x)
         for k, ck, sk in self.terms:
-            out = out + k * (-ck * lib.sin(k * x) + sk * lib.cos(k * x))
-        return _scalarize(out)
+            out = out + k * (-ck * np.sin(k * x) + sk * np.cos(k * x))
+        return out
 
     def d2(self, x):
-        lib, out = _backend(x)
+        x = np.asarray(x, dtype=float)
+        out = np.zeros_like(x)
         for k, ck, sk in self.terms:
-            out = out - k * k * (ck * lib.cos(k * x) + sk * lib.sin(k * x))
-        return _scalarize(out)
-
-
-def _backend(x):
-    """math and a 0.0 start for a plain float, else numpy and a zero array.
-
-    The math path serves the circle family's scalar loops (H5's
-    continuation, the superstable bisection, transition_matrix and H6's
-    limit_extension_value) without per-call numpy overhead; map steps read
-    _step_tables and never call TrigPoly.
-    """
-    if type(x) is float:
-        return math, 0.0
-    return np, np.zeros_like(np.asarray(x, dtype=float))
-
-
-def _scalarize(out):
-    if type(out) is float or out.ndim:
+            out = out - k * k * (ck * np.cos(k * x) + sk * np.sin(k * x))
         return out
-    return float(out)
 
 
 @dataclass(frozen=True)

@@ -211,23 +211,21 @@ def confirm_cycle(params: ModelParams, pert: Perturbation, p0: CylinderPoint,
                   period: int) -> CycleCheck:
     """Check whether the orbit of p0 settles on an attracting `period`-cycle.
 
-    Runs SINK_SETTLE return-map steps from p0 to a point p, then `period`
-    more, multiplying the Jacobians along the cycle.  The gap is
+    Runs `iterate` for SINK_SETTLE burn-in steps from p0 to a point p, then
+    `period` more, and multiplies the Jacobians along the cycle.  The gap is
     |x' - x| (on the circle) + |y' - y| between F^p(p) and p; a cycle
     closes when it is small and attracts when every multiplier is below
     one.  An escape anywhere is reported as escaped, with NaN gap and
     multipliers.
     """
-    p = CylinderPoint(wrap_angle(p0.x), p0.y)
-    try:
-        for _ in range(SINK_SETTLE):
-            p = return_map(p, params, pert)
-        q, jac = p, np.eye(2)
-        for _ in range(period):
-            jac = jac_return(q, params, pert) @ jac
-            q = return_map(q, params, pert)
-    except EscapeError:
+    orbit = iterate(params, pert, p0, period, burn_in=SINK_SETTLE)
+    if orbit.escaped:
         return CycleCheck(True, math.nan, (math.nan, math.nan))
+    cycle = [CylinderPoint(*xy) for xy in orbit.points.tolist()]
+    jac = np.eye(2)
+    for p in cycle[:-1]:
+        jac = jac_return(p, params, pert) @ jac
+    p, q = cycle[0], cycle[-1]
     mults = sorted(float(m) for m in np.abs(np.linalg.eigvals(jac)))
     return CycleCheck(False, float(circle_gap(q.x, p.x)) + abs(q.y - p.y),
                       tuple(mults))

@@ -8,8 +8,9 @@ Four groups of references, each written as the plain definition:
   Jacobian.  `model._return_step` and `model.det_jac_return` are tested
   against them.
 - loops that advance one circle-map orbit at a time with plain float calls
-  of the family.  The array paths of `bykovlab.circlemap` must match them
-  exactly.
+  of the family, and the branch-by-interval transition matrix.  The array
+  paths of `bykovlab.circlemap` must match them exactly.  H5's closed-form
+  dp/da is checked against a finite difference of pullbacks on the lift.
 - `audit_H1` as a loop over samples that calls `model.det_jac_return` once
   per sample, and over sorted image neighbours one pair at a time.
   `audit.audit_H1` takes every determinant from one `model.step_batch`
@@ -283,6 +284,102 @@ def superstable_g(family: cm.CircleMapFamily, grid: np.ndarray, c: float,
             x = family.lift(float(av), x)
         out.append(x - c)
     return np.array(out)
+
+
+def collet_eckmann_check(family: cm.CircleMapFamily, a: float,
+                         cert: cm.MisiurewiczCertificate,
+                         lambda_ce: float | None = None, alpha: float = 0.05,
+                         horizon: int = 100) -> cm.CEReport:
+    """One critical orbit and one step at a time: the reference for
+    `cm.collet_eckmann_check`."""
+    if lambda_ce is None:
+        lambda_ce = cert.lambda0 / 10.0
+    if not lambda_ce < cert.lambda0 / 5.0:
+        raise ValueError(f"need lambda_ce < lambda0/5 = {cert.lambda0 / 5.0}")
+    crit = family.critical_set
+    verdicts = []
+    prov = {"grid": cm.DEFAULT_GRID, "seeds": 0,
+            "tolerances": {"delta0": cert.delta0, "b0": cert.b0}}
+    if crit.q == 0:
+        verdicts.append(cm.Verdict("CE1", True, "vacuous: empty critical set"))
+        verdicts.append(cm.Verdict("CE2", True, "vacuous"))
+        return cm.CEReport(a, lambda_ce, alpha, horizon, verdicts, prov)
+    for ci, c in enumerate(crit.points):
+        x = family.val(a, c)
+        ok1, wit1 = True, (math.inf, None)
+        ok2, wit2 = True, (math.inf, None)
+        cum = 0.0
+        for n in range(1, horizon + 1):
+            # CE1 at iterate n of c
+            d = crit.distance(x)
+            bound1 = min(cert.delta0 / 2.0, 2.0 * math.exp(-alpha * n))
+            if d - bound1 < wit1[0]:
+                wit1 = (d - bound1, n)
+            if d < bound1:
+                ok1 = False
+            # CE2: |(h^n)'(h(c))| vs 2*b0*delta0*exp(lambda_ce*n)
+            dv = abs(family.deriv(x))
+            cum += math.log(dv) if dv > 0.0 else -math.inf
+            margin = cum - (math.log(2.0 * cert.b0 * cert.delta0)
+                            + lambda_ce * n)
+            if margin < wit2[0]:
+                wit2 = (margin, n)
+            if margin < 0.0:
+                ok2 = False
+            x = family.val(a, x)
+        verdicts.append(cm.Verdict(f"CE1[c{ci}]", ok1,
+                                   {"tightest_margin": wit1[0], "n": wit1[1]}))
+        verdicts.append(cm.Verdict(f"CE2[c{ci}]", ok2,
+                                   {"tightest_log_margin": wit2[0],
+                                    "n": wit2[1]}))
+    return cm.CEReport(a, lambda_ce, alpha, horizon, verdicts, prov)
+
+
+def transition_q(family: cm.CircleMapFamily, a: float,
+                 partition: cm.MonotonicityPartition) -> np.ndarray:
+    """The 0/1 matrix of `cm.transition_matrix`, one (branch, interval)
+    pair at a time."""
+    r = partition.r
+    q = np.zeros((r, r), dtype=int)
+    for i in range(r):
+        lo_end = family.lift(a, float(partition.starts[i]))
+        hi_end = family.lift(a, float(partition.starts[i]
+                                      + partition.gaps[i]))
+        lo, hi = min(lo_end, hi_end), max(lo_end, hi_end)
+        for m in range(r):
+            alpha = float(partition.starts[m])
+            beta = alpha + float(partition.gaps[m])
+            k_min = math.ceil((lo - alpha) / TWO_PI - 1e-12)
+            k_max = math.floor((hi - beta) / TWO_PI + 1e-12)
+            if k_min <= k_max:
+                q[i, m] = 1
+    return q
+
+
+def h5_dp_da(family: cm.CircleMapFamily, a_star: float,
+             step: float = 1e-6) -> float:
+    """dp/da of H5's continuation by a central difference of pullbacks.
+
+    The orbit of v* = h_{a*}(c) is followed on the lift for H5_HORIZON - 1
+    steps, to the fixed target X.  p(a) pulls X back as many times through
+    h_a; each preimage solves lift(a, y) = next by Newton's method started at
+    the orbit point it replaces, so it stays on that point's branch and
+    lift, however often the branch's image wraps the circle.
+    """
+    c = float(family.critical_set.points[0])
+    orbit = [family.val(a_star, c)]
+    for _ in range(au.H5_HORIZON - 1):
+        orbit.append(float(family.lift(a_star, orbit[-1])))
+
+    def p_of_a(a: float) -> float:
+        y = orbit[-1]
+        for x in reversed(orbit[:-1]):
+            target, y = y, x
+            for _ in range(20):
+                y -= (float(family.lift(a, y)) - target) / family.deriv(y)
+        return y
+
+    return (p_of_a(a_star + step) - p_of_a(a_star - step)) / (2.0 * step)
 
 
 # ---------------------------------------------------------------------------

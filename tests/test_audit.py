@@ -142,13 +142,16 @@ class TestH5:
         assert v.proxy
         assert v.evidence["margin"] > 1e-3
 
-    def test_fd_step_consistency(self, family_k5, monkeypatch):
-        margins = []
-        for h in (1e-5, 1e-4, 1e-3):
-            monkeypatch.setitem(au.THRESHOLDS, "h5_fd_step", h)
-            v = au.audit_H5_proxy(family_k5, 0.0)
-            margins.append(v.evidence["margin"])
-        assert max(margins) - min(margins) < 1e-6
+    def test_dp_da_matches_fixed_target_pullback(self, family_k5):
+        v = au.audit_H5_proxy(family_k5, 0.0)
+        assert abs(v.evidence["dp_da"] - ref.h5_dp_da(family_k5, 0.0)) < 1e-3
+
+    def test_margin_below_threshold_fails(self, family_k5, monkeypatch):
+        margin = au.audit_H5_proxy(family_k5, 0.0).evidence["margin"]
+        monkeypatch.setitem(au.THRESHOLDS, "h5_margin", margin + 1e-3)
+        v = au.audit_H5_proxy(family_k5, 0.0)
+        assert v.status == "FAIL"
+        assert v.evidence["margin"] == margin
 
     def test_no_critical_points_fails(self, family_k03):
         v = au.audit_H5_proxy(family_k03, 0.0)

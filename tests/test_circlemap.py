@@ -57,6 +57,26 @@ class TestEvaluation:
         assert min(abs(lhs - rhs), TWO_PI - abs(lhs - rhs)) < 1e-9
 
 
+class TestOrbit:
+    def test_matches_repeated_val(self, family_k5):
+        orbit = family_k5.orbit(0.7, 1.3, 5)
+        x = 1.3
+        assert orbit[0] == x
+        for k in range(1, 6):
+            x = family_k5.val(0.7, x)
+            assert orbit[k] == x
+
+    def test_broadcasts_a_against_x0(self, family_k5):
+        a = np.array([[0.0], [1.0], [2.0]])
+        x0 = np.array([0.5, 3.0])
+        orbit = family_k5.orbit(a, x0, 4)
+        assert orbit.shape == (3, 2, 5)
+        for i in range(3):
+            for j in range(2):
+                assert np.array_equal(
+                    orbit[i, j], family_k5.orbit(float(a[i, 0]), x0[j], 4))
+
+
 class TestCriticalSet:
     def test_empty_at_small_twist(self, family_k03):
         assert cm.critical_points(family_k03).q == 0
@@ -151,6 +171,17 @@ class TestPartition:
         # at K=5 both branch images have variation > 2pi
         assert tm.q.tolist() == [[1, 1], [1, 1]]
         assert tm.primitive_n == 1
+
+
+    @pytest.mark.parametrize("k_omega, terms", [
+        (2.0, ((1, 0.0, 1.0),)), (5.0, ((1, 0.0, 1.0),)),
+        (8.0, ((1, 0.0, 1.0),)), (3.0, ((1, 0.0, 1.0), (3, 0.5, 0.0)))])
+    def test_matrix_matches_scalar_reference(self, k_omega, terms):
+        fam = make_family(k_omega, constant=2.0, terms=terms)
+        part = cm.monotonicity_partition(fam)
+        for a in np.linspace(0.0, TWO_PI, 32, endpoint=False):
+            tm = cm.transition_matrix(fam, float(a), part)
+            assert np.array_equal(tm.q, ref.transition_q(fam, float(a), part))
 
 
 class TestLambdaSequences:

@@ -293,6 +293,22 @@ class TestCommands:
         assert ("config error: need n_seeds >= 1, got n_seeds=-1"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command, extra, message", [
+        ("audit", "audit: {n_a: 0}\n", "need n_a >= 1, got n_a=0"),
+        ("superstable", "superstable: {n_lambdas: 0}\n",
+         "need n_lambdas >= 1, got n_lambdas=0"),
+        ("misiurewicz", "misiurewicz: {n_seeds: -1}\n",
+         "need n_seeds >= 1, got n_seeds=-1"),
+        ("singular-limit", "singular_limit: {n_min: 5, n_max: 2}\n",
+         "need 1 <= n_min <= n_max, got n_min=5, n_max=2"),
+    ])
+    def test_bad_count_is_named(self, tmp_path, capsys, command, extra,
+                                message):
+        cfgp = write_config(tmp_path, extra)
+        out = str(tmp_path / "out")
+        assert cli.main([command, "--config", cfgp, "--out", out]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+
     def test_audit_validates_against_schema(self, tmp_path):
         if jsonschema is None:
             pytest.skip("jsonschema not installed")
@@ -351,6 +367,13 @@ class TestCommands:
                  "curve_thresh: 0.1}\n", 1e-3),
         ("rotation", "rotation: {n_seeds: -1}\n", 1e-3),
         ("rotation", "rotation: {mode: annulus, n_seeds: -1}\n", 1e-3),
+        # counts below their least meaningful value
+        ("audit", "audit: {n_a: 0}\n", 1e-3),
+        ("superstable", "superstable: {n_lambdas: 0}\n", 1e-3),
+        ("misiurewicz", "misiurewicz: {n_seeds: 0}\n", 1e-3),
+        ("misiurewicz", "misiurewicz: {n_seeds: -1}\n", 1e-3),
+        ("singular-limit", "singular_limit: {n_min: 0}\n", 1e-3),
+        ("singular-limit", "singular_limit: {n_min: 5, n_max: 2}\n", 1e-3),
     ])
     def test_exit_code_rejected_option_value(self, tmp_path, capsys,
                                              command, extra, lam):

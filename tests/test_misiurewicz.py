@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import scalar_reference as ref
 from bykovlab import audit as au
 from bykovlab import circlemap as cm
-from bykovlab.model import TWO_PI, TrigPoly
+from bykovlab.model import TWO_PI, TrigPoly, reference_params
 
 
 class DoublingFamily(cm.CircleMapFamily):
@@ -99,7 +100,7 @@ class TestMisiurewiczScan:
            seed=st.integers(min_value=0, max_value=2**32 - 1),
            delta0=st.floats(min_value=1e-3, max_value=0.5),
            horizon=st.integers(min_value=1, max_value=50),
-           n_seeds=st.integers(min_value=0, max_value=8))
+           n_seeds=st.integers(min_value=1, max_value=8))
     @settings(max_examples=100, deadline=None)
     def test_matches_scalar_reference(self, family_k5, a_values, seed, delta0,
                                       horizon, n_seeds):
@@ -195,7 +196,6 @@ class TestColletEckmann:
         assert bad[0].witness["n"] >= 1
 
     def test_ce2_margin_monotone_in_b0(self, family_k5, cert_k5):
-        import dataclasses
         loose = dataclasses.replace(cert_k5, b0=cert_k5.b0 / 10.0)
         rep_tight = cm.collet_eckmann_check(family_k5, cert_k5.a, cert_k5,
                                             horizon=40)
@@ -205,3 +205,35 @@ class TestColletEckmann:
             if vt.condition.startswith("CE2"):
                 assert vl.witness["tightest_log_margin"] >= \
                     vt.witness["tightest_log_margin"]
+
+    @pytest.mark.parametrize("k_omega", [0.3, 5.0, 8.0])
+    @pytest.mark.parametrize("horizon", [10, 100])
+    def test_matches_scalar_reference(self, pert, k_omega, horizon):
+        fam = cm.family_from_model(reference_params(omega=k_omega / 3.0),
+                                   pert)
+        if fam.critical_set.q:
+            cert = cm.misiurewicz_check(fam, 0.0)
+        else:  # any positive lambda0: the verdicts are vacuous
+            cert = cm.MisiurewiczCertificate(
+                a=0.0, delta0=0.05, b0=1.0, lambda0=0.7, horizon=horizon,
+                verdicts=[], vacuous=True)
+        for a in np.linspace(0.0, TWO_PI, 16, endpoint=False):
+            rep = cm.collet_eckmann_check(fam, float(a), cert,
+                                          horizon=horizon)
+            want = ref.collet_eckmann_check(fam, float(a), cert,
+                                            horizon=horizon)
+            assert json.dumps(rep.to_report()) == json.dumps(want.to_report())
+
+    @given(a=st.floats(min_value=-TWO_PI, max_value=2 * TWO_PI),
+           alpha=st.floats(min_value=0.0, max_value=1.0),
+           b0_scale=st.floats(min_value=1e-3, max_value=1e3),
+           horizon=st.integers(min_value=1, max_value=120))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_scalar_reference_anywhere(self, family_k5, cert_k5, a,
+                                               alpha, b0_scale, horizon):
+        cert = dataclasses.replace(cert_k5, b0=cert_k5.b0 * b0_scale)
+        rep = cm.collet_eckmann_check(family_k5, a, cert, alpha=alpha,
+                                      horizon=horizon)
+        want = ref.collet_eckmann_check(family_k5, a, cert, alpha=alpha,
+                                        horizon=horizon)
+        assert json.dumps(rep.to_report()) == json.dumps(want.to_report())
