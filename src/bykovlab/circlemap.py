@@ -57,7 +57,10 @@ class CircleMapFamily:
 
     def lift(self, a: float, xhat):
         """Continuous degree-one lift (no mod reduction)."""
-        val = self.phi2_section(xhat)
+        return self._lift(a, xhat, self.phi2_section(xhat))
+
+    def _lift(self, a, xhat, val):
+        """The lift at xhat, given val = Phi2(xhat)."""
         if np.any(np.asarray(val) <= 0.0):
             raise ValueError("Phi2 section must be strictly positive")
         return xhat + self.xi + a - self.k_omega * np.log(val)
@@ -80,15 +83,19 @@ class CircleMapFamily:
             x = out[..., k] = self.val(a, x)
         return out
 
+    def step(self, a, x) -> tuple[np.ndarray, np.ndarray]:
+        """(val, deriv) at an array x from one evaluation of the section."""
+        v, d1 = self.phi2_section.jet(x)
+        return np.mod(self._lift(a, x, v), TWO_PI), 1.0 - self.k_omega * d1 / v
+
     def deriv(self, x):
         """h' (independent of a)."""
-        p = self.phi2_section
-        return 1.0 - self.k_omega * p.d1(x) / p(x)
+        v, d1 = self.phi2_section.jet(x)
+        return 1.0 - self.k_omega * d1 / v
 
     def deriv2(self, x):
         """h'' (independent of a)."""
-        p = self.phi2_section
-        v, d1, d2 = p(x), p.d1(x), p.d2(x)
+        v, d1, d2 = self.phi2_section.jet(x, 2)
         return -self.k_omega * (d2 * v - d1 * d1) / (v * v)
 
 
@@ -111,10 +118,9 @@ class CriticalSet:
 
     def distance(self, x) -> float | np.ndarray:
         """Circular distance to the nearest critical point (inf if empty)."""
-        if self.q == 0:
-            return np.inf if np.ndim(x) == 0 else np.full(np.shape(x), np.inf)
-        x = np.asarray(x, dtype=float)
-        out = circle_gap(x[..., None], self.points).min(axis=-1)
+        out = np.full(np.shape(x), np.inf)
+        for c in self.points:
+            out = np.minimum(out, circle_gap(x, c))
         return float(out) if out.ndim == 0 else out
 
 
@@ -143,8 +149,9 @@ def critical_points(family: CircleMapFamily) -> CriticalSet:
     NonMorseError.
     """
     xs = np.linspace(0.0, TWO_PI, DEFAULT_GRID, endpoint=False)
-    vals = np.asarray(family.deriv(xs))
-    lo = xs[np.nonzero(vals * np.roll(vals, -1) < 0.0)[0]]
+    # brackets where h' < 0 flips, so a zero on a grid node ends one bracket
+    neg = np.asarray(family.deriv(xs)) < 0.0
+    lo = xs[np.nonzero(neg != np.roll(neg, -1))[0]]
     bisected = _bisect(family.deriv, lo, lo + TWO_PI / DEFAULT_GRID,
                        family.deriv(lo), 60)
     root, moving = bisected, np.ones(len(lo), dtype=bool)
@@ -244,7 +251,7 @@ def misiurewicz_scan(family: CircleMapFamily, a_values, delta0: float = 0.05,
 
     Every a starts its seed orbits from the same `default_rng(seed)` draws.
     The critical and seed orbits of all parameters advance in lockstep as
-    one (n_a, q + n_seeds) array.
+    one (n_a, q + n_seeds) array, one `CircleMapFamily.step` per step.
     """
     if horizon < 1 or delta0 <= 0.0:
         raise ValueError("need horizon >= 1 and delta0 > 0")
@@ -294,10 +301,10 @@ def misiurewicz_scan(family: CircleMapFamily, a_values, delta0: float = 0.05,
     lands_next = np.empty((n_a, n_seeds, horizon), dtype=bool)
     cum = np.zeros((n_a, n_seeds))
     for n in range(horizon):
-        d = np.abs(family.deriv(x[:, q:]))
+        x, dh = family.step(a_col, x)
+        d = np.abs(dh[:, q:])
         reset = (dist[:, q:] < delta0) | (d == 0.0)
         cum = np.where(reset, 0.0, cum + _math_log(np.where(reset, 1.0, d)))
-        x = family.val(a_col, x)
         dist = crit.distance(x)
         crit_dist[:, :, n] = dist[:, :q]
         sampled[:, :, n] = ~reset
@@ -555,52 +562,44 @@ def singular_limit_convergence(params: ModelParams, pert: Perturbation, a: float
     h_a(x, ybar) = x + xi + a - K ln(ybar + Phi2(x, ybar)) on a LIMIT_GRID
     grid of the forward-invariant strip; derivative errors use central
     differences of the difference function (step FD_STEP).  Grid points
-    violating the domain condition are excluded and counted.
+    violating the domain condition are excluded and counted.  All n form
+    one (n, LIMIT_GRID) array; the per-n scalars are Python floats.
     """
     if not n_range or n_range[0] < 1:
         raise ValueError(f"need 1 <= n_min <= n_max, got n_min="
                          f"{n_range.start}, n_max={n_range.stop - 1}")
-    k = params.k_omega
-    delta = params.delta
+    k, delta = params.k_omega, params.delta
     phi2max = pert.phi2_max()
-    rows = []
-    for n in n_range:
-        _, lam = lambda_sequences(k, n, a)
-        cap = min(1.0, lam ** (delta - 1.0) * (1.0 + phi2max) ** delta)
-        xs = np.linspace(0.0, TWO_PI, LIMIT_GRID[0], endpoint=False)
-        ys = np.linspace(0.0, cap, LIMIT_GRID[1])
-        xg, yg = np.meshgrid(xs, ys, indexing="ij")
-        dk = twist_of_lambda(k, lam) - (a + TWO_PI * n)
+    lams = [lambda_sequences(k, n, a)[1] for n in n_range]
+    scales = [lam_n ** (delta - 1.0) for lam_n in lams]
+    # per-n scalars as (n, 1, 1) columns; x on axis 1, ybar on axis 2
+    lam, scale2 = (np.array(v)[:, None, None] for v in (lams, scales))
+    dk = np.array([twist_of_lambda(k, lam_n) - (a + TWO_PI * n)
+                   for n, lam_n in zip(n_range, lams)])[:, None, None]
+    xg = np.linspace(0.0, TWO_PI, LIMIT_GRID[0], endpoint=False)[:, None]
+    yg = np.array([np.linspace(0.0, min(1.0, s * (1.0 + phi2max) ** delta),
+                               LIMIT_GRID[1]) for s in scales])[:, None, :]
 
-        def diff1(x, ybar):
-            """First-component difference, computed without catastrophic cancellation."""
-            y = lam * ybar
-            ln_map = np.log(ybar + pert.phi2(x, y))
-            ln_lim = np.log(ybar + pert.phi2(x, ybar))
-            return lam * pert.phi1(x, y) + dk + k * (ln_lim - ln_map)
+    def diff1(x, ybar):
+        """First-component difference, computed without catastrophic cancellation."""
+        y = lam * ybar
+        ln_map = np.log(ybar + pert.phi2(x, y))
+        ln_lim = np.log(ybar + pert.phi2(x, ybar))
+        return lam * pert.phi1(x, y) + dk + k * (ln_lim - ln_map)
 
-        def comp2(x, ybar):
-            y = lam * ybar
-            return lam ** (delta - 1.0) * (ybar + pert.phi2(x, y)) ** delta
-
-        domain_ok = (yg + np.asarray(pert.phi2(xg, lam * yg))) > 0.0
-        excluded = int(np.sum(~domain_ok))
-        h = FD_STEP
-        g0 = diff1(xg, yg)
-        gxp, gxm = diff1(xg + h, yg), diff1(xg - h, yg)
-        gyp, gym = diff1(xg, yg + h), diff1(xg, yg - h)
-        value_err = float(np.max(np.abs(g0[domain_ok])))
-        d1 = np.maximum(np.abs(gxp - gxm), np.abs(gyp - gym)) / (2.0 * h)
-        d1_err = float(np.max(d1[domain_ok]))
-        d2 = np.maximum(np.abs(gxp - 2.0 * g0 + gxm),
-                        np.abs(gyp - 2.0 * g0 + gym)) / (h * h)
-        d2_err = float(np.max(d2[domain_ok]))
-        second = comp2(xg, yg)
-        second_err = float(np.max(second[domain_ok]))
-        rows.append(ConvergenceRow(n=n, lam=lam, value_err=value_err,
-                                   d1_err=d1_err, d2_err=d2_err,
-                                   second_comp_err=second_err, excluded=excluded))
-    return rows
+    strip = yg + pert.phi2(xg, lam * yg)
+    domain_ok = strip > 0.0
+    h = FD_STEP
+    g0 = diff1(xg, yg)
+    gxp, gxm = diff1(xg + h, yg), diff1(xg - h, yg)
+    gyp, gym = diff1(xg, yg + h), diff1(xg, yg - h)
+    d1 = np.maximum(np.abs(gxp - gxm), np.abs(gyp - gym)) / (2.0 * h)
+    d2 = np.maximum(np.abs(gxp - 2.0 * g0 + gxm),
+                    np.abs(gyp - 2.0 * g0 + gym)) / (h * h)
+    errs = [np.max(e, axis=(1, 2), where=domain_ok, initial=-np.inf).tolist()
+            for e in (np.abs(g0), d1, d2, scale2 * strip ** delta)]
+    excluded = np.count_nonzero(~domain_ok, axis=(1, 2)).tolist()
+    return [ConvergenceRow(*r) for r in zip(n_range, lams, *errs, excluded)]
 
 
 def limit_extension_value(params: ModelParams, pert: Perturbation,

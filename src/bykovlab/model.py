@@ -155,26 +155,27 @@ class TrigPoly:
     constant: float = 0.0
     terms: tuple[tuple[int, float, float], ...] = ()
 
-    def __call__(self, x):
+    def jet(self, x, order: int = 1) -> list:
+        """[P, P', ..., P^(order)] at x, order <= 2: one cos, sin per harmonic."""
         x = np.asarray(x, dtype=float)
-        out = self.constant + np.zeros_like(x)
+        out = [np.zeros_like(x) + c for c in (self.constant, 0.0, 0.0)[:order + 1]]
         for k, ck, sk in self.terms:
-            out = out + ck * np.cos(k * x) + sk * np.sin(k * x)
+            c, s = np.cos(k * x), np.sin(k * x)
+            out[0] = out[0] + ck * c + sk * s
+            if order >= 1:
+                out[1] = out[1] + k * (-ck * s + sk * c)
+            if order >= 2:
+                out[2] = out[2] - k * k * (ck * c + sk * s)
         return out
+
+    def __call__(self, x):
+        return self.jet(x, 0)[0]
 
     def d1(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for k, ck, sk in self.terms:
-            out = out + k * (-ck * np.sin(k * x) + sk * np.cos(k * x))
-        return out
+        return self.jet(x, 1)[1]
 
     def d2(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for k, ck, sk in self.terms:
-            out = out - k * k * (ck * np.cos(k * x) + sk * np.sin(k * x))
-        return out
+        return self.jet(x, 2)[2]
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,12 @@ Four groups of references, each written as the plain definition:
   Jacobian.  `model._return_step` and `model.det_jac_return` are tested
   against them.
 - loops that advance one circle-map orbit at a time with plain float calls
-  of the family, and the branch-by-interval transition matrix.  The array
-  paths of `bykovlab.circlemap` must match them exactly.  H5's closed-form
-  dp/da is checked against a finite difference of pullbacks on the lift.
+  of the family, the branch-by-interval transition matrix and the
+  singular-limit error table one n at a time.  The array paths of
+  `bykovlab.circlemap` must match them exactly.  H5's closed-form dp/da is
+  checked against a finite difference of pullbacks on the lift.  The
+  trigonometric-polynomial sums are written one derivative order at a time;
+  `TrigPoly.jet` must match them bit for bit.
 - `audit_H1` as a loop over samples that calls `model.det_jac_return` once
   per sample, and over sorted image neighbours one pair at a time.
   `audit.audit_H1` takes every determinant from one `model.step_batch`
@@ -165,6 +168,33 @@ def finite_difference_jacobian(fn, p, h: float = FD_STEP) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Circle-map loops, one orbit at a time
 # ---------------------------------------------------------------------------
+
+
+def trig_value(p: TrigPoly, x):
+    """P(x), one harmonic at a time."""
+    x = np.asarray(x, dtype=float)
+    out = p.constant + np.zeros_like(x)
+    for k, ck, sk in p.terms:
+        out = out + ck * np.cos(k * x) + sk * np.sin(k * x)
+    return out
+
+
+def trig_d1(p: TrigPoly, x):
+    """P'(x), one harmonic at a time."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    for k, ck, sk in p.terms:
+        out = out + k * (-ck * np.sin(k * x) + sk * np.cos(k * x))
+    return out
+
+
+def trig_d2(p: TrigPoly, x):
+    """P''(x), one harmonic at a time."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    for k, ck, sk in p.terms:
+        out = out - k * k * (ck * np.cos(k * x) + sk * np.sin(k * x))
+    return out
 
 
 def misiurewicz_check(family: cm.CircleMapFamily, a: float,
@@ -354,6 +384,52 @@ def transition_q(family: cm.CircleMapFamily, a: float,
             if k_min <= k_max:
                 q[i, m] = 1
     return q
+
+
+def singular_limit_convergence(params: ModelParams, pert: Perturbation,
+                               a: float, n_range: range) -> list:
+    """One n at a time: the reference for `cm.singular_limit_convergence`."""
+    k = params.k_omega
+    delta = params.delta
+    phi2max = pert.phi2_max()
+    rows = []
+    for n in n_range:
+        _, lam = cm.lambda_sequences(k, n, a)
+        cap = min(1.0, lam ** (delta - 1.0) * (1.0 + phi2max) ** delta)
+        xs = np.linspace(0.0, TWO_PI, cm.LIMIT_GRID[0], endpoint=False)
+        ys = np.linspace(0.0, cap, cm.LIMIT_GRID[1])
+        xg, yg = np.meshgrid(xs, ys, indexing="ij")
+        dk = cm.twist_of_lambda(k, lam) - (a + TWO_PI * n)
+
+        def diff1(x, ybar):
+            y = lam * ybar
+            ln_map = np.log(ybar + pert.phi2(x, y))
+            ln_lim = np.log(ybar + pert.phi2(x, ybar))
+            return lam * pert.phi1(x, y) + dk + k * (ln_lim - ln_map)
+
+        def comp2(x, ybar):
+            y = lam * ybar
+            return lam ** (delta - 1.0) * (ybar + pert.phi2(x, y)) ** delta
+
+        domain_ok = (yg + np.asarray(pert.phi2(xg, lam * yg))) > 0.0
+        excluded = int(np.sum(~domain_ok))
+        h = cm.FD_STEP
+        g0 = diff1(xg, yg)
+        gxp, gxm = diff1(xg + h, yg), diff1(xg - h, yg)
+        gyp, gym = diff1(xg, yg + h), diff1(xg, yg - h)
+        value_err = float(np.max(np.abs(g0[domain_ok])))
+        d1 = np.maximum(np.abs(gxp - gxm), np.abs(gyp - gym)) / (2.0 * h)
+        d1_err = float(np.max(d1[domain_ok]))
+        d2 = np.maximum(np.abs(gxp - 2.0 * g0 + gxm),
+                        np.abs(gyp - 2.0 * g0 + gym)) / (h * h)
+        d2_err = float(np.max(d2[domain_ok]))
+        second = comp2(xg, yg)
+        second_err = float(np.max(second[domain_ok]))
+        rows.append(cm.ConvergenceRow(n=n, lam=lam, value_err=value_err,
+                                      d1_err=d1_err, d2_err=d2_err,
+                                      second_comp_err=second_err,
+                                      excluded=excluded))
+    return rows
 
 
 def h5_dp_da(family: cm.CircleMapFamily, a_star: float,

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import scalar_reference as ref
 from bykovlab import circlemap as cm
-from bykovlab.model import TWO_PI, TrigPoly, reference_params, wrap_angle
+from bykovlab.model import (TWO_PI, TrigPoly, circle_gap, reference_params,
+                            wrap_angle)
 
 
 def make_family(k_omega, constant=1.1, terms=((1, 0.0, 1.0),), xi=0.0):
@@ -55,6 +56,39 @@ class TestEvaluation:
         lhs = fam.val(a + s, x)
         rhs = wrap_angle(fam.val(a, x) + s)
         assert min(abs(lhs - rhs), TWO_PI - abs(lhs - rhs)) < 1e-9
+
+
+    @given(constant=st.floats(min_value=-3.0, max_value=3.0),
+           terms=st.lists(st.tuples(st.integers(min_value=1, max_value=4),
+                                    st.floats(min_value=-2.0, max_value=2.0),
+                                    st.floats(min_value=-2.0, max_value=2.0)),
+                          max_size=4),
+           xs=st.lists(st.floats(min_value=-20.0, max_value=20.0),
+                       min_size=1, max_size=8))
+    @settings(max_examples=100)
+    def test_jet_matches_per_order_sums(self, constant, terms, xs):
+        """One cos and sin per harmonic gives each order's sum bit for bit."""
+        p = TrigPoly(constant, tuple(terms))
+        for x in (np.array(xs), xs[0]):
+            jet = [np.asarray(v).tobytes() for v in p.jet(x, 2)]
+            assert jet[:2] == [np.asarray(v).tobytes() for v in p.jet(x)]
+            assert jet == [np.asarray(f(x)).tobytes()
+                           for f in (p, p.d1, p.d2)]
+            assert jet == [np.asarray(f(p, x)).tobytes()
+                           for f in (ref.trig_value, ref.trig_d1,
+                                     ref.trig_d2)]
+
+    @given(a=st.floats(min_value=-TWO_PI, max_value=TWO_PI),
+           xs=st.lists(st.floats(min_value=-20.0, max_value=20.0),
+                       min_size=1, max_size=8))
+    @settings(max_examples=50)
+    def test_step_is_val_and_deriv(self, a, xs):
+        fam = make_family(5.0, constant=1.5,
+                          terms=((1, 0.0, 1.0), (2, 0.3, 0.0)))
+        x = np.array(xs)
+        hx, dh = fam.step(a, x)
+        assert hx.tobytes() == fam.val(a, x).tobytes()
+        assert dh.tobytes() == fam.deriv(x).tobytes()
 
 
 class TestOrbit:
@@ -116,6 +150,35 @@ class TestCriticalSet:
         assert crit.points.tolist() == [float.fromhex(h) for h in points]
         assert crit.second_derivs.tolist() == [float.fromhex(h)
                                                for h in second_derivs]
+
+    def test_root_on_grid_node(self):
+        # Phi2 = 2 + sin x + 0.5 cos 3x at K=2: h' is exactly 0.0 on the
+        # grid node pi/2 and changes sign there
+        fam = make_family(2.0, constant=2.0,
+                          terms=((1, 0.0, 1.0), (3, 0.5, 0.0)))
+        node = cm.DEFAULT_GRID // 4
+        xs = np.linspace(0.0, TWO_PI, cm.DEFAULT_GRID, endpoint=False)
+        d = fam.deriv(xs)
+        assert xs[node] == math.pi / 2 and d[node] == 0.0
+        assert d[node - 1] * d[node + 1] < 0.0
+        crit = cm.critical_points(fam)
+        assert crit.q == 4
+        assert math.pi / 2 in crit.points.tolist()
+        assert all(abs(fam.deriv(float(c))) <= cm.ROOT_TOL
+                   for c in crit.points)
+
+    @pytest.mark.parametrize("points", [(), (1.0, 4.0),
+                                        (0.0, 1.5, 3.2, 6.2)])
+    def test_distance_is_broadcast_minimum(self, points):
+        crit = cm.CriticalSet(np.array(points, dtype=float),
+                              np.ones(len(points)))
+        x = np.random.default_rng(1).uniform(-TWO_PI, 2 * TWO_PI, (3, 5))
+        want = (circle_gap(x[..., None], crit.points).min(axis=-1)
+                if points else np.full(x.shape, np.inf))
+        assert crit.distance(x).tobytes() == want.tobytes()
+        for i, xv in enumerate(x.ravel()[:5].tolist()):
+            got = crit.distance(xv)
+            assert type(got) is float and got == want.ravel()[i]
 
     def test_distance_helper(self, family_k5):
         crit = cm.critical_points(family_k5)

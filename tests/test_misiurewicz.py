@@ -131,6 +131,17 @@ class TestMisiurewiczScan:
             ref.misiurewicz_check(family_k5, a) for a in a_values)
         assert certs[0].passed
 
+    def test_multi_harmonic_matches_scalar_reference(self):
+        # Phi2 = 1.5 + sin x + 0.3 cos 2x at K=5: the second harmonic takes
+        # the k * x path of the section's jet
+        fam = cm.CircleMapFamily(xi=0.0, k_omega=5.0, phi2_section=TrigPoly(
+            1.5, ((1, 0.0, 1.0), (2, 0.3, 0.0))))
+        assert fam.critical_set.q == 2
+        a_values = np.linspace(0.0, TWO_PI, 8, endpoint=False).tolist()
+        certs = cm.misiurewicz_scan(fam, a_values)
+        assert reports(certs) == reports(
+            ref.misiurewicz_check(fam, a) for a in a_values)
+
     def test_check_is_the_one_parameter_scan(self, family_k5):
         cert = cm.misiurewicz_check(family_k5, 1.3, delta0=0.1, horizon=20,
                                     n_seeds=5, seed=7)

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import scalar_reference as ref
 from bykovlab import circlemap as cm
-from bykovlab.model import TWO_PI, CylinderPoint, return_map
+from bykovlab.model import (TWO_PI, CylinderFunction, CylinderPoint,
+                            Perturbation, TrigPoly, reference_params,
+                            return_map)
 
 
 class TestConvergenceTable:
@@ -38,6 +41,35 @@ class TestConvergenceTable:
         rows = cm.singular_limit_convergence(ref_params, pert, 1.0,
                                              range(4, 8))
         assert all(r.excluded == 0 for r in rows)
+
+
+class TestArrayTable:
+    """The one-array table against the one-n-at-a-time reference."""
+
+    @pytest.mark.parametrize("pair", ["reference", "sloped"])
+    @pytest.mark.parametrize("a", [0.0, 1.0, -2.0])
+    @pytest.mark.parametrize("k_omega", [0.3, 5.0, 8.0])
+    def test_matches_scalar_reference(self, pert, pair, a, k_omega):
+        p = pert if pair == "reference" else ref.SLOPED
+        params = reference_params(omega=k_omega / 3.0)
+        n_range = range(1, 13)
+        # repr also tells a numpy scalar from a Python float
+        assert repr(cm.singular_limit_convergence(params, p, a, n_range)) \
+            == repr(ref.singular_limit_convergence(params, p, a, n_range))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_excluded_points_match_scalar_reference(self):
+        # a steep negative slope puts ybar + Phi2(x, lam*ybar) <= 0 on part
+        # of the strip for the larger lam
+        p = Perturbation(
+            phi1=CylinderFunction(TrigPoly(0.0, ((1, 1.0, 0.0),))),
+            phi2=CylinderFunction(TrigPoly(1.1, ((1, 0.0, 1.0),)),
+                                  slope=TrigPoly(-50.0, ())))
+        params = reference_params(omega=8.0 / 3.0)
+        rows = cm.singular_limit_convergence(params, p, 0.0, range(1, 6))
+        assert rows[0].excluded > 0
+        assert repr(rows) == repr(
+            ref.singular_limit_convergence(params, p, 0.0, range(1, 6)))
 
 
 class TestLimitAgreement:
