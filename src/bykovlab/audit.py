@@ -178,7 +178,14 @@ def audit_H2_H3(params: ModelParams, pert: Perturbation) -> HypothesisVerdict:
 
 def audit_H4(family: cm.CircleMapFamily, a_window=(0.0, TWO_PI),
              n_a: int = 256, seed: int = 0) -> HypothesisVerdict:
-    """Scan the window for parameters passing the Misiurewicz check."""
+    """Scan the window for parameters passing the Misiurewicz check.
+
+    A certificate passes only if (1b) does, and (1b) reads the critical
+    orbits alone.  So the critical orbits of the whole grid come first, and
+    only the parameters whose orbits keep h4_delta0 from the critical set
+    are certified in full (their certificates do not depend on the other
+    parameters of the scan).
+    """
     if n_a < 1:
         raise ValueError(f"need n_a >= 1, got n_a={n_a}")
     crit = family.critical_set
@@ -187,10 +194,11 @@ def audit_H4(family: cm.CircleMapFamily, a_window=(0.0, TWO_PI),
             "H4", "FAIL",
             {"reason": "diffeomorphism regime - increase K_omega",
              "critical_points": 0})
-    certs = cm.misiurewicz_scan(
-        family, np.linspace(a_window[0], a_window[1], n_a, endpoint=False),
-        delta0=THRESHOLDS["h4_delta0"], horizon=THRESHOLDS["h4_horizon"],
-        seed=seed)
+    delta0, horizon = THRESHOLDS["h4_delta0"], THRESHOLDS["h4_horizon"]
+    a_grid = np.linspace(a_window[0], a_window[1], n_a, endpoint=False)
+    near = cm.critical_orbit_distances(family, a_grid, horizon) < delta0
+    certs = cm.misiurewicz_scan(family, a_grid[~near.any(axis=(1, 2))],
+                                delta0=delta0, horizon=horizon, seed=seed)
     passing = [{"a": float(c.a), "lambda0": c.lambda0, "b0": c.b0}
                for c in certs if c.passed]
     return HypothesisVerdict(

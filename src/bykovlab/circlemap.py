@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (TWO_PI, ModelParams, Perturbation, TrigPoly, circle_gap,
-                    wrap_angles)
+from .model import (TWO_PI, ModelParams, Perturbation, TrigPoly, _bisect,
+                    circle_gap, wrap_angles)
 
 DEFAULT_GRID = 1 << 14
 ROOT_TOL = 1e-12
@@ -124,22 +124,6 @@ class CriticalSet:
         return float(out) if out.ndim == 0 else out
 
 
-def _bisect(f, lo, hi, flo, steps: int) -> np.ndarray:
-    """Midpoints of the brackets [lo, hi] after `steps` halvings that keep a
-    sign change of f, given flo = f(lo); a zero at a midpoint moves hi onto
-    it.  Elementwise: f maps an array of points to their values."""
-    lo, hi, flo = (np.array(v, dtype=float)
-                   for v in np.broadcast_arrays(lo, hi, flo))
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        left = flo * fm <= 0.0
-        hi = np.where(left, mid, hi)
-        lo = np.where(left, lo, mid)
-        flo = np.where(left, flo, fm)
-    return 0.5 * (lo + hi)
-
-
 def critical_points(family: CircleMapFamily) -> CriticalSet:
     """All roots of h' in [0, 2pi), bracketed on DEFAULT_GRID and polished.
 
@@ -225,6 +209,19 @@ def _math_log(x: np.ndarray) -> np.ndarray:
                        x.size).reshape(x.shape)
 
 
+def critical_orbit_distances(family: CircleMapFamily, a_values,
+                             horizon: int) -> np.ndarray:
+    """Distance to the critical set of h_a^n(c), n = 1..horizon.
+
+    Shape (n_a, q, horizon): parameter, critical point, step.  One `orbit`
+    call follows every critical point under every a.  Condition (1b) of
+    `misiurewicz_scan` reads these alone, without any seed orbit.
+    """
+    crit = family.critical_set
+    a_col = np.asarray(a_values, dtype=float).reshape(-1, 1)
+    return crit.distance(family.orbit(a_col, crit.points, horizon)[..., 1:])
+
+
 def misiurewicz_check(family: CircleMapFamily, a: float, delta0: float = 0.05,
                       horizon: int = 50, n_seeds: int = 32,
                       seed: int = 0) -> MisiurewiczCertificate:
@@ -249,9 +246,11 @@ def misiurewicz_scan(family: CircleMapFamily, a_values, delta0: float = 0.05,
     With an empty critical set the geometric conditions pass vacuously and
     lambda0 is the uniform expansion estimate min_x ln|h'(x)|.
 
-    Every a starts its seed orbits from the same `default_rng(seed)` draws.
-    The critical and seed orbits of all parameters advance in lockstep as
-    one (n_a, q + n_seeds) array, one `CircleMapFamily.step` per step.
+    Every a starts its seed orbits from the same `default_rng(seed)` draws,
+    so a certificate does not depend on the other parameters of the call.
+    (1b) comes from `critical_orbit_distances`; the seed orbits of all
+    parameters advance in lockstep as one (n_a, n_seeds) array, one
+    `CircleMapFamily.step` per step.
     """
     if horizon < 1 or delta0 <= 0.0:
         raise ValueError("need horizon >= 1 and delta0 > 0")
@@ -259,14 +258,13 @@ def misiurewicz_scan(family: CircleMapFamily, a_values, delta0: float = 0.05,
         raise ValueError(f"need n_seeds >= 1, got n_seeds={n_seeds}")
     a_values = list(a_values)
     crit = family.critical_set
-    q = crit.q
 
     def provenance() -> dict:
         return {"grid": DEFAULT_GRID, "seeds": n_seeds,
                 "tolerances": {"delta0": delta0, "root_tol": ROOT_TOL,
                                "morse_tol": MORSE_TOL}, "rng_seed": seed}
 
-    if q == 0:
+    if crit.q == 0:
         xs = np.linspace(0.0, TWO_PI, DEFAULT_GRID, endpoint=False)
         lam0 = float(np.min(np.log(np.abs(family.deriv(xs)))))
         return [MisiurewiczCertificate(
@@ -285,31 +283,31 @@ def misiurewicz_scan(family: CircleMapFamily, a_values, delta0: float = 0.05,
     loc = crit.points[:, None] + np.linspace(-delta0, delta0, 33)
     worst_1a = float(np.min(np.abs(family.deriv2(loc))))
 
-    # Columns [0, q) are the critical orbits, [q, q + n_seeds) the seed
-    # orbits.  A seed orbit's step is a sample unless its point lies within
-    # delta0 of the critical set or has h' = 0; such a step ends the current
-    # segment.  cum is the log-derivative sum over the current segment.  A
-    # sample is a landing sample when the next point lies within delta0.
+    # (1b): distances of the critical orbits, (parameter, critical point, n)
+    crit_dist = critical_orbit_distances(family, a_values, horizon)
+
+    # A seed orbit's step is a sample unless its point lies within delta0 of
+    # the critical set or has h' = 0; such a step ends the current segment.
+    # cum is the log-derivative sum over the current segment.  A sample is
+    # a landing sample when the next point lies within delta0.
     n_a = len(a_values)
     a_col = np.array(a_values, dtype=float)[:, None]
     x0 = np.random.default_rng(seed).uniform(0.0, TWO_PI, n_seeds)
-    x = np.broadcast_to(np.concatenate([crit.points, x0]), (n_a, q + n_seeds))
+    x = np.broadcast_to(x0, (n_a, n_seeds))
     dist = crit.distance(x)
-    crit_dist = np.empty((n_a, q, horizon))
     sampled = np.empty((n_a, n_seeds, horizon), dtype=bool)
     cum_hist = np.empty((n_a, n_seeds, horizon))
     lands_next = np.empty((n_a, n_seeds, horizon), dtype=bool)
     cum = np.zeros((n_a, n_seeds))
     for n in range(horizon):
         x, dh = family.step(a_col, x)
-        d = np.abs(dh[:, q:])
-        reset = (dist[:, q:] < delta0) | (d == 0.0)
+        d = np.abs(dh)
+        reset = (dist < delta0) | (d == 0.0)
         cum = np.where(reset, 0.0, cum + _math_log(np.where(reset, 1.0, d)))
         dist = crit.distance(x)
-        crit_dist[:, :, n] = dist[:, :q]
         sampled[:, :, n] = ~reset
         cum_hist[:, :, n] = cum
-        lands_next[:, :, n] = dist[:, q:] < delta0
+        lands_next[:, :, n] = dist < delta0
 
     steps = np.arange(horizon)
     certs = []
@@ -660,7 +658,9 @@ def superstable_search(family: CircleMapFamily, period: int,
     ms = np.arange(math.floor(g.min() / TWO_PI) - 1,
                    math.ceil(g.max() / TWO_PI) + 2)
     f = g[:, None, :] - TWO_PI * ms[:, None]
-    ci, mi, i = np.nonzero(f[..., :-1] * f[..., 1:] < 0.0)
+    # brackets where f < 0 flips, so a root on a grid node ends one bracket
+    neg = f < 0.0
+    ci, mi, i = np.nonzero(neg[..., :-1] != neg[..., 1:])
     c, m = crit.points[ci], ms[mi]
 
     def g_m(a):

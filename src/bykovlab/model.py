@@ -60,6 +60,22 @@ def circle_gap(a, b):
     return np.abs(np.mod(a - b + math.pi, TWO_PI) - math.pi)
 
 
+def _bisect(f, lo, hi, flo, steps: int) -> np.ndarray:
+    """Midpoints of the brackets [lo, hi] after `steps` halvings that keep a
+    sign change of f, given flo = f(lo); a zero at a midpoint moves hi onto
+    it.  Elementwise: f maps an array of points to their values."""
+    lo, hi, flo = (np.array(v, dtype=float)
+                   for v in np.broadcast_arrays(lo, hi, flo))
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        left = flo * fm <= 0.0
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid)
+        flo = np.where(left, flo, fm)
+    return 0.5 * (lo + hi)
+
+
 class CylinderPoint(NamedTuple):
     """Point of the cross-section: angle x in [0, 2pi), height |y| <= 1."""
 
@@ -243,17 +259,19 @@ class Perturbation:
             vals = np.asarray(self.phi2(xs, np.full_like(xs, yv)))
             if np.any(vals <= 0.0):
                 raise MorseError(f"Phi2 not strictly positive at y={yv}")
-        # ln(Phi2(x,0)) critical points: sign changes of Phi2'(x,0) with
-        # nonvanishing second derivative of the log.
+        # ln(Phi2(x,0)) critical points: the grid steps where Phi2'(x,0) < 0
+        # flips around the circle (a zero on a node ends one bracket), all
+        # bisected at once; 40 halvings shrink a grid step to about one ULP,
+        # and the second derivative of the log is read at those roots
         sec = self.phi2.section()
-        d1 = np.asarray(sec.d1(xs))
-        flips = np.nonzero(d1 * np.roll(d1, -1) < 0.0)[0]
-        for i in flips:
-            xc = 0.5 * (xs[i] + xs[(i + 1) % PROFILE_GRID])
-            v, dv, d2v = sec(xc), sec.d1(xc), sec.d2(xc)
-            log_d2 = (d2v * v - dv * dv) / (v * v)
-            if abs(log_d2) < 1e-8:
-                raise MorseError(f"degenerate critical point of ln Phi2 near x={xc}")
+        neg = np.asarray(sec.d1(xs)) < 0.0
+        lo = xs[np.nonzero(neg != np.roll(neg, -1))[0]]
+        root = _bisect(sec.d1, lo, lo + TWO_PI / PROFILE_GRID, sec.d1(lo), 40)
+        v, dv, d2v = sec.jet(root, 2)
+        flat = np.abs((d2v * v - dv * dv) / (v * v)) < 1e-8
+        if flat.any():
+            raise MorseError("degenerate critical point of ln Phi2 near "
+                             f"x={root[np.argmax(flat)]}")
 
     def phi2_max(self) -> float:
         xs = np.linspace(0.0, TWO_PI, PROFILE_GRID, endpoint=False)

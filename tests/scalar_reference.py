@@ -10,7 +10,11 @@ Four groups of references, each written as the plain definition:
 - loops that advance one circle-map orbit at a time with plain float calls
   of the family, the branch-by-interval transition matrix and the
   singular-limit error table one n at a time.  The array paths of
-  `bykovlab.circlemap` must match them exactly.  H5's closed-form dp/da is
+  `bykovlab.circlemap` must match them exactly.  Two earlier array paths
+  are kept as they were: the lockstep loop that advanced critical and seed
+  orbits together in `misiurewicz_scan`, and `audit_H4` certifying every
+  a of its grid; the (1b)-first paths must give the same certificates and
+  the same H4 evidence.  H5's closed-form dp/da is
   checked against a finite difference of pullbacks on the lift.  The
   trigonometric-polynomial sums are written one derivative order at a time;
   `TrigPoly.jet` must match them bit for bit.
@@ -290,6 +294,149 @@ def misiurewicz_check(family: cm.CircleMapFamily, a: float,
                                      horizon=horizon,
                                      verdicts=[v1a, v1b, v2a, v2b],
                                      provenance=prov)
+
+
+def misiurewicz_scan_lockstep(family: cm.CircleMapFamily, a_values,
+                              delta0: float = 0.05, horizon: int = 50,
+                              n_seeds: int = 32, seed: int = 0
+                              ) -> list[cm.MisiurewiczCertificate]:
+    """The streaming loop `cm.misiurewicz_scan` ran before (1b) moved to
+    `cm.critical_orbit_distances`: the critical and seed orbits of every a
+    advance in lockstep as one (n_a, q + n_seeds) array, and the critical
+    columns' distances are written step by step."""
+    if horizon < 1 or delta0 <= 0.0:
+        raise ValueError("need horizon >= 1 and delta0 > 0")
+    if n_seeds < 1:
+        raise ValueError(f"need n_seeds >= 1, got n_seeds={n_seeds}")
+    a_values = list(a_values)
+    crit = family.critical_set
+    q = crit.q
+
+    def provenance() -> dict:
+        return {"grid": cm.DEFAULT_GRID, "seeds": n_seeds,
+                "tolerances": {"delta0": delta0, "root_tol": cm.ROOT_TOL,
+                               "morse_tol": cm.MORSE_TOL}, "rng_seed": seed}
+
+    if q == 0:
+        xs = np.linspace(0.0, TWO_PI, cm.DEFAULT_GRID, endpoint=False)
+        lam0 = float(np.min(np.log(np.abs(family.deriv(xs)))))
+        return [cm.MisiurewiczCertificate(
+            a=a, delta0=delta0, b0=1.0, lambda0=lam0, horizon=horizon,
+            verdicts=[
+                cm.Verdict("1a-nondegenerate-turns", True,
+                           "vacuous: empty critical set"),
+                cm.Verdict("1b-critical-orbit-avoidance", True, "vacuous"),
+                cm.Verdict("2a-expansion", lam0 > 0.0, {"lambda0": lam0}),
+                cm.Verdict("2b-return-expansion", lam0 > 0.0,
+                           {"lambda0": lam0} if lam0 > 0.0 else
+                           {"lambda0": lam0, "note": "expansion failure"}),
+            ], vacuous=True, provenance=provenance()) for a in a_values]
+
+    loc = crit.points[:, None] + np.linspace(-delta0, delta0, 33)
+    worst_1a = float(np.min(np.abs(family.deriv2(loc))))
+
+    n_a = len(a_values)
+    a_col = np.array(a_values, dtype=float)[:, None]
+    x0 = np.random.default_rng(seed).uniform(0.0, TWO_PI, n_seeds)
+    x = np.broadcast_to(np.concatenate([crit.points, x0]), (n_a, q + n_seeds))
+    dist = crit.distance(x)
+    crit_dist = np.empty((n_a, q, horizon))
+    sampled = np.empty((n_a, n_seeds, horizon), dtype=bool)
+    cum_hist = np.empty((n_a, n_seeds, horizon))
+    lands_next = np.empty((n_a, n_seeds, horizon), dtype=bool)
+    cum = np.zeros((n_a, n_seeds))
+    for n in range(horizon):
+        x, dh = family.step(a_col, x)
+        d = np.abs(dh[:, q:])
+        reset = (dist[:, q:] < delta0) | (d == 0.0)
+        cum = np.where(reset, 0.0,
+                       cum + cm._math_log(np.where(reset, 1.0, d)))
+        dist = crit.distance(x)
+        crit_dist[:, :, n] = dist[:, :q]
+        sampled[:, :, n] = ~reset
+        cum_hist[:, :, n] = cum
+        lands_next[:, :, n] = dist[:, q:] < delta0
+
+    steps = np.arange(horizon)
+    certs = []
+    for i, a in enumerate(a_values):
+        v1a = cm.Verdict("1a-nondegenerate-turns", worst_1a >= cm.MORSE_TOL,
+                         {"min_abs_h2": worst_1a})
+        flat = crit_dist[i].ravel()
+        k = int(np.argmin(flat))
+        v1b = cm.Verdict("1b-critical-orbit-avoidance",
+                         not np.any(flat < delta0),
+                         {"min_dist": float(flat[k]),
+                          "critical_index": k // horizon,
+                          "n": k % horizon + 1})
+        last_reset = np.maximum.accumulate(
+            np.where(sampled[i], -1, steps), axis=1)
+        mask = sampled[i].ravel()
+        segs = (steps - last_reset).ravel()[mask].astype(float)
+        cums = cum_hist[i].ravel()[mask]
+        land = lands_next[i].ravel()[mask]
+        if len(segs) < 4 or segs.min() == segs.max():
+            lam0, b0 = float("nan"), 0.0
+            v2a = cm.Verdict("2a-expansion", False,
+                             "insufficient expansion samples")
+            v2b = cm.Verdict("2b-return-expansion", False,
+                             "insufficient samples")
+        else:
+            slope, _ = np.polyfit(segs, cums, 1)
+            lam0 = float(slope)
+            env_2a = float(np.min(cums - lam0 * segs)) - math.log(delta0)
+            if land.any():
+                env_2b = float(np.min(cums[land] - lam0 * segs[land]))
+            else:
+                env_2b = env_2a
+            b0 = math.exp(min(env_2a, env_2b))
+            v2a = cm.Verdict("2a-expansion", lam0 > 0.0 and b0 > 0.0,
+                             {"lambda0": lam0, "b0": b0,
+                              "samples": len(segs)})
+            v2b = cm.Verdict("2b-return-expansion", lam0 > 0.0 and b0 > 0.0,
+                             {"landing_samples": int(land.sum())})
+        certs.append(cm.MisiurewiczCertificate(
+            a=a, delta0=delta0, b0=b0, lambda0=lam0, horizon=horizon,
+            verdicts=[v1a, v1b, v2a, v2b], provenance=provenance()))
+    return certs
+
+
+def critical_orbit_distances(family: cm.CircleMapFamily, a_values,
+                             horizon: int) -> np.ndarray:
+    """Distance of h_a^n(c) to the critical set, one float step at a time."""
+    crit = family.critical_set
+    out = np.empty((len(a_values), crit.q, horizon))
+    for i, a in enumerate(a_values):
+        for ci, c in enumerate(crit.points):
+            x = float(c)
+            for n in range(horizon):
+                x = family.val(float(a), x)
+                out[i, ci, n] = crit.distance(x)
+    return out
+
+
+def audit_H4(family: cm.CircleMapFamily, a_window=(0.0, TWO_PI),
+             n_a: int = 256, seed: int = 0) -> HypothesisVerdict:
+    """H4 with every a of the grid certified in full (no (1b) screen)."""
+    if n_a < 1:
+        raise ValueError(f"need n_a >= 1, got n_a={n_a}")
+    crit = family.critical_set
+    if crit.q == 0:
+        return HypothesisVerdict(
+            "H4", "FAIL",
+            {"reason": "diffeomorphism regime - increase K_omega",
+             "critical_points": 0})
+    certs = cm.misiurewicz_scan(
+        family, np.linspace(a_window[0], a_window[1], n_a, endpoint=False),
+        delta0=au.THRESHOLDS["h4_delta0"],
+        horizon=au.THRESHOLDS["h4_horizon"], seed=seed)
+    passing = [{"a": float(c.a), "lambda0": c.lambda0, "b0": c.b0}
+               for c in certs if c.passed]
+    return HypothesisVerdict(
+        "H4", "PASS" if passing else "FAIL",
+        {"passing": passing, "scanned": n_a,
+         "delta0": au.THRESHOLDS["h4_delta0"],
+         "horizon": au.THRESHOLDS["h4_horizon"], "critical_points": crit.q})
 
 
 def rotation_rhos(family: cm.CircleMapFamily, a: float, n_iter: int,

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scalar_reference as ref
 from bykovlab import audit as au
@@ -133,6 +135,75 @@ class TestH4:
         assert len(v.evidence["passing"]) >= 1
         for entry in v.evidence["passing"]:
             assert entry["lambda0"] > 0.0
+
+
+def offset_sine_family(k_omega):
+    """The reference section Phi2 = 1.1 + sin x at twist k_omega."""
+    return cm.CircleMapFamily(xi=0.0, k_omega=k_omega,
+                              phi2_section=TrigPoly(1.1, ((1, 0.0, 1.0),)))
+
+
+class TestH4Screen:
+    """H4 certifies in full only the a whose critical orbits avoid the set."""
+
+    @given(k_omega=st.floats(min_value=0.5, max_value=10.0),
+           seed=st.integers(min_value=0, max_value=2**32 - 1),
+           n_a=st.integers(min_value=1, max_value=96),
+           lo=st.floats(min_value=-TWO_PI, max_value=TWO_PI),
+           width=st.floats(min_value=1e-3, max_value=TWO_PI))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_unscreened_reference(self, k_omega, seed, n_a, lo,
+                                          width):
+        fam = offset_sine_family(k_omega)
+        window = (lo, lo + width)
+        got = au.audit_H4(fam, a_window=window, n_a=n_a, seed=seed)
+        want = ref.audit_H4(fam, a_window=window, n_a=n_a, seed=seed)
+        assert (got.status, got.evidence) == (want.status, want.evidence)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_k5_matches_unscreened_reference(self, family_k5, seed):
+        got = au.audit_H4(family_k5, n_a=64, seed=seed)
+        assert got.status == "PASS"
+        assert got.to_dict() == ref.audit_H4(family_k5, n_a=64,
+                                             seed=seed).to_dict()
+
+    # at K=8, n_a=128 two parameters come within delta0 only at the last step
+    @pytest.mark.parametrize("k_omega, n_a", [(5.0, 64), (8.0, 128)])
+    def test_scan_sees_only_avoiding_parameters(self, k_omega, n_a,
+                                                monkeypatch):
+        fam = offset_sine_family(k_omega)
+        seen = []
+        scan = cm.misiurewicz_scan
+
+        def recording(family, a_values, *args, **kwargs):
+            seen.extend(float(a) for a in a_values)
+            return scan(family, a_values, *args, **kwargs)
+
+        monkeypatch.setattr(cm, "misiurewicz_scan", recording)
+        v = au.audit_H4(fam, n_a=n_a)
+        delta0, horizon = au.THRESHOLDS["h4_delta0"], au.THRESHOLDS["h4_horizon"]
+        grid = np.linspace(0.0, TWO_PI, n_a, endpoint=False).tolist()
+        assert 0 < len(seen) < len(grid) and set(seen) <= set(grid)
+        dist = ref.critical_orbit_distances(fam, grid, horizon)
+        for a, d in zip(grid, dist):
+            assert (a in seen) == (d.min() >= delta0)
+        assert {e["a"] for e in v.evidence["passing"]} <= set(seen)
+
+    def test_no_survivor_fails(self, family_k5, monkeypatch):
+        # around a superstable fixed point the critical point returns onto
+        # itself after one step, so every a of the window fails (1b)
+        s = cm.superstable_search(family_k5, 1, a_window=(0.0, TWO_PI))[0]
+        window = (s.a_star - 1e-6, s.a_star + 1e-6)
+        seen = []
+        scan = cm.misiurewicz_scan
+        monkeypatch.setattr(cm, "misiurewicz_scan",
+                            lambda fam, a_values, **kw: seen.extend(a_values)
+                            or scan(fam, a_values, **kw))
+        v = au.audit_H4(family_k5, a_window=window, n_a=8)
+        assert v.status == "FAIL" and v.evidence["passing"] == []
+        assert v.evidence["scanned"] == 8 and seen == []
+        assert v.to_dict() == ref.audit_H4(family_k5, a_window=window,
+                                           n_a=8).to_dict()
 
 
 class TestH5:

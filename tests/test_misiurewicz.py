@@ -167,6 +167,46 @@ class TestMisiurewiczScan:
         assert cm.misiurewicz_scan(family_k5, []) == []
 
 
+OFFSET_SINE = TrigPoly(1.1, ((1, 0.0, 1.0),))  # the reference Phi2
+FOUR_TURNS = TrigPoly(2.0, ((1, 0.0, 1.0), (3, 0.5, 0.0)))  # q = 4 at K=2
+FAMILIES = [(0.3, OFFSET_SINE, 0), (0.7, OFFSET_SINE, 2),
+            (5.0, OFFSET_SINE, 2), (8.0, OFFSET_SINE, 2),
+            (2.0, FOUR_TURNS, 4)]
+
+
+@pytest.fixture(params=FAMILIES, ids=lambda f: f"K={f[0]}-q={f[2]}")
+def any_family(request):
+    k_omega, section, q = request.param
+    fam = cm.CircleMapFamily(xi=0.0, k_omega=k_omega, phi2_section=section)
+    assert fam.critical_set.q == q
+    return fam
+
+
+class TestCriticalOrbitScreen:
+    """(1b) from the critical orbits alone, pinned to the loops it replaced."""
+
+    def test_distances_match_scalar_reference(self, any_family):
+        a_values = np.linspace(-TWO_PI, TWO_PI, 33)
+        got = cm.critical_orbit_distances(any_family, a_values, 100)
+        assert got.shape == (33, any_family.critical_set.q, 100)
+        assert np.array_equal(
+            got, ref.critical_orbit_distances(any_family, a_values, 100))
+
+    def test_certificates_match_lockstep_loop(self, any_family):
+        a_values = np.linspace(0.0, TWO_PI, 64, endpoint=False)
+        got = cm.misiurewicz_scan(any_family, a_values)
+        want = ref.misiurewicz_scan_lockstep(any_family, a_values)
+        assert len(got) == len(want) == 64
+        for g, w in zip(got, want):
+            assert (g.a, g.lambda0, g.b0, g.vacuous) == \
+                (w.a, w.lambda0, w.b0, w.vacuous)
+            assert [v.to_dict() for v in g.verdicts] == \
+                [v.to_dict() for v in w.verdicts]
+        if any_family.critical_set.q:
+            # both outcomes of (1b) are covered
+            assert len({c.verdicts[1].passed for c in got}) == 2
+
+
 class TestColletEckmann:
     def test_vacuous_when_no_critical_points(self, family_k03):
         cert = cm.misiurewicz_check(family_k03, 0.0, horizon=100)

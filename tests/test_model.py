@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ from hypothesis import strategies as st
 
 import scalar_reference as ref
 from bykovlab import model as md
-from bykovlab.model import (TWO_PI, CylinderPoint, EscapeError,
-                            InvalidParamsError, ModelParams, Perturbation,
-                            TrigPoly, named_profile, reference_params,
-                            reference_perturbation, return_map, wrap_angle)
+from bykovlab.config import load_config
+from bykovlab.model import (TWO_PI, CylinderFunction, CylinderPoint,
+                            EscapeError, InvalidParamsError, ModelParams,
+                            Perturbation, TrigPoly, named_profile,
+                            reference_params, reference_perturbation,
+                            return_map, wrap_angle)
 from scalar_reference import (SLOPED, eta, local_map_o1, local_map_o2,
                               psi_21)
 
@@ -154,6 +157,31 @@ class TestPerturbation:
                            phi2=named_profile("offset_sine", offset=0.5))
         with pytest.raises(md.MorseError):
             bad.validate()
+
+    # Phi2 = 2 + sin^4 x = 2 + (3 - 4 cos 2x + cos 4x)/8: ln Phi2 has
+    # quartic minima at 0 and pi.  Phi2 = 2 + (1 - cos x)^2 has one, at 0,
+    # where only the step from the last grid node round to 2pi brackets it.
+    @pytest.mark.parametrize("terms, constant, exact", [
+        (((2, -0.5, 0.0), (4, 0.125, 0.0)), 2.375,
+         lambda x: 2.0 + np.sin(x) ** 4),
+        (((1, -2.0, 0.0), (2, 0.5, 0.0)), 3.5,
+         lambda x: 2.0 + (1.0 - np.cos(x)) ** 2)], ids=["sin4", "wrap"])
+    def test_degenerate_log_critical_point_detected(self, terms, constant,
+                                                    exact):
+        quartic = CylinderFunction(TrigPoly(constant, terms))
+        xs = np.linspace(0.0, TWO_PI, md.PROFILE_GRID, endpoint=False)
+        assert np.allclose(quartic.base(xs), exact(xs))
+        assert quartic.base.d1(xs[0]) == 0.0
+        bad = Perturbation(phi1=named_profile("cosine"), phi2=quartic)
+        with pytest.raises(md.MorseError, match="degenerate critical point"):
+            bad.validate()
+
+    @pytest.mark.parametrize("config", sorted(
+        (Path(__file__).parent.parent / "scripts").glob("*.yaml")),
+        ids=lambda p: p.name)
+    def test_script_configs_load(self, config):
+        # load_config validates the perturbation pair of each config
+        assert load_config(config).pert.phi2.section().terms
 
     def test_trig_poly_derivatives(self):
         tp = TrigPoly(1.1, ((1, 0.0, 1.0), (3, 0.5, 0.0)))

@@ -49,6 +49,26 @@ class TestSearch:
         with pytest.raises(ValueError):
             cm.superstable_search(family_k5, 3)
 
+    def test_root_on_grid_node(self, family_k5):
+        # a float a where g(a) = lift(c) - c - 2*pi*m is exactly 0.0, put on
+        # node 2047 of a window whose step is a power of two
+        s = cm.superstable_search(family_k5, 1, a_window=(0.0, TWO_PI))[0]
+        c, m = s.critical_point, s.winding
+        near = s.a_star + np.arange(-200, 201) * np.spacing(s.a_star)
+        g = cm._lift_iterate(family_k5, near, c, 1) - c - TWO_PI * m
+        a_node = float(near[np.nonzero(g == 0.0)[0][0]])
+        step = 2.0 ** -12
+        window = (a_node - 2047 * step, a_node + 2048 * step)
+        grid = np.linspace(*window, cm.SUPERSTABLE_GRID)
+        f = cm._lift_iterate(family_k5, grid, c, 1) - c - TWO_PI * m
+        assert grid[2047] == a_node and f[2047] == 0.0
+        # the product of neighbouring values brackets nothing here
+        assert not np.any(f[:-1] * f[1:] < 0.0)
+        roots = cm.superstable_search(family_k5, 1, a_window=window)
+        assert [(r.critical_point, r.winding) for r in roots] == [(c, m)]
+        assert abs(roots[0].a_star - a_node) <= 1e-12
+        assert roots[0].residual <= cm.SUPERSTABLE_TOL
+
     @pytest.mark.parametrize("period", [1, 2])
     def test_grid_matches_scalar_reference(self, family_k5, period):
         grid = np.linspace(-TWO_PI, TWO_PI, 4096)
