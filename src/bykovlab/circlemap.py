@@ -658,9 +658,14 @@ def superstable_search(family: CircleMapFamily, period: int,
     ms = np.arange(math.floor(g.min() / TWO_PI) - 1,
                    math.ceil(g.max() / TWO_PI) + 2)
     f = g[:, None, :] - TWO_PI * ms[:, None]
-    # brackets where f < 0 flips, so a root on a grid node ends one bracket
+    # brackets where f < 0 flips, so a root on a grid node ends one bracket;
+    # an exact zero on an end node also brackets with its one neighbour, as
+    # f may leave zero into the window without flipping
     neg = f < 0.0
-    ci, mi, i = np.nonzero(neg[..., :-1] != neg[..., 1:])
+    flip = neg[..., :-1] != neg[..., 1:]
+    flip[..., 0] |= f[..., 0] == 0.0
+    flip[..., -1] |= f[..., -1] == 0.0
+    ci, mi, i = np.nonzero(flip)
     c, m = crit.points[ci], ms[mi]
 
     def g_m(a):

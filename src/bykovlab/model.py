@@ -3,9 +3,11 @@
 Coordinates live on the cylinder cross-section: an angle x (mod 2pi) and a
 height y in [-1, 1].  The return map eta o psi_21 follows the perturbed
 global transition psi_21(x, y) = (x + xi + lam*Phi1, y + lam*Phi2) by the
-passage past both saddle-foci, eta(X, Y) = (X - K_omega ln Y, Y^delta).  One
-float kernel, _return_step, evaluates the map and its Jacobian for one orbit;
-its image half, _image_step, is the map alone.  Their array twins,
+passage past both saddle-foci, eta(X, Y) = (X - K_omega ln Y, Y^delta).  The
+pair is one coefficient table, Perturbation._table, with a value row and an
+x-derivative row per trig polynomial.  Two backends read it: the float
+kernel, _return_step, evaluates the map and its Jacobian for one orbit (its
+image half, _image_step, is the map alone), and its array twins,
 step_batch and image_batch, step many orbits at once with lam and K_omega
 given per orbit.  The factored maps (each local passage, eta, psi_21 and
 their Jacobians) and the finite-difference Jacobian are test references in
@@ -145,11 +147,6 @@ class ModelParams:
         return replace(self, omega1=omega, omega2=omega)
 
 
-def derived_constants(params: ModelParams) -> tuple[float, float, float, float]:
-    """Return (delta1, delta2, delta, k_omega) for a valid parameter record."""
-    return params.delta1, params.delta2, params.delta, params.k_omega
-
-
 def reference_params(omega: float = 1.0, lam: float = 0.0, xi: float = 0.0) -> ModelParams:
     """Reference test model: c1=2, e1=1, c2=3, e2=1, so K_omega = 3*omega."""
     return ModelParams(c1=2.0, e1=1.0, omega1=omega, c2=3.0, e2=1.0,
@@ -278,65 +275,61 @@ class Perturbation:
         return float(np.max(self.phi2.section()(xs)))
 
     @functools.cached_property
-    def _step_tables(self) -> tuple:
-        """Coefficient tables of the pair for _return_step, built on first use.
+    def _table(self) -> tuple:
+        """The pair's one coefficient table, built on first use.
 
-        (harmonics, phi1, phi2): the distinct harmonics of all four trig
-        polynomials, and per profile a (base, slope) pair.  Each polynomial
-        is (constant, ((index into harmonics, k, ck, sk), ...)); a missing
-        slope stays None.
-        """
-        polys = (self.phi1.base, self.phi1.slope, self.phi2.base, self.phi2.slope)
-        harmonics = tuple(sorted({k for tp in polys if tp is not None
-                                  for k, _, _ in tp.terms}))
+        Each trig polynomial gets a value row and an x-derivative row:
+        Phi1's and Phi2's bases first (rows 0-3: Phi1, Phi1_x, Phi2, Phi2_x
+        at y = 0), then the slopes that exist.  Column 0 holds the
+        constants, and columns 2h+1, 2h+2 the coefficients of cos(kx),
+        sin(kx) for the h-th of the sorted distinct harmonics k: (ck, sk)
+        on a value row, (k*sk, -k*ck) on a derivative row, the terms of a
+        repeated harmonic added.  Both kernels add a row's terms in column
+        order, so from the same cos and sin they give the same rows.
 
-        def table(tp):
-            if tp is None:
-                return None
-            return tp.constant, tuple((harmonics.index(k), k, ck, sk)
-                                      for k, ck, sk in tp.terms)
-
-        return (harmonics, (table(polys[0]), table(polys[1])),
-                (table(polys[2]), table(polys[3])))
-
-    @functools.cached_property
-    def _batch_tables(self) -> tuple:
-        """_step_tables laid out as coefficient rows for the array kernel.
-
-        (harmonics, rows, value_rows), each of rows and value_rows a
-        (const, cos, sin, slopes) table.  In rows each polynomial gets a
-        value row and an x-derivative row: Phi1's and Phi2's bases first
-        (rows 0-3: Phi1, Phi1_x, Phi2, Phi2_x at y = 0), then the slopes
-        that exist.  const is an (R, 1) column; cos and sin hold per
-        harmonic the (R, 1) column of coefficients of cos(kx) and sin(kx):
-        (ck, sk) on a value row, (k*sk, -k*ck) on a derivative row.  slopes
-        lists (profile index, row of its slope's value) per profile with a
-        slope.  value_rows is the same table with the value rows only (rows
+        Returns (floats, arrays).  floats, for the float kernel, is
+        (harmonics, phi1, phi2): per profile the rows (value, x-derivative,
+        slope value, slope x-derivative), each (constant, ((trig index,
+        coefficient), ...)) over its nonzero columns, with trig the list
+        [cos k1x, sin k1x, cos k2x, ...]; a missing slope's rows are None.
+        arrays, for the array kernel, is (harmonics, rows, value_rows):
+        rows = (const, cos, sin, slopes) with const the (R, 1) constant
+        column, cos and sin per harmonic an (R, 1) coefficient column, and
+        slopes a (profile index, row of its slope's value) pair per profile
+        with a slope; value_rows is the same over the value rows only (rows
         0-1: Phi1, Phi2 at y = 0), for image_batch.
         """
-        harmonics, *profiles = self._step_tables
-        polys = [base for base, _ in profiles]
+        polys = [self.phi1.base, self.phi2.base]
         slopes = []
-        for profile, (_, slope) in enumerate(profiles):
-            if slope is not None:
+        for profile, fn in enumerate((self.phi1, self.phi2)):
+            if fn.slope is not None:
                 slopes.append((profile, 2 * len(polys)))
-                polys.append(slope)
-        rows = 2 * len(polys)
-        const = np.zeros((rows, 1))
-        cos = np.zeros((len(harmonics), rows, 1))
-        sin = np.zeros((len(harmonics), rows, 1))
-        for p, (c0, terms) in enumerate(polys):
-            const[2 * p] = c0
-            for h, k, ck, sk in terms:
-                cos[h, 2 * p] += ck
-                sin[h, 2 * p] += sk
-                cos[h, 2 * p + 1] += k * sk
-                sin[h, 2 * p + 1] += -k * ck
-        values = (const[::2].copy(), tuple(c[::2].copy() for c in cos),
-                  tuple(s[::2].copy() for s in sin),
-                  tuple((profile, row // 2) for profile, row in slopes))
-        return (harmonics, (const, tuple(cos), tuple(sin), tuple(slopes)),
-                values)
+                polys.append(fn.slope)
+        harmonics = tuple(sorted({k for tp in polys for k, _, _ in tp.terms}))
+        table = np.zeros((2 * len(polys), 1 + 2 * len(harmonics)))
+        for p, tp in enumerate(polys):
+            table[2 * p, 0] = tp.constant
+            for k, ck, sk in tp.terms:
+                h = 1 + 2 * harmonics.index(k)
+                table[2 * p, h:h + 2] += ck, sk
+                table[2 * p + 1, h:h + 2] += k * sk, -k * ck
+        rows = [(c0, tuple((j, a) for j, a in enumerate(coef) if a != 0.0))
+                for c0, *coef in table.tolist()]
+        slope_row = dict(slopes)
+
+        def profile_rows(p):
+            s = slope_row.get(p)
+            return (rows[2 * p], rows[2 * p + 1],
+                    *((None, None) if s is None else rows[s:s + 2]))
+
+        def columns(t):
+            cols = t.T.copy()[..., None]  # a contiguous (R, 1) per column
+            return cols[0], tuple(cols[1::2]), tuple(cols[2::2])
+
+        return ((harmonics, profile_rows(0), profile_rows(1)),
+                (harmonics, (*columns(table), tuple(slopes)),
+                 (*columns(table[::2]),
+                  tuple((p, s // 2) for p, s in slopes))))
 
 
 def reference_perturbation() -> Perturbation:
@@ -371,68 +364,61 @@ class OrbitRecord:
 
 def _step_constants(params: ModelParams, pert: Perturbation) -> tuple:
     """Everything _image_step and _return_step read, cached on the records."""
-    return params._step_scalars + pert._step_tables
+    return params._step_scalars + pert._table[0]
 
 
-def _trig_sum(poly, trig) -> float:
-    """Value of one _step_tables polynomial at shared cos/sin."""
-    out = poly[0]
-    for i, _, ck, sk in poly[1]:
-        c, s = trig[i]
-        out = out + ck * c + sk * s
+def _row(row, trig) -> float:
+    """One float row of Perturbation._table at shared cos/sin."""
+    out, terms = row
+    for j, a in terms:
+        out = out + a * trig[j]
     return out
 
 
 def _partials(profile, trig, y: float) -> tuple[float, float]:
-    """x- and y-derivatives P' + y*Q' and Q of a (base, slope) profile."""
-    base, slope = profile
-    dp = 0.0
-    for i, k, ck, sk in base[1]:
-        c, s = trig[i]
-        dp = dp + k * (-ck * s + sk * c)
+    """x- and y-derivatives P' + y*Q' and Q of one profile's float rows."""
+    _, dx, slope, dslope = profile
+    dp, terms = dx
+    for j, a in terms:
+        dp = dp + a * trig[j]
     if slope is None:
         return dp, 0.0
-    dq = 0.0
-    for i, k, ck, sk in slope[1]:
-        c, s = trig[i]
-        dq = dq + k * (-ck * s + sk * c)
-    return dp + y * dq, _trig_sum(slope, trig)
+    return dp + y * _row(dslope, trig), _row(slope, trig)
 
 
 def _image_step(x: float, y: float, consts: tuple) -> tuple:
     """The image half of _return_step: the map without its derivatives.
 
     Returns (unwrapped new angle, new height, Y, trig) with Y = y + lam*Phi2
-    and trig the (cos kx, sin kx) of each harmonic, which _return_step
-    reuses for the Jacobian.  The only scalar copy of the return-map
-    arithmetic: the pair is evaluated once, from one cos/sin per harmonic
+    and trig the cos kx, sin kx of each harmonic, which _return_step reuses
+    for the Jacobian.  The only scalar copy of the return-map arithmetic:
+    the pair's value rows are summed once, from one cos/sin per harmonic
     (the base sums are written out: this is the hot loop of every one-orbit
-    path).  Raises EscapeError when Y <= 0 or the image height
-    leaves the strip |y| <= 1.
+    path).  Raises EscapeError when Y <= 0 or the image height leaves the
+    strip |y| <= 1.
     """
-    lam, xi, k_omega, delta, harmonics, (base1, slope1), (base2, slope2) = consts
+    lam, xi, k_omega, delta, harmonics, (f1, _, q1, _), (f2, _, q2, _) = consts
     trig = []  # a loop, not a comprehension: that costs a frame per call
     for k in harmonics:
-        trig.append((math.cos(k * x), math.sin(k * x)))
-    f2 = base2[0]
-    for i, _, ck, sk in base2[1]:
-        c, s = trig[i]
-        f2 = f2 + ck * c + sk * s
-    if slope2 is not None:
-        f2 = f2 + y * _trig_sum(slope2, trig)
-    big_y = y + lam * f2
+        trig.append(math.cos(k * x))
+        trig.append(math.sin(k * x))
+    phi2, terms = f2
+    for j, a in terms:
+        phi2 = phi2 + a * trig[j]
+    if q2 is not None:
+        phi2 = phi2 + y * _row(q2, trig)
+    big_y = y + lam * phi2
     if big_y <= 0.0:
         raise EscapeError(CylinderPoint(x, y))
     new_y = big_y ** delta
     if new_y > 1.0:
         raise EscapeError(CylinderPoint(x, y))
-    f1 = base1[0]
-    for i, _, ck, sk in base1[1]:
-        c, s = trig[i]
-        f1 = f1 + ck * c + sk * s
-    if slope1 is not None:
-        f1 = f1 + y * _trig_sum(slope1, trig)
-    return x + xi + lam * f1 - k_omega * math.log(big_y), new_y, big_y, trig
+    phi1, terms = f1
+    for j, a in terms:
+        phi1 = phi1 + a * trig[j]
+    if q1 is not None:
+        phi1 = phi1 + y * _row(q1, trig)
+    return x + xi + lam * phi1 - k_omega * math.log(big_y), new_y, big_y, trig
 
 
 def _return_step(x: float, y: float, consts: tuple) -> tuple[float, ...]:
@@ -459,12 +445,12 @@ def _return_step(x: float, y: float, consts: tuple) -> tuple[float, ...]:
 
 def _batch_constants(params: ModelParams, pert: Perturbation) -> tuple:
     """Everything the array kernel reads but the per-orbit lam and K_omega."""
-    return (params.xi, params.delta) + pert._batch_tables
+    return (params.xi, params.delta) + pert._table[1]
 
 
 def _pair_rows(x: np.ndarray, y: np.ndarray, harmonics: tuple, table: tuple,
                width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of one _batch_tables table at the orbits (x, y).
+    """The rows of one array table of Perturbation._table at the orbits.
 
     Returns (f, v): v holds every row at y = 0, and f the first 2*width
     rows (`width` rows per profile: its value, then its x-derivative if
@@ -521,13 +507,12 @@ def step_batch(x: np.ndarray, y: np.ndarray, lam, k_omega,
     Returns (unwrapped new angles, new heights, j11, j12, j21, j22, alive);
     `consts` comes from _batch_constants and `lam`, `k_omega` are arrays or
     floats.  The pair is evaluated as rows (value and x-derivative of each
-    profile) from the same coefficient tables as _return_step, and the
-    image comes from the same arithmetic as image_batch's, which is the
-    cheaper call where the Jacobian is not needed.  For one harmonic and
-    no slopes every sum runs in _return_step's order, so only np.log and
-    np.power (which may differ from math by an ULP) separate the two.
-    Where _return_step raises EscapeError, `alive` is False and the other
-    entries are finite but meaningless.
+    profile) from the table _return_step reads, and the image comes from
+    the same arithmetic as image_batch's, which is the cheaper call where
+    the Jacobian is not needed.  Every sum runs in _return_step's order, so
+    only numpy's cos, sin, log and power (which may differ from math's by
+    an ULP) separate the two.  Where _return_step raises EscapeError,
+    `alive` is False and the other entries are finite but meaningless.
     """
     xi, delta, harmonics, rows, _ = consts
     slopes = rows[3]
@@ -572,18 +557,18 @@ def jac_return(p, params: ModelParams, pert: Perturbation) -> np.ndarray:
 def det_jac_return(p, params: ModelParams, pert: Perturbation) -> float:
     """Determinant via the factorization delta*Y^(delta-1) * det(D psi_21).
 
-    Reads the pair and its partials from the tables _return_step uses and
+    Reads the pair and its partials from the table _return_step reads and
     does not check the domain.  H1 takes its determinants from step_batch;
     this is the scalar reference they are tested against, kept under its
     name because perfbench/tracing.py binds it.
     """
     x, y = p
     lam, _, _, delta, harmonics, phi1, phi2 = _step_constants(params, pert)
-    trig = [(math.cos(k * x), math.sin(k * x)) for k in harmonics]
+    trig = [f(k * x) for k in harmonics for f in (math.cos, math.sin)]
     f1x, f1y = _partials(phi1, trig, y)
     f2x, f2y = _partials(phi2, trig, y)
-    f2 = _trig_sum(phi2[0], trig)
-    if phi2[1] is not None:
+    f2 = _row(phi2[0], trig)
+    if phi2[2] is not None:
         f2 = f2 + y * f2y
     big_y = y + lam * f2
     dpsi = (1.0 + lam * f1x) * (1.0 + lam * f2y) - lam * lam * f1y * f2x

@@ -141,6 +141,18 @@ SLOPED = Perturbation(
     phi2=CylinderFunction(TrigPoly(1.1, ((1, 0.0, 1.0),)),
                           slope=TrigPoly(0.05, ((1, 0.02, 0.0),))))
 
+# Terms out of harmonic order, a repeated harmonic and a k=3 term, with
+# slopes on both profiles: the kernels add the table's merged, sorted
+# coefficients, not TrigPoly's terms one by one, so the last bits may differ
+# from the TrigPoly sums; Phi2 > 0.2 wherever |y| <= 1
+TANGLED = Perturbation(
+    phi1=CylinderFunction(
+        TrigPoly(0.1, ((3, 0.2, -0.1), (1, 0.7, 0.3), (3, 0.05, 0.15))),
+        slope=TrigPoly(-0.05, ((2, 0.1, 0.2), (1, 0.3, 0.0)))),
+    phi2=CylinderFunction(
+        TrigPoly(1.3, ((1, 0.0, 0.8), (3, 0.1, 0.05), (1, 0.2, 0.0))),
+        slope=TrigPoly(0.1, ((3, 0.02, -0.03),))))
+
 
 FD_STEP = 1e-6
 

@@ -69,7 +69,7 @@ def test_criterion_01_composition_identity(pert, report):
 
 def test_criterion_02_reference_constants(report):
     params = md.reference_params()
-    got = md.derived_constants(params)
+    got = (params.delta1, params.delta2, params.delta, params.k_omega)
     report(2, got == (2.0, 3.0, 6.0, 3.0),
             f"reference constants (d1, d2, d, K) = {got}")
 

@@ -14,8 +14,8 @@ from bykovlab.model import (TWO_PI, CylinderFunction, CylinderPoint,
                             Perturbation, TrigPoly, named_profile,
                             reference_params, reference_perturbation,
                             return_map, wrap_angle)
-from scalar_reference import (SLOPED, eta, local_map_o1, local_map_o2,
-                              psi_21)
+from scalar_reference import (SLOPED, TANGLED, eta, local_map_o1,
+                              local_map_o2, psi_21)
 
 
 class TestParams:
@@ -230,6 +230,8 @@ kernel_cases = dict(
     lam=st.floats(min_value=1e-5, max_value=0.5),
     k_omega=st.floats(min_value=0.1, max_value=20.0),
     pert=st.sampled_from([reference_perturbation(), SLOPED]))
+# also a pair whose terms TrigPoly sums in another order than the kernels
+any_pair = st.sampled_from([reference_perturbation(), SLOPED, TANGLED])
 
 
 @given(y=st.floats(min_value=-0.5, max_value=1.0), **kernel_cases)
@@ -312,13 +314,48 @@ def test_step_batch_determinant_matches_det_jac_return(samples, k_omega,
         assert abs(det[i] - want) <= 4 * np.finfo(float).eps * scale[i]
 
 
-def _magnitude(poly) -> tuple[float, float]:
-    """Bounds on |P| and |P'| of one _step_tables polynomial."""
-    if poly is None:
-        return 0.0, 0.0
-    c0, terms = poly
-    return (abs(c0) + sum(abs(ck) + abs(sk) for _, _, ck, sk in terms),
-            sum(k * (abs(ck) + abs(sk)) for _, k, ck, sk in terms))
+@given(x=kernel_cases["x"], y=st.floats(min_value=-0.5, max_value=1.0),
+       lam=kernel_cases["lam"], pert=any_pair)
+@settings(max_examples=200, deadline=None)
+def test_float_rows_equal_pair_rows(x, y, lam, pert):
+    """From the same cos and sin, the float kernel's rows equal _pair_rows'
+    bit for bit, whatever the order, repetition or harmonic of the terms."""
+    params = reference_params(lam=lam)
+    _, _, harmonics, rows, _ = md._batch_constants(params, pert)
+    xs = np.array([x])
+    f, v = md._pair_rows(xs, np.array([y]), harmonics, rows, 2)
+    trig = []
+    for k in harmonics:  # the cos and sin _pair_rows computes
+        kx = xs if k == 1 else k * xs
+        trig += [float(np.cos(kx)[0]), float(np.sin(kx)[0])]
+    consts = md._step_constants(params, pert)
+    slope_row = dict(rows[3])
+    for p, profile in enumerate(consts[5:]):
+        value = md._row(profile[0], trig)
+        slope = 0.0
+        if profile[2] is not None:
+            slope = md._row(profile[2], trig)
+            assert slope == v[slope_row[p]][0]
+            value = value + y * slope
+        assert value == f[2 * p][0]
+        assert md._partials(profile, trig, y) == (f[2 * p + 1][0], slope)
+    # the image's written-out value sums, where math's cos and sin agree
+    if trig == [g(k * x) for k in harmonics for g in (math.cos, math.sin)]:
+        try:
+            new_x, _, big_y, got = md._image_step(x, y, consts)
+        except EscapeError:
+            return
+        assert got == trig and big_y == y + lam * f[2][0]
+        assert new_x == (x + params.xi + lam * f[0][0]
+                         - params.k_omega * math.log(big_y))
+
+
+def _magnitude(row) -> float:
+    """Bound on the value of one float row of Perturbation._table."""
+    if row is None:
+        return 0.0
+    c0, terms = row
+    return abs(c0) + sum(abs(a) for _, a in terms)
 
 
 def _step_scales(x, y, lam, k_omega, params, pert, image) -> list[float]:
@@ -327,13 +364,13 @@ def _step_scales(x, y, lam, k_omega, params, pert, image) -> list[float]:
     The summed terms' magnitudes, with the height sum Y = y + lam*Phi2
     entering through its condition number (|y| + lam*|Phi2|)/Y.
     """
-    harmonics, (b1, s1), (b2, s2) = pert._step_tables
-    (m1, d1), (m1s, d1s) = _magnitude(b1), _magnitude(s1)
-    (m2, d2), (m2s, d2s) = _magnitude(b2), _magnitude(s2)
-    trig = [(math.cos(k * x), math.sin(k * x)) for k in harmonics]
-    f2 = md._trig_sum(b2, trig)
-    if s2 is not None:
-        f2 = f2 + y * md._trig_sum(s2, trig)
+    harmonics, phi1, phi2 = pert._table[0]
+    m1, d1, m1s, d1s = map(_magnitude, phi1)
+    m2, d2, m2s, d2s = map(_magnitude, phi2)
+    trig = [f(k * x) for k in harmonics for f in (math.cos, math.sin)]
+    f2 = md._row(phi2[0], trig)
+    if phi2[2] is not None:
+        f2 = f2 + y * md._row(phi2[2], trig)
     big_y = y + lam * f2
     kappa = (abs(y) + lam * (m2 + abs(y) * m2s)) / big_y
     e12 = k_omega / big_y
@@ -352,7 +389,7 @@ def _step_scales(x, y, lam, k_omega, params, pert, image) -> list[float]:
                                  st.floats(min_value=-0.5, max_value=1.0),
                                  kernel_cases["lam"], kernel_cases["k_omega"]),
                        min_size=1, max_size=8),
-       pert=kernel_cases["pert"])
+       pert=any_pair)
 @settings(max_examples=200, deadline=None)
 def test_step_batch_matches_return_step(orbits, pert):
     """One step_batch call with mixed lam and K_omega: the same escapes as

@@ -70,6 +70,35 @@ class TestSearch:
         assert roots[0].residual <= cm.SUPERSTABLE_TOL
 
     @pytest.mark.parametrize("period", [1, 2])
+    def test_root_on_window_end(self, family_k5, period):
+        # a float a0 where g(a) = lift^p(c) - c - 2*pi*m is exactly 0.0,
+        # found by nextafter steps around a root where g rises (period 1) or
+        # falls (a period-2 root); on the first node of (a0, a0 + 0.3) or
+        # the last of (a0 - 0.3, a0), f leaves zero into the window
+        # without a sign flip
+        for s in cm.superstable_search(family_k5, period,
+                                       a_window=(0.0, TWO_PI)):
+            c, m = s.critical_point, s.winding
+            up, down = [s.a_star], [s.a_star]
+            for _ in range(200):
+                up.append(np.nextafter(up[-1], math.inf))
+                down.append(np.nextafter(down[-1], -math.inf))
+            near = np.array(down[::-1] + up[1:])
+            g = cm._lift_iterate(family_k5, near, c, period) - c - TWO_PI * m
+            if np.any(g == 0.0) and (g[-1] > g[0]) == (period == 1):
+                break
+        else:
+            pytest.fail("no root with an exact float zero nearby")
+        a0 = float(near[np.nonzero(g == 0.0)[0][0]])
+        for window in ((a0, a0 + 0.3), (a0 - 0.3, a0)):
+            roots = [r for r in cm.superstable_search(family_k5, period,
+                                                      a_window=window)
+                     if (r.critical_point, r.winding) == (c, m)
+                     and abs(r.a_star - a0) <= 1e-12]
+            assert len(roots) == 1, window
+            assert roots[0].residual <= cm.SUPERSTABLE_TOL
+
+    @pytest.mark.parametrize("period", [1, 2])
     def test_grid_matches_scalar_reference(self, family_k5, period):
         grid = np.linspace(-TWO_PI, TWO_PI, 4096)
         for c in family_k5.critical_set.points:
