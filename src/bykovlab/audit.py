@@ -17,14 +17,13 @@ import numpy as np
 
 from . import circlemap as cm
 from .model import (TWO_PI, ModelParams, Perturbation, _batch_constants,
-                    circle_gap, image_batch, step_batch, wrap_angles)
+                    step_batch)
 from .orbits import Budget, classify_batch
 
 H1_SAMPLES = 2000            # audit_H1: determinant samples drawn
 H2H3_A = 1.0                 # audit_H2_H3: parameter a of the limit family
 H2H3_N_RANGE = range(3, 13)  # audit_H2_H3: the n of lambda_(a,n) tabulated
 H5_HORIZON = 12              # audit_H5_proxy: steps of the continued orbit
-H6_A = 0.0                   # audit_H6: parameter a of the limit family
 
 # the lines every verdict is judged against; audit.json prints them
 THRESHOLDS = {
@@ -34,7 +33,6 @@ THRESHOLDS = {
     "h4_delta0": 0.05,
     "h4_horizon": 50,
     "h5_margin": 1e-3,
-    "h6_step": 1e-6,
     "h6_floor": 1e-6,
     "h7_primitive_cap": 64,
 }
@@ -80,23 +78,24 @@ class HypothesisAudit:
 
 def audit_H1(params: ModelParams, pert: Perturbation,
              lam_range=(1e-4, 1e-2), seed: int = 0) -> HypothesisVerdict:
-    """Determinant-ratio bound and an injectivity spot-check.
+    """Determinant-ratio bound and a fold check on the signed determinants.
 
-    Samples |det DF| at H1_SAMPLES random (x, y, lam) in one step_batch
-    call; PASS iff max/min stays under h1_ratio_cap, with k = sqrt(max/min)
-    reported.  A determinant at or below the floor, or a sample off the
-    return domain (y + lam*Phi2 <= 0), is a FAIL witnessed by the first such
-    sample drawn.  The injectivity check looks for distinct sample points
-    with nearly equal images.
+    Samples det DF at H1_SAMPLES random (x, y, lam) in one step_batch call;
+    PASS iff max/min of |det DF| stays under h1_ratio_cap, with
+    k = sqrt(max/min) reported, and det DF keeps one sign.  Samples of both
+    signs mean det DF vanishes between them: a fold, where the map is not a
+    diffeomorphism onto its image.  A determinant at or below the floor, or
+    a sample off the return domain (y + lam*Phi2 <= 0), is a FAIL witnessed
+    by the first such sample drawn.
     """
     rng = np.random.default_rng(seed)
     lams = np.exp(rng.uniform(math.log(lam_range[0]), math.log(lam_range[1]),
                               H1_SAMPLES))
     xs, ybars = rng.uniform((0.0, 0.0), (TWO_PI, 1.0), (H1_SAMPLES, 2)).T
-    consts = _batch_constants(params, pert)
     _, new_y, j11, j12, j21, j22, alive = step_batch(
-        xs, lams * ybars, lams, params.k_omega, consts)
-    dets = np.abs(j11 * j22 - j12 * j21)
+        xs, lams * ybars, lams, params.k_omega, _batch_constants(params, pert))
+    signed = j11 * j22 - j12 * j21
+    dets = np.abs(signed)
     # a dead sample with Y = y + lam*Phi2 > 0 has an image height above 1;
     # step_batch evaluates one with Y <= 0 at Y = 1, an image height of 1
     degenerate = ((dets <= THRESHOLDS["h1_det_floor"])
@@ -108,39 +107,23 @@ def audit_H1(params: ModelParams, pert: Perturbation,
             {"reason": "degenerate determinant",
              "witness": {"x": float(xs[i]), "ybar": float(ybars[i]),
                          "lambda": float(lams[i])}})
+    negative = int(np.count_nonzero(signed < 0.0))
     # normalize out the lambda^(delta-1) volume factor so the ratio
     # measures the point-dependence, not the lambda scale
     dets /= lams ** (params.delta - 1.0)
     ratio = float(dets.max() / dets.min())
-    k = math.sqrt(ratio)
     # largest sampled lambda at which the running ratio still met the cap
     order_lam = np.argsort(lams)
     run_max = np.maximum.accumulate(dets[order_lam])
     run_min = np.minimum.accumulate(dets[order_lam])
     held = (run_max / run_min) <= THRESHOLDS["h1_ratio_cap"]
     lam_held = float(lams[order_lam][held][-1]) if held.any() else None
-
-    # injectivity spot-check at a fixed lam in the middle of the range
-    lam_mid = math.sqrt(lam_range[0] * lam_range[1])
-    n_inj = min(H1_SAMPLES * 5, 10_000)
-    xs = rng.uniform(0.0, TWO_PI, n_inj)
-    ybars = rng.uniform(0.1, 1.0, n_inj)
-    new_x, new_y, alive = image_batch(xs, lam_mid * ybars, lam_mid,
-                                      params.k_omega, consts)
-    images = np.column_stack((wrap_angles(new_x),
-                              new_y / lam_mid ** params.delta))
-    images[~alive] = np.nan  # escaped points are never near anything
-    order = np.lexsort((images[:, 1], images[:, 0]))
-    a, b = order[:-1], order[1:]
-    near = np.abs(images[a] - images[b]).sum(axis=1) <= 1e-12
-    a, b = a[near], b[near]
-    src = circle_gap(xs[a], xs[b]) + np.abs(ybars[a] - ybars[b])
-    collisions = int(np.count_nonzero(src > 1e-9))
-    ok = ratio <= THRESHOLDS["h1_ratio_cap"] and collisions == 0
+    ok = (ratio <= THRESHOLDS["h1_ratio_cap"]
+          and negative in (0, H1_SAMPLES))
     return HypothesisVerdict("H1", "PASS" if ok else "FAIL",
-                             {"k": k, "det_ratio": ratio,
+                             {"k": math.sqrt(ratio), "det_ratio": ratio,
                               "ratio_cap": THRESHOLDS["h1_ratio_cap"],
-                              "injectivity_collisions": collisions,
+                              "negative_determinants": negative,
                               "lambda_max_checked": float(lams.max()),
                               "largest_lambda_cap_held": lam_held,
                               "samples": H1_SAMPLES})
@@ -252,21 +235,19 @@ def audit_H6(params: ModelParams, pert: Perturbation,
              crit: cm.CriticalSet) -> HypothesisVerdict:
     """Height-derivative of the limit family's first component at each turn.
 
-    Central differences (in ybar, at ybar = 0) of the extended limit map at
-    a = H6_A; PASS iff every magnitude exceeds h6_floor.
+    The limit map h_a(x, ybar) = x + xi + a - K ln(ybar + Phi2(x, ybar)) has
+    d h_a/d ybar = -K (1 + Phi2_y(c, 0)) / Phi2(c, 0) at ybar = 0, whatever a;
+    PASS iff every magnitude exceeds h6_floor.
     """
     if crit.q == 0:
         return HypothesisVerdict("H6", "FAIL", {"reason": "no critical points"})
-    h = THRESHOLDS["h6_step"]
-    values = []
-    for c in crit.points:
-        f = lambda yb: cm.limit_extension_value(params, pert, H6_A, float(c), yb)
-        d = (f(h) - f(-h)) / (2.0 * h)
-        values.append(float(d))
-    ok = all(abs(v) > THRESHOLDS["h6_floor"] for v in values)
+    phi2 = pert.phi2
+    slope = 0.0 if phi2.slope is None else phi2.slope(crit.points)
+    values = -params.k_omega * (1.0 + slope) / phi2.base(crit.points)
+    ok = bool(np.all(np.abs(values) > THRESHOLDS["h6_floor"]))
     return HypothesisVerdict("H6", "PASS" if ok else "FAIL",
-                             {"derivatives": values,
-                              "floor": THRESHOLDS["h6_floor"], "step": h})
+                             {"derivatives": values.tolist(),
+                              "floor": THRESHOLDS["h6_floor"]})
 
 
 def audit_H7(family: cm.CircleMapFamily, a_star: float,

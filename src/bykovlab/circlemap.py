@@ -538,6 +538,9 @@ def lambda_sequences(k_omega: float, n: int, a: float) -> tuple[float, float]:
         raise ValueError("need k_omega > 0 and n >= 1")
     lam_n = math.exp(-TWO_PI * n / k_omega)
     lam_an = math.exp(-(a + TWO_PI * n) / k_omega)
+    if lam_n == 0.0 or lam_an == 0.0:
+        raise ValueError(f"lambda underflows to 0 at n={n}, "
+                         f"K_omega={k_omega}: need a smaller n")
     return lam_n, lam_an
 
 
@@ -598,13 +601,6 @@ def singular_limit_convergence(params: ModelParams, pert: Perturbation, a: float
             for e in (np.abs(g0), d1, d2, scale2 * strip ** delta)]
     excluded = np.count_nonzero(~domain_ok, axis=(1, 2)).tolist()
     return [ConvergenceRow(*r) for r in zip(n_range, lams, *errs, excluded)]
-
-
-def limit_extension_value(params: ModelParams, pert: Perturbation,
-                          a: float, x: float, ybar: float) -> float:
-    """First component of the singular-limit extension h_a(x, ybar) (lift)."""
-    return (x + params.xi + a
-            - params.k_omega * math.log(ybar + pert.phi2(x, ybar)))
 
 
 # ---------------------------------------------------------------------------

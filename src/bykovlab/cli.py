@@ -178,6 +178,8 @@ def cmd_rotation(cfg: RunConfig, seed: int) -> dict:
                    "rho_min": ri.rho_min, "rho_max": ri.rho_max,
                    "error": ri.error, "degenerate": ri.degenerate}
     else:
+        if "a" in kw:  # the annulus orbits run at the model's lambda
+            raise ValueError("rotation.a applies to circle mode only")
         n, n_seeds = kw.get("n_iter", 2000), kw.get("n_seeds", 16)
         if n_seeds < 1:  # the message rotation_interval gives in circle mode
             raise ValueError(f"need n_seeds >= 1, got n_seeds={n_seeds}")

@@ -19,9 +19,10 @@ Four groups of references, each written as the plain definition:
   trigonometric-polynomial sums are written one derivative order at a time;
   `TrigPoly.jet` must match them bit for bit.
 - `audit_H1` as a loop over samples that calls `model.det_jac_return` once
-  per sample, and over sorted image neighbours one pair at a time.
-  `audit.audit_H1` takes every determinant from one `model.step_batch`
-  call and compares all neighbours as arrays; it is tested against it.
+  per sample and counts the negative ones.  `audit.audit_H1` takes every
+  signed determinant from one `model.step_batch` call; it is tested
+  against it.  H6's closed-form height derivative is checked against a
+  central difference of the limit map.
 - `classify_cell` as three separate one-orbit runs (iterate, lyapunov,
   rotation_set_2d) of the scalar kernel, and period detection as one full
   pass over the tail per candidate period.  `orbits.classify_batch` follows
@@ -618,35 +619,39 @@ def h5_dp_da(family: cm.CircleMapFamily, a_star: float,
 
 
 # ---------------------------------------------------------------------------
-# H1, one sample and one image pair at a time
+# H1 and H6, one sample at a time
 # ---------------------------------------------------------------------------
 
 
 def audit_H1(params: ModelParams, pert: Perturbation,
              lam_range=(1e-4, 1e-2), seed: int = 0) -> HypothesisVerdict:
-    """Determinant-ratio bound and injectivity spot-check, one point at a time.
+    """Determinant-ratio bound and fold check, one sample at a time.
 
     Draws the same random numbers in the same order as `audit.audit_H1`,
-    whose H1_SAMPLES and THRESHOLDS it reads at call time.  A
-    sample with y + lam*Phi2 < 0 is not caught here: its determinant is the
-    factored formula's value off the return domain.
+    whose H1_SAMPLES and THRESHOLDS it reads at call time, and counts the
+    negative determinants; samples of both signs are a fold.  A sample with
+    y + lam*Phi2 < 0 is not caught here: its determinant is the factored
+    formula's value off the return domain.
     """
     t, sample_size = au.THRESHOLDS, au.H1_SAMPLES
     rng = np.random.default_rng(seed)
     lams = np.exp(rng.uniform(math.log(lam_range[0]), math.log(lam_range[1]),
                               sample_size))
     dets = []
+    negative = 0
     for lam in lams:
         pp = params.with_lambda(float(lam))
         x = float(rng.uniform(0.0, TWO_PI))
         ybar = float(rng.uniform(0.0, 1.0))
-        d = abs(md.det_jac_return(CylinderPoint(x, lam * ybar), pp, pert))
-        if d <= t["h1_det_floor"]:
+        d = md.det_jac_return(CylinderPoint(x, lam * ybar), pp, pert)
+        if abs(d) <= t["h1_det_floor"]:
             return HypothesisVerdict(
                 "H1", "FAIL",
                 {"reason": "degenerate determinant",
                  "witness": {"x": x, "ybar": ybar, "lambda": float(lam)}})
-        dets.append(d / lam ** (params.delta - 1.0))
+        if d < 0.0:
+            negative += 1
+        dets.append(abs(d) / lam ** (params.delta - 1.0))
     dets = np.asarray(dets)
     ratio = float(dets.max() / dets.min())
     order_lam = np.argsort(lams)
@@ -654,35 +659,30 @@ def audit_H1(params: ModelParams, pert: Perturbation,
     run_min = np.minimum.accumulate(dets[order_lam])
     held = (run_max / run_min) <= t["h1_ratio_cap"]
     lam_held = float(lams[order_lam][held][-1]) if held.any() else None
-
-    lam_mid = math.sqrt(lam_range[0] * lam_range[1])
-    pp = params.with_lambda(lam_mid)
-    n_inj = min(sample_size * 5, 10_000)
-    xs = rng.uniform(0.0, TWO_PI, n_inj)
-    ybars = rng.uniform(0.1, 1.0, n_inj)
-    new_x, new_y, *_, alive = md.step_batch(
-        xs, lam_mid * ybars, pp.lam, pp.k_omega, md._batch_constants(pp, pert))
-    images = np.column_stack((md.wrap_angles(new_x),
-                              new_y / lam_mid ** params.delta))
-    images[~alive] = np.nan
-    order = np.lexsort((images[:, 1], images[:, 0]))
-    collisions = 0
-    for a, b in zip(order[:-1], order[1:]):
-        da = abs(images[a, 0] - images[b, 0]) + abs(images[a, 1] - images[b, 1])
-        if not np.isfinite(da) or da > 1e-12:
-            continue
-        src = (abs(wrap_angle(xs[a] - xs[b] + math.pi) - math.pi)
-               + abs(ybars[a] - ybars[b]))
-        if src > 1e-9:
-            collisions += 1
-    ok = ratio <= t["h1_ratio_cap"] and collisions == 0
+    folded = 0 < negative < sample_size
+    ok = ratio <= t["h1_ratio_cap"] and not folded
     return HypothesisVerdict("H1", "PASS" if ok else "FAIL",
                              {"k": math.sqrt(ratio), "det_ratio": ratio,
                               "ratio_cap": t["h1_ratio_cap"],
-                              "injectivity_collisions": collisions,
+                              "negative_determinants": negative,
                               "lambda_max_checked": float(lams.max()),
                               "largest_lambda_cap_held": lam_held,
                               "samples": sample_size})
+
+
+def h6_height_derivative(params: ModelParams, pert: Perturbation, x: float,
+                         step: float = 1e-6) -> float:
+    """d/d ybar of the limit map's first component at (x, 0), numerically.
+
+    A central difference of the lift h_a(x, ybar) = x + xi + a
+    - K ln(ybar + Phi2(x, ybar)) at a = 0 (a only shifts h_a); the
+    reference for the closed form `audit.audit_H6` reads.
+    """
+    def h(ybar: float) -> float:
+        return (x + params.xi
+                - params.k_omega * math.log(ybar + float(pert.phi2(x, ybar))))
+
+    return (h(step) - h(-step)) / (2.0 * step)
 
 
 # ---------------------------------------------------------------------------

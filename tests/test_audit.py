@@ -30,7 +30,7 @@ class TestH1:
         monkeypatch.setattr(au, "H1_SAMPLES", 500)
         v = au.audit_H1(params_k5, pert)
         assert math.isfinite(v.evidence["k"])
-        assert v.evidence["injectivity_collisions"] == 0
+        assert v.evidence["negative_determinants"] == 0
 
     def test_cap_controls_verdict(self, params_k5, pert, monkeypatch):
         monkeypatch.setattr(au, "H1_SAMPLES", 500)
@@ -40,6 +40,20 @@ class TestH1:
         monkeypatch.setitem(au.THRESHOLDS, "h1_ratio_cap", 1e9)
         loose = au.audit_H1(params_k5, pert)
         assert loose.status == "PASS"
+
+    def test_fold_fails(self, params_k5, pert, monkeypatch):
+        # with Phi1 = 500 cos x, j11 = 1 + lam*Phi1_x + ... changes sign
+        # over the samples, so det DF vanishes between them; the cap is
+        # lifted so that only the fold can fail the verdict
+        monkeypatch.setitem(au.THRESHOLDS, "h1_ratio_cap", 1e30)
+        folded = Perturbation(phi1=named_profile("cosine", amplitude=500.0),
+                              phi2=named_profile("offset_sine"))
+        v = au.audit_H1(params_k5, folded)
+        assert v.status == "FAIL"
+        assert v.evidence["negative_determinants"] == 216
+        v = au.audit_H1(params_k5, pert)
+        assert v.status == "PASS"
+        assert v.evidence["negative_determinants"] == 0
 
     def test_largest_lambda_cap_held_reported(self, params_k5, pert,
                                               monkeypatch):
@@ -64,7 +78,7 @@ class TestH1:
             for key in ("k", "det_ratio"):
                 assert got.evidence[key] == pytest.approx(
                     want.evidence[key], rel=1e-13, abs=0.0)
-            for key in ("injectivity_collisions", "lambda_max_checked",
+            for key in ("negative_determinants", "lambda_max_checked",
                         "largest_lambda_cap_held", "ratio_cap", "samples"):
                 assert got.evidence[key] == want.evidence[key]
 
@@ -236,6 +250,31 @@ class TestH6:
         assert v.status == "PASS"
         for c, d in zip(crit.points, v.evidence["derivatives"]):
             want = -params_k5.k_omega / pert.phi2(float(c), 0.0)
+            assert d == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("k_omega", [2.0, 5.0, 8.0])
+    @pytest.mark.parametrize("pair", [ref.SLOPED, ref.TANGLED],
+                             ids=["sloped", "tangled"])
+    def test_sloped_closed_form(self, k_omega, pair):
+        # -K (1 + Phi2_y(c, 0)) / Phi2(c, 0), the profile sums written out
+        params = reference_params().with_k_omega(k_omega)
+        crit = cm.family_from_model(params, pair).critical_set
+        assert crit.q > 0
+        v = au.audit_H6(params, pair, crit)
+        for c, d in zip(crit.points, v.evidence["derivatives"]):
+            want = (-k_omega * (1.0 + ref.trig_value(pair.phi2.slope, c))
+                    / ref.trig_value(pair.phi2.base, c))
+            assert d == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("pair", [reference_perturbation(), ref.SLOPED,
+                                      ref.TANGLED],
+                             ids=["reference", "sloped", "tangled"])
+    def test_matches_central_difference(self, pair):
+        params = reference_params().with_k_omega(5.0)
+        crit = cm.family_from_model(params, pair).critical_set
+        v = au.audit_H6(params, pair, crit)
+        for c, d in zip(crit.points, v.evidence["derivatives"]):
+            want = ref.h6_height_derivative(params, pair, float(c))
             assert d == pytest.approx(want, rel=1e-6)
 
     def test_engineered_cancellation_fails(self, params_k5):

@@ -301,6 +301,11 @@ class TestCommands:
          "need n_seeds >= 1, got n_seeds=-1"),
         ("singular-limit", "singular_limit: {n_min: 5, n_max: 2}\n",
          "need 1 <= n_min <= n_max, got n_min=5, n_max=2"),
+        # exp(-2*pi*n/K_omega) is 0.0 in floats from n = 593 at K_omega = 5
+        ("superstable", "superstable: {n_lambdas: 600}\n",
+         "lambda underflows to 0 at n=593, K_omega=5.0"),
+        ("singular-limit", "singular_limit: {n_min: 100, n_max: 700}\n",
+         "lambda underflows to 0 at n=593, K_omega=5.0"),
     ])
     def test_bad_count_is_named(self, tmp_path, capsys, command, extra,
                                 message):
@@ -367,6 +372,9 @@ class TestCommands:
                  "curve_thresh: 0.1}\n", 1e-3),
         ("rotation", "rotation: {n_seeds: -1}\n", 1e-3),
         ("rotation", "rotation: {mode: annulus, n_seeds: -1}\n", 1e-3),
+        # a is a parameter of the circle family; annulus mode has none
+        ("rotation", "rotation: {mode: annulus, a: 2.5, n_iter: 1000, "
+                     "n_seeds: 4}\n", 1e-3),
         # counts below their least meaningful value
         ("audit", "audit: {n_a: 0}\n", 1e-3),
         ("superstable", "superstable: {n_lambdas: 0}\n", 1e-3),

@@ -87,16 +87,3 @@ class TestLimitAgreement:
             d = abs(got - want)
             assert min(d, TWO_PI - d) < 1e-8
             assert second < 1e-30
-
-    def test_extension_value_formula(self, ref_params, pert):
-        # y-independent Phi2: the height-derivative of the extension is
-        # -K/Phi2(x, 0) at every x
-        k = ref_params.k_omega
-        for x in (0.3, 1.7, 4.1):
-            f0 = cm.limit_extension_value(ref_params, pert, 0.0, x, 0.0)
-            h = 1e-6
-            fd = (cm.limit_extension_value(ref_params, pert, 0.0, x, h)
-                  - cm.limit_extension_value(ref_params, pert, 0.0, x, -h)) / (2 * h)
-            phi2 = pert.phi2(x, 0.0)
-            assert fd == pytest.approx(-k * (1.0 / phi2), rel=1e-6)
-            assert f0 == pytest.approx(x - k * math.log(phi2), rel=1e-12)
