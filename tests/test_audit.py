@@ -42,9 +42,9 @@ class TestH1:
         assert loose.status == "PASS"
 
     def test_fold_fails(self, params_k5, pert, monkeypatch):
-        # with Phi1 = 500 cos x, j11 = 1 + lam*Phi1_x + ... changes sign
-        # over the samples, so det DF vanishes between them; the cap is
-        # lifted so that only the fold can fail the verdict
+        # det DF = delta*Y^(delta-1)*(1 + lam*Phi1_x) is negative where
+        # 500*lam*sin x > 1 and positive elsewhere, so it vanishes between
+        # samples; the cap is lifted so that only the fold can fail H1
         monkeypatch.setitem(au.THRESHOLDS, "h1_ratio_cap", 1e30)
         folded = Perturbation(phi1=named_profile("cosine", amplitude=500.0),
                               phi2=named_profile("offset_sine"))
