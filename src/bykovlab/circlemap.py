@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -564,7 +565,9 @@ def singular_limit_convergence(params: ModelParams, pert: Perturbation, a: float
     grid of the forward-invariant strip; derivative errors use central
     differences of the difference function (step FD_STEP).  Grid points
     violating the domain condition are excluded and counted.  All n form
-    one (n, LIMIT_GRID) array; the per-n scalars are Python floats.
+    one (n, LIMIT_GRID) array; the per-n scalars are Python floats.  Raises
+    ValueError, naming n and K_omega, where lambda_(a,n) underflows to 0
+    or the strip scale lambda_(a,n)^(delta-1) is not a normal float.
     """
     if not n_range or n_range[0] < 1:
         raise ValueError(f"need 1 <= n_min <= n_max, got n_min="
@@ -573,6 +576,12 @@ def singular_limit_convergence(params: ModelParams, pert: Perturbation, a: float
     phi2max = pert.phi2_max()
     lams = [lambda_sequences(k, n, a)[1] for n in n_range]
     scales = [lam_n ** (delta - 1.0) for lam_n in lams]
+    for n, s in zip(n_range, scales):
+        # a subnormal scale has lost bits, and a zero one collapses the strip
+        if not s >= sys.float_info.min:
+            raise ValueError(f"strip scale lambda^(delta-1) = {s!r} is not a "
+                             f"normal float at n={n}, K_omega={k}: need a "
+                             "smaller n")
     # per-n scalars as (n, 1, 1) columns; x on axis 1, ybar on axis 2
     lam, scale2 = (np.array(v)[:, None, None] for v in (lams, scales))
     dk = np.array([twist_of_lambda(k, lam_n) - (a + TWO_PI * n)

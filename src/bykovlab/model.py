@@ -5,12 +5,15 @@ height y in [-1, 1].  The return map eta o psi_21 follows the perturbed
 global transition psi_21(x, y) = (x + xi + lam*Phi1, y + lam*Phi2) by the
 passage past both saddle-foci, eta(X, Y) = (X - K_omega ln Y, Y^delta).  The
 pair is one coefficient table, Perturbation._table, with a value row and an
-x-derivative row per trig polynomial.  Two backends read it: the float
-kernel, _return_step, evaluates the map and its Jacobian for one orbit (its
-image half, _image_step, is the map alone), and its array twins,
-step_batch and image_batch, step many orbits at once with lam and K_omega
-given per orbit.  The factored maps (each local passage, eta, psi_21 and
-their Jacobians) and the finite-difference Jacobian are test references in
+x-derivative row per trig polynomial.  Two backends read it.  The float
+kernel, Perturbation._kernel, is compiled from its float rows on first use
+into straight-line Python with the coefficients as literals: `image` steps
+one orbit's map and `step` adds its Jacobian; return_map, jac_return and
+orbits.rotation_set_2d call them.  The array kernel, step_batch and
+image_batch, steps many orbits at once with lam and K_omega given per
+orbit.  The factored maps (each local passage, eta, psi_21 and their
+Jacobians), the finite-difference Jacobian and the interpretive loops the
+float kernel matches bit for bit are test references in
 tests/scalar_reference.py.
 """
 
@@ -25,6 +28,7 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 PROFILE_GRID = 4096  # Perturbation.validate/phi2_max: sample points on the circle
+_new_tuple = tuple.__new__  # return_map: a CylinderPoint without its __new__
 
 
 class InvalidParamsError(ValueError):
@@ -135,7 +139,7 @@ class ModelParams:
 
     @functools.cached_property
     def _step_scalars(self) -> tuple[float, float, float, float]:
-        """(lam, xi, k_omega, delta) for _return_step, built on first use."""
+        """(lam, xi, k_omega, delta) for the float kernel, built on first use."""
         return self.lam, self.xi, self.k_omega, self.delta
 
     def with_lambda(self, lam: float) -> "ModelParams":
@@ -331,6 +335,13 @@ class Perturbation:
                  (*columns(table[::2]),
                   tuple((p, s // 2) for p, s in slopes))))
 
+    @functools.cached_property
+    def _kernel(self) -> tuple:
+        """The float kernel (image, step) of _float_kernel, compiled from
+        the float rows of _table on first use (the first return_map call),
+        once per Perturbation."""
+        return _float_kernel(self._table[0])
+
 
 def reference_perturbation() -> Perturbation:
     """Phi1 = cos x, Phi2 = 1.1 + sin x (positive, two Morse turns)."""
@@ -362,11 +373,6 @@ class OrbitRecord:
 # Return map and its Jacobian
 # ---------------------------------------------------------------------------
 
-def _step_constants(params: ModelParams, pert: Perturbation) -> tuple:
-    """Everything _image_step and _return_step read, cached on the records."""
-    return params._step_scalars + pert._table[0]
-
-
 def _row(row, trig) -> float:
     """One float row of Perturbation._table at shared cos/sin."""
     out, terms = row
@@ -375,72 +381,73 @@ def _row(row, trig) -> float:
     return out
 
 
-def _partials(profile, trig, y: float) -> tuple[float, float]:
-    """x- and y-derivatives P' + y*Q' and Q of one profile's float rows."""
-    _, dx, slope, dslope = profile
-    dp, terms = dx
-    for j, a in terms:
-        dp = dp + a * trig[j]
-    if slope is None:
-        return dp, 0.0
-    return dp + y * _row(dslope, trig), _row(slope, trig)
+def _row_source(row) -> str:
+    """One float row of Perturbation._table as a Python sum, in column order.
 
-
-def _image_step(x: float, y: float, consts: tuple) -> tuple:
-    """The image half of _return_step: the map without its derivatives.
-
-    Returns (unwrapped new angle, new height, Y, trig) with Y = y + lam*Phi2
-    and trig the cos kx, sin kx of each harmonic, which _return_step reuses
-    for the Jacobian.  The only scalar copy of the return-map arithmetic:
-    the pair's value rows are summed once, from one cos/sin per harmonic
-    (the base sums are written out: this is the hot loop of every one-orbit
-    path).  Raises EscapeError when Y <= 0 or the image height leaves the
-    strip |y| <= 1.
+    The terms are summed left to right from the constant, as _row sums
+    them; the temporary of column c is named c<c> (the cos or sin that
+    trig index c - 1 holds), and every coefficient enters as its repr.
     """
-    lam, xi, k_omega, delta, harmonics, (f1, _, q1, _), (f2, _, q2, _) = consts
-    trig = []  # a loop, not a comprehension: that costs a frame per call
-    for k in harmonics:
-        trig.append(math.cos(k * x))
-        trig.append(math.sin(k * x))
-    phi2, terms = f2
-    for j, a in terms:
-        phi2 = phi2 + a * trig[j]
-    if q2 is not None:
-        phi2 = phi2 + y * _row(q2, trig)
-    big_y = y + lam * phi2
-    if big_y <= 0.0:
-        raise EscapeError(CylinderPoint(x, y))
-    new_y = big_y ** delta
-    if new_y > 1.0:
-        raise EscapeError(CylinderPoint(x, y))
-    phi1, terms = f1
-    for j, a in terms:
-        phi1 = phi1 + a * trig[j]
-    if q1 is not None:
-        phi1 = phi1 + y * _row(q1, trig)
-    return x + xi + lam * phi1 - k_omega * math.log(big_y), new_y, big_y, trig
+    c0, terms = row
+    return " + ".join([repr(c0)] + [f"{a!r} * c{j + 1}" for j, a in terms])
 
 
-def _return_step(x: float, y: float, consts: tuple) -> tuple[float, ...]:
-    """One step of eta o psi_21 and its Jacobian, in plain floats.
+def _float_kernel(floats: tuple) -> tuple:
+    """Compile the float kernel of one table: the pair (image, step).
 
-    Returns (unwrapped new angle, new height, j11, j12, j21, j22); `consts`
-    comes from _step_constants.  The image is _image_step's; the Jacobian
-    adds the pair's partial derivatives at the same cos/sin.  Raises
-    EscapeError where _image_step does.
+    `floats` is Perturbation._table's float half.  Both functions take
+    (x, y, (lam, xi, k_omega, delta)) and are straight-line Python with
+    the table's nonzero coefficients as literals: one cos and one sin per
+    harmonic, each row summed in column order, so they run the float
+    operations of the loops in tests/scalar_reference.py, which they match
+    bit for bit.  image returns (unwrapped new angle, new height); step
+    returns (unwrapped new angle, new height, j11, j12, j21, j22), the
+    image and the chain rule D eta(X, Y) @ D psi_21(x, y) with
+    D eta = [[1, -K/Y], [0, delta*Y^(delta-1)]].  Both raise EscapeError
+    when Y = y + lam*Phi2 <= 0 or the image height leaves the strip
+    |y| <= 1.
     """
-    new_x, new_y, big_y, trig = _image_step(x, y, consts)
-    lam, _, k_omega, delta, _, phi1, phi2 = consts
-    f1x, f1y = _partials(phi1, trig, y)
-    f2x, f2y = _partials(phi2, trig, y)
-    # chain rule: D eta at psi_21(x, y) times D psi_21 at (x, y), where
-    # D eta(X, Y) = [[1, -K/Y], [0, delta*Y^(delta-1)]]
-    e12 = -k_omega / big_y
-    e22 = delta * big_y ** (delta - 1.0)
-    p21 = lam * f2x
-    p22 = 1.0 + lam * f2y
-    return (new_x, new_y, 1.0 + lam * f1x + e12 * p21, lam * f1y + e12 * p22,
-            e22 * p21, e22 * p22)
+    harmonics, phi1, phi2 = floats
+    head = ["    lam, xi, k_omega, delta = s"]
+    for h, k in enumerate(harmonics):
+        kx = "x" if k == 1 else f"{float(k)!r} * x"
+        head += [f"    c{2 * h + 1} = cos({kx})", f"    c{2 * h + 2} = sin({kx})"]
+    slopes = [f"    q{p} = {_row_source(rows[2])}"
+              for p, rows in ((1, phi1), (2, phi2)) if rows[2] is not None]
+
+    def value(p, rows, row):  # a profile's row plus y times its slope's
+        out = _row_source(rows[row])
+        if rows[2] is None:
+            return out
+        slope = f"({_row_source(rows[row + 2])})" if row else f"q{p}"
+        return f"({out}) + y * {slope}"
+
+    height = [  # Y, the new height and the escape checks
+        f"    big_y = y + lam * ({value(2, phi2, 0)})",
+        "    if big_y <= 0.0:",
+        "        raise EscapeError(CylinderPoint(x, y))",
+        "    new_y = big_y ** delta",
+        "    if new_y > 1.0:",
+        "        raise EscapeError(CylinderPoint(x, y))"]
+    new_x = f"x + xi + lam * ({value(1, phi1, 0)}) - k_omega * log(big_y)"
+    f1y, f2y = ("0.0" if rows[2] is None else f"q{p}"
+                for p, rows in ((1, phi1), (2, phi2)))
+    source = "\n".join([
+        "def image(x, y, s):", *head, *slopes, *height,
+        f"    return {new_x}, new_y",
+        "def step(x, y, s):", *head, *slopes, *height,
+        "    e12 = -k_omega / big_y",
+        "    e22 = delta * big_y ** (delta - 1.0)",
+        f"    p21 = lam * ({value(2, phi2, 1)})",
+        f"    p22 = 1.0 + lam * {f2y}",
+        f"    return ({new_x}, new_y,",
+        f"            1.0 + lam * ({value(1, phi1, 1)}) + e12 * p21,",
+        f"            lam * {f1y} + e12 * p22, e22 * p21, e22 * p22)", ""])
+    namespace = {"cos": math.cos, "sin": math.sin, "log": math.log,
+                 "inf": math.inf, "nan": math.nan, "EscapeError": EscapeError,
+                 "CylinderPoint": CylinderPoint}
+    exec(compile(source, "<bykovlab float kernel>", "exec"), namespace)
+    return namespace["image"], namespace["step"]
 
 
 def _batch_constants(params: ModelParams, pert: Perturbation) -> tuple:
@@ -502,17 +509,19 @@ def image_batch(x: np.ndarray, y: np.ndarray, lam, k_omega,
 
 def step_batch(x: np.ndarray, y: np.ndarray, lam, k_omega,
                consts: tuple) -> tuple[np.ndarray, ...]:
-    """_return_step for many orbits at once, lam and K_omega given per orbit.
+    """The float kernel's step for many orbits at once, lam and K_omega
+    given per orbit.
 
     Returns (unwrapped new angles, new heights, j11, j12, j21, j22, alive);
     `consts` comes from _batch_constants and `lam`, `k_omega` are arrays or
     floats.  The pair is evaluated as rows (value and x-derivative of each
-    profile) from the table _return_step reads, and the image comes from
-    the same arithmetic as image_batch's, which is the cheaper call where
-    the Jacobian is not needed.  Every sum runs in _return_step's order, so
-    only numpy's cos, sin, log and power (which may differ from math's by
-    an ULP) separate the two.  Where _return_step raises EscapeError,
-    `alive` is False and the other entries are finite but meaningless.
+    profile) from the table the float kernel is compiled from, and the
+    image comes from the same arithmetic as image_batch's, which is the
+    cheaper call where the Jacobian is not needed.  Every sum runs in the
+    float kernel's order, so only numpy's cos, sin, log and power (which
+    may differ from math's by an ULP) separate the two.  Where the float
+    kernel raises EscapeError, `alive` is False and the other entries are
+    finite but meaningless.
     """
     xi, delta, harmonics, rows, _ = consts
     slopes = rows[3]
@@ -524,7 +533,7 @@ def step_batch(x: np.ndarray, y: np.ndarray, lam, k_omega,
     lf = lam * f  # rows: lam*Phi1, lam*Phi1_x, lam*Phi2, lam*Phi2_x
     new_x, new_y, alive, big_y = _batch_image(x, y, lf[0], lf[2], k_omega,
                                               xi, delta)
-    # D eta = [[1, e12], [0, e22]] with e12 = -r; _return_step's a + e12*p
+    # D eta = [[1, e12], [0, e22]] with e12 = -r; the float step's a + e12*p
     # equals a - r*p exactly, and without slopes p22 = 1 and lam*Phi1_y = 0
     r = k_omega / big_y
     e22 = delta * big_y ** (delta - 1.0)
@@ -539,37 +548,43 @@ def step_batch(x: np.ndarray, y: np.ndarray, lam, k_omega,
 def return_map(p: CylinderPoint, params: ModelParams, pert: Perturbation) -> CylinderPoint:
     """First return map eta o psi_21 on the domain y + lam*Phi2 > 0.
 
-    Steps through the kernel's image half, so no derivative is computed.
+    Steps through the float kernel's image, so no derivative is computed.
     """
-    q = _image_step(p[0], p[1], _step_constants(params, pert))
-    return CylinderPoint(wrap_angle(q[0]), q[1])
+    x, y = pert._kernel[0](p[0], p[1], params._step_scalars)
+    return _new_tuple(CylinderPoint, (wrap_angle(x), y))
 
 
 def jac_return(p, params: ModelParams, pert: Perturbation) -> np.ndarray:
-    """Analytic Jacobian of the return map, from the return-step kernel.
+    """Analytic Jacobian of the return map, from the float kernel's step.
 
     Raises EscapeError where return_map does.
     """
-    j = _return_step(p[0], p[1], _step_constants(params, pert))
+    j = pert._kernel[1](p[0], p[1], params._step_scalars)
     return np.array(j[2:]).reshape(2, 2)
 
 
 def det_jac_return(p, params: ModelParams, pert: Perturbation) -> float:
     """Determinant via the factorization delta*Y^(delta-1) * det(D psi_21).
 
-    Reads the pair and its partials from the table _return_step reads and
-    does not check the domain.  H1 takes its determinants from step_batch;
+    Sums the pair and its partials from the float rows the kernel is
+    compiled from, by its own loop, and does not check the domain.  H1 takes its determinants from step_batch;
     this is the scalar reference they are tested against, kept under its
     name because perfbench/tracing.py binds it.
     """
     x, y = p
-    lam, _, _, delta, harmonics, phi1, phi2 = _step_constants(params, pert)
+    lam, delta = params.lam, params.delta
+    harmonics, phi1, phi2 = pert._table[0]
     trig = [f(k * x) for k in harmonics for f in (math.cos, math.sin)]
-    f1x, f1y = _partials(phi1, trig, y)
-    f2x, f2y = _partials(phi2, trig, y)
-    f2 = _row(phi2[0], trig)
-    if phi2[2] is not None:
-        f2 = f2 + y * f2y
+
+    def partials(value, dx, slope, dslope):  # Phi, Phi_x, Phi_y at (x, y)
+        if slope is None:
+            return _row(value, trig), _row(dx, trig), 0.0
+        q = _row(slope, trig)
+        return (_row(value, trig) + y * q,
+                _row(dx, trig) + y * _row(dslope, trig), q)
+
+    _, f1x, f1y = partials(*phi1)
+    f2, f2x, f2y = partials(*phi2)
     big_y = y + lam * f2
     dpsi = (1.0 + lam * f1x) * (1.0 + lam * f2y) - lam * lam * f1y * f2x
     return delta * big_y ** (delta - 1.0) * dpsi

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (TWO_PI, CylinderPoint, EscapeError, ModelParams,
-                    OrbitRecord, Perturbation, _batch_constants, _image_step,
-                    _step_constants, circle_gap, image_batch, jac_return,
-                    return_map, step_batch, wrap_angle, wrap_angles)
+                    OrbitRecord, Perturbation, _batch_constants, circle_gap,
+                    image_batch, jac_return, return_map, step_batch,
+                    wrap_angle, wrap_angles)
 
 SATURATION = -50.0  # per-iterate log-contraction below this is reported as saturated
 RECURRENCE_TOL = 1e-8  # period detection: recurrence distance of a sink
@@ -104,11 +104,11 @@ def lyapunov(params: ModelParams, pert: Perturbation, p0: CylinderPoint,
     """Both Lyapunov exponents via QR-renormalized Jacobian products.
 
     One loop over plain floats: each step takes the image from return_map
-    (the image half of the return-step kernel, no derivatives) and each
-    measured step the Jacobian entries from jac_return (the full kernel,
-    whose image is computed again and dropped), folds the Jacobian into a
-    2x2 product and, every QR_CADENCE steps, re-orthonormalizes the product
-    (Benettin et al. 1980).  An escape stops the run before the escaping
+    (the compiled float kernel's `image`, no derivatives) and each measured
+    step the Jacobian entries from jac_return (its `step`, whose image is
+    computed again and dropped), folds the Jacobian into a 2x2 product
+    and, every QR_CADENCE steps, re-orthonormalizes the product (Benettin
+    et al. 1980).  An escape stops the run before the escaping
     step is counted; `escaped_at` reports it, and an escape before n/2
     measured steps makes the estimate inconclusive.
     """
@@ -181,13 +181,13 @@ def rotation_set_2d(params: ModelParams, pert: Perturbation,
         raise ValueError("need n_seeds >= 1 seeds, got an empty list")
     if params.lam <= 0.0:
         raise ValueError("lift displacement needs lambda > 0")
-    consts = _step_constants(params, pert)
+    image, scalars = pert._kernel[0], params._step_scalars
     rhos = []
     for p0 in seeds:
         x, y, disp = wrap_angle(p0.x), float(p0.y), 0.0
         try:
             for _ in range(n):
-                xhat, y = _image_step(x, y, consts)[:2]
+                xhat, y = image(x, y, scalars)
                 disp += xhat - x
                 x = wrap_angle(xhat)
         except EscapeError:

@@ -5,8 +5,11 @@ Four groups of references, each written as the plain definition:
 - the factored return map: the local passages past each saddle-focus, their
   closed form `eta`, the perturbed global transition `psi_21`, their
   Jacobians, the factored determinant and a central finite-difference
-  Jacobian.  `model._return_step` and `model.det_jac_return` are tested
-  against them.
+  Jacobian.  The float kernel (`Perturbation._kernel`) and
+  `model.det_jac_return` are tested against them.  The kernel is also
+  written as the loops over the coefficient table's float rows it is
+  compiled from (`image_step`, `return_step`); it must match them bit for
+  bit.
 - loops that advance one circle-map orbit at a time with plain float calls
   of the family, the branch-by-interval transition matrix and the
   singular-limit error table one n at a time.  The array paths of
@@ -131,6 +134,71 @@ def det_jac_return(p, params: ModelParams, pert: Perturbation) -> float:
     dpsi = ((1.0 + lam * _dx(pert.phi1, x, y)) * (1.0 + lam * _dy(pert.phi2, x, y))
             - lam * lam * _dy(pert.phi1, x, y) * _dx(pert.phi2, x, y))
     return params.delta * big_y ** (params.delta - 1.0) * dpsi
+
+
+def step_constants(params: ModelParams, pert: Perturbation) -> tuple:
+    """Everything image_step and return_step read: the float kernel's
+    scalars and the float rows it is compiled from."""
+    return params._step_scalars + pert._table[0]
+
+
+def row(r, trig) -> float:
+    """One float row of Perturbation._table at shared cos/sin."""
+    out, terms = r
+    for j, a in terms:
+        out = out + a * trig[j]
+    return out
+
+
+def partials(profile, trig, y: float) -> tuple[float, float]:
+    """x- and y-derivatives P' + y*Q' and Q of one profile's float rows."""
+    _, dx, slope, dslope = profile
+    if slope is None:
+        return row(dx, trig), 0.0
+    return row(dx, trig) + y * row(dslope, trig), row(slope, trig)
+
+
+def image_step(x: float, y: float, consts: tuple) -> tuple:
+    """The float kernel's image as a loop over the table's float rows.
+
+    Returns (unwrapped new angle, new height, Y, trig) with Y = y + lam*Phi2
+    and trig the cos kx, sin kx of each harmonic, which return_step reuses.
+    Raises EscapeError when Y <= 0 or the image height leaves the strip.
+    """
+    lam, xi, k_omega, delta, harmonics, (f1, _, q1, _), (f2, _, q2, _) = consts
+    trig = [g(k * x) for k in harmonics for g in (math.cos, math.sin)]
+    phi2 = row(f2, trig)
+    if q2 is not None:
+        phi2 = phi2 + y * row(q2, trig)
+    big_y = y + lam * phi2
+    if big_y <= 0.0:
+        raise EscapeError(CylinderPoint(x, y))
+    new_y = big_y ** delta
+    if new_y > 1.0:
+        raise EscapeError(CylinderPoint(x, y))
+    phi1 = row(f1, trig)
+    if q1 is not None:
+        phi1 = phi1 + y * row(q1, trig)
+    return x + xi + lam * phi1 - k_omega * math.log(big_y), new_y, big_y, trig
+
+
+def return_step(x: float, y: float, consts: tuple) -> tuple[float, ...]:
+    """The float kernel's step as a loop: image_step and the Jacobian.
+
+    Returns (unwrapped new angle, new height, j11, j12, j21, j22), the
+    chain rule D eta(X, Y) @ D psi_21(x, y) with the pair's partials at the
+    image's cos/sin.  Raises EscapeError where image_step does.
+    """
+    new_x, new_y, big_y, trig = image_step(x, y, consts)
+    lam, _, k_omega, delta, _, phi1, phi2 = consts
+    f1x, f1y = partials(phi1, trig, y)
+    f2x, f2y = partials(phi2, trig, y)
+    e12 = -k_omega / big_y
+    e22 = delta * big_y ** (delta - 1.0)
+    p21 = lam * f2x
+    p22 = 1.0 + lam * f2y
+    return (new_x, new_y, 1.0 + lam * f1x + e12 * p21, lam * f1y + e12 * p22,
+            e22 * p21, e22 * p22)
 
 
 # Phi1 and Phi2 with y-dependent slopes and a second harmonic, so every

@@ -306,6 +306,11 @@ class TestCommands:
          "lambda underflows to 0 at n=593, K_omega=5.0"),
         ("singular-limit", "singular_limit: {n_min: 100, n_max: 700}\n",
          "lambda underflows to 0 at n=593, K_omega=5.0"),
+        # lambda_(0,n)^5 is subnormal from n = 113 at K_omega = 5, and 0.0
+        # from n = 119, where the strip grid collapses to ybar = 0
+        ("singular-limit", "singular_limit: {n_min: 116, n_max: 121}\n",
+         "strip scale lambda^(delta-1) = 2.915318e-317 is not a normal "
+         "float at n=116, K_omega=5.0: need a smaller n"),
     ])
     def test_bad_count_is_named(self, tmp_path, capsys, command, extra,
                                 message):
@@ -313,6 +318,7 @@ class TestCommands:
         out = str(tmp_path / "out")
         assert cli.main([command, "--config", cfgp, "--out", out]) == 1
         assert f"config error: {message}" in capsys.readouterr().err
+        assert not os.path.exists(out) or not os.listdir(out)
 
     def test_audit_validates_against_schema(self, tmp_path):
         if jsonschema is None:

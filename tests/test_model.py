@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,9 @@ from bykovlab.model import (TWO_PI, CylinderFunction, CylinderPoint,
                             Perturbation, TrigPoly, named_profile,
                             reference_params, reference_perturbation,
                             return_map, wrap_angle)
-from scalar_reference import (SLOPED, TANGLED, eta, local_map_o1,
-                              local_map_o2, psi_21)
+from scalar_reference import (SLOPED, TANGLED, eta, image_step,
+                              local_map_o1, local_map_o2, psi_21,
+                              step_constants)
 
 
 class TestParams:
@@ -237,22 +239,25 @@ any_pair = st.sampled_from([reference_perturbation(), SLOPED, TANGLED])
 @given(y=st.floats(min_value=-0.5, max_value=1.0), **kernel_cases)
 @settings(max_examples=300, deadline=None)
 def test_kernel_step_matches_return_map_and_factors(x, y, lam, k_omega, pert):
-    """Both kernel halves: the same image (bit for bit) and escapes as
-    return_map; pinned to eta o psi_21."""
+    """Both float kernel functions: the same image (bit for bit) and escapes
+    as return_map; pinned to eta o psi_21."""
     params = reference_params(lam=lam).with_k_omega(k_omega)
-    consts = md._step_constants(params, pert)
+    image, step = pert._kernel
+    scalars = params._step_scalars
     mid = psi_21(CylinderPoint(x, y), params, pert)
     try:
         q = return_map(CylinderPoint(x, y), params, pert)
     except EscapeError:
-        for half in (md._return_step, md._image_step):
+        for half in (step, image):
             with pytest.raises(EscapeError):
-                half(x, y, consts)
+                half(x, y, scalars)
         assert mid.y <= 0.0 or mid.y ** params.delta > 1.0
         return
-    xhat, new_y = md._return_step(x, y, consts)[:2]
+    xhat, new_y = step(x, y, scalars)[:2]
     assert (wrap_angle(xhat), new_y) == (q.x, q.y)
-    assert md._image_step(x, y, consts)[:3] == (xhat, new_y, mid.y)
+    assert image(x, y, scalars) == (xhat, new_y)
+    consts = step_constants(params, pert)
+    assert image_step(x, y, consts)[:3] == (xhat, new_y, mid.y)
     ref = eta(mid, params)
     assert new_y == ref.y
     d = abs(math.fmod(xhat - ref.x, TWO_PI))
@@ -318,8 +323,8 @@ def test_step_batch_determinant_matches_det_jac_return(samples, k_omega,
        lam=kernel_cases["lam"], pert=any_pair)
 @settings(max_examples=200, deadline=None)
 def test_float_rows_equal_pair_rows(x, y, lam, pert):
-    """From the same cos and sin, the float kernel's rows equal _pair_rows'
-    bit for bit, whatever the order, repetition or harmonic of the terms."""
+    """From the same cos and sin, the float rows equal _pair_rows' bit for
+    bit, whatever the order, repetition or harmonic of the terms."""
     params = reference_params(lam=lam)
     _, _, harmonics, rows, _ = md._batch_constants(params, pert)
     xs = np.array([x])
@@ -328,26 +333,91 @@ def test_float_rows_equal_pair_rows(x, y, lam, pert):
     for k in harmonics:  # the cos and sin _pair_rows computes
         kx = xs if k == 1 else k * xs
         trig += [float(np.cos(kx)[0]), float(np.sin(kx)[0])]
-    consts = md._step_constants(params, pert)
+    consts = ref.step_constants(params, pert)
     slope_row = dict(rows[3])
     for p, profile in enumerate(consts[5:]):
-        value = md._row(profile[0], trig)
+        value = ref.row(profile[0], trig)
         slope = 0.0
         if profile[2] is not None:
-            slope = md._row(profile[2], trig)
+            slope = ref.row(profile[2], trig)
             assert slope == v[slope_row[p]][0]
             value = value + y * slope
         assert value == f[2 * p][0]
-        assert md._partials(profile, trig, y) == (f[2 * p + 1][0], slope)
-    # the image's written-out value sums, where math's cos and sin agree
+        assert ref.partials(profile, trig, y) == (f[2 * p + 1][0], slope)
+    # the compiled image's value sums, where math's cos and sin agree
     if trig == [g(k * x) for k in harmonics for g in (math.cos, math.sin)]:
         try:
-            new_x, _, big_y, got = md._image_step(x, y, consts)
+            new_x, _ = pert._kernel[0](x, y, params._step_scalars)
+            _, _, big_y, got = ref.image_step(x, y, consts)
         except EscapeError:
             return
         assert got == trig and big_y == y + lam * f[2][0]
         assert new_x == (x + params.xi + lam * f[0][0]
                          - params.k_omega * math.log(big_y))
+
+
+# pairs the float kernel is compiled from: harmonics that are 0, negative,
+# repeated or out of order, slopes on neither, either or both profiles, and
+# coefficients that are negative or exactly zero (of either sign)
+coefficients = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                         st.floats(min_value=-2.0, max_value=2.0))
+trig_polys = st.builds(
+    TrigPoly, coefficients,
+    st.lists(st.tuples(st.integers(min_value=-3, max_value=3), coefficients,
+                       coefficients), max_size=4).map(tuple))
+profiles = st.builds(CylinderFunction, trig_polys,
+                     st.one_of(st.none(), trig_polys))
+
+
+def _outcome(fn, *args):
+    """Every bit of fn's floats, or the type and point of what it raised."""
+    try:
+        return [v.hex() for v in fn(*args)]
+    except (EscapeError, ArithmeticError, ValueError) as exc:
+        return type(exc), getattr(exc, "point", None)
+
+
+@given(phi1=profiles, phi2=profiles,
+       x=st.floats(min_value=-10.0, max_value=10.0),
+       y=st.floats(min_value=-1.0, max_value=1.0),
+       lam=st.floats(min_value=0.0, max_value=1.0),
+       xi=st.floats(min_value=-1.0, max_value=1.0),
+       k_omega=st.floats(min_value=0.1, max_value=20.0),
+       delta=st.floats(min_value=1.01, max_value=10.0))
+@settings(max_examples=300, deadline=None)
+def test_compiled_kernel_matches_interpretive_reference(phi1, phi2, x, y, lam,
+                                                        xi, k_omega, delta):
+    """The compiled image and step equal the loops over the float rows bit
+    for bit, and raise EscapeError at the same inputs."""
+    pert = Perturbation(phi1, phi2)
+    image, step = pert._kernel
+    scalars = (lam, xi, k_omega, delta)
+    consts = scalars + pert._table[0]
+    want = _outcome(ref.return_step, x, y, consts)
+    assert _outcome(step, x, y, scalars) == want
+    assert _outcome(image, x, y, scalars) == (
+        want[:2] if isinstance(want, list) else want)
+
+
+def test_kernel_built_lazily_once_per_perturbation(monkeypatch):
+    """Loading a config compiles nothing (setup stays lean); the first
+    return_map compiles the pair's kernel, and later calls reuse it."""
+    compiled = []
+    real = md._float_kernel
+    monkeypatch.setattr(md, "_float_kernel",
+                        lambda floats: compiled.append(floats) or real(floats))
+    cfg = load_config(str(Path(__file__).parents[1] / "scripts"
+                          / "superstable.yaml"))
+    assert "_kernel" not in vars(cfg.pert) and not compiled
+    p = CylinderPoint(0.5, 1e-3)
+    q = return_map(p, cfg.params, cfg.pert)
+    kernel = cfg.pert._kernel
+    md.jac_return(q, cfg.params, cfg.pert)
+    return_map(q, cfg.params.with_lambda(2e-3), cfg.pert)
+    assert compiled == [cfg.pert._table[0]] and cfg.pert._kernel is kernel
+    other = replace(cfg.pert)  # an equal pair is another Perturbation
+    return_map(p, cfg.params, other)
+    assert len(compiled) == 2 and other._kernel is not kernel
 
 
 def _magnitude(row) -> float:
@@ -368,9 +438,9 @@ def _step_scales(x, y, lam, k_omega, params, pert, image) -> list[float]:
     m1, d1, m1s, d1s = map(_magnitude, phi1)
     m2, d2, m2s, d2s = map(_magnitude, phi2)
     trig = [f(k * x) for k in harmonics for f in (math.cos, math.sin)]
-    f2 = md._row(phi2[0], trig)
+    f2 = ref.row(phi2[0], trig)
     if phi2[2] is not None:
-        f2 = f2 + y * md._row(phi2[2], trig)
+        f2 = f2 + y * ref.row(phi2[2], trig)
     big_y = y + lam * f2
     kappa = (abs(y) + lam * (m2 + abs(y) * m2s)) / big_y
     e12 = k_omega / big_y
@@ -393,7 +463,8 @@ def _step_scales(x, y, lam, k_omega, params, pert, image) -> list[float]:
 @settings(max_examples=200, deadline=None)
 def test_step_batch_matches_return_step(orbits, pert):
     """One step_batch call with mixed lam and K_omega: the same escapes as
-    _return_step, and each output within 4 ULP of its terms' magnitude.
+    the float kernel's step, and each output within 4 ULP of its terms'
+    magnitude.
     image_batch returns step_batch's (new_x, new_y, alive) exactly."""
     x, y, lam, k_omega = (np.array(v) for v in zip(*orbits))
     params = reference_params()
@@ -405,14 +476,13 @@ def test_step_batch_matches_return_step(orbits, pert):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     eps = np.finfo(float).eps
     for i, (xi, yi, li, ki) in enumerate(orbits):
-        consts = (li, params.xi, ki) + md._step_constants(params, pert)[3:]
         try:
-            ref = md._return_step(xi, yi, consts)
+            step = pert._kernel[1](xi, yi, (li, params.xi, ki, params.delta))
         except EscapeError:
             assert not alive[i]
             continue
         assert alive[i]
-        scales = _step_scales(xi, yi, li, ki, params, pert, ref)
-        for got, want, scale in zip(out, ref, scales):
+        scales = _step_scales(xi, yi, li, ki, params, pert, step)
+        for got, want, scale in zip(out, step, scales):
             assert abs(got[i] - want) <= 4 * eps * scale
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -52,10 +53,28 @@ class TestArrayTable:
     def test_matches_scalar_reference(self, pert, pair, a, k_omega):
         p = pert if pair == "reference" else ref.SLOPED
         params = reference_params(omega=k_omega / 3.0)
-        n_range = range(1, 13)
+        # at K_omega = 0.3 the strip scale lambda^5 is subnormal from n = 7
+        # (n = 8 at a = -2), which the table rejects
+        n_range = range(1, 13 if k_omega > 1.0 else 7)
         # repr also tells a numpy scalar from a Python float
         assert repr(cm.singular_limit_convergence(params, p, a, n_range)) \
             == repr(ref.singular_limit_convergence(params, p, a, n_range))
+
+    @pytest.mark.parametrize("k_omega, a, n_min, first_bad", [
+        (5.0, 0.0, 100, 113), (0.3, 0.0, 1, 7), (0.3, -2.0, 1, 8)])
+    def test_subnormal_strip_scale_is_named(self, pert, k_omega, a, n_min,
+                                            first_bad):
+        """lambda_(a,n)^(delta-1) below the smallest normal float (at K = 5,
+        a = 0 from n = 113, and 0.0 from n = 119) is rejected at the first
+        such n, not tabulated over a collapsed strip."""
+        params = reference_params(omega=k_omega / 3.0)
+        lam = cm.lambda_sequences(k_omega, first_bad, a)[1]
+        assert lam ** 5 < sys.float_info.min
+        with pytest.raises(ValueError, match=(
+                rf"strip scale .* is not a normal float at n={first_bad}, "
+                rf"K_omega={k_omega}: ")):
+            cm.singular_limit_convergence(params, pert, a,
+                                          range(n_min, first_bad + 5))
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_excluded_points_match_scalar_reference(self):
