@@ -22,7 +22,7 @@ from .orbits import Budget, classify_batch
 
 H1_SAMPLES = 2000            # audit_H1: determinant samples drawn
 H2H3_A = 1.0                 # audit_H2_H3: parameter a of the limit family
-H2H3_N_RANGE = range(3, 13)  # audit_H2_H3: the n of lambda_(a,n) tabulated
+H2H3_N_RANGE = range(3, 13)  # audit_H2_H3: the most n of lambda_(a,n)
 H5_HORIZON = 12              # audit_H5_proxy: steps of the continued orbit
 
 # the lines every verdict is judged against; audit.json prints them
@@ -132,10 +132,28 @@ def audit_H1(params: ModelParams, pert: Perturbation,
 def audit_H2_H3(params: ModelParams, pert: Perturbation) -> HypothesisVerdict:
     """Existence of and C3-style convergence to the one-dimensional limit.
 
-    PASS iff the error tables (values, first and second differences) are
-    eventually monotone decreasing in n and the final row is below tolerance.
+    Tabulates the n of H2H3_N_RANGE up to the last whose strip scale
+    lambda_(a,n)^(delta-1) is a normal float (cm.normal_strip_range), so
+    small K_omega cuts the range short; n_range reports the range
+    tabulated.  PASS iff the error tables (values, first and second
+    differences) are eventually monotone decreasing in n and the final row
+    is below tolerance.  "Eventually" skips the first pair, so fewer than 3
+    rows check no pair: INCONCLUSIVE.
     """
-    rows = cm.singular_limit_convergence(params, pert, H2H3_A, H2H3_N_RANGE)
+    n_range = cm.normal_strip_range(params, H2H3_A, H2H3_N_RANGE)
+    rows = (cm.singular_limit_convergence(params, pert, H2H3_A, n_range)
+            if n_range else [])
+    table = [{"n": r.n, "lambda": r.lam, "value": r.value_err,
+              "d1": r.d1_err, "d2": r.d2_err, "second": r.second_comp_err,
+              "excluded": r.excluded} for r in rows]
+    if len(rows) < 3:
+        return HypothesisVerdict(
+            "H2H3", "INCONCLUSIVE",
+            {"a": H2H3_A, "n_range": [n_range.start, n_range.stop],
+             "reason": f"strip scale normal at {len(rows)} of n = "
+                       f"{H2H3_N_RANGE.start}..{H2H3_N_RANGE.stop - 1}, "
+                       "fewer than 3",
+             "table": table})
     tables = {
         "value": [r.value_err for r in rows],
         "d1": [r.d1_err for r in rows],
@@ -150,13 +168,9 @@ def audit_H2_H3(params: ModelParams, pert: Perturbation) -> HypothesisVerdict:
     ok = all(mono.values()) and final_ok
     return HypothesisVerdict(
         "H2H3", "PASS" if ok else "FAIL",
-        {"a": H2H3_A, "n_range": [H2H3_N_RANGE.start, H2H3_N_RANGE.stop],
+        {"a": H2H3_A, "n_range": [n_range.start, n_range.stop],
          "monotone": mono, "final_errors": {k: v[-1] for k, v in tables.items()},
-         "final_tol": THRESHOLDS["h2h3_final_tol"],
-         "table": [{"n": r.n, "lambda": r.lam, "value": r.value_err,
-                    "d1": r.d1_err, "d2": r.d2_err,
-                    "second": r.second_comp_err, "excluded": r.excluded}
-                   for r in rows]})
+         "final_tol": THRESHOLDS["h2h3_final_tol"], "table": table})
 
 
 def audit_H4(family: cm.CircleMapFamily, a_window=(0.0, TWO_PI),

@@ -556,6 +556,29 @@ class ConvergenceRow:
     excluded: int
 
 
+def _normal_scale(scale: float) -> bool:
+    """Whether a strip scale lambda_(a,n)^(delta-1) is a normal float: a
+    subnormal scale has lost bits, and a zero one collapses the strip."""
+    return scale >= sys.float_info.min
+
+
+def normal_strip_range(params: ModelParams, a: float, n_range: range) -> range:
+    """The head of n_range that singular_limit_convergence tabulates.
+
+    It runs up to the last n whose lambda_(a,n) is positive and whose strip
+    scale lambda_(a,n)^(delta-1) is a normal float; both fall as n grows.
+    Empty when the first n already fails.
+    """
+    for i, n in enumerate(n_range):
+        try:
+            lam = lambda_sequences(params.k_omega, n, a)[1]
+        except ValueError:
+            return n_range[:i]
+        if not _normal_scale(lam ** (params.delta - 1.0)):
+            return n_range[:i]
+    return n_range
+
+
 def singular_limit_convergence(params: ModelParams, pert: Perturbation, a: float,
                                n_range: range) -> list[ConvergenceRow]:
     """Error table for the convergence of the rescaled map to (h_a, 0).
@@ -577,8 +600,7 @@ def singular_limit_convergence(params: ModelParams, pert: Perturbation, a: float
     lams = [lambda_sequences(k, n, a)[1] for n in n_range]
     scales = [lam_n ** (delta - 1.0) for lam_n in lams]
     for n, s in zip(n_range, scales):
-        # a subnormal scale has lost bits, and a zero one collapses the strip
-        if not s >= sys.float_info.min:
+        if not _normal_scale(s):
             raise ValueError(f"strip scale lambda^(delta-1) = {s!r} is not a "
                              f"normal float at n={n}, K_omega={k}: need a "
                              "smaller n")

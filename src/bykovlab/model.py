@@ -554,13 +554,18 @@ def return_map(p: CylinderPoint, params: ModelParams, pert: Perturbation) -> Cyl
     return _new_tuple(CylinderPoint, (wrap_angle(x), y))
 
 
-def jac_return(p, params: ModelParams, pert: Perturbation) -> np.ndarray:
-    """Analytic Jacobian of the return map, from the float kernel's step.
+def jac_return(p, params: ModelParams,
+               pert: Perturbation) -> tuple[tuple[float, float],
+                                            tuple[float, float]]:
+    """Analytic Jacobian of the return map as ((j11, j12), (j21, j22)).
 
-    Raises EscapeError where return_map does.
+    The entries are the last four floats of the float kernel's step, as
+    they come, with no array built around them.  Raises EscapeError where
+    return_map does.
     """
-    j = pert._kernel[1](p[0], p[1], params._step_scalars)
-    return np.array(j[2:]).reshape(2, 2)
+    _, _, j11, j12, j21, j22 = pert._kernel[1](p[0], p[1],
+                                               params._step_scalars)
+    return (j11, j12), (j21, j22)
 
 
 def det_jac_return(p, params: ModelParams, pert: Perturbation) -> float:

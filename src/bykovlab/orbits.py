@@ -105,12 +105,13 @@ def lyapunov(params: ModelParams, pert: Perturbation, p0: CylinderPoint,
 
     One loop over plain floats: each step takes the image from return_map
     (the compiled float kernel's `image`, no derivatives) and each measured
-    step the Jacobian entries from jac_return (its `step`, whose image is
-    computed again and dropped), folds the Jacobian into a 2x2 product
-    and, every QR_CADENCE steps, re-orthonormalizes the product (Benettin
-    et al. 1980).  An escape stops the run before the escaping
-    step is counted; `escaped_at` reports it, and an escape before n/2
-    measured steps makes the estimate inconclusive.
+    step the Jacobian from jac_return (its `step`, whose image is computed
+    again and dropped), unpacked straight from its nested float tuples,
+    folds the Jacobian into a 2x2 product and, every QR_CADENCE steps,
+    re-orthonormalizes the product (Benettin et al. 1980).  An escape
+    stops the run before the escaping step is counted; `escaped_at`
+    reports it, and an escape before n/2 measured steps makes the estimate
+    inconclusive.
     """
     if n < 0 or burn_in < 0:
         raise ValueError(f"need n >= 0 and burn_in >= 0, got n={n}, "
@@ -126,7 +127,7 @@ def lyapunov(params: ModelParams, pert: Perturbation, p0: CylinderPoint,
             escaped_at = i
             break
         if i >= burn_in:
-            (a, b), (c, d) = jac_return(p, params, pert).tolist()
+            (a, b), (c, d) = jac_return(p, params, pert)
             det = abs(a * d - b * c)
             ld = math.log(det) if 0.0 < det < math.inf else SATURATION * 2.0
             logdet += ld
@@ -212,7 +213,8 @@ def confirm_cycle(params: ModelParams, pert: Perturbation, p0: CylinderPoint,
     """Check whether the orbit of p0 settles on an attracting `period`-cycle.
 
     Runs `iterate` for SINK_SETTLE burn-in steps from p0 to a point p, then
-    `period` more, and multiplies the Jacobians along the cycle.  The gap is
+    `period` more, and multiplies the Jacobians along the cycle as 2x2
+    arrays.  The gap is
     |x' - x| (on the circle) + |y' - y| between F^p(p) and p; a cycle
     closes when it is small and attracts when every multiplier is below
     one.  An escape anywhere is reported as escaped, with NaN gap and
@@ -224,7 +226,7 @@ def confirm_cycle(params: ModelParams, pert: Perturbation, p0: CylinderPoint,
     cycle = [CylinderPoint(*xy) for xy in orbit.points.tolist()]
     jac = np.eye(2)
     for p in cycle[:-1]:
-        jac = jac_return(p, params, pert) @ jac
+        jac = np.array(jac_return(p, params, pert)) @ jac
     p, q = cycle[0], cycle[-1]
     mults = sorted(float(m) for m in np.abs(np.linalg.eigvals(jac)))
     return CycleCheck(False, float(circle_gap(q.x, p.x)) + abs(q.y - p.y),

@@ -34,6 +34,10 @@ Four groups of references, each written as the plain definition:
   numbers where the orbit does not amplify the ULP differences between
   numpy's and math's log and power.  `orbits._detect_period` rejects most
   candidate periods as one array first and must return the same period.
+- `lyapunov` as the loop that read each measured step's Jacobian from a
+  2x2 array through `.tolist()`.  `orbits.lyapunov` unpacks
+  `model.jac_return`'s nested float tuples directly and must give equal
+  estimates.
 """
 
 import math
@@ -48,8 +52,10 @@ from bykovlab.model import (TWO_PI, CylinderFunction, CylinderPoint,
                             EscapeError, ModelParams, Perturbation, TrigPoly,
                             wrap_angle)
 from bykovlab.orbits import (CHI_THRESH, CURVE_THRESH, LYAPUNOV_CAP,
-                             PERIOD_CAP, RECURRENCE_TOL, ROTATION_CAP,
-                             Budget, RegimeCell, _orbit_thickness, iterate,
+                             PERIOD_CAP, QR_CADENCE, RECURRENCE_TOL,
+                             ROTATION_CAP, SATURATION, Budget,
+                             LyapunovEstimate, RegimeCell, _gram_schmidt_2x2,
+                             _lyapunov_estimate, _orbit_thickness, iterate,
                              lyapunov, rotation_set_2d)
 
 # ---------------------------------------------------------------------------
@@ -814,3 +820,51 @@ def classify_cell(lam: float, k_omega: float, base_params: ModelParams,
     if thick < CURVE_THRESH and abs(est.chi1) <= CHI_THRESH:
         return RegimeCell(lam, k_omega, "InvariantCurve", **common)
     return RegimeCell(lam, k_omega, "TransientChaos", **common)
+
+
+# ---------------------------------------------------------------------------
+# Lyapunov exponents with the Jacobian as a 2x2 array
+# ---------------------------------------------------------------------------
+
+
+def jac_return_array(p, params: ModelParams, pert: Perturbation) -> np.ndarray:
+    """The float kernel step's four Jacobian entries as a 2x2 array."""
+    j = pert._kernel[1](p[0], p[1], params._step_scalars)
+    return np.array(j[2:]).reshape(2, 2)
+
+
+def lyapunov_array(params: ModelParams, pert: Perturbation, p0: CylinderPoint,
+                   n: int, burn_in: int = 1000) -> LyapunovEstimate:
+    """QR-renormalized exponents, each measured step's Jacobian read from
+    jac_return_array through .tolist()."""
+    if n < 0 or burn_in < 0:
+        raise ValueError(f"need n >= 0 and burn_in >= 0, got n={n}, "
+                         f"burn_in={burn_in}")
+    p = CylinderPoint(wrap_angle(p0.x), p0.y)
+    l1 = l2 = logdet = batch_ld = 0.0
+    p11, p12, p21, p22 = 1.0, 0.0, 0.0, 1.0
+    escaped_at = None
+    for i in range(burn_in + n):
+        try:
+            q = md.return_map(p, params, pert)
+        except EscapeError:
+            escaped_at = i
+            break
+        if i >= burn_in:
+            (a, b), (c, d) = jac_return_array(p, params, pert).tolist()
+            det = abs(a * d - b * c)
+            ld = math.log(det) if 0.0 < det < math.inf else SATURATION * 2.0
+            logdet += ld
+            batch_ld += ld
+            p11, p12, p21, p22 = (a * p11 + b * p21, a * p12 + b * p22,
+                                  c * p11 + d * p21, c * p12 + d * p22)
+            if (i + 1 - burn_in) % QR_CADENCE == 0:
+                p11, p12, p21, p22, d1, d2 = _gram_schmidt_2x2(
+                    p11, p12, p21, p22, batch_ld)
+                l1 += d1 if math.isfinite(d1) else SATURATION * QR_CADENCE
+                l2 += d2 if math.isfinite(d2) else SATURATION * QR_CADENCE
+                batch_ld = 0.0
+        p = q
+    done = max(0, (burn_in + n if escaped_at is None else escaped_at) - burn_in)
+    return _lyapunov_estimate(l1, l2, logdet, batch_ld, (p11, p12, p21, p22),
+                              done, n, escaped_at)

@@ -203,7 +203,7 @@ def test_criterion_09_regime_ordering(ref_params, pert, report):
 
 def test_criterion_10_lyapunov_harness(ref_params, params_k5, pert, report,
                                        monkeypatch):
-    jac = np.array([[2.0, 0.0], [0.0, 0.5]])
+    jac = ((2.0, 0.0), (0.0, 0.5))  # as jac_return gives its entries
     with monkeypatch.context() as mp:  # a synthetic map for one run
         mp.setattr(ob, "return_map",
                    lambda p, *_: CylinderPoint(wrap_angle(p.x + 0.7), p.y))

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -127,6 +128,29 @@ class TestH2H3:
         v = au.audit_H2_H3(ref_params, pert)
         assert v.status == "PASS"
         assert all(v.evidence["monotone"].values())
+
+    # lambda_(1,n)^5 leaves the normal floats at n = 12 for K_omega = 0.51
+    # and at n = 7 for 0.3; 0.25 keeps 3 rows, the fewest with a pair to
+    # check
+    @pytest.mark.parametrize("k_omega, n_range", [
+        (0.51, [3, 12]), (0.3, [3, 7]), (0.25, [3, 6])])
+    def test_small_twist_cuts_the_n_range(self, pert, k_omega, n_range):
+        v = au.audit_H2_H3(reference_params(omega=k_omega / 3.0), pert)
+        assert v.status in ("PASS", "FAIL")
+        assert v.evidence["n_range"] == n_range
+        assert [r["n"] for r in v.evidence["table"]] == list(range(*n_range))
+        last, cut = (cm.lambda_sequences(k_omega, n, au.H2H3_A)[1] ** 5
+                     for n in (n_range[1] - 1, n_range[1]))
+        assert last >= sys.float_info.min > cut
+
+    @pytest.mark.parametrize("k_omega, n_range", [(0.1, [3, 3]),
+                                                  (0.2, [3, 5])])
+    def test_fewer_than_three_rows_inconclusive(self, pert, k_omega,
+                                                n_range):
+        v = au.audit_H2_H3(reference_params(omega=k_omega / 3.0), pert)
+        assert v.status == "INCONCLUSIVE"
+        assert v.evidence["n_range"] == n_range
+        assert len(v.evidence["table"]) == n_range[1] - n_range[0]
 
     def test_larger_twist_needs_more_n(self, pert):
         # lambda_n = exp(-2 pi n / K): larger K decays slower per step

@@ -320,10 +320,12 @@ class TestCommands:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not os.path.exists(out) or not os.listdir(out)
 
-    def test_audit_validates_against_schema(self, tmp_path):
+    # omega = 0.17 is K_omega = 0.51, where H2/H3 cuts its n range short
+    @pytest.mark.parametrize("omega", [5.0 / 3.0, 0.17])
+    def test_audit_validates_against_schema(self, tmp_path, omega):
         if jsonschema is None:
             pytest.skip("jsonschema not installed")
-        cfgp = write_config(tmp_path, "audit: {n_a: 8}\n")
+        cfgp = write_config(tmp_path, "audit: {n_a: 8}\n", omega=omega)
         out = str(tmp_path / "out")
         assert cli.main(["audit", "--config", cfgp, "--out", out]) == 0
         doc = json.load(open(os.path.join(out, "audit.json")))

@@ -133,7 +133,7 @@ class TestRescaled:
 class TestJacobians:
     def test_lambda_zero_matrix(self, ref_params, pert):
         y = 0.3
-        j = md.jac_return(CylinderPoint(1.0, y), ref_params, pert)
+        j = np.array(md.jac_return(CylinderPoint(1.0, y), ref_params, pert))
         expect = np.array([[1.0, -3.0 / y], [0.0, 6.0 * y ** 5]])
         assert np.allclose(j, expect, rtol=1e-12)
 
@@ -272,7 +272,7 @@ def test_kernel_jacobian_matches_factors_and_fd(x, y, lam, k_omega, pert):
     p = CylinderPoint(x, y)
     fn = lambda q: return_map(CylinderPoint(*q), params, pert)
     try:
-        j = md.jac_return(p, params, pert)
+        j = np.array(md.jac_return(p, params, pert))
         fd = ref.finite_difference_jacobian(fn, p)
     except EscapeError:
         assume(False)
@@ -284,6 +284,28 @@ def test_kernel_jacobian_matches_factors_and_fd(x, y, lam, k_omega, pert):
     for row in range(2):
         scale = np.max(np.abs(j[row]))
         assert np.max(np.abs(fd[row] - j[row])) <= 1e-6 * scale
+
+
+@given(y=st.floats(min_value=-0.5, max_value=1.0), **kernel_cases)
+@settings(max_examples=300, deadline=None)
+def test_jac_return_is_the_kernel_steps_floats(x, y, lam, k_omega, pert):
+    """jac_return gives ((j11, j12), (j21, j22)) as Python floats, bit for
+    bit the compiled step's last four entries, and raises EscapeError at
+    the inputs where return_map does."""
+    params = reference_params(lam=lam).with_k_omega(k_omega)
+    p = CylinderPoint(x, y)
+    try:
+        return_map(p, params, pert)
+    except EscapeError:
+        with pytest.raises(EscapeError):
+            md.jac_return(p, params, pert)
+        return
+    jac = md.jac_return(p, params, pert)
+    assert type(jac) is tuple and [type(row) for row in jac] == [tuple] * 2
+    entries = [v for row in jac for v in row]
+    assert [type(v) for v in entries] == [float] * 4
+    step = pert._kernel[1](x, y, params._step_scalars)
+    assert [v.hex() for v in entries] == [v.hex() for v in step[2:]]
 
 
 @given(y=st.floats(min_value=-0.5, max_value=1.0), **kernel_cases)

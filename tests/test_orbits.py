@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
@@ -48,7 +49,9 @@ def rotate(p, *_):
 
 
 def synthetic_map(monkeypatch, jac, step=rotate):
-    """Make lyapunov step through `step` with the constant Jacobian jac."""
+    """Make lyapunov step through `step` with the constant Jacobian jac,
+    handed out as jac_return hands out its entries: nested float tuples."""
+    jac = tuple(map(tuple, np.asarray(jac).tolist()))
     monkeypatch.setattr(ob, "return_map", step)
     monkeypatch.setattr(ob, "jac_return", lambda *_: jac)
 
@@ -139,6 +142,71 @@ class TestLyapunov:
                           burn_in=0)
         # superexponential y-collapse: second exponent is saturated
         assert est.saturated or est.inconclusive or est.chi2 <= ob.SATURATION
+
+
+# (lam, K_omega, x0, y0, n, burn_in) of a run of each outcome the property
+# below must cover; it draws them as explicit examples
+LYAPUNOV_OUTCOMES = {
+    "escaped": (0.37, 3.7, 5.19, 0.169, 100, 0),  # at step 79 of 100
+    "inconclusive": (1e-3, 5.0, 1.0, -0.05, 100, 5),  # at step 0
+    "saturated": (1e-5, 5.0, 0.5, 1e-5, 200, 10),  # chi2 below SATURATION
+}
+
+
+def _outcome(est: ob.LyapunovEstimate) -> str:
+    if est.inconclusive:
+        return "inconclusive"
+    if est.escaped_at is not None:
+        return "escaped"
+    return "saturated" if est.saturated else "measured"
+
+
+@pytest.mark.parametrize("outcome", sorted(LYAPUNOV_OUTCOMES))
+def test_lyapunov_outcome_examples(outcome, pert):
+    lam, k_omega, x0, y0, n, burn_in = LYAPUNOV_OUTCOMES[outcome]
+    est = ob.lyapunov(reference_params(lam=lam).with_k_omega(k_omega), pert,
+                      CylinderPoint(x0, y0), n, burn_in)
+    assert _outcome(est) == outcome
+
+
+def _with_outcome_examples(test):
+    for lam, k_omega, x0, y0, n, burn_in in LYAPUNOV_OUTCOMES.values():
+        test = example(x0=x0, y0=y0, lam=lam, k_omega=k_omega, n=n,
+                       burn_in=burn_in, pert=reference_perturbation())(test)
+    return test
+
+
+# lam log-uniform in [1e-6, 0.4], and 0 for the lowest draws: lam = 0
+# collapses the height to 0 within a few steps and then escapes, late
+# enough for a short run to stay conclusive; a small lam saturates chi2,
+# and a negative y0 escapes at once
+@_with_outcome_examples
+@given(x0=st.floats(min_value=0.0, max_value=TWO_PI, exclude_max=True),
+       y0=st.floats(min_value=-0.05, max_value=1.0),
+       lam=st.floats(min_value=math.log(1e-7), max_value=math.log(0.4)).map(
+           lambda t: math.exp(t) if t >= math.log(1e-6) else 0.0),
+       k_omega=st.floats(min_value=0.3, max_value=12.0),
+       n=st.one_of(st.integers(0, 12), st.integers(0, 400)),
+       burn_in=st.one_of(st.integers(0, 3), st.integers(0, 40)),
+       pert=st.sampled_from([reference_perturbation(), ref.SLOPED,
+                             ref.TANGLED]))
+@settings(max_examples=300, deadline=None)
+def test_lyapunov_matches_array_jacobian_reference(x0, y0, lam, k_omega, n,
+                                                   burn_in, pert):
+    """lyapunov on jac_return's nested floats equals the loop that read an
+    array Jacobian through .tolist(): every field ==, NaN where NaN."""
+    params = reference_params(lam=lam).with_k_omega(k_omega)
+    p0 = CylinderPoint(x0, y0)
+    got = ob.lyapunov(params, pert, p0, n, burn_in)
+    want = ref.lyapunov_array(params, pert, p0, n, burn_in)
+    event(_outcome(got))
+    for field in dataclasses.fields(ob.LyapunovEstimate):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        assert type(g) is type(w)
+        nan = [isinstance(v, float) and math.isnan(v) for v in (g, w)]
+        assert nan[0] == nan[1]
+        if not nan[0]:
+            assert g == w
 
 
 class TestRotationSet:
