@@ -30,6 +30,7 @@ THRESHOLDS = {
     "h1_ratio_cap": 1e3,
     "h1_det_floor": 1e-300,
     "h2h3_final_tol": 1e-3,
+    "h2h3_floor_ulps": 16,
     "h4_delta0": 0.05,
     "h4_horizon": 50,
     "h5_margin": 1e-3,
@@ -130,47 +131,54 @@ def audit_H1(params: ModelParams, pert: Perturbation,
 
 
 def audit_H2_H3(params: ModelParams, pert: Perturbation) -> HypothesisVerdict:
-    """Existence of and C3-style convergence to the one-dimensional limit.
+    """Convergence of the return map at lambda_(a,n) to (h_a, 0).
 
     Tabulates the n of H2H3_N_RANGE up to the last whose strip scale
-    lambda_(a,n)^(delta-1) is a normal float (cm.normal_strip_range), so
-    small K_omega cuts the range short; n_range reports the range
-    tabulated.  PASS iff the error tables (values, first and second
-    differences) are eventually monotone decreasing in n and the final row
-    is below tolerance.  "Eventually" skips the first pair, so fewer than 3
-    rows check no pair: INCONCLUSIVE.
+    lambda_(a,n)^(delta-1) is a normal float (cm.normal_strip_range).  On
+    the ybar = 0 edge the kernel's angle and j11 differ from h_a and h' by
+    lam*Phi1(x, 0) and lam*Phi1_x(x, 0) up to rounding, so each error is
+    predicted: lam times the grid max of |Phi1| (|Phi1_x|) of the pair's
+    TrigPoly, within a floor of h2h3_floor_ulps ULPs of the largest |lift|
+    of h_(a+2*pi*n) (of max |h'|).  FAIL if an error exceeds predicted +
+    floor, falls below predicted - floor where the prediction is above the
+    floor, or exceeds h2h3_final_tol in the last row; else INCONCLUSIVE if
+    fewer than 3 rows have the value predicted above its floor.
     """
+    family = cm.family_from_model(params, pert)
     n_range = cm.normal_strip_range(params, H2H3_A, H2H3_N_RANGE)
     rows = (cm.singular_limit_convergence(params, pert, H2H3_A, n_range)
             if n_range else [])
-    table = [{"n": r.n, "lambda": r.lam, "value": r.value_err,
-              "d1": r.d1_err, "d2": r.d2_err, "second": r.second_comp_err,
-              "excluded": r.excluded} for r in rows]
-    if len(rows) < 3:
-        return HypothesisVerdict(
-            "H2H3", "INCONCLUSIVE",
-            {"a": H2H3_A, "n_range": [n_range.start, n_range.stop],
-             "reason": f"strip scale normal at {len(rows)} of n = "
-                       f"{H2H3_N_RANGE.start}..{H2H3_N_RANGE.stop - 1}, "
-                       "fewer than 3",
-             "table": table})
-    tables = {
-        "value": [r.value_err for r in rows],
-        "d1": [r.d1_err for r in rows],
-        "d2": [r.d2_err for r in rows],
-        "second_component": [r.second_comp_err for r in rows],
-    }
-    def eventually_decreasing(seq, start=1):
-        return all(seq[i + 1] <= seq[i] for i in range(start, len(seq) - 1))
-    mono = {k: eventually_decreasing(v) for k, v in tables.items()}
-    final_ok = all(v[-1] <= THRESHOLDS["h2h3_final_tol"]
-                   for v in tables.values())
-    ok = all(mono.values()) and final_ok
-    return HypothesisVerdict(
-        "H2H3", "PASS" if ok else "FAIL",
-        {"a": H2H3_A, "n_range": [n_range.start, n_range.stop],
-         "monotone": mono, "final_errors": {k: v[-1] for k, v in tables.items()},
-         "final_tol": THRESHOLDS["h2h3_final_tol"], "table": table})
+    table = [dict(vars(r)) for r in rows]
+    xg = np.linspace(0.0, TWO_PI, cm.LIMIT_GRID[0], endpoint=False)
+    lam = np.array([r.lam for r in rows])
+    lifted = family.lift(H2H3_A + TWO_PI * np.array(n_range)[:, None], xg)
+    peaks = [np.abs(v).max() for v in pert.phi1.section().jet(xg)]
+    scales = (np.abs(lifted).max(axis=1), np.abs(family.deriv(xg)).max())
+    bounds, outside = {}, []
+    for key, peak, scale in zip(("value_err", "d1_err"), peaks, scales):
+        err = np.array([t[key] for t in table])
+        predicted = lam * peak
+        floor = THRESHOLDS["h2h3_floor_ulps"] * np.spacing(scale)
+        judged = predicted > floor
+        bad = (err > predicted + floor) | (judged & (err < predicted - floor))
+        outside += [{"n": r.n, "error": key} for r, b in zip(rows, bad) if b]
+        bounds[key] = {"predicted": predicted.tolist(),
+                       "floor": floor.tolist(), "judged": int(judged.sum())}
+    final = {k: table[-1][k] for k in ("value_err", "d1_err",
+                                       "second_comp_err")} if rows else {}
+    judged = bounds["value_err"]["judged"]
+    evidence = {"a": H2H3_A, "n_range": [n_range.start, n_range.stop],
+                "judged_rows": judged, "outside_bounds": outside,
+                "bounds": bounds, "final_errors": final,
+                "final_tol": THRESHOLDS["h2h3_final_tol"], "table": table}
+    if outside or any(v > THRESHOLDS["h2h3_final_tol"]
+                      for v in final.values()):
+        return HypothesisVerdict("H2H3", "FAIL", evidence)
+    if judged < 3:
+        evidence["reason"] = (f"value predicted above its floor at {judged} "
+                              f"of {len(rows)} rows, fewer than 3")
+        return HypothesisVerdict("H2H3", "INCONCLUSIVE", evidence)
+    return HypothesisVerdict("H2H3", "PASS", evidence)
 
 
 def audit_H4(family: cm.CircleMapFamily, a_window=(0.0, TWO_PI),

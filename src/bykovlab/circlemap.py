@@ -19,12 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (TWO_PI, ModelParams, Perturbation, TrigPoly, _bisect,
-                    circle_gap, wrap_angles)
+                    _batch_constants, circle_gap, step_batch, wrap_angles)
 
 DEFAULT_GRID = 1 << 14
 ROOT_TOL = 1e-12
 MORSE_TOL = 1e-8
-FD_STEP = 1e-6           # singular_limit_convergence: central-difference step
 LIMIT_GRID = (128, 4)    # singular_limit_convergence: strip grid, x by ybar
 SUPERSTABLE_GRID = 4096  # superstable_search: a-grid points that bracket roots
 SUPERSTABLE_TOL = 1e-10  # superstable_search: largest |g| of a kept root
@@ -549,11 +548,11 @@ def lambda_sequences(k_omega: float, n: int, a: float) -> tuple[float, float]:
 class ConvergenceRow:
     n: int
     lam: float
-    value_err: float       # first component, sup over grid
-    d1_err: float          # first finite differences of the first component
-    d2_err: float          # second finite differences of the first component
-    second_comp_err: float  # sup of the second component (limit is 0)
-    excluded: int
+    value_err: float        # angle gap to h_a on the ybar = 0 edge
+    d1_err: float           # |j11 - h'| on the ybar = 0 edge
+    second_comp_err: float  # largest rescaled height y'/lam over the strip
+    excluded: int           # strip points with y + lam*Phi2 <= 0
+    twist_offset: float     # -K ln(lam) - a - 2*pi*n: the twist's rounding
 
 
 def _normal_scale(scale: float) -> bool:
@@ -581,14 +580,15 @@ def normal_strip_range(params: ModelParams, a: float, n_range: range) -> range:
 
 def singular_limit_convergence(params: ModelParams, pert: Perturbation, a: float,
                                n_range: range) -> list[ConvergenceRow]:
-    """Error table for the convergence of the rescaled map to (h_a, 0).
+    """Error table for the convergence of the return map to (h_a, 0).
 
-    For each n the map at lam = lambda_(a,n) is compared with the limit
-    h_a(x, ybar) = x + xi + a - K ln(ybar + Phi2(x, ybar)) on a LIMIT_GRID
-    grid of the forward-invariant strip; derivative errors use central
-    differences of the difference function (step FD_STEP).  Grid points
-    violating the domain condition are excluded and counted.  All n form
-    one (n, LIMIT_GRID) array; the per-n scalars are Python floats.  Raises
+    One step_batch call steps the LIMIT_GRID grid of the strip y = lam*ybar,
+    ybar in [0, min(1, lam^(delta-1) (1 + max Phi2)^delta)], at every
+    lam = lambda_(a,n), and family_from_model's step gives h_a and h'.
+    On the ybar = 0 edge value_err is the largest angle gap to h_a and
+    d1_err the largest |j11 - h'|: lam*|Phi1(x, 0)| and lam*|Phi1_x(x, 0)|
+    up to rounding.  second_comp_err is the largest y'/lam on the strip.
+    Grid points with y + lam*Phi2 <= 0 are excluded and counted.  Raises
     ValueError, naming n and K_omega, where lambda_(a,n) underflows to 0
     or the strip scale lambda_(a,n)^(delta-1) is not a normal float.
     """
@@ -596,7 +596,6 @@ def singular_limit_convergence(params: ModelParams, pert: Perturbation, a: float
         raise ValueError(f"need 1 <= n_min <= n_max, got n_min="
                          f"{n_range.start}, n_max={n_range.stop - 1}")
     k, delta = params.k_omega, params.delta
-    phi2max = pert.phi2_max()
     lams = [lambda_sequences(k, n, a)[1] for n in n_range]
     scales = [lam_n ** (delta - 1.0) for lam_n in lams]
     for n, s in zip(n_range, scales):
@@ -604,34 +603,28 @@ def singular_limit_convergence(params: ModelParams, pert: Perturbation, a: float
             raise ValueError(f"strip scale lambda^(delta-1) = {s!r} is not a "
                              f"normal float at n={n}, K_omega={k}: need a "
                              "smaller n")
-    # per-n scalars as (n, 1, 1) columns; x on axis 1, ybar on axis 2
-    lam, scale2 = (np.array(v)[:, None, None] for v in (lams, scales))
-    dk = np.array([twist_of_lambda(k, lam_n) - (a + TWO_PI * n)
-                   for n, lam_n in zip(n_range, lams)])[:, None, None]
-    xg = np.linspace(0.0, TWO_PI, LIMIT_GRID[0], endpoint=False)[:, None]
-    yg = np.array([np.linspace(0.0, min(1.0, s * (1.0 + phi2max) ** delta),
-                               LIMIT_GRID[1]) for s in scales])[:, None, :]
-
-    def diff1(x, ybar):
-        """First-component difference, computed without catastrophic cancellation."""
-        y = lam * ybar
-        ln_map = np.log(ybar + pert.phi2(x, y))
-        ln_lim = np.log(ybar + pert.phi2(x, ybar))
-        return lam * pert.phi1(x, y) + dk + k * (ln_lim - ln_map)
-
-    strip = yg + pert.phi2(xg, lam * yg)
-    domain_ok = strip > 0.0
-    h = FD_STEP
-    g0 = diff1(xg, yg)
-    gxp, gxm = diff1(xg + h, yg), diff1(xg - h, yg)
-    gyp, gym = diff1(xg, yg + h), diff1(xg, yg - h)
-    d1 = np.maximum(np.abs(gxp - gxm), np.abs(gyp - gym)) / (2.0 * h)
-    d2 = np.maximum(np.abs(gxp - 2.0 * g0 + gxm),
-                    np.abs(gyp - 2.0 * g0 + gym)) / (h * h)
-    errs = [np.max(e, axis=(1, 2), where=domain_ok, initial=-np.inf).tolist()
-            for e in (np.abs(g0), d1, d2, scale2 * strip ** delta)]
-    excluded = np.count_nonzero(~domain_ok, axis=(1, 2)).tolist()
-    return [ConvergenceRow(*r) for r in zip(n_range, lams, *errs, excluded)]
+    # every (n, x, ybar) point as one flat batch with its own lam
+    shape = (len(lams),) + LIMIT_GRID
+    xg = np.linspace(0.0, TWO_PI, LIMIT_GRID[0], endpoint=False)
+    top = (1.0 + pert.phi2_max()) ** delta
+    yg = [np.linspace(0.0, min(1.0, s * top), LIMIT_GRID[1]) for s in scales]
+    lam, x, ybar = (np.broadcast_to(v, shape).ravel() for v in
+                    (np.array(lams)[:, None, None], xg[:, None],
+                     np.array(yg)[:, None]))
+    new_x, new_y, j11, *_, alive = step_batch(
+        x, lam * ybar, lam, k, _batch_constants(params, pert))
+    # a dead point with y + lam*Phi2 > 0 only left the strip |y| <= 1
+    new_x, j11, height, ok = (v.reshape(shape) for v in (
+        new_x, j11, new_y / lam, alive | (new_y > 1.0)))
+    h, dh = family_from_model(params, pert).step(a, xg)
+    errs = [np.max(e, axis=axis, where=w, initial=-np.inf).tolist()
+            for e, w, axis in ((circle_gap(new_x[..., 0], h), ok[..., 0], 1),
+                               (np.abs(j11[..., 0] - dh), ok[..., 0], 1),
+                               (height, ok, (1, 2)))]
+    excluded = np.count_nonzero(~ok, axis=(1, 2)).tolist()
+    return [ConvergenceRow(n, lam_n, *e, out,
+                           twist_of_lambda(k, lam_n) - (a + TWO_PI * n))
+            for n, lam_n, *e, out in zip(n_range, lams, *errs, excluded)]
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +715,3 @@ def superstable_search(family: CircleMapFamily, period: int,
         dedup.append(s)
     return dedup
 
-
-def abundance_accepts_lambda0(lambda0: float) -> bool:
-    """Expansion-threshold arithmetic for the surjectivity proposition."""
-    return math.exp(lambda0) > math.log(10.0)

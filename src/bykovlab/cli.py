@@ -201,10 +201,10 @@ def cmd_singular_limit(cfg: RunConfig, seed: int) -> dict:
         cfg.params, cfg.pert, opt.get("a", 0.0),
         range(opt.get("n_min", 3), opt.get("n_max", 12) + 1))
     return {"singular_limit.csv": (
-        ("n", "lambda", "value_err", "d1_err", "d2_err", "second_comp_err",
-         "excluded"),
+        ("n", "lambda", "value_err", "d1_err", "second_comp_err",
+         "excluded", "twist_offset"),
         [(r.n, _fmt(r.lam), _fmt(r.value_err), _fmt(r.d1_err),
-          _fmt(r.d2_err), _fmt(r.second_comp_err), r.excluded)
+          _fmt(r.second_comp_err), r.excluded, _fmt(r.twist_offset))
          for r in rows])}
 
 

@@ -12,7 +12,8 @@ Four groups of references, each written as the plain definition:
   bit.
 - loops that advance one circle-map orbit at a time with plain float calls
   of the family, the branch-by-interval transition matrix and the
-  singular-limit error table one n at a time.  The array paths of
+  singular-limit error table one n at a time (its strip stepped by
+  `model.step_batch` per n).  The array paths of
   `bykovlab.circlemap` must match them exactly.  Two earlier array paths
   are kept as they were: the lockstep loop that advanced critical and seed
   orbits together in `misiurewicz_scan`, and `audit_H4` certifying every
@@ -622,47 +623,37 @@ def transition_q(family: cm.CircleMapFamily, a: float,
 
 def singular_limit_convergence(params: ModelParams, pert: Perturbation,
                                a: float, n_range: range) -> list:
-    """One n at a time: the reference for `cm.singular_limit_convergence`."""
-    k = params.k_omega
-    delta = params.delta
-    phi2max = pert.phi2_max()
+    """One n at a time: the reference for `cm.singular_limit_convergence`.
+
+    Each n steps its own strip grid through `model.step_batch` with one
+    float lam and masks by boolean indexing; the one-batch table over every
+    n must equal it bit for bit.  The contract is the bits of the batching,
+    not the kernel: the kernel is checked against return_map/jac_return
+    point by point in tests/test_singular_limit.py.
+    """
+    k, delta = params.k_omega, params.delta
+    consts = md._batch_constants(params, pert)
+    xs = np.linspace(0.0, TWO_PI, cm.LIMIT_GRID[0], endpoint=False)
+    h, dh = cm.family_from_model(params, pert).step(a, xs)
     rows = []
     for n in n_range:
         _, lam = cm.lambda_sequences(k, n, a)
-        cap = min(1.0, lam ** (delta - 1.0) * (1.0 + phi2max) ** delta)
-        xs = np.linspace(0.0, TWO_PI, cm.LIMIT_GRID[0], endpoint=False)
-        ys = np.linspace(0.0, cap, cm.LIMIT_GRID[1])
-        xg, yg = np.meshgrid(xs, ys, indexing="ij")
-        dk = cm.twist_of_lambda(k, lam) - (a + TWO_PI * n)
-
-        def diff1(x, ybar):
-            y = lam * ybar
-            ln_map = np.log(ybar + pert.phi2(x, y))
-            ln_lim = np.log(ybar + pert.phi2(x, ybar))
-            return lam * pert.phi1(x, y) + dk + k * (ln_lim - ln_map)
-
-        def comp2(x, ybar):
-            y = lam * ybar
-            return lam ** (delta - 1.0) * (ybar + pert.phi2(x, y)) ** delta
-
-        domain_ok = (yg + np.asarray(pert.phi2(xg, lam * yg))) > 0.0
-        excluded = int(np.sum(~domain_ok))
-        h = cm.FD_STEP
-        g0 = diff1(xg, yg)
-        gxp, gxm = diff1(xg + h, yg), diff1(xg - h, yg)
-        gyp, gym = diff1(xg, yg + h), diff1(xg, yg - h)
-        value_err = float(np.max(np.abs(g0[domain_ok])))
-        d1 = np.maximum(np.abs(gxp - gxm), np.abs(gyp - gym)) / (2.0 * h)
-        d1_err = float(np.max(d1[domain_ok]))
-        d2 = np.maximum(np.abs(gxp - 2.0 * g0 + gxm),
-                        np.abs(gyp - 2.0 * g0 + gym)) / (h * h)
-        d2_err = float(np.max(d2[domain_ok]))
-        second = comp2(xg, yg)
-        second_err = float(np.max(second[domain_ok]))
-        rows.append(cm.ConvergenceRow(n=n, lam=lam, value_err=value_err,
-                                      d1_err=d1_err, d2_err=d2_err,
-                                      second_comp_err=second_err,
-                                      excluded=excluded))
+        cap = min(1.0, lam ** (delta - 1.0) * (1.0 + pert.phi2_max()) ** delta)
+        xg, yg = np.meshgrid(xs, np.linspace(0.0, cap, cm.LIMIT_GRID[1]),
+                             indexing="ij")
+        new_x, new_y, j11, _, _, _, alive = (
+            v.reshape(xg.shape) for v in md.step_batch(
+                xg.ravel(), lam * yg.ravel(), lam, k, consts))
+        # excluded: y + lam*Phi2 <= 0, where step_batch reads Y as 1
+        ok = alive | (new_y > 1.0)
+        edge = ok[:, 0]
+        rows.append(cm.ConvergenceRow(
+            n=n, lam=lam,
+            value_err=float(np.max(md.circle_gap(new_x[:, 0], h)[edge])),
+            d1_err=float(np.max(np.abs(j11[:, 0] - dh)[edge])),
+            second_comp_err=float(np.max((new_y / lam)[ok])),
+            excluded=int(np.sum(~ok)),
+            twist_offset=cm.twist_of_lambda(k, lam) - (a + TWO_PI * n)))
     return rows
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -127,16 +128,19 @@ class TestH2H3:
     def test_reference_pass(self, ref_params, pert):
         v = au.audit_H2_H3(ref_params, pert)
         assert v.status == "PASS"
-        assert all(v.evidence["monotone"].values())
+        # every row of n = 3..12 at K_omega = 3 is predicted above the floor
+        assert v.evidence["judged_rows"] == 10
+        assert v.evidence["outside_bounds"] == []
 
     # lambda_(1,n)^5 leaves the normal floats at n = 12 for K_omega = 0.51
-    # and at n = 7 for 0.3; 0.25 keeps 3 rows, the fewest with a pair to
-    # check
+    # and at n = 7 for 0.3; 0.25 keeps 3 rows.  Every row is predicted below
+    # the floor (lambda_(1,3) = 1.3e-17 at K_omega = 0.51, the floor 5.7e-14)
     @pytest.mark.parametrize("k_omega, n_range", [
         (0.51, [3, 12]), (0.3, [3, 7]), (0.25, [3, 6])])
     def test_small_twist_cuts_the_n_range(self, pert, k_omega, n_range):
         v = au.audit_H2_H3(reference_params(omega=k_omega / 3.0), pert)
-        assert v.status in ("PASS", "FAIL")
+        assert v.status == "INCONCLUSIVE"
+        assert v.evidence["judged_rows"] == 0
         assert v.evidence["n_range"] == n_range
         assert [r["n"] for r in v.evidence["table"]] == list(range(*n_range))
         last, cut = (cm.lambda_sequences(k_omega, n, au.H2H3_A)[1] ** 5
@@ -151,6 +155,36 @@ class TestH2H3:
         assert v.status == "INCONCLUSIVE"
         assert v.evidence["n_range"] == n_range
         assert len(v.evidence["table"]) == n_range[1] - n_range[0]
+
+    @pytest.mark.parametrize("k_omega, status", [
+        (0.54, "INCONCLUSIVE"), (0.6, "INCONCLUSIVE"), (0.8, "INCONCLUSIVE"),
+        (1.0, "INCONCLUSIVE"), (1.5, "PASS"), (2.0, "PASS"), (8.0, "PASS"),
+        (11.0, "PASS"), (15.0, "FAIL")])
+    def test_status_by_twist(self, pert, k_omega, status):
+        """Rows predicted above the floor: 1 at K_omega = 0.8, 2 at 1.0,
+        4 at 1.5; at 15 the last row, lambda_(1,12) = 6.1e-3, is above
+        h2h3_final_tol and no row is outside its bounds."""
+        v = au.audit_H2_H3(reference_params(omega=k_omega / 3.0), pert)
+        assert v.status == status
+        assert v.evidence["outside_bounds"] == []
+
+    @pytest.mark.parametrize("k_omega", [5.0, 0.54])
+    @pytest.mark.parametrize("mutant", ["twist_sign", "xi", "section"])
+    def test_mutant_family_fails(self, pert, monkeypatch, k_omega, mutant):
+        """A limit family that is not the kernel's fails, also at
+        K_omega = 0.54, where no row is judged from below: the errors
+        exceed the upper bound predicted + floor."""
+        params = reference_params(omega=k_omega / 3.0)
+        family = cm.family_from_model(params, pert)
+        family = replace(family, **{
+            "twist_sign": {"k_omega": -family.k_omega},
+            "xi": {"xi": family.xi + 1e-3},
+            "section": {"phi2_section": TrigPoly(1.2, ((1, 0.0, 1.0),))},
+        }[mutant])
+        monkeypatch.setattr(cm, "family_from_model", lambda *_: family)
+        v = au.audit_H2_H3(params, pert)
+        assert v.status == "FAIL"
+        assert len(v.evidence["outside_bounds"]) >= 10
 
     def test_larger_twist_needs_more_n(self, pert):
         # lambda_n = exp(-2 pi n / K): larger K decays slower per step
@@ -320,16 +354,11 @@ class TestH7Arithmetic:
     def test_threshold_examples(self):
         assert au.h7_accepts_lambda0(2.2)          # exp(2.2/3) = 2.08 > 2
         assert not au.h7_accepts_lambda0(2.0)
-        assert cm.abundance_accepts_lambda0(0.9)   # e^0.9 = 2.46 > ln 10
-        assert not cm.abundance_accepts_lambda0(0.8)
 
     def test_boundary_exactness(self):
         lo = 3.0 * math.log(2.0)
         assert au.h7_accepts_lambda0(lo + 1e-12)
         assert not au.h7_accepts_lambda0(lo - 1e-12)
-        lo2 = math.log(math.log(10.0))
-        assert cm.abundance_accepts_lambda0(lo2 + 1e-12)
-        assert not cm.abundance_accepts_lambda0(lo2 - 1e-12)
 
     def test_matrix_part(self, family_k5):
         v = au.audit_H7(family_k5, 0.0, lambda0=2.2)

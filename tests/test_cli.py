@@ -254,15 +254,15 @@ class TestCommands:
                          "--out", str(out)]) == 0
         lines = [l.rstrip("\n") for l in open(out / "singular_limit.csv")
                  if not l.startswith("#")]
-        assert lines[0] == ("n,lambda,value_err,d1_err,d2_err,"
-                            "second_comp_err,excluded")
+        assert lines[0] == ("n,lambda,value_err,d1_err,second_comp_err,"
+                            "excluded,twist_offset")
         cfg = parse_config(open(cfgp).read())
         rows = cm.singular_limit_convergence(cfg.params, cfg.pert, 0.0,
                                              range(3, 6))
         assert lines[1:] == [
             ",".join((str(r.n), *(f"{v:.17g}" for v in (
-                r.lam, r.value_err, r.d1_err, r.d2_err, r.second_comp_err)),
-                      str(r.excluded)))
+                r.lam, r.value_err, r.d1_err, r.second_comp_err)),
+                      str(r.excluded), f"{r.twist_offset:.17g}"))
             for r in rows]
 
     @pytest.mark.parametrize("mode", ["circle", "annulus"])

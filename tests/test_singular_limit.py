@@ -3,12 +3,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scalar_reference as ref
+from bykovlab import audit as au
 from bykovlab import circlemap as cm
 from bykovlab.model import (TWO_PI, CylinderFunction, CylinderPoint,
-                            Perturbation, TrigPoly, reference_params,
-                            return_map)
+                            Perturbation, TrigPoly, jac_return,
+                            reference_params, return_map)
 
 
 class TestConvergenceTable:
@@ -16,7 +19,7 @@ class TestConvergenceTable:
     def test_monotone_decrease(self, ref_params, pert, a):
         rows = cm.singular_limit_convergence(ref_params, pert, a,
                                              range(4, 13))
-        for key in ("value_err", "d1_err", "d2_err", "second_comp_err"):
+        for key in ("value_err", "d1_err", "second_comp_err"):
             seq = [getattr(r, key) for r in rows]
             assert all(b < a_ for a_, b in zip(seq, seq[1:])), key
 
@@ -89,6 +92,45 @@ class TestArrayTable:
         assert rows[0].excluded > 0
         assert repr(rows) == repr(
             ref.singular_limit_convergence(params, p, 0.0, range(1, 6)))
+
+
+class TestFloatKernel:
+    @given(k_omega=st.floats(min_value=0.5, max_value=12.0),
+           a=st.floats(min_value=-3.0, max_value=3.0),
+           pair=st.sampled_from(["reference", "sloped"]))
+    @settings(max_examples=15, deadline=None)
+    def test_rows_match_return_map(self, pert, k_omega, a, pair):
+        """Each row against return_map and jac_return at every grid point
+        and the family's val and deriv, within H2/H3's floor: numpy's and
+        math's log and power may differ by an ULP."""
+        p = pert if pair == "reference" else ref.SLOPED
+        params = reference_params(omega=k_omega / 3.0)
+        family = cm.family_from_model(params, p)
+        ulps = au.THRESHOLDS["h2h3_floor_ulps"]
+        xs = np.linspace(0.0, TWO_PI, cm.LIMIT_GRID[0], endpoint=False)
+        h, dh = family.val(a, xs), family.deriv(xs)
+        top = (1.0 + p.phi2_max()) ** params.delta
+        n_range = cm.normal_strip_range(params, a, range(3, 7))
+        for row in cm.singular_limit_convergence(params, p, a, n_range):
+            at, lam = params.with_lambda(row.lam), row.lam
+            edge = [return_map(CylinderPoint(x, 0.0), at, p).x
+                    for x in xs.tolist()]
+            j11 = [jac_return(CylinderPoint(x, 0.0), at, p)[0][0]
+                   for x in xs.tolist()]
+            cap = min(1.0, lam ** (params.delta - 1.0) * top)
+            height = max(return_map(CylinderPoint(x, lam * ybar), at, p).y
+                         / lam for x in xs.tolist()
+                         for ybar in np.linspace(0.0, cap, cm.LIMIT_GRID[1]))
+            lifted = np.abs(family.lift(a + TWO_PI * row.n, xs)).max()
+            assert abs(row.value_err - np.max(cm.circle_gap(edge, h))) \
+                <= ulps * np.spacing(lifted)
+            assert abs(row.d1_err - np.max(np.abs(np.array(j11) - dh))) \
+                <= ulps * np.spacing(np.abs(dh).max())
+            assert abs(row.second_comp_err - height) \
+                <= ulps * np.spacing(height)
+            assert row.excluded == 0
+            twist = cm.twist_of_lambda(params.k_omega, lam)
+            assert row.twist_offset == twist - (a + TWO_PI * row.n)
 
 
 class TestLimitAgreement:
