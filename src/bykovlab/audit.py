@@ -134,9 +134,10 @@ def audit_H2_H3(params: ModelParams, pert: Perturbation) -> HypothesisVerdict:
     """Convergence of the return map at lambda_(a,n) to (h_a, 0).
 
     Tabulates the n of H2H3_N_RANGE up to the last whose strip scale
-    lambda_(a,n)^(delta-1) is a normal float (cm.normal_strip_range).  On
-    the ybar = 0 edge the kernel's angle and j11 differ from h_a and h' by
-    lam*Phi1(x, 0) and lam*Phi1_x(x, 0) up to rounding, so each error is
+    lambda_(a,n)^(delta-1) and height scale lambda_(a,n)^delta are normal
+    floats (cm.normal_strip_range).  On the ybar = 0 edge the kernel's
+    angle and j11 differ from h_a and h' by lam*Phi1(x, 0) and
+    lam*Phi1_x(x, 0) up to rounding, so each error is
     predicted: lam times the grid max of |Phi1| (|Phi1_x|) of the pair's
     TrigPoly, within a floor of h2h3_floor_ulps ULPs of the largest |lift|
     of h_(a+2*pi*n) (of max |h'|).  FAIL if an error exceeds predicted +

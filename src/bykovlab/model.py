@@ -5,16 +5,19 @@ height y in [-1, 1].  The return map eta o psi_21 follows the perturbed
 global transition psi_21(x, y) = (x + xi + lam*Phi1, y + lam*Phi2) by the
 passage past both saddle-foci, eta(X, Y) = (X - K_omega ln Y, Y^delta).  The
 pair is one coefficient table, Perturbation._table, with a value row and an
-x-derivative row per trig polynomial.  Two backends read it.  The float
-kernel, Perturbation._kernel, is compiled from its float rows on first use
-into straight-line Python with the coefficients as literals: `image` steps
-one orbit's map and `step` adds its Jacobian; return_map, jac_return and
-orbits.rotation_set_2d call them.  The array kernel, step_batch and
-image_batch, steps many orbits at once with lam and K_omega given per
-orbit.  The factored maps (each local passage, eta, psi_21 and their
-Jacobians), the finite-difference Jacobian and the interpretive loops the
-float kernel matches bit for bit are test references in
-tests/scalar_reference.py.
+x-derivative row per trig polynomial.  Two kernels are compiled from it on
+first use, by one source generator (_kernel_lines), into straight-line code
+with the coefficients as literals.  The float kernel, Perturbation._kernel,
+runs on Python floats: `image` steps one orbit's map and `step` adds its
+Jacobian; return_map, jac_return and orbits.rotation_set_2d call them.  The
+array kernel, Perturbation._array_kernel, steps many orbits at once with lam
+and K_omega given per orbit: `image` writes each step's image, cos, sin and
+Y = y + lam*Phi2 into caller buffers, and `jac` turns stored cos, sin and Y
+into Jacobians; step_batch runs both, and orbits._lockstep steps its blocks
+on them.  The factored maps (each local passage, eta, psi_21 and their
+Jacobians), the finite-difference Jacobian, the interpretive loops the
+float kernel matches bit for bit and the array kernel that read the
+table's columns are test references in tests/scalar_reference.py.
 """
 
 from __future__ import annotations
@@ -283,31 +286,24 @@ class Perturbation:
         """The pair's one coefficient table, built on first use.
 
         Each trig polynomial gets a value row and an x-derivative row:
-        Phi1's and Phi2's bases first (rows 0-3: Phi1, Phi1_x, Phi2, Phi2_x
-        at y = 0), then the slopes that exist.  Column 0 holds the
-        constants, and columns 2h+1, 2h+2 the coefficients of cos(kx),
-        sin(kx) for the h-th of the sorted distinct harmonics k: (ck, sk)
-        on a value row, (k*sk, -k*ck) on a derivative row, the terms of a
-        repeated harmonic added.  Both kernels add a row's terms in column
-        order, so from the same cos and sin they give the same rows.
+        Phi1's and Phi2's bases first, then the slopes that exist.  Column
+        0 holds the constants, and columns 2h+1, 2h+2 the coefficients of
+        cos(kx), sin(kx) for the h-th of the sorted distinct harmonics k:
+        (ck, sk) on a value row, (k*sk, -k*ck) on a derivative row, the
+        terms of a repeated harmonic added.
 
-        Returns (floats, arrays).  floats, for the float kernel, is
-        (harmonics, phi1, phi2): per profile the rows (value, x-derivative,
-        slope value, slope x-derivative), each (constant, ((trig index,
-        coefficient), ...)) over its nonzero columns, with trig the list
-        [cos k1x, sin k1x, cos k2x, ...]; a missing slope's rows are None.
-        arrays, for the array kernel, is (harmonics, rows, value_rows):
-        rows = (const, cos, sin, slopes) with const the (R, 1) constant
-        column, cos and sin per harmonic an (R, 1) coefficient column, and
-        slopes a (profile index, row of its slope's value) pair per profile
-        with a slope; value_rows is the same over the value rows only (rows
-        0-1: Phi1, Phi2 at y = 0), for image_batch.
+        Returns (harmonics, phi1, phi2): per profile the rows (value,
+        x-derivative, slope value, slope x-derivative), each (constant,
+        ((trig index, coefficient), ...)) over its nonzero columns, with
+        trig the list [cos k1x, sin k1x, cos k2x, ...]; a missing slope's
+        rows are None.  Both kernels are compiled from it and add a row's
+        terms in column order.
         """
         polys = [self.phi1.base, self.phi2.base]
-        slopes = []
+        slopes = {}
         for profile, fn in enumerate((self.phi1, self.phi2)):
             if fn.slope is not None:
-                slopes.append((profile, 2 * len(polys)))
+                slopes[profile] = 2 * len(polys)
                 polys.append(fn.slope)
         harmonics = tuple(sorted({k for tp in polys for k, _, _ in tp.terms}))
         table = np.zeros((2 * len(polys), 1 + 2 * len(harmonics)))
@@ -319,28 +315,25 @@ class Perturbation:
                 table[2 * p + 1, h:h + 2] += k * sk, -k * ck
         rows = [(c0, tuple((j, a) for j, a in enumerate(coef) if a != 0.0))
                 for c0, *coef in table.tolist()]
-        slope_row = dict(slopes)
 
         def profile_rows(p):
-            s = slope_row.get(p)
+            s = slopes.get(p)
             return (rows[2 * p], rows[2 * p + 1],
                     *((None, None) if s is None else rows[s:s + 2]))
 
-        def columns(t):
-            cols = t.T.copy()[..., None]  # a contiguous (R, 1) per column
-            return cols[0], tuple(cols[1::2]), tuple(cols[2::2])
-
-        return ((harmonics, profile_rows(0), profile_rows(1)),
-                (harmonics, (*columns(table), tuple(slopes)),
-                 (*columns(table[::2]),
-                  tuple((p, s // 2) for p, s in slopes))))
+        return harmonics, profile_rows(0), profile_rows(1)
 
     @functools.cached_property
     def _kernel(self) -> tuple:
-        """The float kernel (image, step) of _float_kernel, compiled from
-        the float rows of _table on first use (the first return_map call),
-        once per Perturbation."""
-        return _float_kernel(self._table[0])
+        """The float kernel (image, step) of _float_kernel, built from
+        _table on first use (the first return_map call)."""
+        return _float_kernel(self._table)
+
+    @functools.cached_property
+    def _array_kernel(self) -> tuple:
+        """The array kernel (image, jac) of _array_kernel, built from
+        _table on first use."""
+        return _array_kernel(self._table)
 
 
 def reference_perturbation() -> Perturbation:
@@ -386,16 +379,64 @@ def _row_source(row) -> str:
 
     The terms are summed left to right from the constant, as _row sums
     them; the temporary of column c is named c<c> (the cos or sin that
-    trig index c - 1 holds), and every coefficient enters as its repr.
+    trig index c - 1 holds), and every coefficient enters as its repr,
+    but a coefficient 1.0, whose product is exact, is left out.
     """
     c0, terms = row
-    return " + ".join([repr(c0)] + [f"{a!r} * c{j + 1}" for j, a in terms])
+    return " + ".join([repr(c0)] + [f"c{j + 1}" if a == 1.0 else
+                                    f"{a!r} * c{j + 1}" for j, a in terms])
+
+
+_KERNEL_NAMES = {  # what the source of each kernel calls
+    "float": {"cos": math.cos, "sin": math.sin, "log": math.log,
+              "EscapeError": EscapeError, "CylinderPoint": CylinderPoint},
+    "array": {"cos": np.cos, "sin": np.sin, "log": np.log, "add": np.add,
+              "subtract": np.subtract, "power": np.power, "copyto": np.copyto,
+              "count_nonzero": np.count_nonzero}}
+
+
+@functools.lru_cache(maxsize=256)
+def _compiled(source: str, kernel: str) -> dict:
+    """The namespace of one kernel's source, executed once per distinct
+    source text: equal pairs, such as those of repeated runs of one
+    config, share their compiled functions."""
+    namespace = {**_KERNEL_NAMES[kernel], "inf": math.inf, "nan": math.nan}
+    exec(compile(source, f"<bykovlab {kernel} kernel>", "exec"), namespace)
+    return namespace
+
+
+def _kernel_lines(floats: tuple, trig_call) -> tuple:
+    """The source both kernels share: (trig, slopes, value).
+
+    trig holds one line per cos and sin, trig_call(name, angle, index)
+    giving its call; slopes the lines that name each slope's value row
+    q1 (Phi1) or q2 (Phi2); value(p, row) the source of profile p's row
+    (0: value, 1: x-derivative) at (x, y), its slope's row added y times.
+    """
+    harmonics, *profiles = floats
+    trig = []
+    for h, k in enumerate(harmonics):
+        kx = "x" if k == 1 else f"{float(k)!r} * x"
+        for j, fn in ((2 * h, "cos"), (2 * h + 1, "sin")):
+            trig.append(f"    c{j + 1} = {trig_call(fn, kx, j)}")
+    slopes = [f"    q{p} = {_row_source(rows[2])}"
+              for p, rows in enumerate(profiles, 1) if rows[2] is not None]
+
+    def value(p, row):
+        rows = profiles[p - 1]
+        out = _row_source(rows[row])
+        if rows[2] is None:
+            return out
+        slope = f"({_row_source(rows[row + 2])})" if row else f"q{p}"
+        return f"({out}) + y * {slope}"
+
+    return trig, slopes, value
 
 
 def _float_kernel(floats: tuple) -> tuple:
     """Compile the float kernel of one table: the pair (image, step).
 
-    `floats` is Perturbation._table's float half.  Both functions take
+    `floats` is Perturbation._table.  Both functions take
     (x, y, (lam, xi, k_omega, delta)) and are straight-line Python with
     the table's nonzero coefficients as literals: one cos and one sin per
     harmonic, each row summed in column order, so they run the float
@@ -407,29 +448,18 @@ def _float_kernel(floats: tuple) -> tuple:
     when Y = y + lam*Phi2 <= 0 or the image height leaves the strip
     |y| <= 1.
     """
-    harmonics, phi1, phi2 = floats
-    head = ["    lam, xi, k_omega, delta = s"]
-    for h, k in enumerate(harmonics):
-        kx = "x" if k == 1 else f"{float(k)!r} * x"
-        head += [f"    c{2 * h + 1} = cos({kx})", f"    c{2 * h + 2} = sin({kx})"]
-    slopes = [f"    q{p} = {_row_source(rows[2])}"
-              for p, rows in ((1, phi1), (2, phi2)) if rows[2] is not None]
-
-    def value(p, rows, row):  # a profile's row plus y times its slope's
-        out = _row_source(rows[row])
-        if rows[2] is None:
-            return out
-        slope = f"({_row_source(rows[row + 2])})" if row else f"q{p}"
-        return f"({out}) + y * {slope}"
-
+    phi1, phi2 = floats[1:]
+    trig, slopes, value = _kernel_lines(
+        floats, lambda fn, kx, j: f"{fn}({kx})")
+    head = ["    lam, xi, k_omega, delta = s", *trig]
     height = [  # Y, the new height and the escape checks
-        f"    big_y = y + lam * ({value(2, phi2, 0)})",
+        f"    big_y = y + lam * ({value(2, 0)})",
         "    if big_y <= 0.0:",
         "        raise EscapeError(CylinderPoint(x, y))",
         "    new_y = big_y ** delta",
         "    if new_y > 1.0:",
         "        raise EscapeError(CylinderPoint(x, y))"]
-    new_x = f"x + xi + lam * ({value(1, phi1, 0)}) - k_omega * log(big_y)"
+    new_x = f"x + xi + lam * ({value(1, 0)}) - k_omega * log(big_y)"
     f1y, f2y = ("0.0" if rows[2] is None else f"q{p}"
                 for p, rows in ((1, phi1), (2, phi2)))
     source = "\n".join([
@@ -438,73 +468,84 @@ def _float_kernel(floats: tuple) -> tuple:
         "def step(x, y, s):", *head, *slopes, *height,
         "    e12 = -k_omega / big_y",
         "    e22 = delta * big_y ** (delta - 1.0)",
-        f"    p21 = lam * ({value(2, phi2, 1)})",
+        f"    p21 = lam * ({value(2, 1)})",
         f"    p22 = 1.0 + lam * {f2y}",
         f"    return ({new_x}, new_y,",
-        f"            1.0 + lam * ({value(1, phi1, 1)}) + e12 * p21,",
+        f"            1.0 + lam * ({value(1, 1)}) + e12 * p21,",
         f"            lam * {f1y} + e12 * p22, e22 * p21, e22 * p22)", ""])
-    namespace = {"cos": math.cos, "sin": math.sin, "log": math.log,
-                 "inf": math.inf, "nan": math.nan, "EscapeError": EscapeError,
-                 "CylinderPoint": CylinderPoint}
-    exec(compile(source, "<bykovlab float kernel>", "exec"), namespace)
+    namespace = _compiled(source, "float")
     return namespace["image"], namespace["step"]
 
 
+def _array_kernel(floats: tuple) -> tuple:
+    """Compile the array kernel of one table: the pair (image, jac).
+
+    The float kernel's rows, from the same source (_kernel_lines), run on
+    numpy arrays with lam and K_omega given per orbit (arrays or floats):
+
+    - image(x, y, lam, k_omega, xi, delta, new_x, new_y, big_y, trig,
+      escapes) returns (unwrapped new angles, new heights, alive, Y, trig)
+      with Y = y + lam*Phi2 and trig the tuple (cos k1x, sin k1x, ...).
+      The optional arrays new_x, new_y, big_y and the tuple trig receive
+      those results in place (out=), so a caller can step orbits straight
+      into its own buffers.  Where Y <= 0, Y is read as 1, so that
+      everything computed from it stays finite; `alive` is False there and
+      where the new height exceeds 1.  With escapes=False neither is done
+      and `alive` is None: a caller that tests Y > 0 and the new height
+      <= 1 itself saves the checks of every step.
+    - jac(trig, y, big_y, lam, k_omega, delta) returns (j11, j12, j21,
+      j22) of the steps from (x, y) whose cos, sin and Y image returned,
+      so the Jacobian of a stored stretch of orbit costs no second cos,
+      sin or log.  With D eta = [[1, e12], [0, e22]] and e12 = -r, the
+      float step's a + e12*p equals a - r*p exactly; without slopes
+      p22 = 1 and lam*Phi1_y = 0.
+
+    Every sum runs in the float kernel's order, so only numpy's cos, sin,
+    log and power (which may differ from math's by an ULP) separate the
+    two kernels.
+    """
+    phi1, phi2 = floats[1:]
+    trig, slopes, value = _kernel_lines(
+        floats, lambda fn, kx, j: f"{fn}({kx}, out=trig[{j}])")
+    names = "".join(f"c{j + 1}, " for j in range(len(trig)))
+    if not any(rows[2] is not None for rows in (phi1, phi2)):
+        jac = ["    return j11, -r, e22 * lf3, e22"]
+    else:
+        p22 = "1.0" if phi2[2] is None else "1.0 + lam * q2"
+        j12 = "-(r * p22)" if phi1[2] is None else "lam * q1 - r * p22"
+        jac = [f"    p22 = {p22}",
+               f"    return j11, {j12}, e22 * lf3, e22 * p22"]
+    source = "\n".join([
+        "def image(x, y, lam, k_omega, xi, delta, new_x=None, new_y=None,",
+        f"          big_y=None, trig={(None,) * len(trig)}, escapes=True):",
+        *trig, *slopes,
+        f"    big_y = add(y, lam * ({value(2, 0)}), out=big_y)",
+        "    alive = None",
+        "    if escapes:",
+        "        alive = big_y > 0.0",
+        "        if count_nonzero(alive) < alive.size:",
+        "            copyto(big_y, 1.0, where=~alive)",
+        "    new_y = power(big_y, delta, out=new_y)",
+        "    if escapes:",
+        "        alive &= new_y <= 1.0",
+        f"    new_x = subtract(x + xi + lam * ({value(1, 0)}),",
+        "                     k_omega * log(big_y), out=new_x)",
+        f"    return new_x, new_y, alive, big_y, ({names})",
+        "def jac(trig, y, big_y, lam, k_omega, delta):",
+        f"    {names}= trig" if trig else "", *slopes,
+        "    r = k_omega / big_y",
+        "    e22 = delta * big_y ** (delta - 1.0)",
+        f"    lf3 = lam * ({value(2, 1)})",
+        f"    j11 = 1.0 + lam * ({value(1, 1)}) - r * lf3",
+        *jac, ""])
+    namespace = _compiled(source, "array")
+    return namespace["image"], namespace["jac"]
+
+
 def _batch_constants(params: ModelParams, pert: Perturbation) -> tuple:
-    """Everything the array kernel reads but the per-orbit lam and K_omega."""
-    return (params.xi, params.delta) + pert._table[1]
-
-
-def _pair_rows(x: np.ndarray, y: np.ndarray, harmonics: tuple, table: tuple,
-               width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of one array table of Perturbation._table at the orbits.
-
-    Returns (f, v): v holds every row at y = 0, and f the first 2*width
-    rows (`width` rows per profile: its value, then its x-derivative if
-    width is 2) with each slope's rows added y times.
-    """
-    const, cos_coef, sin_coef, slopes = table
-    v = const
-    for k, a, b in zip(harmonics, cos_coef, sin_coef):
-        kx = x if k == 1 else k * x
-        v = v + a * np.cos(kx) + b * np.sin(kx)
-    f = v[:2 * width]
-    if slopes:
-        f = f.copy()
-        for profile, row in slopes:
-            f[width * profile:width * (profile + 1)] += y * v[row:row + width]
-    return f, v
-
-
-def _batch_image(x: np.ndarray, y: np.ndarray, lam_f1: np.ndarray,
-                 lam_f2: np.ndarray, k_omega, xi: float,
-                 delta: float) -> tuple[np.ndarray, ...]:
-    """The array copy of the return-map arithmetic, from lam*Phi1, lam*Phi2.
-
-    Returns (unwrapped new angles, new heights, alive, Y) with
-    Y = y + lam*Phi2, set to 1 where it is not positive so that everything
-    computed from it stays finite.
-    """
-    big_y = y + lam_f2
-    alive = big_y > 0.0
-    if np.count_nonzero(alive) < alive.size:
-        big_y = np.where(alive, big_y, 1.0)
-    new_y = big_y ** delta
-    alive &= new_y <= 1.0
-    return x + xi + lam_f1 - k_omega * np.log(big_y), new_y, alive, big_y
-
-
-def image_batch(x: np.ndarray, y: np.ndarray, lam, k_omega,
-                consts: tuple) -> tuple[np.ndarray, ...]:
-    """The image half of step_batch: many orbits' images, no Jacobian.
-
-    Returns (unwrapped new angles, new heights, alive), equal bit for bit
-    to those of step_batch with the same arguments.  Only the value rows
-    of the pair are evaluated.
-    """
-    xi, delta, harmonics, _, values = consts
-    lf = lam * _pair_rows(x, y, harmonics, values, 1)[0]
-    return _batch_image(x, y, lf[0], lf[1], k_omega, xi, delta)[:3]
+    """Everything step_batch reads but the per-orbit lam and K_omega:
+    (xi, delta, image, jac), the last two the pair's array kernel."""
+    return (params.xi, params.delta) + pert._array_kernel
 
 
 def step_batch(x: np.ndarray, y: np.ndarray, lam, k_omega,
@@ -514,35 +555,14 @@ def step_batch(x: np.ndarray, y: np.ndarray, lam, k_omega,
 
     Returns (unwrapped new angles, new heights, j11, j12, j21, j22, alive);
     `consts` comes from _batch_constants and `lam`, `k_omega` are arrays or
-    floats.  The pair is evaluated as rows (value and x-derivative of each
-    profile) from the table the float kernel is compiled from, and the
-    image comes from the same arithmetic as image_batch's, which is the
-    cheaper call where the Jacobian is not needed.  Every sum runs in the
-    float kernel's order, so only numpy's cos, sin, log and power (which
-    may differ from math's by an ULP) separate the two.  Where the float
-    kernel raises EscapeError, `alive` is False and the other entries are
-    finite but meaningless.
+    floats.  The array kernel's image and then its Jacobian, from the
+    image's own cos, sin and Y.  Where the float kernel raises
+    EscapeError, `alive` is False and the other entries are finite but
+    meaningless.
     """
-    xi, delta, harmonics, rows, _ = consts
-    slopes = rows[3]
-    f, v = _pair_rows(x, y, harmonics, rows, 2)
-    fy = [None, None]  # each profile's slope, Phi_y
-    for profile, row in slopes:
-        fy[profile] = v[row]
-    f1y, f2y = fy
-    lf = lam * f  # rows: lam*Phi1, lam*Phi1_x, lam*Phi2, lam*Phi2_x
-    new_x, new_y, alive, big_y = _batch_image(x, y, lf[0], lf[2], k_omega,
-                                              xi, delta)
-    # D eta = [[1, e12], [0, e22]] with e12 = -r; the float step's a + e12*p
-    # equals a - r*p exactly, and without slopes p22 = 1 and lam*Phi1_y = 0
-    r = k_omega / big_y
-    e22 = delta * big_y ** (delta - 1.0)
-    j11 = 1.0 + lf[1] - r * lf[3]
-    if not slopes:
-        return new_x, new_y, j11, -r, e22 * lf[3], e22, alive
-    p22 = 1.0 if f2y is None else 1.0 + lam * f2y
-    j12 = -(r * p22) if f1y is None else lam * f1y - r * p22
-    return new_x, new_y, j11, j12, e22 * lf[3], e22 * p22, alive
+    xi, delta, image, jac = consts
+    new_x, new_y, alive, big_y, trig = image(x, y, lam, k_omega, xi, delta)
+    return (new_x, new_y, *jac(trig, y, big_y, lam, k_omega, delta), alive)
 
 
 def return_map(p: CylinderPoint, params: ModelParams, pert: Perturbation) -> CylinderPoint:
@@ -578,7 +598,7 @@ def det_jac_return(p, params: ModelParams, pert: Perturbation) -> float:
     """
     x, y = p
     lam, delta = params.lam, params.delta
-    harmonics, phi1, phi2 = pert._table[0]
+    harmonics, phi1, phi2 = pert._table
     trig = [f(k * x) for k in harmonics for f in (math.cos, math.sin)]
 
     def partials(value, dx, slope, dslope):  # Phi, Phi_x, Phi_y at (x, y)

@@ -15,8 +15,7 @@ import numpy as np
 
 from .model import (TWO_PI, CylinderPoint, EscapeError, ModelParams,
                     OrbitRecord, Perturbation, _batch_constants, circle_gap,
-                    image_batch, jac_return, return_map, step_batch,
-                    wrap_angle, wrap_angles)
+                    jac_return, return_map, wrap_angle)
 
 SATURATION = -50.0  # per-iterate log-contraction below this is reported as saturated
 RECURRENCE_TOL = 1e-8  # period detection: recurrence distance of a sink
@@ -27,6 +26,7 @@ LYAPUNOV_CAP = 20_000  # classify_batch: most Lyapunov steps, whatever n_iter
 ROTATION_CAP = 2_000   # classify_batch: most lift steps per rotation seed
 QR_CADENCE = 10        # steps between QR renormalizations
 RECORD_CAP = 4_000_000  # classify_batch: most orbit points held at once
+BLOCK_POINTS = 4096    # _lockstep: orbit points per block of steps
 SINK_SETTLE = 400      # confirm_cycle: return-map steps before the cycle is read
 CHI_THRESH = 5e-3      # _label: chi1 bound of chaos and of neutrality
 CURVE_THRESH = 0.02    # _label: orbit thickness below this is a closed curve
@@ -317,113 +317,173 @@ def _gram_schmidt_batch(p11, p12, p21, p22, logdet):
             d1, logdet - d1)
 
 
+def _lyapunov_block(jacobians: tuple, u0: int, n_lyap: int, sums: np.ndarray,
+                    prod: np.ndarray, escapes: dict) -> dict:
+    """Fold the Jacobians of measured steps u0, u0+1, ... into the run.
+
+    jacobians holds (j11, j12, j21, j22), each of shape (steps, orbits),
+    and u0 is a multiple of QR_CADENCE.  sums (rows l1, l2, logdet,
+    batch_ld, as in lyapunov) and the products prod[i, j] = p_(i+1)(j+1)
+    are updated in place.  escapes maps an orbit to the measured step of
+    this block at which it escaped; returns its LyapunovEstimate, read
+    from the state before that step.  Every sum adds in step order, as
+    lyapunov does: logdet by np.cumsum, batch_ld one renormalization
+    interval's column at a time for all intervals at once; the products
+    are folded one step at a time and renormalized every QR_CADENCE steps.
+    """
+    j11, j12, j21, j22 = jacobians
+    k, m = j11.shape
+    ld = np.log(np.abs(j11 * j22 - j12 * j21))
+    ld[~np.isfinite(ld)] = SATURATION * 2.0
+    logdets = np.cumsum(np.concatenate((sums[2][None], ld)), axis=0)
+    batch = np.zeros((-(-k // QR_CADENCE), QR_CADENCE, m))
+    batch.reshape(-1, m)[:k] = ld  # batch[g, r]: batch_ld after step r of g
+    for r in range(1, QR_CADENCE):
+        batch[:, r] += batch[:, r - 1]
+    jac = np.empty((k, 2, 2, 1, m))
+    jac[:, 0, 0, 0], jac[:, 0, 1, 0], jac[:, 1, 0, 0], jac[:, 1, 1, 0] = (
+        j11, j12, j21, j22)
+    terms = np.empty((2, 2, 2, m))  # terms[i, j] = J[i, j] * P[j]
+    at = {}
+    for c, u in escapes.items():
+        at.setdefault(u - u0, []).append(c)
+    out = {}
+    for u in range(k):
+        for c in at.get(u, ()):
+            g, r = divmod(u, QR_CADENCE)
+            out[c] = _lyapunov_estimate(
+                float(sums[0, c]), float(sums[1, c]), float(logdets[u, c]),
+                float(batch[g, r - 1, c]) if r else 0.0,
+                tuple(prod[:, :, c].ravel().tolist()), u0 + u, n_lyap, u0 + u)
+        np.multiply(jac[u], prod, out=terms)
+        np.add(terms[:, 0], terms[:, 1], out=prod)
+        if (u + 1) % QR_CADENCE == 0:
+            p11, p12, p21, p22, d1, d2 = _gram_schmidt_batch(
+                *prod.reshape(4, m), batch[u // QR_CADENCE, -1])
+            prod[0, 0], prod[0, 1], prod[1, 0], prod[1, 1] = p11, p12, p21, p22
+            sat = SATURATION * QR_CADENCE
+            sums[0] += np.where(np.isfinite(d1), d1, sat)
+            sums[1] += np.where(np.isfinite(d2), d2, sat)
+    sums[2] = logdets[-1]
+    sums[3] = batch.reshape(-1, m)[k - 1] if k % QR_CADENCE else 0.0
+    return out
+
+
 def _lockstep(params: list, pert: Perturbation, budget: Budget) -> list:
     """Follow one orbit per cell, all cells in lockstep on the array kernel.
 
     Cell c's orbit starts at (0.5, lam_c), inside the absorbing annulus, and
     runs B = burn_in steps, then n = n_iter recorded steps (points[0..n]),
-    both through image_batch, then the L = min(n, LYAPUNOV_CAP) steps of
-    the Lyapunov run from points[n] through step_batch.  The rotation seeds
-    points[0], points[(n+1)//2] and points[n] each lift the next
-    R = min(ROTATION_CAP, n) steps of the same orbit.  Per cell: None if the orbit escaped before points[n], else
-    (points[first:] as in _recorded_range, the LyapunovEstimate, the
+    then the L = min(n, LYAPUNOV_CAP) steps of the Lyapunov run from
+    points[n].  The rotation seeds points[0], points[(n+1)//2] and
+    points[n] each lift the next R = min(ROTATION_CAP, n) steps of the
+    same orbit.  Per cell: None if the orbit escaped before points[n],
+    else (points[first:] as in _recorded_range, the LyapunovEstimate, the
     rotation numbers of the seeds whose R steps did not escape).
+
+    Each step advances every orbit by the array kernel's image alone,
+    written with its cos, sin and Y into the buffers of a block of about
+    BLOCK_POINTS points, and wraps the new angle into the buffer as
+    wrap_angle does (a negative remainder, which is rare, is found after
+    the block and the steps after it are run again).  Once per block,
+    array passes over the block find the escapes, copy out the recorded
+    points, add up the seeds' lift steps and, in the Lyapunov run, compute
+    the block's Jacobians and log-determinants and fold them into the
+    QR-renormalized products (Benettin et al. 1980); Lyapunov blocks start
+    at multiples of QR_CADENCE steps.  Every sum adds in step order, so
+    every float is the one the per-step loop in tests/scalar_reference.py
+    gives.  An orbit's results are read at the step of its escape, and at
+    the end of that block it is parked on (0, 1) with lam = K_omega = 0,
+    where it stays finite and never escapes.
     """
     burn, n = budget.burn_in, budget.n_iter
     n_lyap, n_rot = min(n, LYAPUNOV_CAP), min(ROTATION_CAP, n)
     first, half = _recorded_range(n)
-    rec0, lyap0 = burn + first, burn + n
+    rec0, lyap0, end = burn + first, burn + n, burn + n + n_lyap
     seed_starts = (burn, burn + half, burn + n)
-    # at each step where it changes, the range of seeds whose R lift steps
-    # include that step
-    windows = {t: (sum(t >= s + n_rot for s in seed_starts),
-                   sum(t >= s for s in seed_starts))
-               for s0 in seed_starts for t in (s0, s0 + n_rot)}
-    consts = _batch_constants(params[0], pert)
+    xi, delta, image, jac = _batch_constants(params[0], pert)
     m = len(params)
     lam = np.array([p.lam for p in params])
     k_omega = np.array([p.k_omega for p in params])
-    x, y = np.full(m, wrap_angle(0.5)), lam.copy()
-    cols = np.arange(m)  # the cell of each live orbit
+    lam_k, k_k = lam.copy(), k_omega.copy()  # the kernel's: 0 once parked
+    size = QR_CADENCE * min(max(1, BLOCK_POINTS // (QR_CADENCE * m)),
+                            -(-end // QR_CADENCE))  # steps per block
+    xs, ys = np.empty((size + 1, m)), np.empty((size + 1, m))
+    xn, big_y = np.empty((size, m)), np.empty((size, m))
+    trig = np.empty((len(pert._table[0]) * 2, size, m))
+    # step i of a block: the image of (xs[i], ys[i]) into xn[i], ys[i + 1],
+    # big_y[i], trig[:, i], and the remainder of xn[i] by 2pi into xs[i + 1]
+    calls = [((xs[i], ys[i], lam_k, k_k, xi, delta, xn[i], ys[i + 1],
+               big_y[i], tuple(trig[:, i]), False), (xn[i], TWO_PI, xs[i + 1]))
+             for i in range(size)]
+    xs[0], ys[0] = wrap_angle(0.5), lam
     rec_x, rec_y = np.empty((n + 1 - first, m)), np.empty((n + 1 - first, m))
-    # per live orbit: the Jacobian product's rows (p11, p12) and (p21, p22),
-    # lyapunov's sums (l1, l2, logdet, batch_ld) and each seed's lift
-    prod0 = np.repeat([[1.0], [0.0]], m, axis=1)
-    prod1 = np.repeat([[0.0], [1.0]], m, axis=1)
-    sums = np.zeros((4, m))
-    disp = np.zeros((3, m))
-    escaped = np.zeros(m, dtype=bool)
-    seed_ok = np.ones((3, m), dtype=bool)
-    final_disp = np.zeros((3, m))
-    estimates = [None] * m
-
-    def finish(pos: int, escaped_at: int | None) -> None:
-        c = cols[pos]
-        l1, l2, logdet, batch_ld = sums[:, pos].tolist()
-        done = n_lyap if escaped_at is None else escaped_at
-        estimates[c] = _lyapunov_estimate(
-            l1, l2, logdet, batch_ld,
-            (*prod0[:, pos].tolist(), *prod1[:, pos].tolist()),
-            done, n_lyap, escaped_at)
-        final_disp[:, c] = disp[:, pos]
-
-    lo = hi = 0
+    escape = {}  # cell: the step at which its orbit escaped
+    disp, final_disp = np.zeros((3, m)), np.zeros((3, m))
+    # the Lyapunov run's sums (l1, l2, logdet, batch_ld) and product P,
+    # P[i, j] = p_(i+1)(j+1), and the estimates of the orbits it lost
+    sums, prod = np.zeros((4, m)), np.zeros((2, 2, m))
+    prod[0, 0] = prod[1, 1] = 1.0
+    estimates = {}
+    blocks = [(t, min(t + size, lyap0)) for t in range(0, lyap0, size)]
+    blocks += [(t, min(t + size, end)) for t in range(lyap0, end, size)]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for t in range(lyap0 + n_lyap):
-            if rec0 <= t <= lyap0:
-                if cols.size == m:
-                    rec_x[t - rec0], rec_y[t - rec0] = x, y
-                else:
-                    rec_x[t - rec0, cols], rec_y[t - rec0, cols] = x, y
-            if t < lyap0:
-                xn, yn, alive = image_batch(x, y, lam, k_omega, consts)
-                jac = ()
-            else:
-                xn, yn, *jac, alive = step_batch(x, y, lam, k_omega, consts)
-            if np.count_nonzero(alive) < alive.size:
-                for pos in np.flatnonzero(~alive).tolist():
-                    if t < lyap0:
-                        escaped[cols[pos]] = True
-                        continue
-                    finish(pos, t - lyap0)
-                    for j, start in enumerate(seed_starts):
-                        seed_ok[j, cols[pos]] = t >= start + n_rot
-                x, y, lam, k_omega, cols, xn, yn, *jac = (
-                    v[alive] for v in (x, y, lam, k_omega, cols, xn, yn, *jac))
-                prod0, prod1, sums, disp = (v[:, alive] for v in
-                                            (prod0, prod1, sums, disp))
-                if not cols.size:
+        for t0, t1 in blocks:
+            k = t1 - t0
+            i = 0
+            while True:
+                for args, remainder in calls[i:k]:
+                    image(*args)
+                    np.fmod(*remainder)
+                # a negative remainder (rare): wrap it as wrap_angle does
+                # and step the rest of the block again from there
+                neg = np.flatnonzero((xs[i + 1:k + 1] < 0.0).any(axis=1))
+                if not neg.size:
                     break
-            if t in windows:
-                lo, hi = windows[t]
-            if hi > lo:
-                disp[lo:hi] += xn - x
-            if jac:
-                j11, j12, j21, j22 = jac
-                ld = np.log(np.abs(j11 * j22 - j12 * j21))
-                sums[2:] += np.where(np.isfinite(ld), ld, SATURATION * 2.0)
-                prod0, prod1 = (j11 * prod0 + j12 * prod1,
-                                j21 * prod0 + j22 * prod1)
-                if (t + 1 - lyap0) % QR_CADENCE == 0:
-                    p11, p12, p21, p22, d1, d2 = _gram_schmidt_batch(
-                        *prod0, *prod1, sums[3])
-                    prod0, prod1 = np.array([p11, p12]), np.array([p21, p22])
-                    sat = SATURATION * QR_CADENCE
-                    sums[0] += np.where(np.isfinite(d1), d1, sat)
-                    sums[1] += np.where(np.isfinite(d2), d2, sat)
-                    sums[3] = 0.0
-            x, y = wrap_angles(xn), yn
-    for pos in range(cols.size):
-        finish(pos, None)
+                i += int(neg[0]) + 1
+                w = xs[i]
+                w[w < 0.0] += TWO_PI
+                w[w >= TWO_PI] = 0.0
+            alive = (big_y[:k] > 0.0) & (ys[1:k + 1] <= 1.0)
+            dead = np.flatnonzero(~alive.all(axis=0))
+            escape.update(zip(dead.tolist(),
+                              (t0 + alive[:, dead].argmin(axis=0)).tolist()))
+            if t0 <= lyap0 and t1 >= rec0:
+                a, b = max(t0, rec0), min(t1, lyap0) + 1
+                rec_x[a - rec0:b - rec0] = xs[a - t0:b - t0]
+                rec_y[a - rec0:b - rec0] = ys[a - t0:b - t0]
+            steps = xn[:k] - xs[:k]
+            for j, s in enumerate(seed_starts):
+                a, b = max(t0, s), min(t1, s + n_rot)
+                if a < b:
+                    disp[j] = np.cumsum(np.concatenate(
+                        (disp[j][None], steps[a - t0:b - t0])), axis=0)[-1]
+                    if b == s + n_rot:
+                        final_disp[j] = disp[j]
+            if t0 >= lyap0:
+                estimates.update(_lyapunov_block(
+                    jac(tuple(trig[:, :k]), ys[:k], big_y[:k], lam, k_omega,
+                        delta), t0 - lyap0, n_lyap, sums, prod,
+                    {c: t - lyap0 for c, t in escape.items() if t >= t0}))
+            if dead.size:  # park the orbits that escaped in this block
+                xs[k, dead], ys[k, dead] = 0.0, 1.0
+                lam_k[dead] = k_k[dead] = 0.0
+                prod[:, :, dead], sums[:, dead] = np.eye(2)[..., None], 0.0
+            xs[0], ys[0] = xs[k], ys[k]
+            if len(escape) == m:
+                break
     out = []
     for c in range(m):
-        if escaped[c]:
+        t = escape.get(c, end)
+        if t < lyap0:
             out.append(None)
             continue
-        rhos = [d / (TWO_PI * n_rot) for d, ok in
-                zip(final_disp[:, c].tolist(), seed_ok[:, c]) if ok]
-        out.append((np.column_stack((rec_x[:, c], rec_y[:, c])),
-                    estimates[c], rhos))
+        est = estimates.get(c) or _lyapunov_estimate(
+            *sums[:, c].tolist(), tuple(prod[:, :, c].ravel().tolist()),
+            n_lyap, n_lyap, None)
+        rhos = [d / (TWO_PI * n_rot) for d, s in
+                zip(final_disp[:, c].tolist(), seed_starts) if t >= s + n_rot]
+        out.append((np.column_stack((rec_x[:, c], rec_y[:, c])), est, rhos))
     return out
 
 
@@ -469,9 +529,12 @@ def classify_batch(lams, ks, base_params: ModelParams, pert: Perturbation,
     InvariantCurve; otherwise TransientChaos.  An escape before the end of
     the recorded orbit -> Escaped; a later one ends the Lyapunov run
     (inconclusive before half of it) and drops the rotation seeds it cuts
-    short.  See _lockstep for the orbit; period detection and the
-    thickness fit run per cell on the stored second half.  A cell's result
-    does not depend on the other cells of the call.
+    short.  See _lockstep for the orbit: every cell steps by its image
+    alone, and the Lyapunov run's Jacobians, log-determinants and QR
+    products are computed once per block from the stepped orbit.  Period
+    detection and the thickness fit run per cell on the stored second
+    half.  A cell's result does not depend on the other cells of the call
+    or on the block size.
     """
     if budget.n_iter < 1 or budget.burn_in < 0:
         raise ValueError(f"need n_iter >= 1 and burn_in >= 0, got "

@@ -1,6 +1,6 @@
 """Scalar references for the fast paths of `bykovlab`.
 
-Four groups of references, each written as the plain definition:
+Six groups of references, each written as the plain definition:
 
 - the factored return map: the local passages past each saddle-focus, their
   closed form `eta`, the perturbed global transition `psi_21`, their
@@ -30,11 +30,18 @@ Four groups of references, each written as the plain definition:
 - `classify_cell` as three separate one-orbit runs (iterate, lyapunov,
   rotation_set_2d) of the scalar kernel, and period detection as one full
   pass over the tail per candidate period.  `orbits.classify_batch` follows
-  one lockstep orbit per cell through `model.step_batch` and is tested
+  one lockstep orbit per cell through the array kernel and is tested
   against it: equal labels and periods, and equal exponents and rotation
   numbers where the orbit does not amplify the ULP differences between
   numpy's and math's log and power.  `orbits._detect_period` rejects most
   candidate periods as one array first and must return the same period.
+- the array kernel that read the coefficient table's columns
+  (`step_batch`, `image_batch`) and the lockstep that stepped every cell
+  one image (or one `step_batch`) at a time, with the per-step
+  log-determinant and product arithmetic (`lockstep`, `classify_batch`).
+  Contract: bits.  The compiled array kernel must equal the first with
+  `np.array_equal`, and `orbits.classify_batch`, which steps images only
+  and computes the Lyapunov run per block, the second with repr ==.
 - `lyapunov` as the loop that read each measured step's Jacobian from a
   2x2 array through `.tolist()`.  `orbits.lyapunov` unpacks
   `model.jac_return`'s nested float tuples directly and must give equal
@@ -48,6 +55,7 @@ import numpy as np
 from bykovlab import audit as au
 from bykovlab import circlemap as cm
 from bykovlab import model as md
+from bykovlab import orbits as ob
 from bykovlab.audit import HypothesisVerdict
 from bykovlab.model import (TWO_PI, CylinderFunction, CylinderPoint,
                             EscapeError, ModelParams, Perturbation, TrigPoly,
@@ -146,7 +154,7 @@ def det_jac_return(p, params: ModelParams, pert: Perturbation) -> float:
 def step_constants(params: ModelParams, pert: Perturbation) -> tuple:
     """Everything image_step and return_step read: the float kernel's
     scalars and the float rows it is compiled from."""
-    return params._step_scalars + pert._table[0]
+    return params._step_scalars + pert._table
 
 
 def row(r, trig) -> float:
@@ -859,3 +867,218 @@ def lyapunov_array(params: ModelParams, pert: Perturbation, p0: CylinderPoint,
     done = max(0, (burn_in + n if escaped_at is None else escaped_at) - burn_in)
     return _lyapunov_estimate(l1, l2, logdet, batch_ld, (p11, p12, p21, p22),
                               done, n, escaped_at)
+
+
+# ---------------------------------------------------------------------------
+# The per-step lockstep over the array table (contract: bits)
+# ---------------------------------------------------------------------------
+#
+# The array kernel as it read the coefficient table's columns, and the
+# lockstep loop that advanced every cell by one image (one step_batch in
+# the Lyapunov run) per step, with the per-step log-determinant and product
+# arithmetic.  Contract: bits.  model.step_batch and the compiled array
+# image must equal step_batch/image_batch here with np.array_equal, and
+# orbits.classify_batch must equal classify_batch here with repr ==.
+
+
+def array_table(pert: Perturbation) -> tuple:
+    """(harmonics, rows, value_rows): the table's (R, 1) columns.
+
+    rows = (const, cos, sin, slopes) with const the constant column, cos
+    and sin per harmonic a coefficient column, and slopes a (profile, row
+    of its slope's value) pair per profile with a slope; value_rows is the
+    same over the value rows only, for image_batch.
+    """
+    polys = [pert.phi1.base, pert.phi2.base]
+    slopes = []
+    for profile, fn in enumerate((pert.phi1, pert.phi2)):
+        if fn.slope is not None:
+            slopes.append((profile, 2 * len(polys)))
+            polys.append(fn.slope)
+    harmonics = tuple(sorted({k for tp in polys for k, _, _ in tp.terms}))
+    table = np.zeros((2 * len(polys), 1 + 2 * len(harmonics)))
+    for p, tp in enumerate(polys):
+        table[2 * p, 0] = tp.constant
+        for k, ck, sk in tp.terms:
+            h = 1 + 2 * harmonics.index(k)
+            table[2 * p, h:h + 2] += ck, sk
+            table[2 * p + 1, h:h + 2] += k * sk, -k * ck
+
+    def columns(t):
+        cols = t.T.copy()[..., None]  # a contiguous (R, 1) per column
+        return cols[0], tuple(cols[1::2]), tuple(cols[2::2])
+
+    return (harmonics, (*columns(table), tuple(slopes)),
+            (*columns(table[::2]), tuple((p, s // 2) for p, s in slopes)))
+
+
+def batch_constants(params: ModelParams, pert: Perturbation) -> tuple:
+    return (params.xi, params.delta) + array_table(pert)
+
+
+def pair_rows(x, y, harmonics: tuple, table: tuple, width: int) -> tuple:
+    """(f, v): v every row at y = 0, f the first 2*width rows with each
+    slope's rows added y times."""
+    const, cos_coef, sin_coef, slopes = table
+    v = const
+    for k, a, b in zip(harmonics, cos_coef, sin_coef):
+        kx = x if k == 1 else k * x
+        v = v + a * np.cos(kx) + b * np.sin(kx)
+    f = v[:2 * width]
+    if slopes:
+        f = f.copy()
+        for profile, r in slopes:
+            f[width * profile:width * (profile + 1)] += y * v[r:r + width]
+    return f, v
+
+
+def batch_image(x, y, lam_f1, lam_f2, k_omega, xi: float,
+                delta: float) -> tuple:
+    """(unwrapped new angles, new heights, alive, Y), Y read as 1 where it
+    is not positive."""
+    big_y = y + lam_f2
+    alive = big_y > 0.0
+    if np.count_nonzero(alive) < alive.size:
+        big_y = np.where(alive, big_y, 1.0)
+    new_y = big_y ** delta
+    alive &= new_y <= 1.0
+    return x + xi + lam_f1 - k_omega * np.log(big_y), new_y, alive, big_y
+
+
+def image_batch(x, y, lam, k_omega, consts: tuple) -> tuple:
+    """(unwrapped new angles, new heights, alive) from the value rows."""
+    xi, delta, harmonics, _, values = consts
+    lf = lam * pair_rows(x, y, harmonics, values, 1)[0]
+    return batch_image(x, y, lf[0], lf[1], k_omega, xi, delta)[:3]
+
+
+def step_batch(x, y, lam, k_omega, consts: tuple) -> tuple:
+    """(unwrapped new angles, new heights, j11, j12, j21, j22, alive)."""
+    xi, delta, harmonics, rows, _ = consts
+    slopes = rows[3]
+    f, v = pair_rows(x, y, harmonics, rows, 2)
+    fy = [None, None]
+    for profile, r in slopes:
+        fy[profile] = v[r]
+    f1y, f2y = fy
+    lf = lam * f
+    new_x, new_y, alive, big_y = batch_image(x, y, lf[0], lf[2], k_omega,
+                                             xi, delta)
+    r = k_omega / big_y
+    e22 = delta * big_y ** (delta - 1.0)
+    j11 = 1.0 + lf[1] - r * lf[3]
+    if not slopes:
+        return new_x, new_y, j11, -r, e22 * lf[3], e22, alive
+    p22 = 1.0 if f2y is None else 1.0 + lam * f2y
+    j12 = -(r * p22) if f1y is None else lam * f1y - r * p22
+    return new_x, new_y, j11, j12, e22 * lf[3], e22 * p22, alive
+
+
+def lockstep(params: list, pert: Perturbation, budget: Budget) -> list:
+    """One orbit per cell, all cells advanced one step at a time.
+
+    image_batch steps the burn-in and recorded steps, step_batch the
+    Lyapunov run, whose log-determinants, products and renormalizations
+    are folded in at every step; an escaped orbit is dropped from the
+    arrays.  Returns what orbits._lockstep returns.
+    """
+    burn, n = budget.burn_in, budget.n_iter
+    n_lyap, n_rot = min(n, LYAPUNOV_CAP), min(ROTATION_CAP, n)
+    first, half = ob._recorded_range(n)
+    rec0, lyap0 = burn + first, burn + n
+    seed_starts = (burn, burn + half, burn + n)
+    windows = {t: (sum(t >= s + n_rot for s in seed_starts),
+                   sum(t >= s for s in seed_starts))
+               for s0 in seed_starts for t in (s0, s0 + n_rot)}
+    consts = batch_constants(params[0], pert)
+    m = len(params)
+    lam = np.array([p.lam for p in params])
+    k_omega = np.array([p.k_omega for p in params])
+    x, y = np.full(m, wrap_angle(0.5)), lam.copy()
+    cols = np.arange(m)
+    rec_x, rec_y = np.empty((n + 1 - first, m)), np.empty((n + 1 - first, m))
+    prod0 = np.repeat([[1.0], [0.0]], m, axis=1)
+    prod1 = np.repeat([[0.0], [1.0]], m, axis=1)
+    sums = np.zeros((4, m))
+    disp = np.zeros((3, m))
+    escaped = np.zeros(m, dtype=bool)
+    seed_ok = np.ones((3, m), dtype=bool)
+    final_disp = np.zeros((3, m))
+    estimates = [None] * m
+
+    def finish(pos: int, escaped_at) -> None:
+        c = cols[pos]
+        l1, l2, logdet, batch_ld = sums[:, pos].tolist()
+        done = n_lyap if escaped_at is None else escaped_at
+        estimates[c] = _lyapunov_estimate(
+            l1, l2, logdet, batch_ld,
+            (*prod0[:, pos].tolist(), *prod1[:, pos].tolist()),
+            done, n_lyap, escaped_at)
+        final_disp[:, c] = disp[:, pos]
+
+    lo = hi = 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for t in range(lyap0 + n_lyap):
+            if rec0 <= t <= lyap0:
+                rec_x[t - rec0, cols], rec_y[t - rec0, cols] = x, y
+            if t < lyap0:
+                xn, yn, alive = image_batch(x, y, lam, k_omega, consts)
+                jac = ()
+            else:
+                xn, yn, *jac, alive = step_batch(x, y, lam, k_omega, consts)
+            if np.count_nonzero(alive) < alive.size:
+                for pos in np.flatnonzero(~alive).tolist():
+                    if t < lyap0:
+                        escaped[cols[pos]] = True
+                        continue
+                    finish(pos, t - lyap0)
+                    for j, start in enumerate(seed_starts):
+                        seed_ok[j, cols[pos]] = t >= start + n_rot
+                x, y, lam, k_omega, cols, xn, yn, *jac = (
+                    v[alive] for v in (x, y, lam, k_omega, cols, xn, yn, *jac))
+                prod0, prod1, sums, disp = (v[:, alive] for v in
+                                            (prod0, prod1, sums, disp))
+                if not cols.size:
+                    break
+            if t in windows:
+                lo, hi = windows[t]
+            if hi > lo:
+                disp[lo:hi] += xn - x
+            if jac:
+                j11, j12, j21, j22 = jac
+                ld = np.log(np.abs(j11 * j22 - j12 * j21))
+                sums[2:] += np.where(np.isfinite(ld), ld, SATURATION * 2.0)
+                prod0, prod1 = (j11 * prod0 + j12 * prod1,
+                                j21 * prod0 + j22 * prod1)
+                if (t + 1 - lyap0) % QR_CADENCE == 0:
+                    p11, p12, p21, p22, d1, d2 = ob._gram_schmidt_batch(
+                        *prod0, *prod1, sums[3])
+                    prod0, prod1 = np.array([p11, p12]), np.array([p21, p22])
+                    sat = SATURATION * QR_CADENCE
+                    sums[0] += np.where(np.isfinite(d1), d1, sat)
+                    sums[1] += np.where(np.isfinite(d2), d2, sat)
+                    sums[3] = 0.0
+            x, y = md.wrap_angles(xn), yn
+    for pos in range(cols.size):
+        finish(pos, None)
+    out = []
+    for c in range(m):
+        if escaped[c]:
+            out.append(None)
+            continue
+        rhos = [d / (TWO_PI * n_rot) for d, ok in
+                zip(final_disp[:, c].tolist(), seed_ok[:, c]) if ok]
+        out.append((np.column_stack((rec_x[:, c], rec_y[:, c])),
+                    estimates[c], rhos))
+    return out
+
+
+def classify_batch(lams, ks, base_params: ModelParams, pert: Perturbation,
+                   budget: Budget = Budget()) -> list[RegimeCell]:
+    """orbits.classify_batch on the per-step lockstep, in one batch."""
+    params = [base_params.with_k_omega(k).with_lambda(lam)
+              for lam, k in zip(lams, ks)]
+    first, half = ob._recorded_range(budget.n_iter)
+    return [ob._label(lam, k, p.delta, run, half - first)
+            for lam, k, p, run in zip(lams, ks, params,
+                                      lockstep(params, pert, budget))]

@@ -132,23 +132,24 @@ class TestH2H3:
         assert v.evidence["judged_rows"] == 10
         assert v.evidence["outside_bounds"] == []
 
-    # lambda_(1,n)^5 leaves the normal floats at n = 12 for K_omega = 0.51
-    # and at n = 7 for 0.3; 0.25 keeps 3 rows.  Every row is predicted below
-    # the floor (lambda_(1,3) = 1.3e-17 at K_omega = 0.51, the floor 5.7e-14)
+    # lambda_(1,n)^6, the scale of the kernel's image height, leaves the
+    # normal floats at n = 10 for K_omega = 0.51 and at n = 6 for 0.3.
+    # Every row is predicted below the floor (lambda_(1,3) = 1.3e-17 at
+    # K_omega = 0.51, the floor 5.7e-14)
     @pytest.mark.parametrize("k_omega, n_range", [
-        (0.51, [3, 12]), (0.3, [3, 7]), (0.25, [3, 6])])
+        (0.51, [3, 10]), (0.3, [3, 6])])
     def test_small_twist_cuts_the_n_range(self, pert, k_omega, n_range):
         v = au.audit_H2_H3(reference_params(omega=k_omega / 3.0), pert)
         assert v.status == "INCONCLUSIVE"
         assert v.evidence["judged_rows"] == 0
         assert v.evidence["n_range"] == n_range
         assert [r["n"] for r in v.evidence["table"]] == list(range(*n_range))
-        last, cut = (cm.lambda_sequences(k_omega, n, au.H2H3_A)[1] ** 5
+        last, cut = (cm.lambda_sequences(k_omega, n, au.H2H3_A)[1] ** 6
                      for n in (n_range[1] - 1, n_range[1]))
         assert last >= sys.float_info.min > cut
 
-    @pytest.mark.parametrize("k_omega, n_range", [(0.1, [3, 3]),
-                                                  (0.2, [3, 5])])
+    @pytest.mark.parametrize("k_omega, n_range", [
+        (0.1, [3, 3]), (0.2, [3, 4]), (0.25, [3, 5])])
     def test_fewer_than_three_rows_inconclusive(self, pert, k_omega,
                                                 n_range):
         v = au.audit_H2_H3(reference_params(omega=k_omega / 3.0), pert)
@@ -184,7 +185,10 @@ class TestH2H3:
         monkeypatch.setattr(cm, "family_from_model", lambda *_: family)
         v = au.audit_H2_H3(params, pert)
         assert v.status == "FAIL"
-        assert len(v.evidence["outside_bounds"]) >= 10
+        # every row, n = 3..12 at K_omega = 5 and 3..9 at 0.54, is outside
+        rows = [r["n"] for r in v.evidence["table"]]
+        assert len(rows) >= 7
+        assert {o["n"] for o in v.evidence["outside_bounds"]} == set(rows)
 
     def test_larger_twist_needs_more_n(self, pert):
         # lambda_n = exp(-2 pi n / K): larger K decays slower per step

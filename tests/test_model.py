@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
@@ -344,38 +344,88 @@ def test_step_batch_determinant_matches_det_jac_return(samples, k_omega,
 @given(x=kernel_cases["x"], y=st.floats(min_value=-0.5, max_value=1.0),
        lam=kernel_cases["lam"], pert=any_pair)
 @settings(max_examples=200, deadline=None)
-def test_float_rows_equal_pair_rows(x, y, lam, pert):
-    """From the same cos and sin, the float rows equal _pair_rows' bit for
-    bit, whatever the order, repetition or harmonic of the terms."""
+def test_float_rows_equal_array_kernel_rows(x, y, lam, pert):
+    """From the same cos and sin, the compiled array kernel's Y, angle and
+    Jacobian are the float rows' bit for bit, whatever the order,
+    repetition or harmonic of the terms."""
     params = reference_params(lam=lam)
-    _, _, harmonics, rows, _ = md._batch_constants(params, pert)
-    xs = np.array([x])
-    f, v = md._pair_rows(xs, np.array([y]), harmonics, rows, 2)
-    trig = []
-    for k in harmonics:  # the cos and sin _pair_rows computes
-        kx = xs if k == 1 else k * xs
-        trig += [float(np.cos(kx)[0]), float(np.sin(kx)[0])]
+    xi, delta, image, jac = md._batch_constants(params, pert)
+    k = params.k_omega
+    ys = np.array([y])
+    new_x, _, alive, big_y, trig = image(np.array([x]), ys, lam, k, xi, delta)
+    trig = [float(v[0]) for v in trig]
     consts = ref.step_constants(params, pert)
-    slope_row = dict(rows[3])
-    for p, profile in enumerate(consts[5:]):
+    f = []
+    for profile in consts[5:]:
         value = ref.row(profile[0], trig)
-        slope = 0.0
         if profile[2] is not None:
-            slope = ref.row(profile[2], trig)
-            assert slope == v[slope_row[p]][0]
-            value = value + y * slope
-        assert value == f[2 * p][0]
-        assert ref.partials(profile, trig, y) == (f[2 * p + 1][0], slope)
-    # the compiled image's value sums, where math's cos and sin agree
-    if trig == [g(k * x) for k in harmonics for g in (math.cos, math.sin)]:
-        try:
-            new_x, _ = pert._kernel[0](x, y, params._step_scalars)
-            _, _, big_y, got = ref.image_step(x, y, consts)
-        except EscapeError:
-            return
-        assert got == trig and big_y == y + lam * f[2][0]
-        assert new_x == (x + params.xi + lam * f[0][0]
-                         - params.k_omega * math.log(big_y))
+            value = value + y * ref.row(profile[2], trig)
+        f.append(value)
+    want_y = y + lam * f[1]
+    assert big_y[0] == (want_y if want_y > 0.0 else 1.0)
+    assert new_x[0] == x + xi + lam * f[0] - k * np.log(big_y)[0]
+    (f1x, f1y), (f2x, f2y) = (ref.partials(profile, trig, y)
+                              for profile in consts[5:])
+    r, e22 = k / big_y[0], (delta * big_y ** (delta - 1.0))[0]
+    p22 = 1.0 + lam * f2y
+    want = (1.0 + lam * f1x - r * (lam * f2x), lam * f1y - r * p22,
+            e22 * (lam * f2x), e22 * p22)
+    assert [float(v[0]) for v in jac(trig, y, big_y, lam, k, delta)] \
+        == list(want)
+    # the compiled float image's value sums, where math's cos and sin agree
+    harmonics = consts[4]
+    if alive[0] and trig == [g(h * x) for h in harmonics
+                             for g in (math.cos, math.sin)]:
+        new_x, _ = pert._kernel[0](x, y, params._step_scalars)
+        _, _, big_y, got = ref.image_step(x, y, consts)
+        assert got == trig and big_y == want_y
+        assert new_x == x + xi + lam * f[0] - k * math.log(big_y)
+
+
+@given(orbits=st.lists(st.tuples(st.floats(min_value=-10.0, max_value=10.0),
+                                 st.floats(min_value=-1.0, max_value=1.5),
+                                 st.floats(min_value=0.0, max_value=1.0),
+                                 kernel_cases["k_omega"]),
+                       min_size=1, max_size=8),
+       pert=any_pair, xi=st.floats(min_value=-1.0, max_value=1.0),
+       deltas=st.sampled_from([(2.0, 3.0), (2.0, 1.5), (1.25, 1.6)])
+       | st.tuples(st.floats(1.01, 4.0), st.floats(1.01, 4.0)))
+@settings(max_examples=300, deadline=None)
+@example(orbits=[(0.5, 1.0, 0.0, 5.0), (0.5, 1e-3, 1e-3, 5.0)],  # y' = 1
+         pert=reference_perturbation(), xi=0.0, deltas=(2.0, 3.0))
+def test_array_kernel_equals_table_columns(orbits, pert, xi, deltas):
+    """The compiled array kernel equals the array kernel that read the
+    table's columns (tests/scalar_reference.step_batch, contract: bits):
+    every output and `alive` of step_batch, and of the image with and
+    without its escape checks, with np.array_equal (NaN equal to NaN).
+    The orbits mix lam, K_omega, escapes through Y <= 0 and through a new
+    height above 1."""
+    x, y, lam, k_omega = (np.array(v) for v in zip(*orbits))
+    params = ModelParams(c1=deltas[0], e1=1.0, omega1=1.0, c2=deltas[1],
+                         e2=1.0, omega2=1.0, xi=xi)
+    consts = md._batch_constants(params, pert)
+    ref_consts = ref.batch_constants(params, pert)
+
+    def same(got, want):
+        return got.dtype == want.dtype and np.array_equal(
+            got, want, equal_nan=got.dtype.kind == "f")
+
+    with np.errstate(all="ignore"):
+        got = md.step_batch(x, y, lam, k_omega, consts)
+        want = ref.step_batch(x, y, lam, k_omega, ref_consts)
+        assert len(got) == len(want) == 7
+        assert all(same(g, w) for g, w in zip(got, want))
+        want = ref.image_batch(x, y, lam, k_omega, ref_consts)
+        out = [np.empty_like(x) for _ in range(3)]
+        trig = tuple(np.empty((2 * len(pert._table[0]), len(x))))
+        new_x, new_y, alive, big_y, _ = consts[2](
+            x, y, lam, k_omega, xi, params.delta, *out, trig)
+        assert all(g is w for g, w in zip((new_x, new_y, big_y), out))
+        assert all(same(g, w) for g, w in zip((new_x, new_y, alive), want))
+        unchecked = consts[2](x, y, lam, k_omega, xi, params.delta,
+                              escapes=False)
+    assert unchecked[2] is None
+    assert all(same(g[alive], w[alive]) for g, w in zip(unchecked, want[:2]))
 
 
 # pairs the float kernel is compiled from: harmonics that are 0, negative,
@@ -414,7 +464,7 @@ def test_compiled_kernel_matches_interpretive_reference(phi1, phi2, x, y, lam,
     pert = Perturbation(phi1, phi2)
     image, step = pert._kernel
     scalars = (lam, xi, k_omega, delta)
-    consts = scalars + pert._table[0]
+    consts = scalars + pert._table
     want = _outcome(ref.return_step, x, y, consts)
     assert _outcome(step, x, y, scalars) == want
     assert _outcome(image, x, y, scalars) == (
@@ -436,7 +486,7 @@ def test_kernel_built_lazily_once_per_perturbation(monkeypatch):
     kernel = cfg.pert._kernel
     md.jac_return(q, cfg.params, cfg.pert)
     return_map(q, cfg.params.with_lambda(2e-3), cfg.pert)
-    assert compiled == [cfg.pert._table[0]] and cfg.pert._kernel is kernel
+    assert compiled == [cfg.pert._table] and cfg.pert._kernel is kernel
     other = replace(cfg.pert)  # an equal pair is another Perturbation
     return_map(p, cfg.params, other)
     assert len(compiled) == 2 and other._kernel is not kernel
@@ -456,7 +506,7 @@ def _step_scales(x, y, lam, k_omega, params, pert, image) -> list[float]:
     The summed terms' magnitudes, with the height sum Y = y + lam*Phi2
     entering through its condition number (|y| + lam*|Phi2|)/Y.
     """
-    harmonics, phi1, phi2 = pert._table[0]
+    harmonics, phi1, phi2 = pert._table
     m1, d1, m1s, d1s = map(_magnitude, phi1)
     m2, d2, m2s, d2s = map(_magnitude, phi2)
     trig = [f(k * x) for k in harmonics for f in (math.cos, math.sin)]
@@ -487,13 +537,14 @@ def test_step_batch_matches_return_step(orbits, pert):
     """One step_batch call with mixed lam and K_omega: the same escapes as
     the float kernel's step, and each output within 4 ULP of its terms'
     magnitude.
-    image_batch returns step_batch's (new_x, new_y, alive) exactly."""
+    The array kernel's image returns step_batch's (new_x, new_y, alive)
+    exactly."""
     x, y, lam, k_omega = (np.array(v) for v in zip(*orbits))
     params = reference_params()
     consts = md._batch_constants(params, pert)
     *out, alive = md.step_batch(x, y, lam, k_omega, consts)
-    image = md.image_batch(x, y, lam, k_omega, consts)
-    assert len(image) == 3
+    image = consts[2](x, y, lam, k_omega, *consts[:2])
+    assert len(image) == 5
     for got, want in zip(image, (out[0], out[1], alive)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     eps = np.finfo(float).eps

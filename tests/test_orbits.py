@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 import scalar_reference as ref
 from bykovlab import orbits as ob
+from bykovlab.config import load_config
 from bykovlab.model import (CylinderPoint, EscapeError, TWO_PI, named_profile,
                             Perturbation, reference_params,
                             reference_perturbation, return_map, wrap_angle)
@@ -375,6 +378,98 @@ class TestClassifyBatch:
         with pytest.raises(ValueError):
             ob.classify_batch([1e-3, 1e-2], [1.0], ref_params, pert)
         assert ob.classify_batch([], [], ref_params, pert) == []
+
+
+@contextlib.contextmanager
+def _block_points(points: int):
+    """classify_batch with blocks of about `points` orbit points."""
+    saved, ob.BLOCK_POINTS = ob.BLOCK_POINTS, points
+    try:
+        yield
+    finally:
+        ob.BLOCK_POINTS = saved
+
+
+class TestLockstepBits:
+    """classify_batch equals the per-step lockstep loop it replaced
+    (tests/scalar_reference.classify_batch, contract: bits) with repr ==,
+    whatever the block size."""
+    GRID = TestClassifyBatch.LAMS, TestClassifyBatch.KS
+    # from (0.5, lam): these orbits escape at steps 8, 9, 25 and 51
+    ESCAPING = ((0.29, 0.15), (0.29, 0.1), (0.28, 0.1), (0.28, 0.15))
+
+    @staticmethod
+    def check(lams, ks, base, pert, budget):
+        """Equal cells, and equal runs: the recorded points, the whole
+        LyapunovEstimate (det_consistency, which no cell shows, included)
+        and the rotation numbers."""
+        got = ob.classify_batch(lams, ks, base, pert, budget)
+        assert repr(got) == repr(ref.classify_batch(lams, ks, base, pert,
+                                                    budget))
+        params = [base.with_k_omega(k).with_lambda(lam)
+                  for lam, k in zip(lams, ks)]
+        for g, w in zip(ob._lockstep(params, pert, budget),
+                        ref.lockstep(params, pert, budget)):
+            assert (g is None) == (w is None)
+            if w is not None:
+                assert np.array_equal(g[0], w[0])
+                assert repr(g[1:]) == repr(w[1:])
+
+    def grid(self):
+        lams, ks = self.GRID
+        return [lam for lam in lams for _ in ks], [k for _ in lams for k in ks]
+
+    def test_scan_grid(self, params_k5, pert):
+        self.check(*self.grid(), params_k5, pert, ob.Budget(2000, 500))
+
+    def test_tangled_grid(self):
+        cfg = load_config(str(Path(__file__).parents[1] / "scripts"
+                              / "tangled.yaml"))
+        opt = cfg.options["scan"]
+        lams, ks = opt["lambda_grid"], opt["k_omega_grid"]
+        self.check([lam for lam in lams for _ in ks],
+                   [k for _ in lams for k in ks], cfg.params, cfg.pert,
+                   ob.Budget(opt["n_iter"], opt["burn_in"]))
+
+    @pytest.mark.parametrize("n_iter", [2, 3, 4, 5])
+    def test_escape_after_the_recorded_orbit(self, params_k5, pert, n_iter):
+        self.check([0.3] * 3, (0.1, 0.45, 1.0), params_k5, pert,
+                   ob.Budget(n_iter=n_iter, burn_in=0))
+
+    @pytest.mark.parametrize("n_iter, on_edge", [(41, 51), (15, 25), (9, 9)])
+    def test_escape_on_a_block_boundary(self, params_k5, pert, n_iter,
+                                        on_edge):
+        """Blocks of 10 steps: the orbit escaping at step 9 escapes on the
+        last step of the first block or on the first Lyapunov step; the one
+        at `on_edge` on the first step of a Lyapunov block.  n_iter is not
+        a multiple of the block or of QR_CADENCE."""
+        lams, ks = zip(*self.ESCAPING, (1e-3, 0.45), (1e-2, 15.0))
+        with _block_points(1):
+            budget = ob.Budget(n_iter=n_iter, burn_in=0)
+            self.check(lams, ks, params_k5, pert, budget)
+        runs = ref.lockstep([params_k5.with_k_omega(k).with_lambda(lam)
+                             for lam, k in zip(lams, ks)], pert, budget)
+        edge = dict(zip((8, 9, 25, 51), runs))[on_edge]
+        assert edge[1].escaped_at == on_edge - n_iter
+
+    def test_lyapunov_run_not_a_multiple_of_the_block(self, params_k5, pert):
+        lams, ks = self.grid()
+        self.check(lams, ks, params_k5, pert, ob.Budget(1234, 7))
+
+    @given(points=st.sampled_from([1, 20, 160, 4096]) | st.integers(1, 3000),
+           n_iter=st.integers(1, 120), burn_in=st.integers(0, 60),
+           xi=st.sampled_from([0.0, -1.0]) | st.floats(-3.0, 3.0))
+    @settings(max_examples=40, deadline=None)
+    def test_any_block_size(self, params_k5, pert, points, n_iter, burn_in,
+                            xi):
+        """Any block size, budget and phase offset xi (xi < 0 often turns
+        an image angle negative, which the lockstep wraps after the fact)."""
+        lams, ks = self.grid()
+        lams, ks = lams + [lam for lam, _ in self.ESCAPING], \
+            ks + [k for _, k in self.ESCAPING]
+        with _block_points(points):
+            self.check(lams, ks, dataclasses.replace(params_k5, xi=xi), pert,
+                       ob.Budget(n_iter, burn_in))
 
 
 class TestScan:

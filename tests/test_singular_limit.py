@@ -56,23 +56,26 @@ class TestArrayTable:
     def test_matches_scalar_reference(self, pert, pair, a, k_omega):
         p = pert if pair == "reference" else ref.SLOPED
         params = reference_params(omega=k_omega / 3.0)
-        # at K_omega = 0.3 the strip scale lambda^5 is subnormal from n = 7
-        # (n = 8 at a = -2), which the table rejects
-        n_range = range(1, 13 if k_omega > 1.0 else 7)
+        # at K_omega = 0.3 the height scale lambda^6 is subnormal from
+        # n = 6 (at a = -2 too), which the table rejects
+        n_range = range(1, 13 if k_omega > 1.0 else 6)
         # repr also tells a numpy scalar from a Python float
         assert repr(cm.singular_limit_convergence(params, p, a, n_range)) \
             == repr(ref.singular_limit_convergence(params, p, a, n_range))
 
     @pytest.mark.parametrize("k_omega, a, n_min, first_bad", [
-        (5.0, 0.0, 100, 113), (0.3, 0.0, 1, 7), (0.3, -2.0, 1, 8)])
+        (5.0, 0.0, 90, 94), (0.3, 0.0, 1, 6), (0.3, -2.0, 1, 6)])
     def test_subnormal_strip_scale_is_named(self, pert, k_omega, a, n_min,
                                             first_bad):
-        """lambda_(a,n)^(delta-1) below the smallest normal float (at K = 5,
-        a = 0 from n = 113, and 0.0 from n = 119) is rejected at the first
-        such n, not tabulated over a collapsed strip."""
+        """lambda_(a,n)^delta below the smallest normal float (at K = 5,
+        a = 0 from n = 94, and 0.0 from n = 99), where the kernel's image
+        height y' = lambda^delta (ybar + Phi2)^delta underflows, is rejected
+        at the first such n, not tabulated with a height of 0; so is
+        lambda_(a,n)^(delta-1) (from n = 113), where the strip collapses."""
         params = reference_params(omega=k_omega / 3.0)
-        lam = cm.lambda_sequences(k_omega, first_bad, a)[1]
-        assert lam ** 5 < sys.float_info.min
+        lam, before = (cm.lambda_sequences(k_omega, n, a)[1]
+                       for n in (first_bad, first_bad - 1))
+        assert lam ** 6 < sys.float_info.min <= before ** 6
         with pytest.raises(ValueError, match=(
                 rf"strip scale .* is not a normal float at n={first_bad}, "
                 rf"K_omega={k_omega}: ")):
