@@ -133,9 +133,9 @@ def audit_H1(params: ModelParams, pert: Perturbation,
 def audit_H2_H3(params: ModelParams, pert: Perturbation) -> HypothesisVerdict:
     """Convergence of the return map at lambda_(a,n) to (h_a, 0).
 
-    Tabulates the n of H2H3_N_RANGE up to the last whose strip scale
-    lambda_(a,n)^(delta-1) and height scale lambda_(a,n)^delta are normal
-    floats (cm.normal_strip_range).  On the ybar = 0 edge the kernel's
+    Tabulates the n of H2H3_N_RANGE up to the last whose height scale
+    lambda_(a,n)^delta (below the strip scale lambda_(a,n)^(delta-1)) is a
+    normal float (cm.normal_strip_range).  On the ybar = 0 edge the kernel's
     angle and j11 differ from h_a and h' by lam*Phi1(x, 0) and
     lam*Phi1_x(x, 0) up to rounding, so each error is
     predicted: lam times the grid max of |Phi1| (|Phi1_x|) of the pair's

@@ -555,28 +555,29 @@ class ConvergenceRow:
     twist_offset: float     # -K ln(lam) - a - 2*pi*n: the twist's rounding
 
 
-def _normal_scales(lam: float, delta: float) -> bool:
-    """Whether the strip scale lambda^(delta-1) and the height scale
-    lambda^delta are normal floats.  A subnormal scale has lost bits; a
-    zero strip scale collapses the strip, and a zero height scale the
-    kernel's image height y' = lambda^delta (ybar + Phi2)^delta, which
-    second_comp_err divides by lambda."""
-    return min(lam ** (delta - 1.0), lam ** delta) >= sys.float_info.min
+def _normal_height(lam: float, delta: float) -> bool:
+    """Whether the height scale lambda^delta is a normal float.  A
+    subnormal scale has lost bits, and a zero one the kernel's image
+    height y' = lambda^delta (ybar + Phi2)^delta, which second_comp_err
+    divides by lambda.  The strip scale lambda^(delta-1) is larger, as
+    delta > 1 and lambda < 1, so it is normal too."""
+    return lam ** delta >= sys.float_info.min
 
 
 def normal_strip_range(params: ModelParams, a: float, n_range: range) -> range:
     """The head of n_range that singular_limit_convergence tabulates.
 
     It runs up to the last n whose lambda_(a,n) is positive and whose
-    scales lambda_(a,n)^(delta-1) and lambda_(a,n)^delta are normal
-    floats; all fall as n grows.  Empty when the first n already fails.
+    height scale lambda_(a,n)^delta is a normal float (the strip scale
+    lambda_(a,n)^(delta-1) is larger); both fall as n grows.  Empty when
+    the first n already fails.
     """
     for i, n in enumerate(n_range):
         try:
             lam = lambda_sequences(params.k_omega, n, a)[1]
         except ValueError:
             return n_range[:i]
-        if not _normal_scales(lam, params.delta):
+        if not _normal_height(lam, params.delta):
             return n_range[:i]
     return n_range
 
@@ -593,8 +594,8 @@ def singular_limit_convergence(params: ModelParams, pert: Perturbation, a: float
     up to rounding.  second_comp_err is the largest y'/lam on the strip.
     Grid points with y + lam*Phi2 <= 0 are excluded and counted.  Raises
     ValueError, naming n and K_omega, where lambda_(a,n) underflows to 0
-    or the strip scale lambda_(a,n)^(delta-1) or the height scale
-    lambda_(a,n)^delta is not a normal float.
+    or the height scale lambda_(a,n)^delta is not a normal float (the
+    strip scale lambda_(a,n)^(delta-1) is larger).
     """
     if not n_range or n_range[0] < 1:
         raise ValueError(f"need 1 <= n_min <= n_max, got n_min="
@@ -603,10 +604,9 @@ def singular_limit_convergence(params: ModelParams, pert: Perturbation, a: float
     lams = [lambda_sequences(k, n, a)[1] for n in n_range]
     scales = [lam_n ** (delta - 1.0) for lam_n in lams]
     for n, lam_n in zip(n_range, lams):
-        if not _normal_scales(lam_n, delta):
+        if not _normal_height(lam_n, delta):
             raise ValueError(
-                f"strip scale lambda^(delta-1) = {lam_n ** (delta - 1.0)!r} "
-                f"or height scale lambda^delta = {lam_n ** delta!r} is not a "
+                f"height scale lambda^delta = {lam_n ** delta!r} is not a "
                 f"normal float at n={n}, K_omega={k}: need a smaller n")
     # every (n, x, ybar) point as one flat batch with its own lam
     shape = (len(lams),) + LIMIT_GRID

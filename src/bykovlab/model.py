@@ -387,20 +387,9 @@ def _row_source(row) -> str:
                                     f"{a!r} * c{j + 1}" for j, a in terms])
 
 
-_KERNEL_NAMES = {  # what the source of each kernel calls
-    "float": {"cos": math.cos, "sin": math.sin, "log": math.log,
-              "EscapeError": EscapeError, "CylinderPoint": CylinderPoint},
-    "array": {"cos": np.cos, "sin": np.sin, "log": np.log, "add": np.add,
-              "subtract": np.subtract, "power": np.power, "copyto": np.copyto,
-              "count_nonzero": np.count_nonzero}}
-
-
-@functools.lru_cache(maxsize=256)
-def _compiled(source: str, kernel: str) -> dict:
-    """The namespace of one kernel's source, executed once per distinct
-    source text: equal pairs, such as those of repeated runs of one
-    config, share their compiled functions."""
-    namespace = {**_KERNEL_NAMES[kernel], "inf": math.inf, "nan": math.nan}
+def _exec_kernel(source: str, kernel: str, names: dict) -> dict:
+    """The namespace of one kernel's source, executed with `names`."""
+    namespace = {**names, "inf": math.inf, "nan": math.nan}
     exec(compile(source, f"<bykovlab {kernel} kernel>", "exec"), namespace)
     return namespace
 
@@ -473,7 +462,9 @@ def _float_kernel(floats: tuple) -> tuple:
         f"    return ({new_x}, new_y,",
         f"            1.0 + lam * ({value(1, 1)}) + e12 * p21,",
         f"            lam * {f1y} + e12 * p22, e22 * p21, e22 * p22)", ""])
-    namespace = _compiled(source, "float")
+    namespace = _exec_kernel(source, "float", {
+        "cos": math.cos, "sin": math.sin, "log": math.log,
+        "EscapeError": EscapeError, "CylinderPoint": CylinderPoint})
     return namespace["image"], namespace["step"]
 
 
@@ -538,7 +529,10 @@ def _array_kernel(floats: tuple) -> tuple:
         f"    lf3 = lam * ({value(2, 1)})",
         f"    j11 = 1.0 + lam * ({value(1, 1)}) - r * lf3",
         *jac, ""])
-    namespace = _compiled(source, "array")
+    namespace = _exec_kernel(source, "array", {
+        "cos": np.cos, "sin": np.sin, "log": np.log, "add": np.add,
+        "subtract": np.subtract, "power": np.power, "copyto": np.copyto,
+        "count_nonzero": np.count_nonzero})
     return namespace["image"], namespace["jac"]
 
 

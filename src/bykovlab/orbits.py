@@ -15,7 +15,7 @@ import numpy as np
 
 from .model import (TWO_PI, CylinderPoint, EscapeError, ModelParams,
                     OrbitRecord, Perturbation, _batch_constants, circle_gap,
-                    jac_return, return_map, wrap_angle)
+                    jac_return, return_map, wrap_angle, wrap_angles)
 
 SATURATION = -50.0  # per-iterate log-contraction below this is reported as saturated
 RECURRENCE_TOL = 1e-8  # period detection: recurrence distance of a sink
@@ -383,9 +383,10 @@ def _lockstep(params: list, pert: Perturbation, budget: Budget) -> list:
 
     Each step advances every orbit by the array kernel's image alone,
     written with its cos, sin and Y into the buffers of a block of about
-    BLOCK_POINTS points, and wraps the new angle into the buffer as
-    wrap_angle does (a negative remainder, which is rare, is found after
-    the block and the steps after it are run again).  Once per block,
+    BLOCK_POINTS points, and wraps the new angle into the buffer by
+    np.remainder, which is wrap_angle but for a result of 2pi or a zero of
+    a negative angle (these are found after the block, wrapped as
+    wrap_angle does, and the steps after them are run again).  Once per block,
     array passes over the block find the escapes, copy out the recorded
     points, add up the seeds' lift steps and, in the Lyapunov run, compute
     the block's Jacobians and log-determinants and fold them into the
@@ -393,7 +394,7 @@ def _lockstep(params: list, pert: Perturbation, budget: Budget) -> list:
     at multiples of QR_CADENCE steps.  Every sum adds in step order, so
     every float is the one the per-step loop in tests/scalar_reference.py
     gives.  An orbit's results are read at the step of its escape, and at
-    the end of that block it is parked on (0, 1) with lam = K_omega = 0,
+    the end of that block it is parked on (0.5, 1) with lam = K_omega = 0,
     where it stays finite and never escapes.
     """
     burn, n = budget.burn_in, budget.n_iter
@@ -434,16 +435,18 @@ def _lockstep(params: list, pert: Perturbation, budget: Budget) -> list:
             while True:
                 for args, remainder in calls[i:k]:
                     image(*args)
-                    np.fmod(*remainder)
-                # a negative remainder (rare): wrap it as wrap_angle does
-                # and step the rest of the block again from there
-                neg = np.flatnonzero((xs[i + 1:k + 1] < 0.0).any(axis=1))
-                if not neg.size:
+                    np.remainder(*remainder)
+                # where the remainder is not wrap_angle's (2pi, where it
+                # gives 0, or +0 for a negative angle, where it gives -0;
+                # practically never): wrap that step's angles as
+                # wrap_angle does and step the rest of the block again
+                w, x = xs[i + 1:k + 1], xn[i:k]
+                bad = np.flatnonzero(((w == TWO_PI) | (
+                    (w == 0.0) & np.signbit(x))).any(axis=1))
+                if not bad.size:
                     break
-                i += int(neg[0]) + 1
-                w = xs[i]
-                w[w < 0.0] += TWO_PI
-                w[w >= TWO_PI] = 0.0
+                i += int(bad[0]) + 1
+                xs[i] = wrap_angles(xn[i - 1])
             alive = (big_y[:k] > 0.0) & (ys[1:k + 1] <= 1.0)
             dead = np.flatnonzero(~alive.all(axis=0))
             escape.update(zip(dead.tolist(),
@@ -465,8 +468,11 @@ def _lockstep(params: list, pert: Perturbation, budget: Budget) -> list:
                     jac(tuple(trig[:, :k]), ys[:k], big_y[:k], lam, k_omega,
                         delta), t0 - lyap0, n_lyap, sums, prod,
                     {c: t - lyap0 for c, t in escape.items() if t >= t0}))
-            if dead.size:  # park the orbits that escaped in this block
-                xs[k, dead], ys[k, dead] = 0.0, 1.0
+            # park the orbits that escaped in this block; they turn by xi
+            # per step (parked at angle 0, xi = -2pi would give a zero of
+            # a negative angle at every step)
+            if dead.size:
+                xs[k, dead], ys[k, dead] = 0.5, 1.0
                 lam_k[dead] = k_k[dead] = 0.0
                 prod[:, :, dead], sums[:, dead] = np.eye(2)[..., None], 0.0
             xs[0], ys[0] = xs[k], ys[k]

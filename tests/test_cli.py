@@ -307,15 +307,13 @@ class TestCommands:
         ("singular-limit", "singular_limit: {n_min: 100, n_max: 700}\n",
          "lambda underflows to 0 at n=593, K_omega=5.0"),
         # lambda_(0,n)^6 is subnormal from n = 94 at K_omega = 5 and 0.0
-        # from n = 99; lambda_(0,n)^5 is subnormal from n = 113
+        # from n = 99
         ("singular-limit", "singular_limit: {n_min: 90, n_max: 121}\n",
-         "strip scale lambda^(delta-1) = 3.1422843159635687e-257 or height "
-         "scale lambda^delta = 1.572876317092517e-308 is not a normal float "
-         "at n=94, K_omega=5.0: need a smaller n"),
+         "height scale lambda^delta = 1.572876317092517e-308 is not a "
+         "normal float at n=94, K_omega=5.0: need a smaller n"),
         ("singular-limit", "singular_limit: {n_min: 116, n_max: 121}\n",
-         "strip scale lambda^(delta-1) = 2.915318e-317 or height scale "
-         "lambda^delta = 0.0 is not a normal float at n=116, K_omega=5.0: "
-         "need a smaller n"),
+         "height scale lambda^delta = 0.0 is not a normal float at n=116, "
+         "K_omega=5.0: need a smaller n"),
     ])
     def test_bad_count_is_named(self, tmp_path, capsys, command, extra,
                                 message):

@@ -411,8 +411,9 @@ class TestLockstepBits:
         for g, w in zip(ob._lockstep(params, pert, budget),
                         ref.lockstep(params, pert, budget)):
             assert (g is None) == (w is None)
-            if w is not None:
-                assert np.array_equal(g[0], w[0])
+            if w is not None:  # the points bit for bit, signed zeros too
+                assert np.array_equal(g[0].view(np.uint64),
+                                      w[0].view(np.uint64))
                 assert repr(g[1:]) == repr(w[1:])
 
     def grid(self):
@@ -456,6 +457,23 @@ class TestLockstepBits:
         lams, ks = self.grid()
         self.check(lams, ks, params_k5, pert, ob.Budget(1234, 7))
 
+    @pytest.mark.parametrize("points", [1, 4096])
+    @pytest.mark.parametrize("xi, first", [(-0.5000000000000001, 0.0),
+                                           (-TWO_PI - 0.5, -0.0)])
+    def test_angle_wrapped_to_zero(self, params_k5, pert, points, xi, first):
+        """At K_omega = 1e-290 and lam = 1e-300 or 1e-30 the first image
+        angle is 0.5 + xi: -1.1e-16, where np.remainder gives 2pi and
+        wrap_angle 0, or -2pi, where it gives 0 and wrap_angle -0."""
+        lams, ks = self.grid()
+        lams, ks = [1e-300, 1e-30] + lams, [1e-290, 1e-290] + ks
+        base = dataclasses.replace(params_k5, xi=xi)
+        with _block_points(points):
+            self.check(lams, ks, base, pert, ob.Budget(30, 0))
+        params = [base.with_k_omega(k).with_lambda(lam)
+                  for lam, k in zip(lams[:2], ks[:2])]
+        for points, _, _ in ref.lockstep(params, pert, ob.Budget(30, 0)):
+            assert repr(float(points[1, 0])) == repr(first)
+
     @given(points=st.sampled_from([1, 20, 160, 4096]) | st.integers(1, 3000),
            n_iter=st.integers(1, 120), burn_in=st.integers(0, 60),
            xi=st.sampled_from([0.0, -1.0]) | st.floats(-3.0, 3.0))
@@ -463,7 +481,7 @@ class TestLockstepBits:
     def test_any_block_size(self, params_k5, pert, points, n_iter, burn_in,
                             xi):
         """Any block size, budget and phase offset xi (xi < 0 often turns
-        an image angle negative, which the lockstep wraps after the fact)."""
+        an image angle negative, which np.remainder wraps)."""
         lams, ks = self.grid()
         lams, ks = lams + [lam for lam, _ in self.ESCAPING], \
             ks + [k for _, k in self.ESCAPING]

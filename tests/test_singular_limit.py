@@ -65,19 +65,18 @@ class TestArrayTable:
 
     @pytest.mark.parametrize("k_omega, a, n_min, first_bad", [
         (5.0, 0.0, 90, 94), (0.3, 0.0, 1, 6), (0.3, -2.0, 1, 6)])
-    def test_subnormal_strip_scale_is_named(self, pert, k_omega, a, n_min,
-                                            first_bad):
+    def test_subnormal_height_scale_is_named(self, pert, k_omega, a, n_min,
+                                             first_bad):
         """lambda_(a,n)^delta below the smallest normal float (at K = 5,
         a = 0 from n = 94, and 0.0 from n = 99), where the kernel's image
         height y' = lambda^delta (ybar + Phi2)^delta underflows, is rejected
-        at the first such n, not tabulated with a height of 0; so is
-        lambda_(a,n)^(delta-1) (from n = 113), where the strip collapses."""
+        at the first such n, not tabulated with a height of 0."""
         params = reference_params(omega=k_omega / 3.0)
         lam, before = (cm.lambda_sequences(k_omega, n, a)[1]
                        for n in (first_bad, first_bad - 1))
         assert lam ** 6 < sys.float_info.min <= before ** 6
         with pytest.raises(ValueError, match=(
-                rf"strip scale .* is not a normal float at n={first_bad}, "
+                rf"height scale .* is not a normal float at n={first_bad}, "
                 rf"K_omega={k_omega}: ")):
             cm.singular_limit_convergence(params, pert, a,
                                           range(n_min, first_bad + 5))
