@@ -118,9 +118,9 @@ class CriticalSet:
 
     def distance(self, x) -> float | np.ndarray:
         """Circular distance to the nearest critical point (inf if empty)."""
-        out = np.full(np.shape(x), np.inf)
-        for c in self.points:
-            out = np.minimum(out, circle_gap(x, c))
+        x = np.asarray(x, dtype=float)
+        out = (circle_gap(x[..., None], self.points).min(axis=-1) if self.q
+               else np.full(x.shape, np.inf))
         return float(out) if out.ndim == 0 else out
 
 

@@ -226,17 +226,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical laboratory for a heteroclinic-attractor "
                     "unfolding: return maps, circle-map limits, hypothesis "
                     "audits, regime scans.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="YAML config path")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted and ignored: scan classifies its whole "
-                            "grid as one lockstep batch in one process")
-        p.add_argument("--verbose", action="store_true")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", required=True, help="YAML config path")
+    parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override the config seed")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted and ignored: scan classifies its "
+                             "whole grid as one lockstep batch in one "
+                             "process")
+    parser.add_argument("--verbose", action="store_true")
     return parser
 
 

@@ -15,9 +15,9 @@ and K_omega given per orbit: `image` writes each step's image, cos, sin and
 Y = y + lam*Phi2 into caller buffers, and `jac` turns stored cos, sin and Y
 into Jacobians; step_batch runs both, and orbits._lockstep steps its blocks
 on them.  The factored maps (each local passage, eta, psi_21 and their
-Jacobians), the finite-difference Jacobian, the interpretive loops the
-float kernel matches bit for bit and the array kernel that read the
-table's columns are test references in tests/scalar_reference.py.
+Jacobians), the finite-difference Jacobian, and the float rows each kernel
+matches bit for bit (looped on floats, and summed on numpy arrays) are
+test references in tests/scalar_reference.py.
 """
 
 from __future__ import annotations

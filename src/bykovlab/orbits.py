@@ -142,17 +142,19 @@ def lyapunov(params: ModelParams, pert: Perturbation, p0: CylinderPoint,
                 batch_ld = 0.0
         p = q
     done = max(0, (burn_in + n if escaped_at is None else escaped_at) - burn_in)
-    return _lyapunov_estimate(l1, l2, logdet, batch_ld, (p11, p12, p21, p22),
-                              done, n, escaped_at)
+    return _lyapunov_estimate(l1, l2, batch_ld, (p11, p12, p21, p22), done,
+                              n, escaped_at, logdet)
 
 
-def _lyapunov_estimate(l1: float, l2: float, logdet: float, batch_ld: float,
-                       product: tuple, done: int, n: int,
-                       escaped_at: int | None) -> LyapunovEstimate:
+def _lyapunov_estimate(l1: float, l2: float, batch_ld: float, product: tuple,
+                       done: int, n: int, escaped_at: int | None,
+                       logdet: float | None = None) -> LyapunovEstimate:
     """The estimate from a QR run stopped after `done` of `n` measured steps.
 
-    l1, l2 and logdet are the sums so far, and `product` and batch_ld the
-    Jacobian product and log-determinant since the last renormalization.
+    l1 and l2 are the sums so far, and `product` and batch_ld the Jacobian
+    product and log-determinant since the last renormalization.  Only a
+    run that keeps the log-determinant sum logdet (lyapunov, not
+    classify_batch) reports det_consistency.
     """
     if done == 0 or (escaped_at is not None and done < n // 2):
         return LyapunovEstimate(math.nan, math.nan, done,
@@ -163,7 +165,8 @@ def _lyapunov_estimate(l1: float, l2: float, logdet: float, batch_ld: float,
         l2 += d2 if math.isfinite(d2) else SATURATION * (done % QR_CADENCE)
     chi1, chi2 = sorted((l1 / done, l2 / done), reverse=True)
     saturated = chi2 < SATURATION
-    cons = None if saturated else abs(chi1 + chi2 - logdet / done)
+    cons = (None if saturated or logdet is None
+            else abs(chi1 + chi2 - logdet / done))
     return LyapunovEstimate(chi1=chi1, chi2=max(chi2, SATURATION),
                             n_iter=done, saturated=saturated,
                             det_consistency=cons, escaped_at=escaped_at)
@@ -322,24 +325,22 @@ def _lyapunov_block(jacobians: tuple, u0: int, n_lyap: int, sums: np.ndarray,
     """Fold the Jacobians of measured steps u0, u0+1, ... into the run.
 
     jacobians holds (j11, j12, j21, j22), each of shape (steps, orbits),
-    and u0 is a multiple of QR_CADENCE.  sums (rows l1, l2, logdet,
-    batch_ld, as in lyapunov) and the products prod[i, j] = p_(i+1)(j+1)
-    are updated in place.  escapes maps an orbit to the measured step of
-    this block at which it escaped; returns its LyapunovEstimate, read
-    from the state before that step.  Every sum adds in step order, as
-    lyapunov does: logdet by np.cumsum, batch_ld one renormalization
-    interval's column at a time for all intervals at once; the products
-    are folded one step at a time and renormalized every QR_CADENCE steps.
+    and u0 is a multiple of QR_CADENCE.  sums (rows l1, l2, batch_ld, as
+    in lyapunov) and the products prod[i, j] = p_(i+1)(j+1) are updated in
+    place.  escapes maps an orbit to the measured step of this block at
+    which it escaped; returns its LyapunovEstimate, read from the state
+    before that step.  Every sum adds in step order, as lyapunov does:
+    batch_ld by np.cumsum within each renormalization interval, all
+    intervals at once; the products are folded one step at a time and
+    renormalized every QR_CADENCE steps.
     """
     j11, j12, j21, j22 = jacobians
     k, m = j11.shape
     ld = np.log(np.abs(j11 * j22 - j12 * j21))
     ld[~np.isfinite(ld)] = SATURATION * 2.0
-    logdets = np.cumsum(np.concatenate((sums[2][None], ld)), axis=0)
     batch = np.zeros((-(-k // QR_CADENCE), QR_CADENCE, m))
-    batch.reshape(-1, m)[:k] = ld  # batch[g, r]: batch_ld after step r of g
-    for r in range(1, QR_CADENCE):
-        batch[:, r] += batch[:, r - 1]
+    batch.reshape(-1, m)[:k] = ld
+    batch = np.cumsum(batch, axis=1)  # batch_ld after step r of interval g
     jac = np.empty((k, 2, 2, 1, m))
     jac[:, 0, 0, 0], jac[:, 0, 1, 0], jac[:, 1, 0, 0], jac[:, 1, 1, 0] = (
         j11, j12, j21, j22)
@@ -352,7 +353,7 @@ def _lyapunov_block(jacobians: tuple, u0: int, n_lyap: int, sums: np.ndarray,
         for c in at.get(u, ()):
             g, r = divmod(u, QR_CADENCE)
             out[c] = _lyapunov_estimate(
-                float(sums[0, c]), float(sums[1, c]), float(logdets[u, c]),
+                float(sums[0, c]), float(sums[1, c]),
                 float(batch[g, r - 1, c]) if r else 0.0,
                 tuple(prod[:, :, c].ravel().tolist()), u0 + u, n_lyap, u0 + u)
         np.multiply(jac[u], prod, out=terms)
@@ -364,8 +365,7 @@ def _lyapunov_block(jacobians: tuple, u0: int, n_lyap: int, sums: np.ndarray,
             sat = SATURATION * QR_CADENCE
             sums[0] += np.where(np.isfinite(d1), d1, sat)
             sums[1] += np.where(np.isfinite(d2), d2, sat)
-    sums[2] = logdets[-1]
-    sums[3] = batch.reshape(-1, m)[k - 1] if k % QR_CADENCE else 0.0
+    sums[2] = batch.reshape(-1, m)[k - 1] if k % QR_CADENCE else 0.0
     return out
 
 
@@ -392,10 +392,10 @@ def _lockstep(params: list, pert: Perturbation, budget: Budget) -> list:
     the block's Jacobians and log-determinants and fold them into the
     QR-renormalized products (Benettin et al. 1980); Lyapunov blocks start
     at multiples of QR_CADENCE steps.  Every sum adds in step order, so
-    every float is the one the per-step loop in tests/scalar_reference.py
-    gives.  An orbit's results are read at the step of its escape, and at
-    the end of that block it is parked on (0.5, 1) with lam = K_omega = 0,
-    where it stays finite and never escapes.
+    every float is that of the per-step loop in tests/scalar_reference.py.
+    An orbit's results are read at the step of its escape, and at the end
+    of that block it is parked on (0.5, 1) with lam = K_omega = 0, where it
+    stays finite and never escapes.
     """
     burn, n = budget.burn_in, budget.n_iter
     n_lyap, n_rot = min(n, LYAPUNOV_CAP), min(ROTATION_CAP, n)
@@ -421,9 +421,9 @@ def _lockstep(params: list, pert: Perturbation, budget: Budget) -> list:
     rec_x, rec_y = np.empty((n + 1 - first, m)), np.empty((n + 1 - first, m))
     escape = {}  # cell: the step at which its orbit escaped
     disp, final_disp = np.zeros((3, m)), np.zeros((3, m))
-    # the Lyapunov run's sums (l1, l2, logdet, batch_ld) and product P,
+    # the Lyapunov run's sums (l1, l2, batch_ld) and product P,
     # P[i, j] = p_(i+1)(j+1), and the estimates of the orbits it lost
-    sums, prod = np.zeros((4, m)), np.zeros((2, 2, m))
+    sums, prod = np.zeros((3, m)), np.zeros((2, 2, m))
     prod[0, 0] = prod[1, 1] = 1.0
     estimates = {}
     blocks = [(t, min(t + size, lyap0)) for t in range(0, lyap0, size)]

@@ -1,51 +1,36 @@
 """Scalar references for the fast paths of `bykovlab`.
 
-Six groups of references, each written as the plain definition:
+Each reference is the plain definition of what a fast path computes.  Its
+docstring's `Contract:` line says what the tests hold the fast path to,
+and why the reference stays:
 
-- the factored return map: the local passages past each saddle-focus, their
-  closed form `eta`, the perturbed global transition `psi_21`, their
-  Jacobians, the factored determinant and a central finite-difference
-  Jacobian.  The float kernel (`Perturbation._kernel`) and
-  `model.det_jac_return` are tested against them.  The kernel is also
-  written as the loops over the coefficient table's float rows it is
-  compiled from (`image_step`, `return_step`); it must match them bit for
-  bit.
-- loops that advance one circle-map orbit at a time with plain float calls
-  of the family, the branch-by-interval transition matrix and the
-  singular-limit error table one n at a time (its strip stepped by
-  `model.step_batch` per n).  The array paths of
-  `bykovlab.circlemap` must match them exactly.  Two earlier array paths
-  are kept as they were: the lockstep loop that advanced critical and seed
-  orbits together in `misiurewicz_scan`, and `audit_H4` certifying every
-  a of its grid; the (1b)-first paths must give the same certificates and
-  the same H4 evidence.  H5's closed-form dp/da is
-  checked against a finite difference of pullbacks on the lift.  The
-  trigonometric-polynomial sums are written one derivative order at a time;
-  `TrigPoly.jet` must match them bit for bit.
-- `audit_H1` as a loop over samples that calls `model.det_jac_return` once
-  per sample and counts the negative ones.  `audit.audit_H1` takes every
-  signed determinant from one `model.step_batch` call; it is tested
-  against it.  H6's closed-form height derivative is checked against a
-  central difference of the limit map.
-- `classify_cell` as three separate one-orbit runs (iterate, lyapunov,
-  rotation_set_2d) of the scalar kernel, and period detection as one full
-  pass over the tail per candidate period.  `orbits.classify_batch` follows
-  one lockstep orbit per cell through the array kernel and is tested
-  against it: equal labels and periods, and equal exponents and rotation
-  numbers where the orbit does not amplify the ULP differences between
-  numpy's and math's log and power.  `orbits._detect_period` rejects most
-  candidate periods as one array first and must return the same period.
-- the array kernel that read the coefficient table's columns
-  (`step_batch`, `image_batch`) and the lockstep that stepped every cell
-  one image (or one `step_batch`) at a time, with the per-step
-  log-determinant and product arithmetic (`lockstep`, `classify_batch`).
-  Contract: bits.  The compiled array kernel must equal the first with
-  `np.array_equal`, and `orbits.classify_batch`, which steps images only
-  and computes the Lyapunov run per block, the second with repr ==.
-- `lyapunov` as the loop that read each measured step's Jacobian from a
-  2x2 array through `.tolist()`.  `orbits.lyapunov` unpacks
-  `model.jac_return`'s nested float tuples directly and must give equal
-  estimates.
+- bits: equal with ==, np.array_equal or repr ==, where the fast path runs
+  the same float operations in the same order;
+- definition: equal labels, verdicts or values within a stated tolerance,
+  where the fast path may differ in the last bits.
+
+Four groups:
+
+- the return map: the local passages past each saddle-focus, their closed
+  form `eta`, the perturbed global transition `psi_21`, their Jacobians,
+  the factored determinant and a finite-difference Jacobian; the loops
+  over the coefficient table's float rows (`image_step`, `return_step`)
+  that the float kernel is compiled from, and the same rows summed on
+  numpy arrays with lam and K_omega per orbit (`array_image`,
+  `array_step`) that the array kernel is compiled from.
+- circle-map loops that advance one orbit at a time with plain float calls
+  of the family, the branch-by-interval transition matrix, the
+  singular-limit error table one n at a time, the streaming Misiurewicz
+  loop that ran before the (1b) screen, H4 certifying every a of its grid,
+  H5's dp/da by a finite difference of pullbacks and the
+  trigonometric-polynomial sums one derivative order at a time.
+- `audit_H1` one sample at a time, and H6's height derivative by a central
+  difference.
+- regime classification: `classify_cell` as three one-orbit runs, period
+  detection as one full pass per candidate period, `lyapunov` as one loop
+  over `image_step`/`return_step`, and the lockstep that advances every
+  cell one `array_image` (one `array_step` in the Lyapunov run) at a time
+  (`lockstep`, `classify_batch`).
 """
 
 import math
@@ -65,7 +50,8 @@ from bykovlab.orbits import (CHI_THRESH, CURVE_THRESH, LYAPUNOV_CAP,
                              ROTATION_CAP, SATURATION, Budget,
                              LyapunovEstimate, RegimeCell, _gram_schmidt_2x2,
                              _lyapunov_estimate, _orbit_thickness, iterate,
-                             lyapunov, rotation_set_2d)
+                             rotation_set_2d)
+
 
 # ---------------------------------------------------------------------------
 # Factored return map
@@ -77,7 +63,9 @@ class TrappedError(ValueError):
 
 
 def local_map_o1(p: CylinderPoint, params: ModelParams) -> tuple[float, float]:
-    """Passage past the first saddle-focus: wall point -> disc point (r, phi)."""
+    """Passage past the first saddle-focus: wall -> disc point (r, phi).
+    Contract: definition; local_map_o2 after it must equal eta to rounding.
+    """
     x, y = p
     if y <= 0.0:
         raise TrappedError(f"y={y}: trapped or wrong branch at the first focus")
@@ -87,7 +75,8 @@ def local_map_o1(p: CylinderPoint, params: ModelParams) -> tuple[float, float]:
 
 
 def local_map_o2(r: float, phi: float, params: ModelParams) -> CylinderPoint:
-    """Passage past the second saddle-focus: disc point -> wall point."""
+    """Passage past the second saddle-focus: disc point -> wall point.
+    Contract: definition, as local_map_o1."""
     if r <= 0.0:
         raise TrappedError(f"r={r}: on the stable manifold of the second focus")
     x = phi - (params.omega2 / params.e2) * math.log(r)
@@ -96,7 +85,9 @@ def local_map_o2(r: float, phi: float, params: ModelParams) -> CylinderPoint:
 
 
 def eta(p: CylinderPoint, params: ModelParams) -> CylinderPoint:
-    """Closed form of the double passage: (x - K ln y mod 2pi, y^delta)."""
+    """Closed form of the double passage: (x - K ln y mod 2pi, y^delta).
+    Contract: definition; return_map must equal eta o psi_21 to rounding.
+    """
     x, y = p
     if y <= 0.0:
         raise TrappedError(f"y={y}: entered lower branch / trapped")
@@ -105,7 +96,8 @@ def eta(p: CylinderPoint, params: ModelParams) -> CylinderPoint:
 
 
 def psi_21(p: CylinderPoint, params: ModelParams, pert: Perturbation) -> CylinderPoint:
-    """Perturbed global transition (x, y) -> (x + xi + lam*Phi1, y + lam*Phi2)."""
+    """Perturbed global transition (x, y) -> (x + xi + lam*Phi1, y + lam*Phi2).
+    Contract: definition, as eta."""
     x, y = p
     lam = params.lam
     return CylinderPoint(wrap_angle(x + params.xi + lam * pert.phi1(x, y)),
@@ -125,6 +117,8 @@ def _dy(f: CylinderFunction, x: float, y: float) -> float:
 
 
 def jac_psi21(p, params: ModelParams, pert: Perturbation) -> np.ndarray:
+    """D psi_21 at p, from TrigPoly's derivatives.  Contract: definition;
+    jac_return must equal jac_eta @ jac_psi21 to a few ULP."""
     x, y = p
     lam = params.lam
     return np.array([
@@ -134,6 +128,7 @@ def jac_psi21(p, params: ModelParams, pert: Perturbation) -> np.ndarray:
 
 
 def jac_eta(p, params: ModelParams) -> np.ndarray:
+    """D eta at p = (X, Y).  Contract: definition, as jac_psi21."""
     _, y = p
     return np.array([
         [1.0, -params.k_omega / y],
@@ -142,7 +137,9 @@ def jac_eta(p, params: ModelParams) -> np.ndarray:
 
 
 def det_jac_return(p, params: ModelParams, pert: Perturbation) -> float:
-    """Determinant via the factorization delta*Y^(delta-1) * det(D psi_21)."""
+    """Determinant via the factorization delta*Y^(delta-1) * det(D psi_21).
+    Contract: bits; model.det_jac_return, which sums the table's float rows,
+    must equal it with == on pairs whose terms are in table order."""
     x, y = p
     lam = params.lam
     big_y = y + lam * pert.phi2(x, y)
@@ -153,20 +150,32 @@ def det_jac_return(p, params: ModelParams, pert: Perturbation) -> float:
 
 def step_constants(params: ModelParams, pert: Perturbation) -> tuple:
     """Everything image_step and return_step read: the float kernel's
-    scalars and the float rows it is compiled from."""
+    scalars and the float rows it is compiled from.  A helper, no
+    reference."""
     return params._step_scalars + pert._table
 
 
 def row(r, trig) -> float:
-    """One float row of Perturbation._table at shared cos/sin."""
+    """One float row of Perturbation._table at shared cos/sin: the
+    constant, then each term in column order.  Contract: bits; both
+    kernels' generated sums unroll this loop."""
     out, terms = r
     for j, a in terms:
         out = out + a * trig[j]
     return out
 
 
+def value(profile, trig, y: float) -> float:
+    """P + y*Q of one profile's float rows.  Contract: bits, as row."""
+    base, _, slope, _ = profile
+    if slope is None:
+        return row(base, trig)
+    return row(base, trig) + y * row(slope, trig)
+
+
 def partials(profile, trig, y: float) -> tuple[float, float]:
-    """x- and y-derivatives P' + y*Q' and Q of one profile's float rows."""
+    """x- and y-derivatives P' + y*Q' and Q of one profile's float rows.
+    Contract: bits, as row."""
     _, dx, slope, dslope = profile
     if slope is None:
         return row(dx, trig), 0.0
@@ -179,22 +188,20 @@ def image_step(x: float, y: float, consts: tuple) -> tuple:
     Returns (unwrapped new angle, new height, Y, trig) with Y = y + lam*Phi2
     and trig the cos kx, sin kx of each harmonic, which return_step reuses.
     Raises EscapeError when Y <= 0 or the image height leaves the strip.
+    Contract: bits.  The compiled float kernel (`Perturbation._kernel`)
+    must equal it and return_step with ==, and raise EscapeError at the
+    same inputs; they are the plain loops its generated source unrolls.
     """
-    lam, xi, k_omega, delta, harmonics, (f1, _, q1, _), (f2, _, q2, _) = consts
+    lam, xi, k_omega, delta, harmonics, phi1, phi2 = consts
     trig = [g(k * x) for k in harmonics for g in (math.cos, math.sin)]
-    phi2 = row(f2, trig)
-    if q2 is not None:
-        phi2 = phi2 + y * row(q2, trig)
-    big_y = y + lam * phi2
+    big_y = y + lam * value(phi2, trig, y)
     if big_y <= 0.0:
         raise EscapeError(CylinderPoint(x, y))
     new_y = big_y ** delta
     if new_y > 1.0:
         raise EscapeError(CylinderPoint(x, y))
-    phi1 = row(f1, trig)
-    if q1 is not None:
-        phi1 = phi1 + y * row(q1, trig)
-    return x + xi + lam * phi1 - k_omega * math.log(big_y), new_y, big_y, trig
+    return (x + xi + lam * value(phi1, trig, y) - k_omega * math.log(big_y),
+            new_y, big_y, trig)
 
 
 def return_step(x: float, y: float, consts: tuple) -> tuple[float, ...]:
@@ -203,6 +210,7 @@ def return_step(x: float, y: float, consts: tuple) -> tuple[float, ...]:
     Returns (unwrapped new angle, new height, j11, j12, j21, j22), the
     chain rule D eta(X, Y) @ D psi_21(x, y) with the pair's partials at the
     image's cos/sin.  Raises EscapeError where image_step does.
+    Contract: bits, as image_step; lyapunov below steps through both.
     """
     new_x, new_y, big_y, trig = image_step(x, y, consts)
     lam, _, k_omega, delta, _, phi1, phi2 = consts
@@ -214,6 +222,52 @@ def return_step(x: float, y: float, consts: tuple) -> tuple[float, ...]:
     p22 = 1.0 + lam * f2y
     return (new_x, new_y, 1.0 + lam * f1x + e12 * p21, lam * f1y + e12 * p22,
             e22 * p21, e22 * p22)
+
+
+def array_image(x, y, lam, k_omega, params: ModelParams,
+                pert: Perturbation) -> tuple:
+    """image_step's float rows summed on numpy arrays, lam and K_omega per
+    orbit, with numpy's cos, sin, log and power.
+
+    Returns (unwrapped new angles, new heights, alive, Y, trig).  Where
+    Y = y + lam*Phi2 <= 0, Y is read as 1, so everything computed from it
+    stays finite; alive is False there and where the new height exceeds 1.
+    Contract: bits.  The compiled array kernel's image
+    (`Perturbation._array_kernel`) must equal it with np.array_equal; it
+    stays as the plain sum that kernel's generated source unrolls.
+    """
+    harmonics, phi1, phi2 = pert._table
+    trig = [g(k * x) for k in harmonics for g in (np.cos, np.sin)]
+    big_y = y + lam * value(phi2, trig, y)
+    alive = big_y > 0.0
+    big_y = np.where(alive, big_y, 1.0)
+    new_y = big_y ** params.delta
+    alive &= new_y <= 1.0
+    new_x = (x + params.xi + lam * value(phi1, trig, y)
+             - k_omega * np.log(big_y))
+    return new_x, new_y, alive, big_y, trig
+
+
+def array_step(x, y, lam, k_omega, params: ModelParams,
+               pert: Perturbation) -> tuple:
+    """array_image and the Jacobian from the same cos, sin and Y.
+
+    Returns (unwrapped new angles, new heights, j11, j12, j21, j22, alive):
+    return_step's chain rule with r = K/Y, e22 = delta*Y^(delta-1) and
+    p22 = 1 + lam*Phi2_y, written as the array kernel writes it
+    (a - r*p for return_step's a + e12*p, which is equal).
+    Contract: bits.  model.step_batch must equal it with np.array_equal;
+    it stays for the reason array_image does.
+    """
+    new_x, new_y, alive, big_y, trig = array_image(x, y, lam, k_omega,
+                                                   params, pert)
+    (f1x, f1y), (f2x, f2y) = (partials(p, trig, y) for p in pert._table[1:])
+    r = k_omega / big_y
+    e22 = params.delta * big_y ** (params.delta - 1.0)
+    lf2x = lam * f2x
+    p22 = 1.0 + lam * f2y
+    return (new_x, new_y, 1.0 + lam * f1x - r * lf2x, lam * f1y - r * p22,
+            e22 * lf2x, e22 * p22, alive)
 
 
 # Phi1 and Phi2 with y-dependent slopes and a second harmonic, so every
@@ -246,6 +300,8 @@ def finite_difference_jacobian(fn, p, h: float = FD_STEP) -> np.ndarray:
 
     Angle components are compared on the circle, so the step may cross the
     branch cut of the mod-2pi reduction.
+    Contract: definition, to the difference's accuracy; the one check of
+    the analytic Jacobians that shares none of their algebra.
     """
     x, y = p
 
@@ -271,7 +327,8 @@ def finite_difference_jacobian(fn, p, h: float = FD_STEP) -> np.ndarray:
 
 
 def trig_value(p: TrigPoly, x):
-    """P(x), one harmonic at a time."""
+    """P(x), one harmonic at a time.  Contract: bits; TrigPoly.jet must
+    equal each order's sum byte for byte."""
     x = np.asarray(x, dtype=float)
     out = p.constant + np.zeros_like(x)
     for k, ck, sk in p.terms:
@@ -280,7 +337,7 @@ def trig_value(p: TrigPoly, x):
 
 
 def trig_d1(p: TrigPoly, x):
-    """P'(x), one harmonic at a time."""
+    """P'(x), one harmonic at a time.  Contract: bits, as trig_value."""
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     for k, ck, sk in p.terms:
@@ -289,7 +346,7 @@ def trig_d1(p: TrigPoly, x):
 
 
 def trig_d2(p: TrigPoly, x):
-    """P''(x), one harmonic at a time."""
+    """P''(x), one harmonic at a time.  Contract: bits, as trig_value."""
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     for k, ck, sk in p.terms:
@@ -301,7 +358,8 @@ def misiurewicz_check(family: cm.CircleMapFamily, a: float,
                       delta0: float = 0.05, horizon: int = 50,
                       n_seeds: int = 32,
                       seed: int = 0) -> cm.MisiurewiczCertificate:
-    """One orbit at a time: the reference for `cm.misiurewicz_scan`."""
+    """One orbit at a time: the reference for `cm.misiurewicz_scan`.
+    Contract: bits; the scan must give equal certificate reports."""
     if horizon < 1 or delta0 <= 0.0:
         raise ValueError("need horizon >= 1 and delta0 > 0")
     crit = family.critical_set
@@ -399,7 +457,14 @@ def misiurewicz_scan_lockstep(family: cm.CircleMapFamily, a_values,
     """The streaming loop `cm.misiurewicz_scan` ran before (1b) moved to
     `cm.critical_orbit_distances`: the critical and seed orbits of every a
     advance in lockstep as one (n_a, q + n_seeds) array, and the critical
-    columns' distances are written step by step."""
+    columns' distances are written step by step.
+
+    Contract: bits.  cm.misiurewicz_scan, whose (1b) verdict comes from
+    cm.critical_orbit_distances, must give equal certificates.  It stays
+    beside misiurewicz_check because that loop, on the 5 families x 64 a
+    of TestCriticalOrbitScreen, would add over 20 s to the suite (about
+    70 ms per a on a 2-core VM).
+    """
     if horizon < 1 or delta0 <= 0.0:
         raise ValueError("need horizon >= 1 and delta0 > 0")
     if n_seeds < 1:
@@ -413,20 +478,9 @@ def misiurewicz_scan_lockstep(family: cm.CircleMapFamily, a_values,
                 "tolerances": {"delta0": delta0, "root_tol": cm.ROOT_TOL,
                                "morse_tol": cm.MORSE_TOL}, "rng_seed": seed}
 
-    if q == 0:
-        xs = np.linspace(0.0, TWO_PI, cm.DEFAULT_GRID, endpoint=False)
-        lam0 = float(np.min(np.log(np.abs(family.deriv(xs)))))
-        return [cm.MisiurewiczCertificate(
-            a=a, delta0=delta0, b0=1.0, lambda0=lam0, horizon=horizon,
-            verdicts=[
-                cm.Verdict("1a-nondegenerate-turns", True,
-                           "vacuous: empty critical set"),
-                cm.Verdict("1b-critical-orbit-avoidance", True, "vacuous"),
-                cm.Verdict("2a-expansion", lam0 > 0.0, {"lambda0": lam0}),
-                cm.Verdict("2b-return-expansion", lam0 > 0.0,
-                           {"lambda0": lam0} if lam0 > 0.0 else
-                           {"lambda0": lam0, "note": "expansion failure"}),
-            ], vacuous=True, provenance=provenance()) for a in a_values]
+    if q == 0:  # vacuous: no orbit is stepped
+        return [misiurewicz_check(family, a, delta0, horizon, n_seeds, seed)
+                for a in a_values]
 
     loc = crit.points[:, None] + np.linspace(-delta0, delta0, 33)
     worst_1a = float(np.min(np.abs(family.deriv2(loc))))
@@ -499,7 +553,10 @@ def misiurewicz_scan_lockstep(family: cm.CircleMapFamily, a_values,
 
 def critical_orbit_distances(family: cm.CircleMapFamily, a_values,
                              horizon: int) -> np.ndarray:
-    """Distance of h_a^n(c) to the critical set, one float step at a time."""
+    """Distance of h_a^n(c) to the critical set, one float step at a time.
+    Contract: bits; cm.critical_orbit_distances must equal it with
+    np.array_equal.  CriticalSet.distance, which both call, is pinned to
+    its loop definition in tests/test_circlemap.py."""
     crit = family.critical_set
     out = np.empty((len(a_values), crit.q, horizon))
     for i, a in enumerate(a_values):
@@ -513,7 +570,9 @@ def critical_orbit_distances(family: cm.CircleMapFamily, a_values,
 
 def audit_H4(family: cm.CircleMapFamily, a_window=(0.0, TWO_PI),
              n_a: int = 256, seed: int = 0) -> HypothesisVerdict:
-    """H4 with every a of the grid certified in full (no (1b) screen)."""
+    """H4's definition: every a of the grid certified in full.  Contract:
+    bits; audit.audit_H4, which certifies in full only the a that pass
+    (1b), must give an equal verdict."""
     if n_a < 1:
         raise ValueError(f"need n_a >= 1, got n_a={n_a}")
     crit = family.critical_set
@@ -537,7 +596,8 @@ def audit_H4(family: cm.CircleMapFamily, a_window=(0.0, TWO_PI),
 
 def rotation_rhos(family: cm.CircleMapFamily, a: float, n_iter: int,
                   n_seeds: int) -> list[float]:
-    """Per-seed lift rotation numbers, one seed at a time."""
+    """Per-seed lift rotation numbers, one seed at a time.  Contract: bits;
+    cm.rotation_interval's lockstep seeds must give the same min and max."""
     rhos = []
     for x0 in np.linspace(0.0, TWO_PI, n_seeds, endpoint=False):
         xhat = float(x0)
@@ -549,7 +609,8 @@ def rotation_rhos(family: cm.CircleMapFamily, a: float, n_iter: int,
 
 def superstable_g(family: cm.CircleMapFamily, grid: np.ndarray, c: float,
                   period: int) -> np.ndarray:
-    """g(a) = lift^period(c) - c on an a-grid, one parameter at a time."""
+    """g(a) = lift^period(c) - c on an a-grid, one parameter at a time.
+    Contract: bits; cm._lift_iterate must equal it with np.array_equal."""
     out = []
     for av in grid:
         x = c
@@ -564,7 +625,7 @@ def collet_eckmann_check(family: cm.CircleMapFamily, a: float,
                          lambda_ce: float | None = None, alpha: float = 0.05,
                          horizon: int = 100) -> cm.CEReport:
     """One critical orbit and one step at a time: the reference for
-    `cm.collet_eckmann_check`."""
+    `cm.collet_eckmann_check`.  Contract: bits; equal JSON reports."""
     if lambda_ce is None:
         lambda_ce = cert.lambda0 / 10.0
     if not lambda_ce < cert.lambda0 / 5.0:
@@ -611,7 +672,7 @@ def collet_eckmann_check(family: cm.CircleMapFamily, a: float,
 def transition_q(family: cm.CircleMapFamily, a: float,
                  partition: cm.MonotonicityPartition) -> np.ndarray:
     """The 0/1 matrix of `cm.transition_matrix`, one (branch, interval)
-    pair at a time."""
+    pair at a time.  Contract: bits; equal matrices."""
     r = partition.r
     q = np.zeros((r, r), dtype=int)
     for i in range(r):
@@ -634,10 +695,10 @@ def singular_limit_convergence(params: ModelParams, pert: Perturbation,
     """One n at a time: the reference for `cm.singular_limit_convergence`.
 
     Each n steps its own strip grid through `model.step_batch` with one
-    float lam and masks by boolean indexing; the one-batch table over every
-    n must equal it bit for bit.  The contract is the bits of the batching,
-    not the kernel: the kernel is checked against return_map/jac_return
-    point by point in tests/test_singular_limit.py.
+    float lam and masks by boolean indexing.
+    Contract: bits of the batching, not of the kernel.  The one-batch table
+    over every n must equal it with repr ==; the kernel is checked against
+    return_map/jac_return point by point in tests/test_singular_limit.py.
     """
     k, delta = params.k_omega, params.delta
     consts = md._batch_constants(params, pert)
@@ -674,6 +735,7 @@ def h5_dp_da(family: cm.CircleMapFamily, a_star: float,
     h_a; each preimage solves lift(a, y) = next by Newton's method started at
     the orbit point it replaces, so it stays on that point's branch and
     lift, however often the branch's image wraps the circle.
+    Contract: definition.  H5's closed-form dp/da must agree to 1e-3.
     """
     c = float(family.critical_set.points[0])
     orbit = [family.val(a_star, c)]
@@ -705,6 +767,10 @@ def audit_H1(params: ModelParams, pert: Perturbation,
     negative determinants; samples of both signs are a fold.  A sample with
     y + lam*Phi2 < 0 is not caught here: its determinant is the factored
     formula's value off the return domain.
+    Contract: definition.  audit.audit_H1, which takes every determinant
+    from one model.step_batch call, must give the same status, and k and
+    det_ratio to 1e-13; the array determinant is not det_jac_return's to
+    the bit.
     """
     t, sample_size = au.THRESHOLDS, au.H1_SAMPLES
     rng = np.random.default_rng(seed)
@@ -748,8 +814,9 @@ def h6_height_derivative(params: ModelParams, pert: Perturbation, x: float,
     """d/d ybar of the limit map's first component at (x, 0), numerically.
 
     A central difference of the lift h_a(x, ybar) = x + xi + a
-    - K ln(ybar + Phi2(x, ybar)) at a = 0 (a only shifts h_a); the
-    reference for the closed form `audit.audit_H6` reads.
+    - K ln(ybar + Phi2(x, ybar)) at a = 0 (a only shifts h_a).
+    Contract: definition.  The closed form `audit.audit_H6` reads must
+    agree to 1e-6.
     """
     def h(ybar: float) -> float:
         return (x + params.xi
@@ -769,6 +836,8 @@ def detect_period(tail: np.ndarray, tol: float, cap: int,
 
     Heights are compared relative to yscale (the orbit's own y-magnitude),
     angles on the circle.
+    Contract: bits.  orbits._detect_period, which rejects most candidates
+    as one array first, must return the same period.
     """
     m = len(tail)
     if m < 2 * cap:
@@ -789,6 +858,12 @@ def classify_cell(lam: float, k_omega: float, base_params: ModelParams,
     Decision tree: detected period -> PeriodicSink; chi1 above threshold ->
     StrangeAttractorCandidate; thin orbit closure with near-zero chi1 ->
     InvariantCurve; otherwise TransientChaos.  Escape anywhere -> Escaped.
+    Three separate one-orbit runs: iterate and rotation_set_2d of the float
+    kernel, and lyapunov below.
+    Contract: definition.  orbits.classify_batch must give equal labels
+    and periods, and equal exponents and rotation numbers to 1e-9 where the
+    orbit does not amplify the ULP differences between numpy's and math's
+    log and power.
     """
     params = base_params.with_k_omega(k_omega).with_lambda(lam)
     p0 = CylinderPoint(0.5, lam)  # inside the absorbing annulus
@@ -822,35 +897,43 @@ def classify_cell(lam: float, k_omega: float, base_params: ModelParams,
 
 
 # ---------------------------------------------------------------------------
-# Lyapunov exponents with the Jacobian as a 2x2 array
+# One-orbit Lyapunov exponents and the per-step lockstep
 # ---------------------------------------------------------------------------
 
 
-def jac_return_array(p, params: ModelParams, pert: Perturbation) -> np.ndarray:
-    """The float kernel step's four Jacobian entries as a 2x2 array."""
-    j = pert._kernel[1](p[0], p[1], params._step_scalars)
-    return np.array(j[2:]).reshape(2, 2)
+def lyapunov(params: ModelParams, pert: Perturbation, p0: CylinderPoint,
+             n: int, burn_in: int = 1000) -> LyapunovEstimate:
+    """QR-renormalized exponents of one orbit, one loop over the float rows.
 
-
-def lyapunov_array(params: ModelParams, pert: Perturbation, p0: CylinderPoint,
-                   n: int, burn_in: int = 1000) -> LyapunovEstimate:
-    """QR-renormalized exponents, each measured step's Jacobian read from
-    jac_return_array through .tolist()."""
+    image_step steps the burn-in and return_step each measured step, whose
+    Jacobian is folded into a 2x2 product of plain floats, re-orthonormalized
+    every QR_CADENCE steps; an escape stops the run before the escaping step
+    is counted.
+    Contract: bits.  orbits.lyapunov, which steps through return_map and
+    jac_return (the compiled float kernel), must give equal estimates,
+    every field ==.  The two share no stepping code (only wrap_angle, the
+    2x2 QR and the final estimate), so this pins its orbit, product order,
+    renormalizations and escape index.
+    """
     if n < 0 or burn_in < 0:
         raise ValueError(f"need n >= 0 and burn_in >= 0, got n={n}, "
                          f"burn_in={burn_in}")
-    p = CylinderPoint(wrap_angle(p0.x), p0.y)
+    consts = step_constants(params, pert)
+    x, y = wrap_angle(p0.x), p0.y
     l1 = l2 = logdet = batch_ld = 0.0
     p11, p12, p21, p22 = 1.0, 0.0, 0.0, 1.0
     escaped_at = None
     for i in range(burn_in + n):
         try:
-            q = md.return_map(p, params, pert)
+            if i < burn_in:
+                x, y = image_step(x, y, consts)[:2]
+            else:
+                x, y, a, b, c, d = return_step(x, y, consts)
         except EscapeError:
             escaped_at = i
             break
+        x = wrap_angle(x)
         if i >= burn_in:
-            (a, b), (c, d) = jac_return_array(p, params, pert).tolist()
             det = abs(a * d - b * c)
             ld = math.log(det) if 0.0 < det < math.inf else SATURATION * 2.0
             logdet += ld
@@ -863,124 +946,23 @@ def lyapunov_array(params: ModelParams, pert: Perturbation, p0: CylinderPoint,
                 l1 += d1 if math.isfinite(d1) else SATURATION * QR_CADENCE
                 l2 += d2 if math.isfinite(d2) else SATURATION * QR_CADENCE
                 batch_ld = 0.0
-        p = q
     done = max(0, (burn_in + n if escaped_at is None else escaped_at) - burn_in)
-    return _lyapunov_estimate(l1, l2, logdet, batch_ld, (p11, p12, p21, p22),
-                              done, n, escaped_at)
-
-
-# ---------------------------------------------------------------------------
-# The per-step lockstep over the array table (contract: bits)
-# ---------------------------------------------------------------------------
-#
-# The array kernel as it read the coefficient table's columns, and the
-# lockstep loop that advanced every cell by one image (one step_batch in
-# the Lyapunov run) per step, with the per-step log-determinant and product
-# arithmetic.  Contract: bits.  model.step_batch and the compiled array
-# image must equal step_batch/image_batch here with np.array_equal, and
-# orbits.classify_batch must equal classify_batch here with repr ==.
-
-
-def array_table(pert: Perturbation) -> tuple:
-    """(harmonics, rows, value_rows): the table's (R, 1) columns.
-
-    rows = (const, cos, sin, slopes) with const the constant column, cos
-    and sin per harmonic a coefficient column, and slopes a (profile, row
-    of its slope's value) pair per profile with a slope; value_rows is the
-    same over the value rows only, for image_batch.
-    """
-    polys = [pert.phi1.base, pert.phi2.base]
-    slopes = []
-    for profile, fn in enumerate((pert.phi1, pert.phi2)):
-        if fn.slope is not None:
-            slopes.append((profile, 2 * len(polys)))
-            polys.append(fn.slope)
-    harmonics = tuple(sorted({k for tp in polys for k, _, _ in tp.terms}))
-    table = np.zeros((2 * len(polys), 1 + 2 * len(harmonics)))
-    for p, tp in enumerate(polys):
-        table[2 * p, 0] = tp.constant
-        for k, ck, sk in tp.terms:
-            h = 1 + 2 * harmonics.index(k)
-            table[2 * p, h:h + 2] += ck, sk
-            table[2 * p + 1, h:h + 2] += k * sk, -k * ck
-
-    def columns(t):
-        cols = t.T.copy()[..., None]  # a contiguous (R, 1) per column
-        return cols[0], tuple(cols[1::2]), tuple(cols[2::2])
-
-    return (harmonics, (*columns(table), tuple(slopes)),
-            (*columns(table[::2]), tuple((p, s // 2) for p, s in slopes)))
-
-
-def batch_constants(params: ModelParams, pert: Perturbation) -> tuple:
-    return (params.xi, params.delta) + array_table(pert)
-
-
-def pair_rows(x, y, harmonics: tuple, table: tuple, width: int) -> tuple:
-    """(f, v): v every row at y = 0, f the first 2*width rows with each
-    slope's rows added y times."""
-    const, cos_coef, sin_coef, slopes = table
-    v = const
-    for k, a, b in zip(harmonics, cos_coef, sin_coef):
-        kx = x if k == 1 else k * x
-        v = v + a * np.cos(kx) + b * np.sin(kx)
-    f = v[:2 * width]
-    if slopes:
-        f = f.copy()
-        for profile, r in slopes:
-            f[width * profile:width * (profile + 1)] += y * v[r:r + width]
-    return f, v
-
-
-def batch_image(x, y, lam_f1, lam_f2, k_omega, xi: float,
-                delta: float) -> tuple:
-    """(unwrapped new angles, new heights, alive, Y), Y read as 1 where it
-    is not positive."""
-    big_y = y + lam_f2
-    alive = big_y > 0.0
-    if np.count_nonzero(alive) < alive.size:
-        big_y = np.where(alive, big_y, 1.0)
-    new_y = big_y ** delta
-    alive &= new_y <= 1.0
-    return x + xi + lam_f1 - k_omega * np.log(big_y), new_y, alive, big_y
-
-
-def image_batch(x, y, lam, k_omega, consts: tuple) -> tuple:
-    """(unwrapped new angles, new heights, alive) from the value rows."""
-    xi, delta, harmonics, _, values = consts
-    lf = lam * pair_rows(x, y, harmonics, values, 1)[0]
-    return batch_image(x, y, lf[0], lf[1], k_omega, xi, delta)[:3]
-
-
-def step_batch(x, y, lam, k_omega, consts: tuple) -> tuple:
-    """(unwrapped new angles, new heights, j11, j12, j21, j22, alive)."""
-    xi, delta, harmonics, rows, _ = consts
-    slopes = rows[3]
-    f, v = pair_rows(x, y, harmonics, rows, 2)
-    fy = [None, None]
-    for profile, r in slopes:
-        fy[profile] = v[r]
-    f1y, f2y = fy
-    lf = lam * f
-    new_x, new_y, alive, big_y = batch_image(x, y, lf[0], lf[2], k_omega,
-                                             xi, delta)
-    r = k_omega / big_y
-    e22 = delta * big_y ** (delta - 1.0)
-    j11 = 1.0 + lf[1] - r * lf[3]
-    if not slopes:
-        return new_x, new_y, j11, -r, e22 * lf[3], e22, alive
-    p22 = 1.0 if f2y is None else 1.0 + lam * f2y
-    j12 = -(r * p22) if f1y is None else lam * f1y - r * p22
-    return new_x, new_y, j11, j12, e22 * lf[3], e22 * p22, alive
+    return _lyapunov_estimate(l1, l2, batch_ld, (p11, p12, p21, p22), done,
+                              n, escaped_at, logdet)
 
 
 def lockstep(params: list, pert: Perturbation, budget: Budget) -> list:
     """One orbit per cell, all cells advanced one step at a time.
 
-    image_batch steps the burn-in and recorded steps, step_batch the
+    array_image steps the burn-in and recorded steps, array_step the
     Lyapunov run, whose log-determinants, products and renormalizations
     are folded in at every step; an escaped orbit is dropped from the
-    arrays.  Returns what orbits._lockstep returns.
+    arrays.  Returns what orbits._lockstep returns.  Only the
+    log-determinant since the last renormalization is kept, so no estimate
+    has a det_consistency.
+    Contract: bits.  orbits._lockstep must equal it with repr ==, its
+    recorded points bit for bit; it stays as the orchestration without the
+    fast path's blocks, buffers, np.remainder fix-ups and parked orbits.
     """
     burn, n = budget.burn_in, budget.n_iter
     n_lyap, n_rot = min(n, LYAPUNOV_CAP), min(ROTATION_CAP, n)
@@ -990,7 +972,7 @@ def lockstep(params: list, pert: Perturbation, budget: Budget) -> list:
     windows = {t: (sum(t >= s + n_rot for s in seed_starts),
                    sum(t >= s for s in seed_starts))
                for s0 in seed_starts for t in (s0, s0 + n_rot)}
-    consts = batch_constants(params[0], pert)
+    base = params[0]
     m = len(params)
     lam = np.array([p.lam for p in params])
     k_omega = np.array([p.k_omega for p in params])
@@ -999,7 +981,7 @@ def lockstep(params: list, pert: Perturbation, budget: Budget) -> list:
     rec_x, rec_y = np.empty((n + 1 - first, m)), np.empty((n + 1 - first, m))
     prod0 = np.repeat([[1.0], [0.0]], m, axis=1)
     prod1 = np.repeat([[0.0], [1.0]], m, axis=1)
-    sums = np.zeros((4, m))
+    sums = np.zeros((3, m))  # l1, l2, batch_ld
     disp = np.zeros((3, m))
     escaped = np.zeros(m, dtype=bool)
     seed_ok = np.ones((3, m), dtype=bool)
@@ -1008,10 +990,9 @@ def lockstep(params: list, pert: Perturbation, budget: Budget) -> list:
 
     def finish(pos: int, escaped_at) -> None:
         c = cols[pos]
-        l1, l2, logdet, batch_ld = sums[:, pos].tolist()
         done = n_lyap if escaped_at is None else escaped_at
         estimates[c] = _lyapunov_estimate(
-            l1, l2, logdet, batch_ld,
+            *sums[:, pos].tolist(),
             (*prod0[:, pos].tolist(), *prod1[:, pos].tolist()),
             done, n_lyap, escaped_at)
         final_disp[:, c] = disp[:, pos]
@@ -1022,10 +1003,12 @@ def lockstep(params: list, pert: Perturbation, budget: Budget) -> list:
             if rec0 <= t <= lyap0:
                 rec_x[t - rec0, cols], rec_y[t - rec0, cols] = x, y
             if t < lyap0:
-                xn, yn, alive = image_batch(x, y, lam, k_omega, consts)
+                xn, yn, alive = array_image(x, y, lam, k_omega, base,
+                                            pert)[:3]
                 jac = ()
             else:
-                xn, yn, *jac, alive = step_batch(x, y, lam, k_omega, consts)
+                xn, yn, *jac, alive = array_step(x, y, lam, k_omega, base,
+                                                 pert)
             if np.count_nonzero(alive) < alive.size:
                 for pos in np.flatnonzero(~alive).tolist():
                     if t < lyap0:
@@ -1047,17 +1030,17 @@ def lockstep(params: list, pert: Perturbation, budget: Budget) -> list:
             if jac:
                 j11, j12, j21, j22 = jac
                 ld = np.log(np.abs(j11 * j22 - j12 * j21))
-                sums[2:] += np.where(np.isfinite(ld), ld, SATURATION * 2.0)
+                sums[2] += np.where(np.isfinite(ld), ld, SATURATION * 2.0)
                 prod0, prod1 = (j11 * prod0 + j12 * prod1,
                                 j21 * prod0 + j22 * prod1)
                 if (t + 1 - lyap0) % QR_CADENCE == 0:
                     p11, p12, p21, p22, d1, d2 = ob._gram_schmidt_batch(
-                        *prod0, *prod1, sums[3])
+                        *prod0, *prod1, sums[2])
                     prod0, prod1 = np.array([p11, p12]), np.array([p21, p22])
                     sat = SATURATION * QR_CADENCE
                     sums[0] += np.where(np.isfinite(d1), d1, sat)
                     sums[1] += np.where(np.isfinite(d2), d2, sat)
-                    sums[3] = 0.0
+                    sums[2] = 0.0
             x, y = md.wrap_angles(xn), yn
     for pos in range(cols.size):
         finish(pos, None)
@@ -1075,7 +1058,10 @@ def lockstep(params: list, pert: Perturbation, budget: Budget) -> list:
 
 def classify_batch(lams, ks, base_params: ModelParams, pert: Perturbation,
                    budget: Budget = Budget()) -> list[RegimeCell]:
-    """orbits.classify_batch on the per-step lockstep, in one batch."""
+    """orbits._label on every cell of one per-step lockstep.
+
+    Contract: bits.  orbits.classify_batch must equal it with repr ==.
+    """
     params = [base_params.with_k_omega(k).with_lambda(lam)
               for lam, k in zip(lams, ks)]
     first, half = ob._recorded_range(budget.n_iter)

@@ -169,16 +169,22 @@ class TestCriticalSet:
 
     @pytest.mark.parametrize("points", [(), (1.0, 4.0),
                                         (0.0, 1.5, 3.2, 6.2)])
-    def test_distance_is_broadcast_minimum(self, points):
+    def test_distance_matches_loop_definition(self, points):
+        """The broadcast minimum equals the running np.minimum over the
+        critical points, bit for bit: inf with none, NaN at a NaN angle,
+        a float for a float angle."""
         crit = cm.CriticalSet(np.array(points, dtype=float),
                               np.ones(len(points)))
         x = np.random.default_rng(1).uniform(-TWO_PI, 2 * TWO_PI, (3, 5))
-        want = (circle_gap(x[..., None], crit.points).min(axis=-1)
-                if points else np.full(x.shape, np.inf))
+        x[1, 2] = np.nan
+        want = np.full(x.shape, np.inf)
+        for c in crit.points:
+            want = np.minimum(want, circle_gap(x, c))
         assert crit.distance(x).tobytes() == want.tobytes()
-        for i, xv in enumerate(x.ravel()[:5].tolist()):
+        for xv, w in zip(x.ravel().tolist(), want.ravel().tolist()):
             got = crit.distance(xv)
-            assert type(got) is float and got == want.ravel()[i]
+            assert type(got) is float
+            assert got == w or math.isnan(got) and math.isnan(w)
 
     def test_distance_helper(self, family_k5):
         crit = cm.critical_points(family_k5)

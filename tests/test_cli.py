@@ -412,6 +412,20 @@ class TestCommands:
                 in capsys.readouterr().err)
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("command", [None, "scna", "Scan",
+                                         "singular_limit"])
+    def test_unknown_or_missing_command_exits_2(self, tmp_path, capsys,
+                                                command):
+        """argparse rejects the command before any config is read."""
+        cfgp = write_config(tmp_path, "iterate: {n: 5}\n")
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command] * (command is not None)
+                     + ["--config", cfgp, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "usage: bykovlab" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_exit_code_missing_scan_grids(self, tmp_path):
         cfgp = write_config(tmp_path)
         assert cli.main(["scan", "--config", cfgp,

@@ -345,41 +345,31 @@ def test_step_batch_determinant_matches_det_jac_return(samples, k_omega,
        lam=kernel_cases["lam"], pert=any_pair)
 @settings(max_examples=200, deadline=None)
 def test_float_rows_equal_array_kernel_rows(x, y, lam, pert):
-    """From the same cos and sin, the compiled array kernel's Y, angle and
-    Jacobian are the float rows' bit for bit, whatever the order,
-    repetition or harmonic of the terms."""
+    """The compiled array kernel's image, Y, cos, sin and Jacobian of one
+    orbit are the float rows summed on arrays
+    (tests/scalar_reference.array_image and array_step, contract: bits),
+    whatever the order, repetition or harmonic of the terms; where math's
+    cos and sin agree with numpy's, so are the float rows' Y and the
+    compiled float image's angle."""
     params = reference_params(lam=lam)
     xi, delta, image, jac = md._batch_constants(params, pert)
     k = params.k_omega
-    ys = np.array([y])
-    new_x, _, alive, big_y, trig = image(np.array([x]), ys, lam, k, xi, delta)
-    trig = [float(v[0]) for v in trig]
-    consts = ref.step_constants(params, pert)
-    f = []
-    for profile in consts[5:]:
-        value = ref.row(profile[0], trig)
-        if profile[2] is not None:
-            value = value + y * ref.row(profile[2], trig)
-        f.append(value)
-    want_y = y + lam * f[1]
-    assert big_y[0] == (want_y if want_y > 0.0 else 1.0)
-    assert new_x[0] == x + xi + lam * f[0] - k * np.log(big_y)[0]
-    (f1x, f1y), (f2x, f2y) = (ref.partials(profile, trig, y)
-                              for profile in consts[5:])
-    r, e22 = k / big_y[0], (delta * big_y ** (delta - 1.0))[0]
-    p22 = 1.0 + lam * f2y
-    want = (1.0 + lam * f1x - r * (lam * f2x), lam * f1y - r * p22,
-            e22 * (lam * f2x), e22 * p22)
-    assert [float(v[0]) for v in jac(trig, y, big_y, lam, k, delta)] \
-        == list(want)
-    # the compiled float image's value sums, where math's cos and sin agree
-    harmonics = consts[4]
-    if alive[0] and trig == [g(h * x) for h in harmonics
-                             for g in (math.cos, math.sin)]:
-        new_x, _ = pert._kernel[0](x, y, params._step_scalars)
-        _, _, big_y, got = ref.image_step(x, y, consts)
-        assert got == trig and big_y == want_y
-        assert new_x == x + xi + lam * f[0] - k * math.log(big_y)
+    xs, ys = np.array([x]), np.array([y])
+    got = image(xs, ys, lam, k, xi, delta)
+    want = ref.array_image(xs, ys, lam, k, params, pert)
+    assert [v.tolist() for v in got[:4]] == [v.tolist() for v in want[:4]]
+    assert [v.tolist() for v in got[4]] == [v.tolist() for v in want[4]]
+    assert [v.tolist() for v in jac(got[4], ys, got[3], lam, k, delta)] \
+        == [v.tolist() for v in ref.array_step(xs, ys, lam, k, params,
+                                               pert)[2:6]]
+    # the float rows and the compiled float image, at the same cos and sin
+    trig = [float(v[0]) for v in got[4]]
+    if got[2][0] and trig == [g(h * x) for h in pert._table[0]
+                              for g in (math.cos, math.sin)]:
+        new_x, _, big_y, _ = ref.image_step(x, y,
+                                            ref.step_constants(params, pert))
+        assert big_y == got[3][0]
+        assert pert._kernel[0](x, y, params._step_scalars)[0] == new_x
 
 
 @given(orbits=st.lists(st.tuples(st.floats(min_value=-10.0, max_value=10.0),
@@ -394,8 +384,8 @@ def test_float_rows_equal_array_kernel_rows(x, y, lam, pert):
 @example(orbits=[(0.5, 1.0, 0.0, 5.0), (0.5, 1e-3, 1e-3, 5.0)],  # y' = 1
          pert=reference_perturbation(), xi=0.0, deltas=(2.0, 3.0))
 def test_array_kernel_equals_table_columns(orbits, pert, xi, deltas):
-    """The compiled array kernel equals the array kernel that read the
-    table's columns (tests/scalar_reference.step_batch, contract: bits):
+    """The compiled array kernel equals the float rows summed on arrays
+    (tests/scalar_reference.array_step and array_image, contract: bits):
     every output and `alive` of step_batch, and of the image with and
     without its escape checks, with np.array_equal (NaN equal to NaN).
     The orbits mix lam, K_omega, escapes through Y <= 0 and through a new
@@ -404,7 +394,6 @@ def test_array_kernel_equals_table_columns(orbits, pert, xi, deltas):
     params = ModelParams(c1=deltas[0], e1=1.0, omega1=1.0, c2=deltas[1],
                          e2=1.0, omega2=1.0, xi=xi)
     consts = md._batch_constants(params, pert)
-    ref_consts = ref.batch_constants(params, pert)
 
     def same(got, want):
         return got.dtype == want.dtype and np.array_equal(
@@ -412,16 +401,17 @@ def test_array_kernel_equals_table_columns(orbits, pert, xi, deltas):
 
     with np.errstate(all="ignore"):
         got = md.step_batch(x, y, lam, k_omega, consts)
-        want = ref.step_batch(x, y, lam, k_omega, ref_consts)
+        want = ref.array_step(x, y, lam, k_omega, params, pert)
         assert len(got) == len(want) == 7
         assert all(same(g, w) for g, w in zip(got, want))
-        want = ref.image_batch(x, y, lam, k_omega, ref_consts)
+        want = ref.array_image(x, y, lam, k_omega, params, pert)
         out = [np.empty_like(x) for _ in range(3)]
         trig = tuple(np.empty((2 * len(pert._table[0]), len(x))))
-        new_x, new_y, alive, big_y, _ = consts[2](
+        new_x, new_y, alive, big_y, got_trig = consts[2](
             x, y, lam, k_omega, xi, params.delta, *out, trig)
         assert all(g is w for g, w in zip((new_x, new_y, big_y), out))
-        assert all(same(g, w) for g, w in zip((new_x, new_y, alive), want))
+        assert all(same(g, w) for g, w in zip(
+            (new_x, new_y, alive, big_y, *got_trig), (*want[:4], *want[4])))
         unchecked = consts[2](x, y, lam, k_omega, xi, params.delta,
                               escapes=False)
     assert unchecked[2] is None

@@ -194,14 +194,15 @@ def _with_outcome_examples(test):
        pert=st.sampled_from([reference_perturbation(), ref.SLOPED,
                              ref.TANGLED]))
 @settings(max_examples=300, deadline=None)
-def test_lyapunov_matches_array_jacobian_reference(x0, y0, lam, k_omega, n,
-                                                   burn_in, pert):
-    """lyapunov on jac_return's nested floats equals the loop that read an
-    array Jacobian through .tolist(): every field ==, NaN where NaN."""
+def test_lyapunov_matches_interpretive_reference(x0, y0, lam, k_omega, n,
+                                                 burn_in, pert):
+    """lyapunov on the compiled float kernel equals one loop over the
+    interpretive image_step/return_step (tests/scalar_reference.lyapunov,
+    contract: bits): every field ==, NaN where NaN."""
     params = reference_params(lam=lam).with_k_omega(k_omega)
     p0 = CylinderPoint(x0, y0)
     got = ob.lyapunov(params, pert, p0, n, burn_in)
-    want = ref.lyapunov_array(params, pert, p0, n, burn_in)
+    want = ref.lyapunov(params, pert, p0, n, burn_in)
     event(_outcome(got))
     for field in dataclasses.fields(ob.LyapunovEstimate):
         g, w = getattr(got, field.name), getattr(want, field.name)
@@ -391,9 +392,9 @@ def _block_points(points: int):
 
 
 class TestLockstepBits:
-    """classify_batch equals the per-step lockstep loop it replaced
-    (tests/scalar_reference.classify_batch, contract: bits) with repr ==,
-    whatever the block size."""
+    """classify_batch equals the per-step lockstep over the float rows
+    summed on arrays (tests/scalar_reference.classify_batch, contract:
+    bits) with repr ==, whatever the block size."""
     GRID = TestClassifyBatch.LAMS, TestClassifyBatch.KS
     # from (0.5, lam): these orbits escape at steps 8, 9, 25 and 51
     ESCAPING = ((0.29, 0.15), (0.29, 0.1), (0.28, 0.1), (0.28, 0.15))
@@ -401,8 +402,8 @@ class TestLockstepBits:
     @staticmethod
     def check(lams, ks, base, pert, budget):
         """Equal cells, and equal runs: the recorded points, the whole
-        LyapunovEstimate (det_consistency, which no cell shows, included)
-        and the rotation numbers."""
+        LyapunovEstimate and the rotation numbers.  Neither lockstep keeps
+        a log-determinant sum, so det_consistency is None on both."""
         got = ob.classify_batch(lams, ks, base, pert, budget)
         assert repr(got) == repr(ref.classify_batch(lams, ks, base, pert,
                                                     budget))
@@ -415,6 +416,7 @@ class TestLockstepBits:
                 assert np.array_equal(g[0].view(np.uint64),
                                       w[0].view(np.uint64))
                 assert repr(g[1:]) == repr(w[1:])
+                assert g[1].det_consistency is None
 
     def grid(self):
         lams, ks = self.GRID
