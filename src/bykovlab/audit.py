@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import circlemap as cm
-from .model import (TWO_PI, ModelParams, Perturbation, _batch_constants,
-                    step_batch)
+from .model import TWO_PI, ModelParams, Perturbation, step_batch
 from .orbits import Budget, classify_batch
 
 H1_SAMPLES = 2000            # audit_H1: determinant samples drawn
@@ -87,20 +86,21 @@ def audit_H1(params: ModelParams, pert: Perturbation,
     signs mean det DF vanishes between them: a fold, where the map is not a
     diffeomorphism onto its image.  A determinant at or below the floor, or
     a sample off the return domain (y + lam*Phi2 <= 0), is a FAIL witnessed
-    by the first such sample drawn.
+    by the first such sample drawn.  Raises ValueError, naming
+    lambda_range, unless 0 < low <= high.
     """
+    lo, hi = lam_range
+    if not 0.0 < lo <= hi:
+        raise ValueError(
+            f"lambda_range needs 0 < low <= high, got [{lo}, {hi}]")
     rng = np.random.default_rng(seed)
-    lams = np.exp(rng.uniform(math.log(lam_range[0]), math.log(lam_range[1]),
-                              H1_SAMPLES))
+    lams = np.exp(rng.uniform(math.log(lo), math.log(hi), H1_SAMPLES))
     xs, ybars = rng.uniform((0.0, 0.0), (TWO_PI, 1.0), (H1_SAMPLES, 2)).T
-    _, new_y, j11, j12, j21, j22, alive = step_batch(
-        xs, lams * ybars, lams, params.k_omega, _batch_constants(params, pert))
+    *_, j11, j12, j21, j22, big_y = step_batch(
+        xs, lams * ybars, lams, params.k_omega, params, pert)
     signed = j11 * j22 - j12 * j21
     dets = np.abs(signed)
-    # a dead sample with Y = y + lam*Phi2 > 0 has an image height above 1;
-    # step_batch evaluates one with Y <= 0 at Y = 1, an image height of 1
-    degenerate = ((dets <= THRESHOLDS["h1_det_floor"])
-                  | (~alive & (new_y <= 1.0)))
+    degenerate = (dets <= THRESHOLDS["h1_det_floor"]) | ~(big_y > 0.0)
     if degenerate.any():
         i = int(np.argmax(degenerate))
         return HypothesisVerdict(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (TWO_PI, ModelParams, Perturbation, TrigPoly, _bisect,
-                    _batch_constants, circle_gap, step_batch, wrap_angles)
+                    circle_gap, step_batch, wrap_angles)
 
 DEFAULT_GRID = 1 << 14
 ROOT_TOL = 1e-12
@@ -616,11 +616,10 @@ def singular_limit_convergence(params: ModelParams, pert: Perturbation, a: float
     lam, x, ybar = (np.broadcast_to(v, shape).ravel() for v in
                     (np.array(lams)[:, None, None], xg[:, None],
                      np.array(yg)[:, None]))
-    new_x, new_y, j11, *_, alive = step_batch(
-        x, lam * ybar, lam, k, _batch_constants(params, pert))
-    # a dead point with y + lam*Phi2 > 0 only left the strip |y| <= 1
+    new_x, new_y, j11, *_, big_y = step_batch(x, lam * ybar, lam, k, params,
+                                              pert)
     new_x, j11, height, ok = (v.reshape(shape) for v in (
-        new_x, j11, new_y / lam, alive | (new_y > 1.0)))
+        new_x, j11, new_y / lam, big_y > 0.0))
     h, dh = family_from_model(params, pert).step(a, xg)
     errs = [np.max(e, axis=axis, where=w, initial=-np.inf).tolist()
             for e, w, axis in ((circle_gap(new_x[..., 0], h), ok[..., 0], 1),

@@ -11,13 +11,14 @@ with the coefficients as literals.  The float kernel, Perturbation._kernel,
 runs on Python floats: `image` steps one orbit's map and `step` adds its
 Jacobian; return_map, jac_return and orbits.rotation_set_2d call them.  The
 array kernel, Perturbation._array_kernel, steps many orbits at once with lam
-and K_omega given per orbit: `image` writes each step's image, cos, sin and
-Y = y + lam*Phi2 into caller buffers, and `jac` turns stored cos, sin and Y
-into Jacobians; step_batch runs both, and orbits._lockstep steps its blocks
-on them.  The factored maps (each local passage, eta, psi_21 and their
-Jacobians), the finite-difference Jacobian, and the float rows each kernel
-matches bit for bit (looped on floats, and summed on numpy arrays) are
-test references in tests/scalar_reference.py.
+and K_omega given per orbit: `image` writes each step's raw image, cos, sin
+and Y = y + lam*Phi2 into caller buffers and checks nothing, and `jac` turns
+stored cos, sin and Y into Jacobians; step_batch runs both, and
+orbits._lockstep steps its blocks on them.  Their callers test Y > 0 and
+the new height <= 1 themselves.  The factored maps (each local passage,
+eta, psi_21 and their Jacobians), the finite-difference Jacobian, and the
+float rows each kernel matches bit for bit (looped on floats, and summed
+on numpy arrays) are test references in tests/scalar_reference.py.
 """
 
 from __future__ import annotations
@@ -474,16 +475,14 @@ def _array_kernel(floats: tuple) -> tuple:
     The float kernel's rows, from the same source (_kernel_lines), run on
     numpy arrays with lam and K_omega given per orbit (arrays or floats):
 
-    - image(x, y, lam, k_omega, xi, delta, new_x, new_y, big_y, trig,
-      escapes) returns (unwrapped new angles, new heights, alive, Y, trig)
-      with Y = y + lam*Phi2 and trig the tuple (cos k1x, sin k1x, ...).
-      The optional arrays new_x, new_y, big_y and the tuple trig receive
-      those results in place (out=), so a caller can step orbits straight
-      into its own buffers.  Where Y <= 0, Y is read as 1, so that
-      everything computed from it stays finite; `alive` is False there and
-      where the new height exceeds 1.  With escapes=False neither is done
-      and `alive` is None: a caller that tests Y > 0 and the new height
-      <= 1 itself saves the checks of every step.
+    - image(x, y, lam, k_omega, xi, delta, new_x, new_y, big_y, trig)
+      returns (unwrapped new angles, new heights, Y, trig) with
+      Y = y + lam*Phi2 and trig the tuple (cos k1x, sin k1x, ...).  The
+      optional arrays new_x, new_y, big_y and the tuple trig receive those
+      results in place (out=), so a caller can step orbits straight into
+      its own buffers.  It checks nothing: where Y <= 0 the new angle is
+      NaN or infinite.  Callers test Y > 0, and the new height <= 1 where
+      they need the float kernel's escape.
     - jac(trig, y, big_y, lam, k_omega, delta) returns (j11, j12, j21,
       j22) of the steps from (x, y) whose cos, sin and Y image returned,
       so the Jacobian of a stored stretch of orbit costs no second cos,
@@ -508,20 +507,13 @@ def _array_kernel(floats: tuple) -> tuple:
                f"    return j11, {j12}, e22 * lf3, e22 * p22"]
     source = "\n".join([
         "def image(x, y, lam, k_omega, xi, delta, new_x=None, new_y=None,",
-        f"          big_y=None, trig={(None,) * len(trig)}, escapes=True):",
+        f"          big_y=None, trig={(None,) * len(trig)}):",
         *trig, *slopes,
         f"    big_y = add(y, lam * ({value(2, 0)}), out=big_y)",
-        "    alive = None",
-        "    if escapes:",
-        "        alive = big_y > 0.0",
-        "        if count_nonzero(alive) < alive.size:",
-        "            copyto(big_y, 1.0, where=~alive)",
         "    new_y = power(big_y, delta, out=new_y)",
-        "    if escapes:",
-        "        alive &= new_y <= 1.0",
         f"    new_x = subtract(x + xi + lam * ({value(1, 0)}),",
         "                     k_omega * log(big_y), out=new_x)",
-        f"    return new_x, new_y, alive, big_y, ({names})",
+        f"    return new_x, new_y, big_y, ({names})",
         "def jac(trig, y, big_y, lam, k_omega, delta):",
         f"    {names}= trig" if trig else "", *slopes,
         "    r = k_omega / big_y",
@@ -531,32 +523,29 @@ def _array_kernel(floats: tuple) -> tuple:
         *jac, ""])
     namespace = _exec_kernel(source, "array", {
         "cos": np.cos, "sin": np.sin, "log": np.log, "add": np.add,
-        "subtract": np.subtract, "power": np.power, "copyto": np.copyto,
-        "count_nonzero": np.count_nonzero})
+        "subtract": np.subtract, "power": np.power})
     return namespace["image"], namespace["jac"]
 
 
-def _batch_constants(params: ModelParams, pert: Perturbation) -> tuple:
-    """Everything step_batch reads but the per-orbit lam and K_omega:
-    (xi, delta, image, jac), the last two the pair's array kernel."""
-    return (params.xi, params.delta) + pert._array_kernel
-
-
 def step_batch(x: np.ndarray, y: np.ndarray, lam, k_omega,
-               consts: tuple) -> tuple[np.ndarray, ...]:
+               params: ModelParams, pert: Perturbation) -> tuple:
     """The float kernel's step for many orbits at once, lam and K_omega
-    given per orbit.
+    given per orbit (arrays or floats), without its escape checks.
 
-    Returns (unwrapped new angles, new heights, j11, j12, j21, j22, alive);
-    `consts` comes from _batch_constants and `lam`, `k_omega` are arrays or
-    floats.  The array kernel's image and then its Jacobian, from the
-    image's own cos, sin and Y.  Where the float kernel raises
-    EscapeError, `alive` is False and the other entries are finite but
-    meaningless.
+    Returns (unwrapped new angles, new heights, j11, j12, j21, j22, Y):
+    the array kernel's image and then its Jacobian, from the image's own
+    cos, sin and Y = y + lam*Phi2.  The float kernel raises EscapeError
+    exactly where not (Y > 0 and new height <= 1); callers test that
+    themselves.  Where Y <= 0 the new angle is NaN or infinite and the
+    other entries are meaningless; numpy's divide and invalid warnings
+    are silenced.
     """
-    xi, delta, image, jac = consts
-    new_x, new_y, alive, big_y, trig = image(x, y, lam, k_omega, xi, delta)
-    return (new_x, new_y, *jac(trig, y, big_y, lam, k_omega, delta), alive)
+    image, jac = pert._array_kernel
+    with np.errstate(divide="ignore", invalid="ignore"):
+        new_x, new_y, big_y, trig = image(x, y, lam, k_omega, params.xi,
+                                          params.delta)
+        return (new_x, new_y,
+                *jac(trig, y, big_y, lam, k_omega, params.delta), big_y)
 
 
 def return_map(p: CylinderPoint, params: ModelParams, pert: Perturbation) -> CylinderPoint:

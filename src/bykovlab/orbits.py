@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (TWO_PI, CylinderPoint, EscapeError, ModelParams,
-                    OrbitRecord, Perturbation, _batch_constants, circle_gap,
-                    jac_return, return_map, wrap_angle, wrap_angles)
+                    OrbitRecord, Perturbation, circle_gap, jac_return,
+                    return_map, wrap_angle)
 
 SATURATION = -50.0  # per-iterate log-contraction below this is reported as saturated
 RECURRENCE_TOL = 1e-8  # period detection: recurrence distance of a sink
@@ -381,13 +381,15 @@ def _lockstep(params: list, pert: Perturbation, budget: Budget) -> list:
     else (points[first:] as in _recorded_range, the LyapunovEstimate, the
     rotation numbers of the seeds whose R steps did not escape).
 
-    Each step advances every orbit by the array kernel's image alone,
+    Each step advances every orbit by the array kernel's raw image alone,
     written with its cos, sin and Y into the buffers of a block of about
     BLOCK_POINTS points, and wraps the new angle into the buffer by
-    np.remainder, which is wrap_angle but for a result of 2pi or a zero of
-    a negative angle (these are found after the block, wrapped as
-    wrap_angle does, and the steps after them are run again).  Once per block,
-    array passes over the block find the escapes, copy out the recorded
+    np.remainder(x, 2pi) alone, the rule CircleMapFamily.val uses.  It
+    differs from the scalar path's wrap_angle in two rounding cases: a
+    negative angle within rounding of a multiple of 2pi wraps to 2pi
+    (wrap_angle: 0), and -2pi*k wraps to +0 (wrap_angle: -0).  Once per
+    block, array passes over the block find the escapes (the first step
+    with not Y > 0 or a new height above 1), copy out the recorded
     points, add up the seeds' lift steps and, in the Lyapunov run, compute
     the block's Jacobians and log-determinants and fold them into the
     QR-renormalized products (Benettin et al. 1980); Lyapunov blocks start
@@ -402,7 +404,8 @@ def _lockstep(params: list, pert: Perturbation, budget: Budget) -> list:
     first, half = _recorded_range(n)
     rec0, lyap0, end = burn + first, burn + n, burn + n + n_lyap
     seed_starts = (burn, burn + half, burn + n)
-    xi, delta, image, jac = _batch_constants(params[0], pert)
+    image, jac = pert._array_kernel
+    xi, delta = params[0].xi, params[0].delta
     m = len(params)
     lam = np.array([p.lam for p in params])
     k_omega = np.array([p.k_omega for p in params])
@@ -415,7 +418,7 @@ def _lockstep(params: list, pert: Perturbation, budget: Budget) -> list:
     # step i of a block: the image of (xs[i], ys[i]) into xn[i], ys[i + 1],
     # big_y[i], trig[:, i], and the remainder of xn[i] by 2pi into xs[i + 1]
     calls = [((xs[i], ys[i], lam_k, k_k, xi, delta, xn[i], ys[i + 1],
-               big_y[i], tuple(trig[:, i]), False), (xn[i], TWO_PI, xs[i + 1]))
+               big_y[i], tuple(trig[:, i])), (xn[i], TWO_PI, xs[i + 1]))
              for i in range(size)]
     xs[0], ys[0] = wrap_angle(0.5), lam
     rec_x, rec_y = np.empty((n + 1 - first, m)), np.empty((n + 1 - first, m))
@@ -431,22 +434,9 @@ def _lockstep(params: list, pert: Perturbation, budget: Budget) -> list:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for t0, t1 in blocks:
             k = t1 - t0
-            i = 0
-            while True:
-                for args, remainder in calls[i:k]:
-                    image(*args)
-                    np.remainder(*remainder)
-                # where the remainder is not wrap_angle's (2pi, where it
-                # gives 0, or +0 for a negative angle, where it gives -0;
-                # practically never): wrap that step's angles as
-                # wrap_angle does and step the rest of the block again
-                w, x = xs[i + 1:k + 1], xn[i:k]
-                bad = np.flatnonzero(((w == TWO_PI) | (
-                    (w == 0.0) & np.signbit(x))).any(axis=1))
-                if not bad.size:
-                    break
-                i += int(bad[0]) + 1
-                xs[i] = wrap_angles(xn[i - 1])
+            for args, remainder in calls[:k]:
+                image(*args)
+                np.remainder(*remainder)
             alive = (big_y[:k] > 0.0) & (ys[1:k + 1] <= 1.0)
             dead = np.flatnonzero(~alive.all(axis=0))
             escape.update(zip(dead.tolist(),
@@ -468,9 +458,7 @@ def _lockstep(params: list, pert: Perturbation, budget: Budget) -> list:
                     jac(tuple(trig[:, :k]), ys[:k], big_y[:k], lam, k_omega,
                         delta), t0 - lyap0, n_lyap, sums, prod,
                     {c: t - lyap0 for c, t in escape.items() if t >= t0}))
-            # park the orbits that escaped in this block; they turn by xi
-            # per step (parked at angle 0, xi = -2pi would give a zero of
-            # a negative angle at every step)
+            # park the orbits that escaped in this block (they turn by xi)
             if dead.size:
                 xs[k, dead], ys[k, dead] = 0.5, 1.0
                 lam_k[dead] = k_k[dead] = 0.0

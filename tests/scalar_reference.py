@@ -229,9 +229,9 @@ def array_image(x, y, lam, k_omega, params: ModelParams,
     """image_step's float rows summed on numpy arrays, lam and K_omega per
     orbit, with numpy's cos, sin, log and power.
 
-    Returns (unwrapped new angles, new heights, alive, Y, trig).  Where
-    Y = y + lam*Phi2 <= 0, Y is read as 1, so everything computed from it
-    stays finite; alive is False there and where the new height exceeds 1.
+    Returns (unwrapped new angles, new heights, Y, trig) with
+    Y = y + lam*Phi2, raw: nothing is checked, and where Y <= 0 the new
+    angle is NaN or infinite.
     Contract: bits.  The compiled array kernel's image
     (`Perturbation._array_kernel`) must equal it with np.array_equal; it
     stays as the plain sum that kernel's generated source unrolls.
@@ -239,35 +239,32 @@ def array_image(x, y, lam, k_omega, params: ModelParams,
     harmonics, phi1, phi2 = pert._table
     trig = [g(k * x) for k in harmonics for g in (np.cos, np.sin)]
     big_y = y + lam * value(phi2, trig, y)
-    alive = big_y > 0.0
-    big_y = np.where(alive, big_y, 1.0)
     new_y = big_y ** params.delta
-    alive &= new_y <= 1.0
     new_x = (x + params.xi + lam * value(phi1, trig, y)
              - k_omega * np.log(big_y))
-    return new_x, new_y, alive, big_y, trig
+    return new_x, new_y, big_y, trig
 
 
 def array_step(x, y, lam, k_omega, params: ModelParams,
                pert: Perturbation) -> tuple:
     """array_image and the Jacobian from the same cos, sin and Y.
 
-    Returns (unwrapped new angles, new heights, j11, j12, j21, j22, alive):
+    Returns (unwrapped new angles, new heights, j11, j12, j21, j22, Y):
     return_step's chain rule with r = K/Y, e22 = delta*Y^(delta-1) and
     p22 = 1 + lam*Phi2_y, written as the array kernel writes it
     (a - r*p for return_step's a + e12*p, which is equal).
     Contract: bits.  model.step_batch must equal it with np.array_equal;
     it stays for the reason array_image does.
     """
-    new_x, new_y, alive, big_y, trig = array_image(x, y, lam, k_omega,
-                                                   params, pert)
+    new_x, new_y, big_y, trig = array_image(x, y, lam, k_omega, params,
+                                            pert)
     (f1x, f1y), (f2x, f2y) = (partials(p, trig, y) for p in pert._table[1:])
     r = k_omega / big_y
     e22 = params.delta * big_y ** (params.delta - 1.0)
     lf2x = lam * f2x
     p22 = 1.0 + lam * f2y
     return (new_x, new_y, 1.0 + lam * f1x - r * lf2x, lam * f1y - r * p22,
-            e22 * lf2x, e22 * p22, alive)
+            e22 * lf2x, e22 * p22, big_y)
 
 
 # Phi1 and Phi2 with y-dependent slopes and a second harmonic, so every
@@ -701,7 +698,6 @@ def singular_limit_convergence(params: ModelParams, pert: Perturbation,
     return_map/jac_return point by point in tests/test_singular_limit.py.
     """
     k, delta = params.k_omega, params.delta
-    consts = md._batch_constants(params, pert)
     xs = np.linspace(0.0, TWO_PI, cm.LIMIT_GRID[0], endpoint=False)
     h, dh = cm.family_from_model(params, pert).step(a, xs)
     rows = []
@@ -710,11 +706,10 @@ def singular_limit_convergence(params: ModelParams, pert: Perturbation,
         cap = min(1.0, lam ** (delta - 1.0) * (1.0 + pert.phi2_max()) ** delta)
         xg, yg = np.meshgrid(xs, np.linspace(0.0, cap, cm.LIMIT_GRID[1]),
                              indexing="ij")
-        new_x, new_y, j11, _, _, _, alive = (
+        new_x, new_y, j11, _, _, _, big_y = (
             v.reshape(xg.shape) for v in md.step_batch(
-                xg.ravel(), lam * yg.ravel(), lam, k, consts))
-        # excluded: y + lam*Phi2 <= 0, where step_batch reads Y as 1
-        ok = alive | (new_y > 1.0)
+                xg.ravel(), lam * yg.ravel(), lam, k, params, pert))
+        ok = big_y > 0.0  # excluded: y + lam*Phi2 <= 0
         edge = ok[:, 0]
         rows.append(cm.ConvergenceRow(
             n=n, lam=lam,
@@ -956,13 +951,15 @@ def lockstep(params: list, pert: Perturbation, budget: Budget) -> list:
 
     array_image steps the burn-in and recorded steps, array_step the
     Lyapunov run, whose log-determinants, products and renormalizations
-    are folded in at every step; an escaped orbit is dropped from the
-    arrays.  Returns what orbits._lockstep returns.  Only the
+    are folded in at every step; an orbit escapes where not Y > 0 or its
+    new height exceeds 1, and is dropped from the arrays.  Each new angle
+    is wrapped by np.remainder(x, 2pi).  Returns what orbits._lockstep
+    returns.  Only the
     log-determinant since the last renormalization is kept, so no estimate
     has a det_consistency.
     Contract: bits.  orbits._lockstep must equal it with repr ==, its
     recorded points bit for bit; it stays as the orchestration without the
-    fast path's blocks, buffers, np.remainder fix-ups and parked orbits.
+    fast path's blocks, buffers and parked orbits.
     """
     burn, n = budget.burn_in, budget.n_iter
     n_lyap, n_rot = min(n, LYAPUNOV_CAP), min(ROTATION_CAP, n)
@@ -1003,12 +1000,13 @@ def lockstep(params: list, pert: Perturbation, budget: Budget) -> list:
             if rec0 <= t <= lyap0:
                 rec_x[t - rec0, cols], rec_y[t - rec0, cols] = x, y
             if t < lyap0:
-                xn, yn, alive = array_image(x, y, lam, k_omega, base,
+                xn, yn, big_y = array_image(x, y, lam, k_omega, base,
                                             pert)[:3]
                 jac = ()
             else:
-                xn, yn, *jac, alive = array_step(x, y, lam, k_omega, base,
+                xn, yn, *jac, big_y = array_step(x, y, lam, k_omega, base,
                                                  pert)
+            alive = (big_y > 0.0) & (yn <= 1.0)
             if np.count_nonzero(alive) < alive.size:
                 for pos in np.flatnonzero(~alive).tolist():
                     if t < lyap0:
@@ -1041,7 +1039,7 @@ def lockstep(params: list, pert: Perturbation, budget: Budget) -> list:
                     sums[0] += np.where(np.isfinite(d1), d1, sat)
                     sums[1] += np.where(np.isfinite(d2), d2, sat)
                     sums[2] = 0.0
-            x, y = md.wrap_angles(xn), yn
+            x, y = np.remainder(xn, TWO_PI), yn
     for pos in range(cols.size):
         finish(pos, None)
     out = []

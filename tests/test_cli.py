@@ -393,13 +393,21 @@ class TestCommands:
         ("misiurewicz", "misiurewicz: {n_seeds: -1}\n", 1e-3),
         ("singular-limit", "singular_limit: {n_min: 0}\n", 1e-3),
         ("singular-limit", "singular_limit: {n_min: 5, n_max: 2}\n", 1e-3),
+        # H1 samples lambda log-uniformly in 0 < low <= high
+        ("audit", "audit: {lambda_range: [0.0, 0.01]}\n", 1e-3),
+        ("audit", "audit: {lambda_range: [-0.001, 0.01]}\n", 1e-3),
+        ("audit", "audit: {lambda_range: [0.01, 0.001]}\n", 1e-3),
     ])
     def test_exit_code_rejected_option_value(self, tmp_path, capsys,
                                              command, extra, lam):
         cfgp = write_config(tmp_path, extra, lam=lam)
         out = tmp_path / "o"
         assert cli.main([command, "--config", cfgp, "--out", str(out)]) == 1
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        if "lambda_range" in extra:  # the key and both values as given
+            values = extra[extra.index("["):extra.index("]") + 1]
+            assert "lambda_range" in err and values in err
         assert not out.exists() or not any(out.iterdir())
 
     def test_exit_code_computation_failure_writes_nothing(self, tmp_path,

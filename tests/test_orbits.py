@@ -460,12 +460,13 @@ class TestLockstepBits:
         self.check(lams, ks, params_k5, pert, ob.Budget(1234, 7))
 
     @pytest.mark.parametrize("points", [1, 4096])
-    @pytest.mark.parametrize("xi, first", [(-0.5000000000000001, 0.0),
-                                           (-TWO_PI - 0.5, -0.0)])
-    def test_angle_wrapped_to_zero(self, params_k5, pert, points, xi, first):
+    @pytest.mark.parametrize("xi, first", [(-0.5000000000000001, TWO_PI),
+                                           (-TWO_PI - 0.5, 0.0)])
+    def test_angle_wrapped_by_remainder(self, params_k5, pert, points, xi,
+                                        first):
         """At K_omega = 1e-290 and lam = 1e-300 or 1e-30 the first image
-        angle is 0.5 + xi: -1.1e-16, where np.remainder gives 2pi and
-        wrap_angle 0, or -2pi, where it gives 0 and wrap_angle -0."""
+        angle is 0.5 + xi: -1.1e-16, which np.remainder wraps to 2pi
+        (wrap_angle: 0), or -2pi, which it wraps to +0 (wrap_angle: -0)."""
         lams, ks = self.grid()
         lams, ks = [1e-300, 1e-30] + lams, [1e-290, 1e-290] + ks
         base = dataclasses.replace(params_k5, xi=xi)

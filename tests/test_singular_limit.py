@@ -95,6 +95,23 @@ class TestArrayTable:
         assert repr(rows) == repr(
             ref.singular_limit_convergence(params, p, 0.0, range(1, 6)))
 
+    def test_zero_height_sum_is_excluded(self):
+        """Phi2 = c + y*q with q = -2/lam_1 and c = -1 - lam_1*q (about 1)
+        is -1 exactly at y = lam_1, so at n = 1, where the strip reaches
+        ybar = 1, y + lam*Phi2 is exactly 0 at every x of the ybar = 1
+        line: those points are excluded, not tabulated as on the return
+        domain."""
+        params = reference_params(omega=8.0 / 3.0)
+        lam = cm.lambda_sequences(params.k_omega, 1, 0.0)[1]
+        q = -2.0 / lam
+        p = Perturbation(
+            phi1=CylinderFunction(TrigPoly(0.0, ((1, 1.0, 0.0),))),
+            phi2=CylinderFunction(TrigPoly(-1.0 - lam * q), TrigPoly(q)))
+        rows = cm.singular_limit_convergence(params, p, 0.0, range(1, 3))
+        assert [r.excluded for r in rows] == [cm.LIMIT_GRID[0], 0]
+        assert repr(rows) == repr(
+            ref.singular_limit_convergence(params, p, 0.0, range(1, 3)))
+
 
 class TestFloatKernel:
     @given(k_omega=st.floats(min_value=0.5, max_value=12.0),
