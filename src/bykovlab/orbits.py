@@ -242,6 +242,9 @@ def confirm_cycle(params: ModelParams, pert: Perturbation, p0: CylinderPoint,
 
 @dataclass(frozen=True)
 class RegimeCell:
+    """One labelled cell.  `thickness` is the curve test's fit
+    (_orbit_thickness), NaN on the cells that do not reach that test."""
+
     lam: float
     k_omega: float
     label: str
@@ -293,10 +296,14 @@ def _orbit_thickness(tail: np.ndarray, lam: float, delta: float) -> float:
     absorbing annulus; a degree-8 trigonometric polynomial v(x) is fitted and
     the residual sup-norm is the thickness.  An invariant circle gives a
     residual at the fit-error level; a chaotic band gives O(band width).
+    A tail of at most 17 points, the fit's coefficient count, is
+    interpolated whatever its shape, so it gives NaN: no thickness.
     """
+    deg = 8
+    if len(tail) <= 2 * deg + 1:
+        return math.nan
     x = tail[:, 0]
     v = tail[:, 1] ** (1.0 / delta) / lam
-    deg = 8
     cols = [np.ones_like(x)]
     for k in range(1, deg + 1):
         cols.append(np.cos(k * x))
@@ -484,8 +491,10 @@ def _lockstep(params: list, pert: Perturbation, budget: Budget) -> list:
 def _recorded_range(n: int) -> tuple[int, int]:
     """(first, half): classify_batch keeps points[first:] of points[0..n].
 
-    Period detection reads the last min(n+1, PERIOD_TAIL) points and the
-    thickness fit points[half:], half = (n+1)//2.
+    Period detection reads the last min(n+1, PERIOD_TAIL) points and, on
+    the cells that reach the curve test, the thickness fit reads
+    points[half:], half = (n+1)//2.  Every cell keeps the second half,
+    since which cells reach that test is known only after the run.
     """
     half = (n + 1) // 2
     return min(half, n + 1 - min(n + 1, PERIOD_TAIL)), half
@@ -494,24 +503,26 @@ def _recorded_range(n: int) -> tuple[int, int]:
 def _label(lam: float, k_omega: float, delta: float, run,
            half: int) -> RegimeCell:
     """The decision tree on one cell's lockstep run; points[half:] is the
-    second half of the orbit."""
+    second half of the orbit.  The thickness is fitted only where the curve
+    test reads it, and is NaN elsewhere."""
     if run is None:
         return RegimeCell(lam, k_omega, "Escaped", escaped=True)
     points, est, rhos = run
     tail = points[-PERIOD_TAIL:]
     period = _detect_period(tail, RECURRENCE_TOL, PERIOD_CAP,
                             float(np.max(tail[:, 1])))
-    thick = _orbit_thickness(points[half:], lam, delta)
     rho = (min(rhos), max(rhos)) if rhos else (math.nan, math.nan)
-    common = dict(chi1=est.chi1, chi2=est.chi2, thickness=thick,
-                  rho_min=rho[0], rho_max=rho[1])
+    common = dict(chi1=est.chi1, chi2=est.chi2, rho_min=rho[0],
+                  rho_max=rho[1])
     if period is not None:
         return RegimeCell(lam, k_omega, "PeriodicSink", period=period, **common)
     if est.chi1 > CHI_THRESH:
         return RegimeCell(lam, k_omega, "StrangeAttractorCandidate", **common)
-    if thick < CURVE_THRESH and abs(est.chi1) <= CHI_THRESH:
-        return RegimeCell(lam, k_omega, "InvariantCurve", **common)
-    return RegimeCell(lam, k_omega, "TransientChaos", **common)
+    if not abs(est.chi1) <= CHI_THRESH:  # NaN chi1 included
+        return RegimeCell(lam, k_omega, "TransientChaos", **common)
+    thick = _orbit_thickness(points[half:], lam, delta)
+    label = "InvariantCurve" if thick < CURVE_THRESH else "TransientChaos"
+    return RegimeCell(lam, k_omega, label, thickness=thick, **common)
 
 
 def classify_batch(lams, ks, base_params: ModelParams, pert: Perturbation,
@@ -519,16 +530,18 @@ def classify_batch(lams, ks, base_params: ModelParams, pert: Perturbation,
     """Label (lams[i], ks[i]) parameter cells, one lockstep orbit per cell.
 
     Decision tree: detected period -> PeriodicSink; chi1 above threshold ->
-    StrangeAttractorCandidate; thin orbit closure with near-zero chi1 ->
-    InvariantCurve; otherwise TransientChaos.  An escape before the end of
+    StrangeAttractorCandidate; chi1 not within CHI_THRESH of 0 (NaN
+    included) -> TransientChaos; else a thin orbit closure ->
+    InvariantCurve, otherwise TransientChaos.  An escape before the end of
     the recorded orbit -> Escaped; a later one ends the Lyapunov run
     (inconclusive before half of it) and drops the rotation seeds it cuts
     short.  See _lockstep for the orbit: every cell steps by its image
     alone, and the Lyapunov run's Jacobians, log-determinants and QR
     products are computed once per block from the stepped orbit.  Period
-    detection and the thickness fit run per cell on the stored second
-    half.  A cell's result does not depend on the other cells of the call
-    or on the block size.
+    detection runs per cell on the stored tail, and the thickness fit on
+    the stored second half only for cells that reach the curve test;
+    elsewhere `thickness` is NaN.  A cell's result does not depend on the
+    other cells of the call or on the block size.
     """
     if budget.n_iter < 1 or budget.burn_in < 0:
         raise ValueError(f"need n_iter >= 1 and burn_in >= 0, got "

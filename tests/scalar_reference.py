@@ -851,14 +851,17 @@ def classify_cell(lam: float, k_omega: float, base_params: ModelParams,
     """Label one (lambda, K_omega) parameter cell.
 
     Decision tree: detected period -> PeriodicSink; chi1 above threshold ->
-    StrangeAttractorCandidate; thin orbit closure with near-zero chi1 ->
-    InvariantCurve; otherwise TransientChaos.  Escape anywhere -> Escaped.
+    StrangeAttractorCandidate; chi1 not within CHI_THRESH of 0 (NaN
+    included) -> TransientChaos; else thin orbit closure -> InvariantCurve,
+    otherwise TransientChaos.  Escape anywhere -> Escaped.
     Three separate one-orbit runs: iterate and rotation_set_2d of the float
-    kernel, and lyapunov below.
+    kernel, and lyapunov below.  The thickness is fitted on the second half
+    of the orbit only in the last branch, and is NaN everywhere else.
     Contract: definition.  orbits.classify_batch must give equal labels
-    and periods, and equal exponents and rotation numbers to 1e-9 where the
-    orbit does not amplify the ULP differences between numpy's and math's
-    log and power.
+    and periods, NaN thickness exactly where this gives NaN, and equal
+    exponents, rotation numbers and thickness to 1e-9 where the orbit
+    does not amplify the ULP differences between numpy's and math's log
+    and power.
     """
     params = base_params.with_k_omega(k_omega).with_lambda(lam)
     p0 = CylinderPoint(0.5, lam)  # inside the absorbing annulus
@@ -878,17 +881,18 @@ def classify_cell(lam: float, k_omega: float, base_params: ModelParams,
                               min(ROTATION_CAP, budget.n_iter))
     except EscapeError:
         rho = (math.nan, math.nan)
-    thick = _orbit_thickness(orbit.points[len(orbit.points) // 2:], lam,
-                             params.delta)
-    common = dict(chi1=est.chi1, chi2=est.chi2, thickness=thick,
-                  rho_min=rho[0], rho_max=rho[1])
+    common = dict(chi1=est.chi1, chi2=est.chi2, rho_min=rho[0],
+                  rho_max=rho[1])
     if period is not None:
         return RegimeCell(lam, k_omega, "PeriodicSink", period=period, **common)
     if est.chi1 > CHI_THRESH:
         return RegimeCell(lam, k_omega, "StrangeAttractorCandidate", **common)
-    if thick < CURVE_THRESH and abs(est.chi1) <= CHI_THRESH:
-        return RegimeCell(lam, k_omega, "InvariantCurve", **common)
-    return RegimeCell(lam, k_omega, "TransientChaos", **common)
+    if not abs(est.chi1) <= CHI_THRESH:
+        return RegimeCell(lam, k_omega, "TransientChaos", **common)
+    thick = _orbit_thickness(orbit.points[len(orbit.points) // 2:], lam,
+                             params.delta)
+    label = "InvariantCurve" if thick < CURVE_THRESH else "TransientChaos"
+    return RegimeCell(lam, k_omega, label, thickness=thick, **common)
 
 
 # ---------------------------------------------------------------------------

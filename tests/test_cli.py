@@ -155,9 +155,10 @@ class TestCommands:
         assert svg.count("<rect") >= 3  # background + cell + legend patch
         assert "</svg>" in svg
 
-    def test_scan_thresholds_default_to_budget(self, tmp_path):
+    def test_scan_labels_by_the_library_curve_threshold(self, tmp_path):
         # at (lambda, K) = (0.1, 0.3) the orbit thickness lies between 5e-3
-        # and 0.02, so the label shows which curve threshold was used
+        # and CURVE_THRESH = 0.02, so the label shows which curve threshold
+        # was used: the scan has none of its own
         cfgp = write_config(tmp_path, (
             "scan: {lambda_grid: [0.1], k_omega_grid: [0.1, 0.3], "
             "n_iter: 2000, burn_in: 200}\n"))
@@ -170,6 +171,10 @@ class TestCommands:
                          ob.Budget(n_iter=2000, burn_in=200))
         assert rows == [",".join(str(v) for v in row)
                         for row in ob.scan_rows(result)]
+        cell = result.cells[0][1]
+        assert (cell.lam, cell.k_omega, cell.label) == (0.1, 0.3,
+                                                        "InvariantCurve")
+        assert 5e-3 < cell.thickness < ob.CURVE_THRESH
 
     def test_command_returns_outputs_without_writing(self, tmp_path,
                                                      monkeypatch):

@@ -261,15 +261,19 @@ NON_CHAOTIC = ("PeriodicSink", "InvariantCurve", "Escaped")
 
 
 def _assert_matches_reference(cells, expect):
-    """Equal labels and periods; non-chaotic exponents and rotation numbers
-    within 1e-9.  A chaotic orbit amplifies the ULP differences between
-    numpy's and math's log and power, so its digits are not compared."""
-    assert [(c.lam, c.k_omega, c.label, c.period, c.escaped) for c in cells] \
-        == [(c.lam, c.k_omega, c.label, c.period, c.escaped) for c in expect]
+    """Equal labels and periods, and a NaN thickness on the same cells (the
+    cells that do not reach the curve test); non-chaotic exponents,
+    rotation numbers and thickness within 1e-9.  A chaotic orbit amplifies
+    the ULP differences between numpy's and math's log and power, so its
+    digits are not compared."""
+    assert [(c.lam, c.k_omega, c.label, c.period, c.escaped,
+             math.isnan(c.thickness)) for c in cells] \
+        == [(c.lam, c.k_omega, c.label, c.period, c.escaped,
+             math.isnan(c.thickness)) for c in expect]
     for got, want in zip(cells, expect):
         if want.label not in NON_CHAOTIC:
             continue
-        for field in ("chi1", "chi2", "rho_min", "rho_max"):
+        for field in ("chi1", "chi2", "thickness", "rho_min", "rho_max"):
             a, b = getattr(got, field), getattr(want, field)
             assert (math.isnan(a) and math.isnan(b)) \
                 or abs(a - b) <= 1e-9 * max(1.0, abs(b)), (want, field, a)
@@ -367,10 +371,36 @@ class TestClassifyBatch:
         assert [c.label for c in expect].count("Escaped") < 3
         for got, want in zip(cells, expect):
             for field in ("label", "period", "escaped", "chi1", "chi2",
-                          "rho_min", "rho_max"):
+                          "thickness", "rho_min", "rho_max"):
                 a, b = getattr(got, field), getattr(want, field)
                 assert a == b or (a != a and b != b) \
                     or abs(a - b) <= 1e-9 * max(1.0, abs(b)), (want, field, a)
+
+    @pytest.mark.parametrize("escaping, budget, calls", [
+        (False, ob.Budget(2000, 500), 4),
+        # three cells are Escaped and one has an inconclusive (NaN) chi1
+        (True, ob.Budget(40, 0), 0)])
+    def test_thickness_fitted_only_at_the_curve_test(
+            self, params_k5, pert, monkeypatch, escaping, budget, calls):
+        """The fit runs on the scan grid's 4 InvariantCurve cells, its only
+        cells with no period and |chi1| <= CHI_THRESH, and never on a NaN
+        chi1."""
+        fitted = []
+
+        def counted(tail, lam, delta):
+            fitted.append(lam)
+            return thickness(tail, lam, delta)
+
+        thickness = ob._orbit_thickness
+        monkeypatch.setattr(ob, "_orbit_thickness", counted)
+        lams, ks = (zip(*TestLockstepBits.ESCAPING) if escaping
+                    else self.grid())
+        cells = ob.classify_batch(lams, ks, params_k5, pert, budget)
+        assert len(fitted) == calls
+        assert sum(not math.isnan(c.thickness) for c in cells) == calls
+        for c in cells:
+            if not math.isnan(c.thickness):
+                assert c.period is None and abs(c.chi1) <= ob.CHI_THRESH
 
     def test_rejects_bad_input(self, ref_params, pert):
         with pytest.raises(ValueError):
@@ -379,6 +409,62 @@ class TestClassifyBatch:
         with pytest.raises(ValueError):
             ob.classify_batch([1e-3, 1e-2], [1.0], ref_params, pert)
         assert ob.classify_batch([], [], ref_params, pert) == []
+
+
+class TestOrbitThickness:
+    """_orbit_thickness is the sup-norm residual of a degree-8 trig fit to
+    v = y^(1/delta) / lam, here on synthetic tails with heights
+    y = (lam * v(x))^delta, and no thickness when the fit interpolates."""
+    LAM = 1e-3
+
+    @staticmethod
+    def tail(x, v, lam, delta):
+        """Orbit points (x, y) with heights y = (lam * v(x))^delta."""
+        return np.column_stack((x, (lam * v) ** delta))
+
+    @staticmethod
+    def degree_8(x, seed=0):
+        """A random trig polynomial of degree 8, between 1 and 3."""
+        coef = np.random.default_rng(seed).uniform(-1.0, 1.0, (8, 2)) / 16.0
+        return 2.0 + sum(a * np.cos(k * x) + b * np.sin(k * x)
+                         for k, (a, b) in enumerate(coef, start=1))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_exact_degree_8_curve_is_thin(self, params_k5, seed):
+        x = np.random.default_rng(seed + 10).uniform(0.0, TWO_PI, 200)
+        tail = self.tail(x, self.degree_8(x, seed), self.LAM, params_k5.delta)
+        assert ob._orbit_thickness(tail, self.LAM, params_k5.delta) < 1e-12
+
+    @pytest.mark.parametrize("eps", [1e-4, 5e-3, 0.1])
+    def test_ninth_harmonic_is_the_thickness(self, params_k5, eps):
+        """On 36 uniform angles cos 9x is orthogonal to every term of the
+        fit and reaches +-1, so the residual sup-norm is eps."""
+        x = np.arange(36) * (TWO_PI / 36)
+        v = self.degree_8(x) + eps * np.cos(9 * x)
+        thick = ob._orbit_thickness(self.tail(x, v, self.LAM, params_k5.delta),
+                                    self.LAM, params_k5.delta)
+        assert abs(thick - eps) <= 1e-9 * eps
+
+    def test_no_thickness_from_an_interpolating_fit(self, params_k5):
+        """17 points are interpolated by the 17 coefficients; 18 are not."""
+        delta = params_k5.delta
+        for m, finite in ((1, False), (17, False), (18, True)):
+            x = np.arange(m) * (TWO_PI / m)
+            v = self.degree_8(x) + 0.1 * np.cos(9 * x)
+            thick = ob._orbit_thickness(self.tail(x, v, self.LAM, delta),
+                                        self.LAM, delta)
+            assert math.isfinite(thick) is finite, m
+
+    def test_short_orbits_are_no_invariant_curves(self, params_k5, pert):
+        """At n_iter 33 the second half holds 17 points, which gave 7
+        InvariantCurve cells here (none at n_iter 2000)."""
+        k = 0.4
+        lams = [math.exp(-(a + TWO_PI) / k)  # lambda_(a,1)
+                for a in np.linspace(0.0, TWO_PI, 64, endpoint=False)]
+        cells = ob.classify_batch(lams, [k] * 64, params_k5, pert,
+                                  ob.Budget(n_iter=33, burn_in=200))
+        assert all(math.isnan(c.thickness) for c in cells)
+        assert "InvariantCurve" not in {c.label for c in cells}
 
 
 @contextlib.contextmanager
