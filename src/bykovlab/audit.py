@@ -17,7 +17,6 @@ import numpy as np
 
 from . import circlemap as cm
 from .model import TWO_PI, ModelParams, Perturbation, step_batch
-from .orbits import Budget, classify_batch
 
 H1_SAMPLES = 2000            # audit_H1: determinant samples drawn
 H2H3_A = 1.0                 # audit_H2_H3: parameter a of the limit family
@@ -297,48 +296,6 @@ def audit_H7(family: cm.CircleMapFamily, a_star: float,
 def h7_accepts_lambda0(lambda0: float) -> bool:
     """Expansion-threshold arithmetic for the mixing hypothesis."""
     return math.exp(lambda0 / 3.0) > 2.0
-
-
-def strange_attractor_fraction(params: ModelParams, pert: Perturbation,
-                               r: float, samples: int = 100, seed: int = 0,
-                               budget: Budget | None = None) -> dict:
-    """Fraction of lambda in (0, r] classified with a positive top exponent.
-
-    Returns the point estimate with Wilson's 95% binomial interval (z = 1.96;
-    unlike the normal approximation it keeps a positive upper bound at a
-    fraction of 0 or 1) and the escape fraction reported separately.
-    Numerical analogue of a density statement, not a measure-theoretic
-    result.
-    """
-    if samples < 100:
-        raise ValueError("need samples >= 100")
-    if budget is None:
-        budget = Budget(n_iter=20_000, burn_in=2_000)
-    rng = np.random.default_rng(seed)
-    lams = rng.uniform(0.0, r, samples)
-    lams = np.where(lams <= 0.0, r * 0.5, lams)
-    positive = 0
-    escaped = 0
-    for cell in classify_batch(lams, [params.k_omega] * samples, params, pert,
-                               budget):
-        if cell.label == "Escaped":
-            escaped += 1
-        elif cell.label == "StrangeAttractorCandidate":
-            positive += 1
-    usable = samples - escaped
-    frac = positive / usable if usable else math.nan
-    if usable:
-        z = 1.96
-        z2 = z * z / usable
-        center = (frac + 0.5 * z2) / (1.0 + z2)
-        half = z * math.sqrt(frac * (1.0 - frac) / usable
-                             + 0.25 * z2 / usable) / (1.0 + z2)
-        ci = (max(0.0, center - half), min(1.0, center + half))
-    else:
-        ci = (math.nan, math.nan)
-    return {"fraction": frac, "confidence_interval": ci,
-            "escaped_fraction": escaped / samples, "samples": samples,
-            "r": r, "seed": seed}
 
 
 def run_audit(params: ModelParams, pert: Perturbation,

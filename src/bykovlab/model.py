@@ -396,31 +396,52 @@ def _exec_kernel(source: str, kernel: str, names: dict) -> dict:
 
 
 def _kernel_lines(floats: tuple, trig_call) -> tuple:
-    """The source both kernels share: (trig, slopes, value).
+    """The return map, written once for both kernels: the source lines
+    (trig, slopes, dy, angle, log_y, chain).
 
     trig holds one line per cos and sin, trig_call(name, angle, index)
     giving its call; slopes the lines that name each slope's value row
-    q1 (Phi1) or q2 (Phi2); value(p, row) the source of profile p's row
-    (0: value, 1: x-derivative) at (x, y), its slope's row added y times.
+    q1 (Phi1) or q2 (Phi2).  dy, angle and log_y are the right-hand sides
+    lam*Phi2, x + xi + lam*Phi1 and K_omega*log(big_y): Y is
+    big_y = y + dy, the new height big_y**delta and the unwrapped new
+    angle angle - log_y.  chain holds the lines that set j11, j12, j21
+    and j22 from the trig and slope names and big_y: the chain rule
+    D eta(X, Y) @ D psi_21(x, y) with D eta = [[1, -r], [0, e22]],
+    r = K_omega/Y, e22 = delta*Y^(delta-1) and lf3 = lam*Phi2_x, where
+    p22 = 1 + lam*Phi2_y and lam*Phi1_y enter only if Phi2 or Phi1 has a
+    slope.  A profile's row at (x, y) is its base row plus y times its
+    slope's row, each row summed in column order.  Each kernel wraps
+    these lines in its own functions.
     """
-    harmonics, *profiles = floats
+    harmonics, phi1, phi2 = floats
     trig = []
     for h, k in enumerate(harmonics):
         kx = "x" if k == 1 else f"{float(k)!r} * x"
         for j, fn in ((2 * h, "cos"), (2 * h + 1, "sin")):
             trig.append(f"    c{j + 1} = {trig_call(fn, kx, j)}")
     slopes = [f"    q{p} = {_row_source(rows[2])}"
-              for p, rows in enumerate(profiles, 1) if rows[2] is not None]
+              for p, rows in ((1, phi1), (2, phi2)) if rows[2] is not None]
 
-    def value(p, row):
-        rows = profiles[p - 1]
+    def value(p, row):  # profile p's value (row 0) or x-derivative (row 1)
+        rows = (phi1, phi2)[p - 1]
         out = _row_source(rows[row])
         if rows[2] is None:
             return out
         slope = f"({_row_source(rows[row + 2])})" if row else f"q{p}"
         return f"({out}) + y * {slope}"
 
-    return trig, slopes, value
+    if phi2[2] is None:
+        p22, rp22, j22 = [], "r", "e22"
+    else:
+        p22, rp22, j22 = ["    p22 = 1.0 + lam * q2"], "(r * p22)", "e22 * p22"
+    j12 = f"-{rp22}" if phi1[2] is None else f"lam * q1 - {rp22}"
+    chain = ["    r = k_omega / big_y",
+             "    e22 = delta * big_y ** (delta - 1.0)",
+             f"    lf3 = lam * ({value(2, 1)})",
+             f"    j11 = 1.0 + lam * ({value(1, 1)}) - r * lf3", *p22,
+             f"    j12 = {j12}", "    j21 = e22 * lf3", f"    j22 = {j22}"]
+    return (trig, slopes, f"lam * ({value(2, 0)})",
+            f"x + xi + lam * ({value(1, 0)})", "k_omega * log(big_y)", chain)
 
 
 def _float_kernel(floats: tuple) -> tuple:
@@ -433,36 +454,24 @@ def _float_kernel(floats: tuple) -> tuple:
     operations of the loops in tests/scalar_reference.py, which they match
     bit for bit.  image returns (unwrapped new angle, new height); step
     returns (unwrapped new angle, new height, j11, j12, j21, j22), the
-    image and the chain rule D eta(X, Y) @ D psi_21(x, y) with
-    D eta = [[1, -K/Y], [0, delta*Y^(delta-1)]].  Both raise EscapeError
-    when Y = y + lam*Phi2 <= 0 or the image height leaves the strip
-    |y| <= 1.
+    image and _kernel_lines' chain rule.  Both raise EscapeError when
+    Y = y + lam*Phi2 <= 0 or the image height leaves the strip |y| <= 1.
     """
-    phi1, phi2 = floats[1:]
-    trig, slopes, value = _kernel_lines(
+    trig, slopes, dy, angle, log_y, chain = _kernel_lines(
         floats, lambda fn, kx, j: f"{fn}({kx})")
-    head = ["    lam, xi, k_omega, delta = s", *trig]
-    height = [  # Y, the new height and the escape checks
-        f"    big_y = y + lam * ({value(2, 0)})",
+    head = [  # the trig and slope lines, Y, the new height and the escapes
+        "    lam, xi, k_omega, delta = s", *trig, *slopes,
+        f"    big_y = y + {dy}",
         "    if big_y <= 0.0:",
         "        raise EscapeError(CylinderPoint(x, y))",
         "    new_y = big_y ** delta",
         "    if new_y > 1.0:",
         "        raise EscapeError(CylinderPoint(x, y))"]
-    new_x = f"x + xi + lam * ({value(1, 0)}) - k_omega * log(big_y)"
-    f1y, f2y = ("0.0" if rows[2] is None else f"q{p}"
-                for p, rows in ((1, phi1), (2, phi2)))
     source = "\n".join([
-        "def image(x, y, s):", *head, *slopes, *height,
-        f"    return {new_x}, new_y",
-        "def step(x, y, s):", *head, *slopes, *height,
-        "    e12 = -k_omega / big_y",
-        "    e22 = delta * big_y ** (delta - 1.0)",
-        f"    p21 = lam * ({value(2, 1)})",
-        f"    p22 = 1.0 + lam * {f2y}",
-        f"    return ({new_x}, new_y,",
-        f"            1.0 + lam * ({value(1, 1)}) + e12 * p21,",
-        f"            lam * {f1y} + e12 * p22, e22 * p21, e22 * p22)", ""])
+        "def image(x, y, s):", *head,
+        f"    return {angle} - {log_y}, new_y",
+        "def step(x, y, s):", *head, *chain,
+        f"    return {angle} - {log_y}, new_y, j11, j12, j21, j22", ""])
     namespace = _exec_kernel(source, "float", {
         "cos": math.cos, "sin": math.sin, "log": math.log,
         "EscapeError": EscapeError, "CylinderPoint": CylinderPoint})
@@ -472,8 +481,9 @@ def _float_kernel(floats: tuple) -> tuple:
 def _array_kernel(floats: tuple) -> tuple:
     """Compile the array kernel of one table: the pair (image, jac).
 
-    The float kernel's rows, from the same source (_kernel_lines), run on
-    numpy arrays with lam and K_omega given per orbit (arrays or floats):
+    The float kernel's lines, from the same source (_kernel_lines), run
+    on numpy arrays with lam and K_omega given per orbit (arrays or
+    floats):
 
     - image(x, y, lam, k_omega, xi, delta, new_x, new_y, big_y, trig)
       returns (unwrapped new angles, new heights, Y, trig) with
@@ -486,41 +496,26 @@ def _array_kernel(floats: tuple) -> tuple:
     - jac(trig, y, big_y, lam, k_omega, delta) returns (j11, j12, j21,
       j22) of the steps from (x, y) whose cos, sin and Y image returned,
       so the Jacobian of a stored stretch of orbit costs no second cos,
-      sin or log.  With D eta = [[1, e12], [0, e22]] and e12 = -r, the
-      float step's a + e12*p equals a - r*p exactly; without slopes
-      p22 = 1 and lam*Phi1_y = 0.
+      sin or log.
 
     Every sum runs in the float kernel's order, so only numpy's cos, sin,
     log and power (which may differ from math's by an ULP) separate the
     two kernels.
     """
-    phi1, phi2 = floats[1:]
-    trig, slopes, value = _kernel_lines(
+    trig, slopes, dy, angle, log_y, chain = _kernel_lines(
         floats, lambda fn, kx, j: f"{fn}({kx}, out=trig[{j}])")
     names = "".join(f"c{j + 1}, " for j in range(len(trig)))
-    if not any(rows[2] is not None for rows in (phi1, phi2)):
-        jac = ["    return j11, -r, e22 * lf3, e22"]
-    else:
-        p22 = "1.0" if phi2[2] is None else "1.0 + lam * q2"
-        j12 = "-(r * p22)" if phi1[2] is None else "lam * q1 - r * p22"
-        jac = [f"    p22 = {p22}",
-               f"    return j11, {j12}, e22 * lf3, e22 * p22"]
     source = "\n".join([
         "def image(x, y, lam, k_omega, xi, delta, new_x=None, new_y=None,",
         f"          big_y=None, trig={(None,) * len(trig)}):",
         *trig, *slopes,
-        f"    big_y = add(y, lam * ({value(2, 0)}), out=big_y)",
+        f"    big_y = add(y, {dy}, out=big_y)",
         "    new_y = power(big_y, delta, out=new_y)",
-        f"    new_x = subtract(x + xi + lam * ({value(1, 0)}),",
-        "                     k_omega * log(big_y), out=new_x)",
+        f"    new_x = subtract({angle}, {log_y}, out=new_x)",
         f"    return new_x, new_y, big_y, ({names})",
         "def jac(trig, y, big_y, lam, k_omega, delta):",
-        f"    {names}= trig" if trig else "", *slopes,
-        "    r = k_omega / big_y",
-        "    e22 = delta * big_y ** (delta - 1.0)",
-        f"    lf3 = lam * ({value(2, 1)})",
-        f"    j11 = 1.0 + lam * ({value(1, 1)}) - r * lf3",
-        *jac, ""])
+        f"    {names}= trig" if trig else "", *slopes, *chain,
+        "    return j11, j12, j21, j22", ""])
     namespace = _exec_kernel(source, "array", {
         "cos": np.cos, "sin": np.sin, "log": np.log, "add": np.add,
         "subtract": np.subtract, "power": np.power})

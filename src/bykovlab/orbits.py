@@ -74,7 +74,11 @@ class LyapunovEstimate:
     chi2: float
     n_iter: int
     saturated: bool = False
-    det_consistency: float | None = None  # |chi1+chi2 - mean ln|det||
+    # |chi1+chi2 - mean ln|det||: ln r22 is the log-determinant sum minus
+    # ln r11, so both sides add the same log-determinants grouped two
+    # ways, and this reads their rounding, unless a saturation value
+    # replaced a non-finite ln r11 or ln r22
+    det_consistency: float | None = None
     inconclusive: bool = False
     escaped_at: int | None = None  # step from p0, burn-in included, that escaped
 
@@ -296,11 +300,13 @@ def _orbit_thickness(tail: np.ndarray, lam: float, delta: float) -> float:
     absorbing annulus; a degree-8 trigonometric polynomial v(x) is fitted and
     the residual sup-norm is the thickness.  An invariant circle gives a
     residual at the fit-error level; a chaotic band gives O(band width).
-    A tail of at most 17 points, the fit's coefficient count, is
-    interpolated whatever its shape, so it gives NaN: no thickness.
+    A tail of fewer than 34 points, twice the fit's 17 coefficients,
+    gives NaN, no thickness: 17 points are interpolated whatever their
+    shape, and a fit with fewer residual degrees of freedom than
+    coefficients still lays a thin curve through short chaotic orbits.
     """
     deg = 8
-    if len(tail) <= 2 * deg + 1:
+    if len(tail) < 2 * (2 * deg + 1):
         return math.nan
     x = tail[:, 0]
     v = tail[:, 1] ** (1.0 / delta) / lam

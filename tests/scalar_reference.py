@@ -251,7 +251,7 @@ def array_step(x, y, lam, k_omega, params: ModelParams,
 
     Returns (unwrapped new angles, new heights, j11, j12, j21, j22, Y):
     return_step's chain rule with r = K/Y, e22 = delta*Y^(delta-1) and
-    p22 = 1 + lam*Phi2_y, written as the array kernel writes it
+    p22 = 1 + lam*Phi2_y, written as both compiled kernels write it
     (a - r*p for return_step's a + e12*p, which is equal).
     Contract: bits.  model.step_batch must equal it with np.array_equal;
     it stays for the reason array_image does.

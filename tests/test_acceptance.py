@@ -217,7 +217,8 @@ def test_criterion_10_lyapunov_harness(ref_params, params_k5, pert, report,
     report(10, err <= 1e-10 and real.det_consistency is not None
             and real.det_consistency < 1e-2,
             f"diag(2, 1/2) recovered to {err:.2e}; model sum-vs-logdet "
-            f"mismatch {real.det_consistency:.2e}")
+            f"mismatch {real.det_consistency:.2e} (rounding: both sides "
+            f"add the same log-determinants)")
 
 
 def test_criterion_11_h7_arithmetic(report):

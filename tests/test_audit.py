@@ -401,18 +401,3 @@ class TestOrchestrator:
         monkeypatch.setattr(cm, "critical_points", counting)
         au.run_audit(params_k5, pert, n_a=8, seed=0)
         assert len(calls) == 1
-
-
-class TestFraction:
-    def test_diffeo_regime_near_zero(self, pert):
-        from bykovlab.orbits import Budget
-        params = reference_params(omega=0.05)
-        out = au.strange_attractor_fraction(
-            params, pert, r=0.01, samples=100, seed=0,
-            budget=Budget(n_iter=2000, burn_in=500))
-        assert out["fraction"] <= 0.05
-        assert out["confidence_interval"][1] > 0.0
-
-    def test_sample_floor(self, params_k5, pert):
-        with pytest.raises(ValueError):
-            au.strange_attractor_fraction(params_k5, pert, r=0.01, samples=10)

@@ -471,6 +471,38 @@ def test_compiled_kernel_matches_interpretive_reference(phi1, phi2, x, y, lam,
         want[:2] if isinstance(want, list) else want)
 
 
+@pytest.mark.parametrize("phi1_slope, phi2_slope", [
+    (False, False), (True, False), (False, True), (True, True)],
+    ids=["neither", "phi1", "phi2", "both"])
+def test_chain_rule_slope_cases_match_both_references(phi1_slope, phi2_slope):
+    """Each slope case of the shared chain rule, on SLOPED with the named
+    slopes kept: the float kernel's step is ref.return_step bit for bit
+    and step_batch is ref.array_step, on a fixed grid of orbits inside the
+    strip, and the Jacobian is the finite-difference one."""
+    pert = Perturbation(
+        replace(SLOPED.phi1, slope=SLOPED.phi1.slope if phi1_slope else None),
+        replace(SLOPED.phi2, slope=SLOPED.phi2.slope if phi2_slope else None))
+    rng = np.random.default_rng(1)
+    x = rng.uniform(0.0, TWO_PI, 16)
+    y = rng.uniform(0.05, 0.5, 16)
+    lam = rng.uniform(1e-4, 0.05, 16)
+    k_omega = rng.uniform(0.2, 10.0, 16)
+    params = reference_params()
+    got = md.step_batch(x, y, lam, k_omega, params, pert)
+    want = ref.array_step(x, y, lam, k_omega, params, pert)
+    assert all(_same(g, w) for g, w in zip(got, want))
+    assert np.all(got[6] > 0.0) and np.all(got[1] <= 1.0)
+    step = pert._kernel[1]
+    for xi, yi, li, ki in zip(*(v.tolist() for v in (x, y, lam, k_omega))):
+        scalars = reference_params(lam=li).with_k_omega(ki)._step_scalars
+        assert _outcome(step, xi, yi, scalars) == _outcome(
+            ref.return_step, xi, yi, scalars + pert._table)
+        fd = ref.finite_difference_jacobian(
+            lambda q: step(q[0], q[1], scalars)[:2], (xi, yi))
+        jac = np.array(step(xi, yi, scalars)[2:]).reshape(2, 2)
+        assert np.allclose(jac, fd, rtol=1e-4, atol=1e-6)
+
+
 def test_kernel_built_lazily_once_per_perturbation(monkeypatch):
     """Loading a config compiles nothing (setup stays lean); the first
     return_map compiles the pair's kernel, and later calls reuse it."""

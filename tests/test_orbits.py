@@ -446,9 +446,10 @@ class TestOrbitThickness:
         assert abs(thick - eps) <= 1e-9 * eps
 
     def test_no_thickness_from_an_interpolating_fit(self, params_k5):
-        """17 points are interpolated by the 17 coefficients; 18 are not."""
+        """17 points are interpolated by the 17 coefficients; fewer than
+        34, twice as many, give no thickness, and 34 give one."""
         delta = params_k5.delta
-        for m, finite in ((1, False), (17, False), (18, True)):
+        for m, finite in ((1, False), (17, False), (33, False), (34, True)):
             x = np.arange(m) * (TWO_PI / m)
             v = self.degree_8(x) + 0.1 * np.cos(9 * x)
             thick = ob._orbit_thickness(self.tail(x, v, self.LAM, delta),
@@ -456,15 +457,22 @@ class TestOrbitThickness:
             assert math.isfinite(thick) is finite, m
 
     def test_short_orbits_are_no_invariant_curves(self, params_k5, pert):
-        """At n_iter 33 the second half holds 17 points, which gave 7
-        InvariantCurve cells here (none at n_iter 2000)."""
+        """At n_iter 33 and 34 the second half holds 17 and 18 points,
+        which gave 7 and 4 InvariantCurve cells here (none at n_iter
+        2000); at n_iter 66 it holds 34, and the curve test runs."""
         k = 0.4
         lams = [math.exp(-(a + TWO_PI) / k)  # lambda_(a,1)
                 for a in np.linspace(0.0, TWO_PI, 64, endpoint=False)]
-        cells = ob.classify_batch(lams, [k] * 64, params_k5, pert,
-                                  ob.Budget(n_iter=33, burn_in=200))
-        assert all(math.isnan(c.thickness) for c in cells)
-        assert "InvariantCurve" not in {c.label for c in cells}
+
+        def cells(n_iter):
+            return ob.classify_batch(lams, [k] * 64, params_k5, pert,
+                                     ob.Budget(n_iter=n_iter, burn_in=200))
+
+        for n_iter in (33, 34):
+            got = cells(n_iter)
+            assert all(math.isnan(c.thickness) for c in got), n_iter
+            assert "InvariantCurve" not in {c.label for c in got}, n_iter
+        assert any(math.isfinite(c.thickness) for c in cells(66))
 
 
 @contextlib.contextmanager
