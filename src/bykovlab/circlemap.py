@@ -203,12 +203,6 @@ class MisiurewiczCertificate:
         }
 
 
-def _math_log(x: np.ndarray) -> np.ndarray:
-    """math.log of every entry; the vectorised np.log can differ by an ULP."""
-    return np.fromiter(map(math.log, x.ravel().tolist()), float,
-                       x.size).reshape(x.shape)
-
-
 def critical_orbit_distances(family: CircleMapFamily, a_values,
                              horizon: int) -> np.ndarray:
     """Distance to the critical set of h_a^n(c), n = 1..horizon.
@@ -303,7 +297,7 @@ def misiurewicz_scan(family: CircleMapFamily, a_values, delta0: float = 0.05,
         x, dh = family.step(a_col, x)
         d = np.abs(dh)
         reset = (dist < delta0) | (d == 0.0)
-        cum = np.where(reset, 0.0, cum + _math_log(np.where(reset, 1.0, d)))
+        cum = np.where(reset, 0.0, cum + np.log(np.where(reset, 1.0, d)))
         dist = crit.distance(x)
         sampled[:, :, n] = ~reset
         cum_hist[:, :, n] = cum
@@ -415,7 +409,7 @@ def collet_eckmann_check(family: CircleMapFamily, a: float,
     gap1 = crit.distance(x) - bound1
     # CE2: ln|(h^n)'(h(c))| vs ln(2 b0 delta0) + lambda_ce n
     d = np.abs(family.deriv(x))
-    log_d = np.where(d > 0.0, _math_log(np.where(d > 0.0, d, 1.0)), -math.inf)
+    log_d = np.where(d > 0.0, np.log(np.where(d > 0.0, d, 1.0)), -math.inf)
     gap2 = (np.cumsum(log_d, axis=1)
             - (math.log(2.0 * cert.b0 * cert.delta0) + lambda_ce * n))
     verdicts = []

@@ -434,7 +434,12 @@ def _kernel_lines(floats: tuple, trig_call) -> tuple:
         p22, rp22, j22 = [], "r", "e22"
     else:
         p22, rp22, j22 = ["    p22 = 1.0 + lam * q2"], "(r * p22)", "e22 * p22"
-    j12 = f"-{rp22}" if phi1[2] is None else f"lam * q1 - {rp22}"
+    if phi1[2] is not None:
+        j12 = f"lam * q1 - {rp22}"
+    elif phi2[2] is None:
+        j12 = "-r"
+    else:  # +0.0 where p22 = 0, as the references' lam*0.0 - r*p22
+        j12 = "0.0 - (r * p22)"
     chain = ["    r = k_omega / big_y",
              "    e22 = delta * big_y ** (delta - 1.0)",
              f"    lf3 = lam * ({value(2, 1)})",

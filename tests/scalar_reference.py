@@ -416,7 +416,7 @@ def misiurewicz_check(family: cm.CircleMapFamily, a: float,
                 if d == 0.0:
                     cum, seg = 0.0, 0
                 else:
-                    cum += math.log(d)
+                    cum += float(np.log(d))
                     seg += 1
                     samples.append((seg, cum))
             x = family.val(a, x)
@@ -497,7 +497,7 @@ def misiurewicz_scan_lockstep(family: cm.CircleMapFamily, a_values,
         d = np.abs(dh[:, q:])
         reset = (dist[:, q:] < delta0) | (d == 0.0)
         cum = np.where(reset, 0.0,
-                       cum + cm._math_log(np.where(reset, 1.0, d)))
+                       cum + np.log(np.where(reset, 1.0, d)))
         dist = crit.distance(x)
         crit_dist[:, :, n] = dist[:, :q]
         sampled[:, :, n] = ~reset
@@ -650,7 +650,7 @@ def collet_eckmann_check(family: cm.CircleMapFamily, a: float,
                 ok1 = False
             # CE2: |(h^n)'(h(c))| vs 2*b0*delta0*exp(lambda_ce*n)
             dv = abs(family.deriv(x))
-            cum += math.log(dv) if dv > 0.0 else -math.inf
+            cum += float(np.log(dv)) if dv > 0.0 else -math.inf
             margin = cum - (math.log(2.0 * cert.b0 * cert.delta0)
                             + lambda_ce * n)
             if margin < wit2[0]:

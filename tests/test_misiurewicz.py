@@ -110,6 +110,15 @@ class TestMisiurewiczScan:
             ref.misiurewicz_check(family_k5, a, delta0, horizon, n_seeds, seed)
             for a in a_values)
 
+    def test_matches_scalar_reference_where_the_logs_split(self, pert):
+        """The low-twist audit's a = 14*2pi/64 at K_omega = 0.51, where a
+        vectorised np.log and math.log can give lambda0 different last
+        digits: the scan and its reference take the same log."""
+        fam = cm.family_from_model(reference_params(omega=0.17), pert)
+        a = 14 * TWO_PI / 64
+        assert reports(cm.misiurewicz_scan(fam, [a])) == reports(
+            [ref.misiurewicz_check(fam, a)])
+
     @pytest.mark.parametrize("family", ["family_k03", "doubling"])
     @given(a_values=st.lists(st.floats(min_value=-TWO_PI, max_value=TWO_PI),
                              max_size=3),

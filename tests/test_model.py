@@ -449,6 +449,15 @@ def _outcome(fn, *args):
         return type(exc), getattr(exc, "point", None)
 
 
+# Phi2 alone has a y-slope, and 1 + lam*Phi2_y = 0 at lam = 1: j12 is
+# lam*0.0 - r*0.0 = +0.0 in both references, never -0.0
+ZERO_P22 = {"phi1": CylinderFunction(TrigPoly(0.0, ()), None),
+            "phi2": CylinderFunction(TrigPoly(1.0, ()), TrigPoly(-1.0, ())),
+            "x": 0.0, "y": 0.0, "lam": 1.0, "xi": 0.0, "k_omega": 1.0,
+            "delta": 2.0}
+
+
+@example(**ZERO_P22)
 @given(phi1=profiles, phi2=profiles,
        x=st.floats(min_value=-10.0, max_value=10.0),
        y=st.floats(min_value=-1.0, max_value=1.0),
@@ -469,6 +478,19 @@ def test_compiled_kernel_matches_interpretive_reference(phi1, phi2, x, y, lam,
     assert _outcome(step, x, y, scalars) == want
     assert _outcome(image, x, y, scalars) == (
         want[:2] if isinstance(want, list) else want)
+
+
+def test_array_kernel_j12_sign_where_p22_is_zero():
+    """At ZERO_P22, step_batch's j12 has ref.array_step's bits, +0.0:
+    np.array_equal, which the other array pins use, takes -0.0 == 0.0."""
+    pert = Perturbation(ZERO_P22["phi1"], ZERO_P22["phi2"])
+    x, y, lam, k_omega = (np.array([ZERO_P22[k]])
+                          for k in ("x", "y", "lam", "k_omega"))
+    params = reference_params()  # xi = 0; delta does not enter j12
+    got = md.step_batch(x, y, lam, k_omega, params, pert)[3]
+    want = ref.array_step(x, y, lam, k_omega, params, pert)[3]
+    assert want.tolist() == [0.0] and math.copysign(1.0, want[0]) == 1.0
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("phi1_slope, phi2_slope", [
