@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (TWO_PI, ModelParams, Perturbation, TrigPoly, _bisect,
-                    circle_gap, step_batch, wrap_angles)
+                    circle_gap, step_batch)
 
 DEFAULT_GRID = 1 << 14
 ROOT_TOL = 1e-12
@@ -66,7 +66,7 @@ class CircleMapFamily:
         return xhat + self.xi + a - self.k_omega * np.log(val)
 
     def val(self, a: float, x):
-        """Circle value in [0, 2pi)."""
+        """Circle value in [0, 2pi], as CylinderPoint angles."""
         out = np.mod(self.lift(a, x), TWO_PI)
         return float(out) if np.ndim(out) == 0 else out
 
@@ -125,7 +125,7 @@ class CriticalSet:
 
 
 def critical_points(family: CircleMapFamily) -> CriticalSet:
-    """All roots of h' in [0, 2pi), bracketed on DEFAULT_GRID and polished.
+    """All roots of h' in [0, 2pi], bracketed on DEFAULT_GRID and polished.
 
     Bisection narrows all brackets at once, then up to 8 Newton steps finish
     each root to |h'| <= 1e-12 (a root whose Newton steps miss that keeps
@@ -151,7 +151,7 @@ def critical_points(family: CircleMapFamily) -> CriticalSet:
     if flat.any():
         raise NonMorseError(
             f"non-Morse configuration near x={root[np.argmax(flat)]}")
-    pts = wrap_angles(root)
+    pts = np.remainder(root, TWO_PI)
     order = np.argsort(pts, kind="stable")
     return CriticalSet(points=pts[order], second_derivs=d2[order])
 

@@ -47,24 +47,6 @@ class EscapeError(ValueError):
         self.point = point
 
 
-def wrap_angle(x: float) -> float:
-    """Reduce an angle to [0, 2pi) using exact remainder."""
-    x = math.fmod(x, TWO_PI)
-    if x < 0.0:
-        x += TWO_PI
-    return 0.0 if x >= TWO_PI else x
-
-
-def wrap_angles(x: np.ndarray) -> np.ndarray:
-    """wrap_angle of every entry: the same exact remainder, elementwise."""
-    w = np.fmod(x, TWO_PI)
-    neg = w < 0.0
-    if np.count_nonzero(neg):
-        w = np.where(neg, w + TWO_PI, w)
-        w[w >= TWO_PI] = 0.0
-    return w
-
-
 def circle_gap(a, b):
     """|a - b| on the circle, in [0, pi], for floats or arrays."""
     return np.abs(np.mod(a - b + math.pi, TWO_PI) - math.pi)
@@ -87,7 +69,11 @@ def _bisect(f, lo, hi, flo, steps: int) -> np.ndarray:
 
 
 class CylinderPoint(NamedTuple):
-    """Point of the cross-section: angle x in [0, 2pi), height |y| <= 1."""
+    """Point of the cross-section: angle x in [0, 2pi], height |y| <= 1.
+
+    Angles are reduced by `% TWO_PI` (np.remainder on arrays), so a
+    negative angle within rounding of a multiple of 2pi reduces to 2pi.
+    """
 
     x: float
     y: float
@@ -554,7 +540,7 @@ def return_map(p: CylinderPoint, params: ModelParams, pert: Perturbation) -> Cyl
     Steps through the float kernel's image, so no derivative is computed.
     """
     x, y = pert._kernel[0](p[0], p[1], params._step_scalars)
-    return _new_tuple(CylinderPoint, (wrap_angle(x), y))
+    return _new_tuple(CylinderPoint, (x % TWO_PI, y))
 
 
 def jac_return(p, params: ModelParams,

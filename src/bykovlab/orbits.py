@@ -15,7 +15,7 @@ import numpy as np
 
 from .model import (TWO_PI, CylinderPoint, EscapeError, ModelParams,
                     OrbitRecord, Perturbation, circle_gap, jac_return,
-                    return_map, wrap_angle)
+                    return_map)
 
 SATURATION = -50.0  # per-iterate log-contraction below this is reported as saturated
 RECURRENCE_TOL = 1e-8  # period detection: recurrence distance of a sink
@@ -49,7 +49,7 @@ def iterate(params: ModelParams, pert: Perturbation, p0: CylinderPoint,
     if n < 0 or burn_in < 0:
         raise ValueError(f"need n >= 0 and burn_in >= 0, got n={n}, "
                          f"burn_in={burn_in}")
-    p = CylinderPoint(wrap_angle(p0.x), p0.y)
+    p = CylinderPoint(float(p0.x) % TWO_PI, p0.y)
     try:
         for _ in range(burn_in):
             p = return_map(p, params, pert)
@@ -120,7 +120,7 @@ def lyapunov(params: ModelParams, pert: Perturbation, p0: CylinderPoint,
     if n < 0 or burn_in < 0:
         raise ValueError(f"need n >= 0 and burn_in >= 0, got n={n}, "
                          f"burn_in={burn_in}")
-    p = CylinderPoint(wrap_angle(p0.x), p0.y)
+    p = CylinderPoint(float(p0.x) % TWO_PI, p0.y)
     l1 = l2 = logdet = batch_ld = 0.0
     p11, p12, p21, p22 = 1.0, 0.0, 0.0, 1.0
     escaped_at = None
@@ -192,12 +192,12 @@ def rotation_set_2d(params: ModelParams, pert: Perturbation,
     image, scalars = pert._kernel[0], params._step_scalars
     rhos = []
     for p0 in seeds:
-        x, y, disp = wrap_angle(p0.x), float(p0.y), 0.0
+        x, y, disp = float(p0.x) % TWO_PI, float(p0.y), 0.0
         try:
             for _ in range(n):
                 xhat, y = image(x, y, scalars)
                 disp += xhat - x
-                x = wrap_angle(xhat)
+                x = xhat % TWO_PI
         except EscapeError:
             continue
         rhos.append(disp / (TWO_PI * n))
@@ -397,10 +397,7 @@ def _lockstep(params: list, pert: Perturbation, budget: Budget) -> list:
     Each step advances every orbit by the array kernel's raw image alone,
     written with its cos, sin and Y into the buffers of a block of about
     BLOCK_POINTS points, and wraps the new angle into the buffer by
-    np.remainder(x, 2pi) alone, the rule CircleMapFamily.val uses.  It
-    differs from the scalar path's wrap_angle in two rounding cases: a
-    negative angle within rounding of a multiple of 2pi wraps to 2pi
-    (wrap_angle: 0), and -2pi*k wraps to +0 (wrap_angle: -0).  Once per
+    np.remainder(x, 2pi), the rule of the float path's `%`.  Once per
     block, array passes over the block find the escapes (the first step
     with not Y > 0 or a new height above 1), copy out the recorded
     points, add up the seeds' lift steps and, in the Lyapunov run, compute
@@ -433,10 +430,10 @@ def _lockstep(params: list, pert: Perturbation, budget: Budget) -> list:
     calls = [((xs[i], ys[i], lam_k, k_k, xi, delta, xn[i], ys[i + 1],
                big_y[i], tuple(trig[:, i])), (xn[i], TWO_PI, xs[i + 1]))
              for i in range(size)]
-    xs[0], ys[0] = wrap_angle(0.5), lam
+    xs[0], ys[0] = 0.5, lam
     rec_x, rec_y = np.empty((n + 1 - first, m)), np.empty((n + 1 - first, m))
     escape = {}  # cell: the step at which its orbit escaped
-    disp, final_disp = np.zeros((3, m)), np.zeros((3, m))
+    disp = np.zeros((3, m))  # each seed's lift, fixed once its window closes
     # the Lyapunov run's sums (l1, l2, batch_ld) and product P,
     # P[i, j] = p_(i+1)(j+1), and the estimates of the orbits it lost
     sums, prod = np.zeros((3, m)), np.zeros((2, 2, m))
@@ -464,8 +461,6 @@ def _lockstep(params: list, pert: Perturbation, budget: Budget) -> list:
                 if a < b:
                     disp[j] = np.cumsum(np.concatenate(
                         (disp[j][None], steps[a - t0:b - t0])), axis=0)[-1]
-                    if b == s + n_rot:
-                        final_disp[j] = disp[j]
             if t0 >= lyap0:
                 estimates.update(_lyapunov_block(
                     jac(tuple(trig[:, :k]), ys[:k], big_y[:k], lam, k_omega,
@@ -489,7 +484,7 @@ def _lockstep(params: list, pert: Perturbation, budget: Budget) -> list:
             *sums[:, c].tolist(), tuple(prod[:, :, c].ravel().tolist()),
             n_lyap, n_lyap, None)
         rhos = [d / (TWO_PI * n_rot) for d, s in
-                zip(final_disp[:, c].tolist(), seed_starts) if t >= s + n_rot]
+                zip(disp[:, c].tolist(), seed_starts) if t >= s + n_rot]
         out.append((np.column_stack((rec_x[:, c], rec_y[:, c])), est, rhos))
     return out
 

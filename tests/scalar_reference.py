@@ -43,8 +43,7 @@ from bykovlab import model as md
 from bykovlab import orbits as ob
 from bykovlab.audit import HypothesisVerdict
 from bykovlab.model import (TWO_PI, CylinderFunction, CylinderPoint,
-                            EscapeError, ModelParams, Perturbation, TrigPoly,
-                            wrap_angle)
+                            EscapeError, ModelParams, Perturbation, TrigPoly)
 from bykovlab.orbits import (CHI_THRESH, CURVE_THRESH, LYAPUNOV_CAP,
                              PERIOD_CAP, QR_CADENCE, RECURRENCE_TOL,
                              ROTATION_CAP, SATURATION, Budget,
@@ -71,7 +70,7 @@ def local_map_o1(p: CylinderPoint, params: ModelParams) -> tuple[float, float]:
         raise TrappedError(f"y={y}: trapped or wrong branch at the first focus")
     r = y ** params.delta1
     phi = x - (params.omega1 / params.e1) * math.log(y)
-    return r, wrap_angle(phi)
+    return r, phi % TWO_PI
 
 
 def local_map_o2(r: float, phi: float, params: ModelParams) -> CylinderPoint:
@@ -81,7 +80,7 @@ def local_map_o2(r: float, phi: float, params: ModelParams) -> CylinderPoint:
         raise TrappedError(f"r={r}: on the stable manifold of the second focus")
     x = phi - (params.omega2 / params.e2) * math.log(r)
     y = r ** params.delta2
-    return CylinderPoint(wrap_angle(x), y)
+    return CylinderPoint(x % TWO_PI, y)
 
 
 def eta(p: CylinderPoint, params: ModelParams) -> CylinderPoint:
@@ -91,7 +90,7 @@ def eta(p: CylinderPoint, params: ModelParams) -> CylinderPoint:
     x, y = p
     if y <= 0.0:
         raise TrappedError(f"y={y}: entered lower branch / trapped")
-    return CylinderPoint(wrap_angle(x - params.k_omega * math.log(y)),
+    return CylinderPoint((x - params.k_omega * math.log(y)) % TWO_PI,
                          y ** params.delta)
 
 
@@ -100,7 +99,7 @@ def psi_21(p: CylinderPoint, params: ModelParams, pert: Perturbation) -> Cylinde
     Contract: definition, as eta."""
     x, y = p
     lam = params.lam
-    return CylinderPoint(wrap_angle(x + params.xi + lam * pert.phi1(x, y)),
+    return CylinderPoint((x + params.xi + lam * pert.phi1(x, y)) % TWO_PI,
                          y + lam * pert.phi2(x, y))
 
 
@@ -303,12 +302,7 @@ def finite_difference_jacobian(fn, p, h: float = FD_STEP) -> np.ndarray:
     x, y = p
 
     def delta(pp, pm):
-        dx = math.fmod(pp[0] - pm[0], TWO_PI)
-        if dx < -math.pi:
-            dx += TWO_PI
-        elif dx > math.pi:
-            dx -= TWO_PI
-        return dx, pp[1] - pm[1]
+        return (pp[0] - pm[0] + math.pi) % TWO_PI - math.pi, pp[1] - pm[1]
 
     fx = delta(fn((x + h, y)), fn((x - h, y)))
     fy = delta(fn((x, y + h)), fn((x, y - h)))
@@ -910,15 +904,15 @@ def lyapunov(params: ModelParams, pert: Perturbation, p0: CylinderPoint,
     is counted.
     Contract: bits.  orbits.lyapunov, which steps through return_map and
     jac_return (the compiled float kernel), must give equal estimates,
-    every field ==.  The two share no stepping code (only wrap_angle, the
-    2x2 QR and the final estimate), so this pins its orbit, product order,
-    renormalizations and escape index.
+    every field ==.  The two share no stepping code (only the angle rule
+    `% TWO_PI`, the 2x2 QR and the final estimate), so this pins its orbit,
+    product order, renormalizations and escape index.
     """
     if n < 0 or burn_in < 0:
         raise ValueError(f"need n >= 0 and burn_in >= 0, got n={n}, "
                          f"burn_in={burn_in}")
     consts = step_constants(params, pert)
-    x, y = wrap_angle(p0.x), p0.y
+    x, y = p0.x % TWO_PI, p0.y
     l1 = l2 = logdet = batch_ld = 0.0
     p11, p12, p21, p22 = 1.0, 0.0, 0.0, 1.0
     escaped_at = None
@@ -931,7 +925,7 @@ def lyapunov(params: ModelParams, pert: Perturbation, p0: CylinderPoint,
         except EscapeError:
             escaped_at = i
             break
-        x = wrap_angle(x)
+        x %= TWO_PI
         if i >= burn_in:
             det = abs(a * d - b * c)
             ld = math.log(det) if 0.0 < det < math.inf else SATURATION * 2.0
@@ -957,10 +951,9 @@ def lockstep(params: list, pert: Perturbation, budget: Budget) -> list:
     Lyapunov run, whose log-determinants, products and renormalizations
     are folded in at every step; an orbit escapes where not Y > 0 or its
     new height exceeds 1, and is dropped from the arrays.  Each new angle
-    is wrapped by np.remainder(x, 2pi).  Returns what orbits._lockstep
-    returns.  Only the
-    log-determinant since the last renormalization is kept, so no estimate
-    has a det_consistency.
+    is wrapped by np.remainder(x, 2pi), lyapunov's `% TWO_PI` on arrays.
+    Returns what orbits._lockstep returns.  Only the log-determinant since
+    the last renormalization is kept, so no estimate has a det_consistency.
     Contract: bits.  orbits._lockstep must equal it with repr ==, its
     recorded points bit for bit; it stays as the orchestration without the
     fast path's blocks, buffers and parked orbits.
@@ -977,7 +970,7 @@ def lockstep(params: list, pert: Perturbation, budget: Budget) -> list:
     m = len(params)
     lam = np.array([p.lam for p in params])
     k_omega = np.array([p.k_omega for p in params])
-    x, y = np.full(m, wrap_angle(0.5)), lam.copy()
+    x, y = np.full(m, 0.5), lam.copy()
     cols = np.arange(m)
     rec_x, rec_y = np.empty((n + 1 - first, m)), np.empty((n + 1 - first, m))
     prod0 = np.repeat([[1.0], [0.0]], m, axis=1)

@@ -18,7 +18,7 @@ from bykovlab import circlemap as cm
 from bykovlab import cli
 from bykovlab import model as md
 from bykovlab import orbits as ob
-from bykovlab.model import CylinderPoint, TWO_PI, wrap_angle
+from bykovlab.model import CylinderPoint, TWO_PI, circle_gap
 
 
 @pytest.fixture
@@ -30,11 +30,6 @@ def report(capsys):
                   flush=True)
         assert ok, detail
     return _line
-
-
-def _circ_err(a: float, b: float) -> float:
-    d = abs(wrap_angle(a) - wrap_angle(b))
-    return min(d, TWO_PI - d)
 
 
 def test_criterion_01_composition_identity(pert, report):
@@ -49,13 +44,13 @@ def test_criterion_01_composition_identity(pert, report):
             r, phi = ref.local_map_o1(p, params)
             composed = ref.local_map_o2(r, phi, params)
             direct = ref.eta(p, params)
-            worst = max(worst, _circ_err(composed.x, direct.x),
+            worst = max(worst, circle_gap(composed.x, direct.x),
                         abs(composed.y - direct.y))
             q = ref.psi_21(p, params, pert)
             if q.y > 0.0 and q.y ** params.delta <= 1.0:
                 full = md.return_map(p, params, pert)
                 via = ref.eta(q, params)
-                worst = max(worst, _circ_err(full.x, via.x),
+                worst = max(worst, circle_gap(full.x, via.x),
                             abs(full.y - via.y))
         return worst
 
@@ -81,10 +76,10 @@ def test_criterion_03_lambda_zero_closed_form(ref_params, pert, report):
         x = float(rng.uniform(0, TWO_PI))
         y = float(rng.uniform(1e-3, 1.0))
         got = md.return_map(CylinderPoint(x, y), ref_params, pert)
-        want_x = wrap_angle(x + ref_params.xi
-                            - ref_params.k_omega * math.log(y))
+        want_x = (x + ref_params.xi
+                  - ref_params.k_omega * math.log(y)) % TWO_PI
         want_y = y ** ref_params.delta
-        worst = max(worst, _circ_err(got.x, want_x), abs(got.y - want_y))
+        worst = max(worst, circle_gap(got.x, want_x), abs(got.y - want_y))
     report(3, worst <= 1e-13, f"lambda=0 closed form max err {worst:.2e}")
 
 
@@ -118,7 +113,7 @@ def test_criterion_05_lambda_sequence_identity(report):
         n = int(rng.integers(1, 40))
         _, lam_an = cm.lambda_sequences(k, n, a)
         twist = cm.twist_of_lambda(k, lam_an)
-        worst = max(worst, _circ_err(twist, a))
+        worst = max(worst, circle_gap(twist, a))
     report(5, worst <= 1e-12,
             f"twist(lambda_(a,n)) = a (mod 2pi), max err {worst:.2e}")
 
@@ -156,7 +151,7 @@ def test_criterion_07_critical_set_oracle(family_k5, family_k03, pert, report):
     gap = math.inf
     if ok:
         spacing = TWO_PI / 2 ** 16
-        gap = max(min(_circ_err(c, o) for o in oracle_two)
+        gap = max(min(circle_gap(c, o) for o in oracle_two)
                   for c in two.points)
         ok = gap <= spacing
         ok = ok and all(abs(s) > 1e-8 for s in two.second_derivs)
@@ -206,7 +201,7 @@ def test_criterion_10_lyapunov_harness(ref_params, params_k5, pert, report,
     jac = ((2.0, 0.0), (0.0, 0.5))  # as jac_return gives its entries
     with monkeypatch.context() as mp:  # a synthetic map for one run
         mp.setattr(ob, "return_map",
-                   lambda p, *_: CylinderPoint(wrap_angle(p.x + 0.7), p.y))
+                   lambda p, *_: CylinderPoint((p.x + 0.7) % TWO_PI, p.y))
         mp.setattr(ob, "jac_return", lambda *_: jac)
         est = ob.lyapunov(ref_params, pert, CylinderPoint(0.1, 0.5), 4000,
                           burn_in=0)

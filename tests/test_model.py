@@ -15,7 +15,7 @@ from bykovlab.model import (TWO_PI, CylinderFunction, CylinderPoint,
                             EscapeError, InvalidParamsError, ModelParams,
                             Perturbation, TrigPoly, named_profile,
                             reference_params, reference_perturbation,
-                            return_map, wrap_angle)
+                            return_map)
 from scalar_reference import (SLOPED, TANGLED, eta, image_step,
                               local_map_o1, local_map_o2, psi_21,
                               step_constants)
@@ -197,18 +197,25 @@ class TestPerturbation:
 
 
 @given(st.floats(min_value=-100.0, max_value=100.0))
-def test_wrap_angle_range(x):
-    w = wrap_angle(x)
-    assert 0.0 <= w < TWO_PI
+@example(-1.1e-16)  # within rounding of 0 from below: reduces to 2pi
+@example(-0.0)
+@example(-TWO_PI)
+@example(-2.0 * TWO_PI)
+def test_angle_rule_float_and_array_agree(x):
+    """The one angle rule: `%` on a float and np.remainder on an array give
+    the same bits, in [0, 2pi], and a zero result is +0."""
+    w = x % TWO_PI
+    assert repr(w) == repr(np.remainder(np.array([x]), TWO_PI).tolist()[0])
+    assert 0.0 <= w <= TWO_PI and math.copysign(1.0, w) == 1.0
     assert math.isclose(math.sin(w), math.sin(x), abs_tol=1e-9)
 
 
 @given(st.floats(min_value=-100.0, max_value=100.0),
        st.floats(min_value=-100.0, max_value=100.0))
 def test_circle_gap_matches_both_reductions(a, b):
-    # circle_gap replaced the wrap_angle and np.mod forms bit for bit
+    # circle_gap is the `%` and np.mod forms, bit for bit
     gap = md.circle_gap(a, b)
-    assert gap == abs(wrap_angle(a - b + math.pi) - math.pi)
+    assert gap == abs((a - b + math.pi) % TWO_PI - math.pi)
     assert gap == np.abs(np.mod(np.array([a]) - b + math.pi, TWO_PI)
                          - math.pi)[0]
     assert 0.0 <= gap <= math.pi
@@ -244,9 +251,16 @@ LOG_SPLIT = _draw[np.log(_draw) != [math.log(v) for v in _draw.tolist()]]
 
 
 def _same(got, want) -> bool:
-    """Equal dtypes and np.array_equal, a float NaN equal to NaN."""
-    return got.dtype == want.dtype and np.array_equal(
-        got, want, equal_nan=got.dtype.kind == "f")
+    """Equal dtypes and shapes and equal bits: floats have their NaNs in the
+    same places and every other entry, the sign of a zero included, the
+    same uint64 bits."""
+    if got.dtype != want.dtype or got.shape != want.shape:
+        return False
+    if got.dtype.kind != "f":
+        return np.array_equal(got, want)
+    nan = np.isnan(got)
+    return np.array_equal(nan, np.isnan(want)) and np.array_equal(
+        got[~nan].view(np.uint64), want[~nan].view(np.uint64))
 
 
 @given(y=st.floats(min_value=-0.5, max_value=1.0), **kernel_cases)
@@ -267,14 +281,13 @@ def test_kernel_step_matches_return_map_and_factors(x, y, lam, k_omega, pert):
         assert mid.y <= 0.0 or mid.y ** params.delta > 1.0
         return
     xhat, new_y = step(x, y, scalars)[:2]
-    assert (wrap_angle(xhat), new_y) == (q.x, q.y)
+    assert (xhat % TWO_PI, new_y) == (q.x, q.y)
     assert image(x, y, scalars) == (xhat, new_y)
     consts = step_constants(params, pert)
     assert image_step(x, y, consts)[:3] == (xhat, new_y, mid.y)
     ref = eta(mid, params)
     assert new_y == ref.y
-    d = abs(math.fmod(xhat - ref.x, TWO_PI))
-    assert min(d, TWO_PI - d) <= 1e-12
+    assert md.circle_gap(xhat, ref.x) <= 1e-12
 
 
 @given(y=st.floats(min_value=0.05, max_value=0.85), **kernel_cases)
@@ -404,10 +417,11 @@ def test_float_rows_equal_array_kernel_rows(x, y, lam, pert):
 def test_array_kernel_equals_table_columns(orbits, pert, xi, deltas):
     """The compiled array kernel equals the float rows summed on arrays
     (tests/scalar_reference.array_step and array_image, contract: bits):
-    every output of step_batch and of the image, with np.array_equal (NaN
-    equal to NaN).  The orbits mix lam, K_omega, escapes through Y <= 0
-    and through a new height above 1, and LOG_SPLIT's heights at lam = 0
-    and K_omega = 1 from x = -xi, whose new angle is -log(Y) exactly."""
+    every output of step_batch and of the image, bit for bit by _same (NaN
+    equal to NaN, -0 unequal to +0).  The orbits mix lam, K_omega, escapes
+    through Y <= 0 and through a new height above 1, and LOG_SPLIT's
+    heights at lam = 0 and K_omega = 1 from x = -xi, whose new angle is
+    -log(Y) exactly."""
     assert LOG_SPLIT.size
     orbits = orbits + [(-xi, v, 0.0, 1.0) for v in LOG_SPLIT.tolist()]
     x, y, lam, k_omega = (np.array(v) for v in zip(*orbits))

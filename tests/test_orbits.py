@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 import scalar_reference as ref
 from bykovlab import orbits as ob
 from bykovlab.config import load_config
-from bykovlab.model import (CylinderPoint, EscapeError, TWO_PI, named_profile,
-                            Perturbation, reference_params,
-                            reference_perturbation, return_map, wrap_angle)
+from bykovlab.model import (CylinderPoint, EscapeError, TWO_PI, circle_gap,
+                            named_profile, Perturbation, reference_params,
+                            reference_perturbation, return_map)
 
 
 class TestIterate:
@@ -48,7 +48,7 @@ class TestIterate:
 
 def rotate(p, *_):
     """A synthetic return map: rotation by 0.7."""
-    return CylinderPoint(wrap_angle(p.x + 0.7), p.y)
+    return CylinderPoint((p.x + 0.7) % TWO_PI, p.y)
 
 
 def synthetic_map(monkeypatch, jac, step=rotate):
@@ -559,8 +559,8 @@ class TestLockstepBits:
     def test_angle_wrapped_by_remainder(self, params_k5, pert, points, xi,
                                         first):
         """At K_omega = 1e-290 and lam = 1e-300 or 1e-30 the first image
-        angle is 0.5 + xi: -1.1e-16, which np.remainder wraps to 2pi
-        (wrap_angle: 0), or -2pi, which it wraps to +0 (wrap_angle: -0)."""
+        angle is 0.5 + xi: -1.1e-16, which np.remainder wraps to 2pi, or
+        -2pi, which it wraps to +0; iterate's `%` gives the same bits."""
         lams, ks = self.grid()
         lams, ks = [1e-300, 1e-30] + lams, [1e-290, 1e-290] + ks
         base = dataclasses.replace(params_k5, xi=xi)
@@ -570,6 +570,9 @@ class TestLockstepBits:
                   for lam, k in zip(lams[:2], ks[:2])]
         for points, _, _ in ref.lockstep(params, pert, ob.Budget(30, 0)):
             assert repr(float(points[1, 0])) == repr(first)
+        for p in params:
+            orbit = ob.iterate(p, pert, CylinderPoint(0.5, p.lam), 1)
+            assert repr(float(orbit.points[1, 0])) == repr(first)
 
     @given(points=st.sampled_from([1, 20, 160, 4096]) | st.integers(1, 3000),
            n_iter=st.integers(1, 120), burn_in=st.integers(0, 60),
@@ -621,8 +624,7 @@ def test_rotation_lift_follows_return_map(x, y, lam, k_omega):
         return
     rho_min, rho_max = ob.rotation_set_2d(params, pert, [p], 1)
     assert rho_min == rho_max
-    d = abs(math.fmod(p.x + TWO_PI * rho_min - q.x, TWO_PI))
-    assert min(d, TWO_PI - d) <= 1e-12
+    assert circle_gap(p.x + TWO_PI * rho_min, q.x) <= 1e-12
 
 
 @given(st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=4,

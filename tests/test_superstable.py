@@ -6,7 +6,7 @@ import pytest
 import scalar_reference as ref
 from bykovlab import circlemap as cm
 from bykovlab import orbits as ob
-from bykovlab.model import CylinderPoint, TWO_PI, wrap_angle
+from bykovlab.model import CylinderPoint, TWO_PI, circle_gap
 
 
 class TestSearch:
@@ -20,8 +20,7 @@ class TestSearch:
             # circle check: second iterate returns to the critical point
             x = family_k5.val(s.a_star, s.critical_point)
             x = family_k5.val(s.a_star, x)
-            d = abs(wrap_angle(x - s.critical_point))
-            assert min(d, TWO_PI - d) < 1e-9
+            assert circle_gap(x, s.critical_point) < 1e-9
 
     def test_at_least_one_root_per_window(self, family_k5):
         for window in ((0.0, TWO_PI), (-TWO_PI, 0.0)):
@@ -31,8 +30,7 @@ class TestSearch:
         roots = cm.superstable_search(family_k5, 1, a_window=(0.0, TWO_PI))
         for s in roots:
             x = family_k5.val(s.a_star, s.critical_point)
-            d = abs(wrap_angle(x - s.critical_point))
-            assert min(d, TWO_PI - d) < 1e-9
+            assert circle_gap(x, s.critical_point) < 1e-9
 
     def test_pullback_sequence_form(self, family_k5):
         s = cm.superstable_search(family_k5, 2, a_window=(-TWO_PI, 0.0))[0]
