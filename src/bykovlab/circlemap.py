@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (TWO_PI, ModelParams, Perturbation, TrigPoly, _bisect,
-                    circle_gap, step_batch)
+                    _same_bits, circle_gap, step_batch)
 
 DEFAULT_GRID = 1 << 14
 ROOT_TOL = 1e-12
@@ -117,20 +117,28 @@ class CriticalSet:
         return len(self.points)
 
     def distance(self, x) -> float | np.ndarray:
-        """Circular distance to the nearest critical point (inf if empty)."""
+        """Circular distance to the nearest critical point (inf if empty).
+
+        A running np.minimum of circle_gap(x, c) over the critical points,
+        from inf: q passes over x's shape, with no (..., q) temporary.
+        """
         x = np.asarray(x, dtype=float)
-        out = (circle_gap(x[..., None], self.points).min(axis=-1) if self.q
-               else np.full(x.shape, np.inf))
+        out = np.full(x.shape, np.inf)
+        for c in self.points:
+            np.minimum(out, circle_gap(x, c), out=out)
         return float(out) if out.ndim == 0 else out
 
 
 def critical_points(family: CircleMapFamily) -> CriticalSet:
     """All roots of h' in [0, 2pi], bracketed on DEFAULT_GRID and polished.
 
-    Bisection narrows all brackets at once, then up to 8 Newton steps finish
-    each root to |h'| <= 1e-12 (a root whose Newton steps miss that keeps
-    its bisection value).  Degenerate roots (|h''| < 1e-8) raise
-    NonMorseError.
+    Bisection narrows all brackets at once (at most 60 halvings; see
+    `_bisect`), then up to 8 Newton steps finish each root to
+    |h'| <= 1e-12 (a root whose Newton steps miss that keeps its bisection
+    value).  The Newton loop stops early once a step leaves every root's
+    bits unchanged: the next step would read the same h'' and h', so the
+    remaining steps would repeat it.  Degenerate roots (|h''| < 1e-8)
+    raise NonMorseError.
     """
     xs = np.linspace(0.0, TWO_PI, DEFAULT_GRID, endpoint=False)
     # brackets where h' < 0 flips, so a zero on a grid node ends one bracket
@@ -143,7 +151,10 @@ def critical_points(family: CircleMapFamily) -> CriticalSet:
         for _ in range(8):
             d2 = family.deriv2(root)
             moving &= d2 != 0.0
-            root = np.where(moving, root - family.deriv(root) / d2, root)
+            new = np.where(moving, root - family.deriv(root) / d2, root)
+            if _same_bits(new, root):
+                break
+            root = new
     # Newton wandered: keep the bisection root
     root = np.where(np.abs(family.deriv(root)) > ROOT_TOL, bisected, root)
     d2 = family.deriv2(root)

@@ -23,6 +23,11 @@ from .model import (CylinderFunction, ModelParams, Perturbation, TrigPoly,
 
 MODEL_KEYS = {"c1", "e1", "omega1", "c2", "e2", "omega2", "xi", "lambda"}
 
+# libyaml's safe loader and dumper where PyYAML was built with it: the same
+# documents and dumped text as the pure-Python pair, parsed and emitted in C
+LOADER, DUMPER = ((yaml.CSafeLoader, yaml.CSafeDumper) if yaml.__with_libyaml__
+                  else (yaml.SafeLoader, yaml.SafeDumper))
+
 
 class ConfigError(ValueError):
     """Malformed or incomplete run configuration."""
@@ -168,7 +173,7 @@ class RunConfig:
 
 def parse_config(text: str) -> RunConfig:
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"YAML parse error: {exc}") from exc
     try:
@@ -183,7 +188,7 @@ def parse_config(text: str) -> RunConfig:
                      seed=sections.get("seed", 0),
                      options={block: sections.get(block, {})
                               for block in OPTIONS},
-                     raw=yaml.safe_dump(doc, sort_keys=True))
+                     raw=yaml.dump(doc, Dumper=DUMPER, sort_keys=True))
 
 
 def load_config(path: str) -> RunConfig:

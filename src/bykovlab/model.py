@@ -52,19 +52,33 @@ def circle_gap(a, b):
     return np.abs(np.mod(a - b + math.pi, TWO_PI) - math.pi)
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """a and b (float arrays of one shape) hold the same bits: -0.0 is not
+    +0.0, and a NaN equals only a NaN of the same payload."""
+    return a.tobytes() == b.tobytes()
+
+
 def _bisect(f, lo, hi, flo, steps: int) -> np.ndarray:
     """Midpoints of the brackets [lo, hi] after `steps` halvings that keep a
     sign change of f, given flo = f(lo); a zero at a midpoint moves hi onto
-    it.  Elementwise: f maps an array of points to their values."""
+    it.  Elementwise: f maps an array of points to their values.
+
+    `steps` is a cap.  The loop stops early once a halving leaves lo, hi
+    and flo bit for bit as they were, as happens when every bracket has
+    shrunk to adjacent or equal floats: for a deterministic f the next
+    halving would repeat this one, and so would every halving up to the
+    cap, so the result is the cap's bit for bit."""
     lo, hi, flo = (np.array(v, dtype=float)
                    for v in np.broadcast_arrays(lo, hi, flo))
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         left = flo * fm <= 0.0
-        hi = np.where(left, mid, hi)
-        lo = np.where(left, lo, mid)
-        flo = np.where(left, flo, fm)
+        new = (np.where(left, lo, mid), np.where(left, mid, hi),
+               np.where(left, flo, fm))
+        if all(map(_same_bits, new, (lo, hi, flo))):
+            break
+        lo, hi, flo = new
     return 0.5 * (lo + hi)
 
 

@@ -22,8 +22,9 @@ Four groups:
   of the family, the branch-by-interval transition matrix, the
   singular-limit error table one n at a time, the streaming Misiurewicz
   loop that ran before the (1b) screen, H4 certifying every a of its grid,
-  H5's dp/da by a finite difference of pullbacks and the
-  trigonometric-polynomial sums one derivative order at a time.
+  bisection for a fixed number of halvings, H5's dp/da by a finite
+  difference of pullbacks and the trigonometric-polynomial sums one
+  derivative order at a time.
 - `audit_H1` one sample at a time, and H6's height derivative by a central
   difference.
 - regime classification: `classify_cell` as three one-orbit runs, period
@@ -609,6 +610,22 @@ def superstable_g(family: cm.CircleMapFamily, grid: np.ndarray, c: float,
             x = family.lift(float(av), x)
         out.append(x - c)
     return np.array(out)
+
+
+def bisect(f, lo, hi, flo, steps: int) -> np.ndarray:
+    """`model._bisect` without its early exit: exactly `steps` halvings of
+    every bracket.  Contract: bits; model._bisect must equal it by uint64
+    view, NaN payloads and signed zeros included."""
+    lo, hi, flo = (np.array(v, dtype=float)
+                   for v in np.broadcast_arrays(lo, hi, flo))
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        left = flo * fm <= 0.0
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid)
+        flo = np.where(left, flo, fm)
+    return 0.5 * (lo + hi)
 
 
 def collet_eckmann_check(family: cm.CircleMapFamily, a: float,

@@ -7,12 +7,25 @@ from hypothesis import strategies as st
 
 import scalar_reference as ref
 from bykovlab import circlemap as cm
-from bykovlab.model import TWO_PI, TrigPoly, circle_gap, reference_params
+from bykovlab import model as md
+from bykovlab.model import (TWO_PI, TrigPoly, circle_gap, reference_params,
+                            reference_perturbation)
 
 
 def make_family(k_omega, constant=1.1, terms=((1, 0.0, 1.0),), xi=0.0):
     return cm.CircleMapFamily(xi=xi, k_omega=k_omega,
                               phi2_section=TrigPoly(constant, terms))
+
+
+def reference_family(k_omega):
+    return cm.family_from_model(reference_params(omega=k_omega / 3.0),
+                                reference_perturbation())
+
+
+# Phi2 = 2 + sin x + 0.5 cos 3x at K=2: four critical points, one of them
+# exactly on the grid node pi/2
+GRID_NODE_FAMILY = make_family(2.0, constant=2.0,
+                               terms=((1, 0.0, 1.0), (3, 0.5, 0.0)))
 
 
 class TestEvaluation:
@@ -135,25 +148,35 @@ class TestCriticalSet:
         c1 = cm.critical_points(family_k5).points
         assert np.allclose(c1, sorted(c1))
 
-    @pytest.mark.parametrize("k_omega, points, second_derivs", [
-        (5.0, ("0x1.27ed3cb182bedp+0", "0x1.2ee0241eeafbcp+2"),
-         ("0x1.3c4090f5de173p+1", "-0x1.8d84a5191e7d6p+5")),
-        (8.0, ("0x1.4f406347e1714p+0", "0x1.2e64bf24f45d8p+2"),
-         ("0x1.eecfd33d2f87dp+1", "-0x1.3f398acaac884p+6")),
+    @pytest.mark.parametrize("family, points, second_derivs", [
+        pytest.param(
+            reference_family(5.0),
+            ("0x1.27ed3cb182bedp+0", "0x1.2ee0241eeafbcp+2"),
+            ("0x1.3c4090f5de173p+1", "-0x1.8d84a5191e7d6p+5"), id="k5"),
+        pytest.param(
+            reference_family(8.0),
+            ("0x1.4f406347e1714p+0", "0x1.2e64bf24f45d8p+2"),
+            ("0x1.eecfd33d2f87dp+1", "-0x1.3f398acaac884p+6"), id="k8"),
+        pytest.param(
+            GRID_NODE_FAMILY,
+            ("0x1.4cfa664f4a46fp+0", "0x1.921fb54442d18p+0",
+             "0x1.4cd5bfbba245dp+2", "0x1.8eeecf8ec146cp+2"),
+            ("-0x1.43f87380caef1p+0", "0x1.2aaaaaaaaaaa9p+0",
+             "-0x1.0cb2c360ab06dp+4", "0x1.066205c8d62fap+2"),
+            id="grid_node_q4"),
     ])
-    def test_pinned_critical_sets(self, pert, k_omega, points, second_derivs):
-        """Roots and h'' are bit-equal to recorded values."""
-        fam = cm.family_from_model(reference_params(omega=k_omega / 3.0), pert)
-        crit = cm.critical_points(fam)
+    def test_pinned_critical_sets(self, family, points, second_derivs):
+        """Roots and h'' are bit-equal to recorded values: the reference
+        pair at K_omega = 5 and 8, and the q = 4 family with a root on a
+        grid node."""
+        crit = cm.critical_points(family)
         assert crit.points.tolist() == [float.fromhex(h) for h in points]
         assert crit.second_derivs.tolist() == [float.fromhex(h)
                                                for h in second_derivs]
 
     def test_root_on_grid_node(self):
-        # Phi2 = 2 + sin x + 0.5 cos 3x at K=2: h' is exactly 0.0 on the
-        # grid node pi/2 and changes sign there
-        fam = make_family(2.0, constant=2.0,
-                          terms=((1, 0.0, 1.0), (3, 0.5, 0.0)))
+        # h' is exactly 0.0 on the grid node pi/2 and changes sign there
+        fam = GRID_NODE_FAMILY
         node = cm.DEFAULT_GRID // 4
         xs = np.linspace(0.0, TWO_PI, cm.DEFAULT_GRID, endpoint=False)
         d = fam.deriv(xs)
@@ -165,21 +188,27 @@ class TestCriticalSet:
         assert all(abs(fam.deriv(float(c))) <= cm.ROOT_TOL
                    for c in crit.points)
 
+    @pytest.mark.parametrize("shape", [(3, 5), (0,), "orbits"])
     @pytest.mark.parametrize("points", [(), (1.0, 4.0),
                                         (0.0, 1.5, 3.2, 6.2)])
-    def test_distance_matches_loop_definition(self, points):
-        """The broadcast minimum equals the running np.minimum over the
-        critical points, bit for bit: inf with none, NaN at a NaN angle,
-        a float for a float angle."""
+    def test_distance_matches_loop_definition(self, points, shape):
+        """distance equals the running np.minimum over the critical points,
+        bit for bit: inf with none, NaN at a NaN angle, a float for a float
+        angle; on a grid, an empty array, and the (n_a, q, horizon) shape
+        that critical_orbit_distances passes."""
         crit = cm.CriticalSet(np.array(points, dtype=float),
                               np.ones(len(points)))
-        x = np.random.default_rng(1).uniform(-TWO_PI, 2 * TWO_PI, (3, 5))
-        x[1, 2] = np.nan
+        if shape == "orbits":
+            shape = (64, crit.q, 50)
+        x = np.random.default_rng(1).uniform(-TWO_PI, 2 * TWO_PI, shape)
+        if x.size:
+            x.flat[7] = np.nan
         want = np.full(x.shape, np.inf)
         for c in crit.points:
             want = np.minimum(want, circle_gap(x, c))
-        assert crit.distance(x).tobytes() == want.tobytes()
-        for xv, w in zip(x.ravel().tolist(), want.ravel().tolist()):
+        got = crit.distance(x)
+        assert got.shape == x.shape and got.tobytes() == want.tobytes()
+        for xv, w in zip(x.ravel()[:16].tolist(), want.ravel().tolist()):
             got = crit.distance(xv)
             assert type(got) is float
             assert got == w or math.isnan(got) and math.isnan(w)
@@ -189,6 +218,82 @@ class TestCriticalSet:
         c = float(crit.points[0])
         assert crit.distance(c) == pytest.approx(0.0, abs=1e-15)
         assert crit.distance(c + 0.01) == pytest.approx(0.01, abs=1e-12)
+
+
+def _counted(f, calls):
+    def g(x):
+        calls.append(1)
+        return f(x)
+    return g
+
+
+def _same_bits_as_reference(f, lo, hi, flo, steps):
+    """The early-exit _bisect and the fixed-count reference agree by uint64
+    view; returns how many times _bisect called f."""
+    calls = []
+    got = md._bisect(_counted(f, calls), lo, hi, flo, steps)
+    want = ref.bisect(f, lo, hi, flo, steps)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    return len(calls)
+
+
+class TestBisect:
+    @pytest.mark.parametrize("caller, steps", [
+        (lambda: cm.critical_points(reference_family(5.0)), 60),
+        (lambda: cm.critical_points(GRID_NODE_FAMILY), 60),
+        (lambda: cm.superstable_search(reference_family(5.0), 1), 80),
+        (lambda: cm.superstable_search(reference_family(5.0), 2), 80),
+        (lambda: reference_perturbation().validate(), 40),
+    ], ids=["critical_points", "critical_points_q4", "superstable_p1",
+            "superstable_p2", "validate"])
+    def test_library_brackets_match_fixed_count(self, monkeypatch, caller,
+                                                steps):
+        """Every bracket the library bisects, `steps` halvings among them
+        (a superstable search also finds its critical set), ends on the
+        bits that the full count of halvings gives; at 60 and 80 halvings
+        the loop stops before the cap."""
+        seen, bisect = [], md._bisect
+
+        def spy(*args):
+            seen.append(args)
+            return bisect(*args)
+        monkeypatch.setattr(cm, "_bisect", spy)
+        monkeypatch.setattr(md, "_bisect", spy)
+        caller()
+        monkeypatch.undo()
+        counts = [(args[-1], _same_bits_as_reference(*args)) for args in seen]
+        assert steps in dict(counts)
+        assert all(calls <= cap for cap, calls in counts)
+        if steps > 40:  # 40 halvings leave a validate bracket above one ULP
+            assert any(calls < cap for cap, calls in counts if cap == steps)
+
+    def test_zero_at_lower_end(self):
+        # flo = +-0: every halving moves hi, down to lo
+        lo = np.array([1.0, 1.0])
+        calls = _same_bits_as_reference(np.log, lo, lo + 1.0,
+                                        np.array([0.0, -0.0]), 80)
+        assert calls < 80
+
+    def test_signed_zero_midpoints(self):
+        # a bracket around 0 of two subnormals: its midpoints are +0.0 and
+        # then -0.0, which == cannot tell apart
+        tiny = np.nextafter(0.0, 1.0)
+        _same_bits_as_reference(lambda x: x, -tiny, tiny, -tiny, 80)
+
+    @pytest.mark.parametrize("steps", [40, 80])
+    def test_nan_values(self, steps):
+        # a NaN of f never brackets: lo climbs to hi; 40 halvings leave it
+        # short of hi, so the loop runs to the cap
+        def nan(x):
+            return np.full_like(x, np.nan)
+
+        def half_nan(x):
+            return np.where(x > 0.5, np.nan, x - 0.25)
+        lo, hi = np.array([0.0, 0.0]), np.array([1.0, 0.75])
+        calls = _same_bits_as_reference(nan, lo, hi, nan(lo), steps)
+        assert calls == steps if steps == 40 else calls < steps
+        _same_bits_as_reference(half_nan, lo, hi, half_nan(lo), steps)
 
 
 class TestRotationInterval:

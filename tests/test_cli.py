@@ -1,10 +1,14 @@
+import importlib.util
 import json
 import math
 import os
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 try:
     import jsonschema
@@ -12,7 +16,7 @@ except ImportError:  # pragma: no cover
     jsonschema = None
 
 from bykovlab import circlemap as cm
-from bykovlab import cli
+from bykovlab import cli, config
 from bykovlab import orbits as ob
 from bykovlab.config import ConfigError, parse_config
 from bykovlab.model import TWO_PI, CylinderPoint
@@ -35,6 +39,7 @@ seed: 0
 
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 
 def write_config(tmp_path, extra="", omega=5.0 / 3.0, lam=1e-3):
@@ -124,6 +129,57 @@ class TestConfig:
             "phi2: {family: offset_sine}",
             "phi2: {family: offset_sine, offset: 0.2}")
         with pytest.raises(Exception):
+            parse_config(text)
+
+
+def _perfbench_configs() -> dict:
+    """The YAML of each perfbench workload's first input variant."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(PERFBENCH, "workloads.py"))
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return {name: workloads.config_yaml(name, 0)
+            for name in workloads.WORKLOADS}
+
+
+CONFIG_TEXTS = {**{path.name: path.read_text(encoding="utf-8")
+                   for path in Path(SCRIPTS).glob("*.yaml")},
+                **_perfbench_configs()}
+BACKENDS = {"python": (yaml.SafeLoader, yaml.SafeDumper)}
+if yaml.__with_libyaml__:  # CSafeLoader and CSafeDumper exist only then
+    BACKENDS["libyaml"] = (yaml.CSafeLoader, yaml.CSafeDumper)
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__,
+                    reason="PyYAML built without libyaml")
+class TestYamlBackends:
+    """libyaml and pure-Python PyYAML give one document, one `raw` text and
+    one sha256 per config, so provenance does not depend on the build."""
+
+    def test_libyaml_is_used(self):
+        assert (config.LOADER, config.DUMPER) == BACKENDS["libyaml"]
+
+    @pytest.mark.parametrize("name", sorted(CONFIG_TEXTS))
+    def test_same_document_raw_and_sha(self, monkeypatch, name):
+        text = CONFIG_TEXTS[name]
+        docs, cfgs = [], []
+        for loader, dumper in BACKENDS.values():
+            docs.append(repr(yaml.load(text, Loader=loader)))
+            monkeypatch.setattr(config, "LOADER", loader)
+            monkeypatch.setattr(config, "DUMPER", dumper)
+            cfgs.append(parse_config(text))
+        assert docs[0] == docs[1]
+        assert cfgs[0].raw == cfgs[1].raw
+        assert cfgs[0].sha256 == cfgs[1].sha256
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    @pytest.mark.parametrize("text", [
+        "model: {c1: [1.0\n", "model:\n  c1: 1\n c2: 2\n", "a: b: c\n",
+        "model: {c1: 1.0}}\n"],
+        ids=["unclosed", "dedent", "nested", "brace"])
+    def test_malformed_is_config_error(self, monkeypatch, backend, text):
+        monkeypatch.setattr(config, "LOADER", BACKENDS[backend][0])
+        with pytest.raises(ConfigError, match="YAML parse error"):
             parse_config(text)
 
 
